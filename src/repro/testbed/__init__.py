@@ -1,19 +1,18 @@
-"""A discrete-event testbed emulator (the hardware-testbed substitute).
+"""A flow-level testbed emulator (the hardware-testbed substitute).
 
 The paper's Section IV.C testbed is five hardware switches (Huawei, H3C,
 Ruijie, Cisco, Centec), five i7 servers, and a VXLAN/OVS overlay following
 AS1755, orchestrated by a Ryu SDN controller. None of that hardware is
 available here, so this package provides a behaviourally equivalent
-discrete-event emulator:
+emulator:
 
-* :mod:`~repro.testbed.events` — the event engine;
 * :mod:`~repro.testbed.switch` — the five switch models with port counts
   and switching latencies;
 * :mod:`~repro.testbed.vm` — servers and VM provisioning;
 * :mod:`~repro.testbed.ovs` — OVS bridges and VXLAN tunnels pinning the
   overlay onto the underlay;
 * :mod:`~repro.testbed.flows` — flow-level transfers with max-min fair
-  bandwidth sharing;
+  bandwidth sharing, stepped from event time to event time;
 * :mod:`~repro.testbed.controller` — a Ryu-like controller hosting the
   caching algorithms as applications;
 * :mod:`~repro.testbed.emulator` — the :class:`Testbed` facade used by the
@@ -24,7 +23,6 @@ AS1755 overlay; both are functions of topology, capacities and algorithm
 behaviour, which the emulator reproduces (see DESIGN.md, substitutions).
 """
 
-from repro.testbed.events import EventQueue, Simulator
 from repro.testbed.switch import HardwareSwitch, SWITCH_CATALOG
 from repro.testbed.vm import Server, VirtualMachine, VMManager
 from repro.testbed.ovs import OVSBridge, VXLANTunnel, OverlayNetwork
@@ -33,8 +31,6 @@ from repro.testbed.controller import CachingApp, RyuController
 from repro.testbed.emulator import Testbed, TestbedRun
 
 __all__ = [
-    "EventQueue",
-    "Simulator",
     "HardwareSwitch",
     "SWITCH_CATALOG",
     "Server",

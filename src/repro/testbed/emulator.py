@@ -118,21 +118,21 @@ class Testbed:
         return caps
 
     def _flow_resources(self, src: int, dst: int) -> List[Hashable]:
-        """Overlay links + underlay cables a transfer crosses (dedup)."""
-        resources: List[Hashable] = []
+        """Overlay links + underlay cables a transfer crosses (dedup).
+
+        One walk of the overlay path; each hop's cables are read from its
+        live tunnel, so a flow built after a cable cut crosses the
+        re-pinned cables.
+        """
         path = self.overlay.overlay_path(src, dst)
-        seen = set()
-        for u, v in zip(path, path[1:]):
-            key = ("overlay", frozenset((u, v)))
-            if key not in seen:
-                seen.add(key)
-                resources.append(key)
-        for cable in self.overlay.underlay_cables(src, dst):
-            key = ("underlay", frozenset(cable))
-            if key not in seen:
-                seen.add(key)
-                resources.append(key)
-        return resources
+        hops = list(zip(path, path[1:]))
+        resources: List[Hashable] = [("overlay", frozenset(hop)) for hop in hops]
+        resources.extend(
+            ("underlay", frozenset(cable))
+            for u, v in hops
+            for cable in self.overlay.tunnel(u, v).underlay_path
+        )
+        return list(dict.fromkeys(resources))
 
     def build_flow_simulator(self, assignment: CachingAssignment) -> FlowSimulator:
         """The flow set one epoch of the assignment's traffic generates.

@@ -115,6 +115,11 @@ class OverlayNetwork:
         # Populate switch forwarding tables along shortest paths.
         self._install_underlay_routes()
 
+        #: Memoised :meth:`overlay_path` per ``(src, dst)``. The overlay
+        #: graph and its tunnel set are fixed at construction; a cable cut
+        #: re-pins tunnels onto the underlay only.
+        self._paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+
     def _attached_switch(self, server: Server) -> int:
         return self.switches[server.server_id % len(self.switches)].switch_id
 
@@ -196,11 +201,16 @@ class OverlayNetwork:
             raise TopologyError(f"no tunnel between overlay nodes {u} and {v}") from None
 
     def overlay_path(self, src: int, dst: int) -> List[int]:
-        """Overlay node sequence between two overlay nodes."""
-        try:
-            return nx.shortest_path(self.graph, src, dst)
-        except nx.NetworkXNoPath:
-            raise TopologyError(f"no overlay path {src} -> {dst}") from None
+        """Overlay node sequence between two overlay nodes (one BFS per
+        ``(src, dst)`` pair; later calls return a copy of the first path)."""
+        path = self._paths.get((src, dst))
+        if path is None:
+            try:
+                path = tuple(nx.shortest_path(self.graph, src, dst))
+            except nx.NetworkXNoPath:
+                raise TopologyError(f"no overlay path {src} -> {dst}") from None
+            self._paths[(src, dst)] = path
+        return list(path)
 
     def underlay_cables(self, src: int, dst: int) -> List[Tuple[int, int]]:
         """All underlay cables a transfer ``src -> dst`` crosses (with

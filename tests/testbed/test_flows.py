@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.exceptions import ConfigurationError, EmulationError
+from repro.testbed import flows as flows_module
 from repro.testbed.flows import Flow, FlowSimulator, max_min_fair_rates, GBITS_PER_GB
 
 
@@ -42,6 +43,18 @@ class TestMaxMinFairRates:
     def test_unknown_resource_raises(self):
         with pytest.raises(EmulationError):
             max_min_fair_rates([flow(0, ["ghost"])], {})
+
+    def test_duplicate_resource_charged_once(self):
+        # f0 lists "a" twice; "b" bottlenecks it at 20, and f1 gets the
+        # rest of "a". Charging f0 once per listing would leave f1 only 60.
+        flows = [flow(0, ["b", "a", "a"]), flow(1, ["a"])]
+        rates = max_min_fair_rates(flows, {"a": 100.0, "b": 20.0})
+        assert rates[0] == pytest.approx(20.0)
+        assert rates[1] == pytest.approx(80.0)
+
+    def test_unused_resources_ignored(self):
+        rates = max_min_fair_rates([flow(0, ["a"])], {"a": 40.0, "idle": 1.0})
+        assert rates == {0: pytest.approx(40.0)}
 
     def test_done_flows_ignored(self):
         f0, f1 = flow(0, ["l"]), flow(1, ["l"])
@@ -104,6 +117,46 @@ class TestFlowSimulator:
         sim.add_flow(0, 1, 0.5, ["l"])
         metrics = sim.run()
         assert metrics["mean_completion"] == pytest.approx(80.0)
+
+    def test_one_rate_allocation_per_event_time(self, monkeypatch):
+        """Simultaneous starts and tied completions share one allocation."""
+        calls = []
+        real = flows_module.max_min_fair_rates
+
+        def counting(flows, capacities):
+            calls.append(len(flows))
+            return real(flows, capacities)
+
+        monkeypatch.setattr(flows_module, "max_min_fair_rates", counting)
+        sim = FlowSimulator({"l": 100.0})
+        tied = [sim.add_flow(0, 1, 0.5, ["l"]) for _ in range(3)]
+        late = sim.add_flow(0, 1, 0.5, ["l"], start_time=200.0)
+        sim.run()
+        # t=0: three starts; t=120: three tied completions; t=200: one start.
+        assert calls == [3, 1]
+        assert [f.finish_time for f in tied] == [pytest.approx(120.0)] * 3
+        assert late.finish_time == pytest.approx(240.0)
+
+    def test_near_tie_completions_stay_apart(self):
+        sim = FlowSimulator({"a": 100.0, "b": 100.0})
+        first = sim.add_flow(0, 1, 1.0, ["a"])
+        second = sim.add_flow(0, 1, 1.0 + 1e-8, ["b"])
+        sim.run()
+        assert first.finish_time == pytest.approx(80.0, rel=1e-12)
+        assert second.finish_time == pytest.approx(80.0 * (1.0 + 1e-8), rel=1e-12)
+
+    def test_rerun_keeps_finished_flows(self):
+        sim = FlowSimulator({"l": 100.0})
+        sim.add_flow(0, 1, 0.5, ["l"])
+        sim.add_flow(0, 1, 1.0, ["l"], start_time=10.0)
+        first = sim.run()
+        assert sim.run() == first
+
+    def test_negative_start_rejected(self):
+        sim = FlowSimulator({"l": 10.0})
+        sim.add_flow(0, 1, 1.0, ["l"], start_time=-1.0)
+        with pytest.raises(EmulationError):
+            sim.run()
 
     def test_conservation_of_volume(self):
         sim = FlowSimulator({"a": 50.0, "b": 80.0})

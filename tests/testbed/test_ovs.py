@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.exceptions import ConfigurationError, TopologyError
+from repro.testbed import ovs as ovs_module
 from repro.testbed.ovs import OverlayNetwork
 from repro.testbed.switch import default_underlay
 from repro.testbed.vm import Server
@@ -61,6 +62,23 @@ class TestOverlayQueries:
         overlay, _ = small_overlay()
         path = overlay.overlay_path(0, 3)
         assert path[0] == 0 and path[-1] == 3
+
+    def test_overlay_path_one_search_per_pair(self, monkeypatch):
+        overlay, _ = small_overlay()
+        searches = []
+        real = nx.shortest_path
+
+        def counting(graph, src, dst):
+            searches.append((src, dst))
+            return real(graph, src, dst)
+
+        monkeypatch.setattr(ovs_module.nx, "shortest_path", counting)
+        first = overlay.overlay_path(0, 3)
+        first.append("scribble")  # callers get a copy, not the memo
+        assert overlay.overlay_path(0, 3) == first[:-1]
+        overlay.underlay_cables(0, 3)
+        overlay.overlay_path(3, 0)
+        assert searches == [(0, 3), (3, 0)]
 
     def test_underlay_cables_cover_cross_server_hops(self):
         overlay, _ = small_overlay()
