@@ -2,16 +2,17 @@
 
 Times the two levers that speed figure regeneration up:
 
-* the **incremental best-response engine** (compiled cost tables,
-  delta-maintained loads/occupancy) against the naive reference loops, on
-  a best-response-heavy game where the engine is the hot path;
+* the library's **batch best-response kernel** (compiled cost tables,
+  all players' moves priced per round) against the naive and incremental
+  reference engines of ``tests/oracles/best_response_reference.py``, on a
+  best-response-heavy game where the dynamics are the hot path;
 * the **runtime-dispatched sweep harness** over a workers x
   instance-size scaling grid of the same seeded Fig. 2-style sweep
   (serial reference plus 2- and 4-worker :class:`repro.runtime.Runtime`
   pools on a small and a large tier).
 
-Correctness is asserted unconditionally: both engines must produce the
-identical equilibrium, and every point of the sweep scaling curve must
+Correctness is asserted unconditionally: all three engines must produce
+the identical equilibrium, and every point of the sweep scaling curve must
 be bit-identical to the serial reference. Wall-clock assertions are
 gated on what the host can honestly deliver — the engine speedup is
 single-core and always asserted; the 4-worker break-even bar
@@ -27,9 +28,10 @@ import time
 
 from repro.core.bridge import market_game
 from repro.experiments.figures import fig2_network_size
-from repro.game.best_response import best_response_dynamics, greedy_feasible_profile
+from repro.game.best_response import greedy_feasible_profile
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
+from tests.oracles.best_response_reference import DYNAMICS
 
 from benchmarks.conftest import bench_path, record_bench
 
@@ -53,8 +55,8 @@ def _best_of(fn, repeats: int = 3) -> float:
 
 
 def test_bench_engine_vs_naive(emit):
-    """Naive vs incremental best-response on a BR-heavy market: identical
-    equilibria, >= 2x faster (measured ~4-6x single-core)."""
+    """The library's kernel vs the naive and incremental reference engines
+    on a BR-heavy market: identical equilibria, >= 2x faster than naive."""
     network = random_mec_network(150, rng=1)
     market = generate_market(network, n_providers=120, rng=2)
     game = market_game(market)
@@ -62,33 +64,36 @@ def test_bench_engine_vs_naive(emit):
 
     outcomes = {}
     timings = {}
-    for engine in ("naive", "incremental"):
-        result = best_response_dynamics(game, dict(start), engine=engine)
-        outcomes[engine] = result
+    for engine in ("naive", "incremental", "batch"):
+        dynamics = DYNAMICS[engine]
+        outcomes[engine] = dynamics(game, dict(start))
         timings[engine] = _best_of(
-            lambda e=engine: best_response_dynamics(game, dict(start), engine=e),
-            repeats=5,
+            lambda d=dynamics: d(game, dict(start)), repeats=5
         )
 
-    naive, incremental = outcomes["naive"], outcomes["incremental"]
-    assert incremental.profile == naive.profile
-    assert incremental.moves == naive.moves
-    assert incremental.rounds == naive.rounds
-    assert incremental.converged and naive.converged
+    naive = outcomes["naive"]
+    for engine in ("incremental", "batch"):
+        result = outcomes[engine]
+        assert result.profile == naive.profile
+        assert result.moves == naive.moves
+        assert result.rounds == naive.rounds
+        assert result.converged and naive.converged
 
-    speedup = timings["naive"] / timings["incremental"]
+    speedup = timings["naive"] / timings["batch"]
     _record(
         "engine",
         {
             "naive_s": timings["naive"],
             "incremental_s": timings["incremental"],
+            "batch_s": timings["batch"],
             "speedup": speedup,
             "moves": naive.moves,
         },
     )
     emit(
         f"[engine] best-response 120 players: naive {timings['naive']*1e3:.1f} ms, "
-        f"incremental {timings['incremental']*1e3:.1f} ms -> {speedup:.1f}x"
+        f"incremental {timings['incremental']*1e3:.1f} ms, "
+        f"batch {timings['batch']*1e3:.1f} ms -> {speedup:.1f}x vs naive"
     )
     assert speedup >= 2.0
 

@@ -1,8 +1,9 @@
 """Scale benchmark for the batch best-response kernel (``BENCH_scale.json``).
 
 Times equilibrium computation on large service markets — 400 to 1000
-network nodes, 4000 to 10^4 providers — for the incremental and batch
-engines, in providers/sec (placed providers divided by best-of-N dynamics
+network nodes, 4000 to 10^4 providers — for the library's batch kernel
+and the incremental reference engine of
+``tests/oracles/best_response_reference.py``, in providers/sec (placed providers divided by best-of-N dynamics
 wall clock from the same greedy start).
 
 Correctness is asserted unconditionally: both engines must reach the
@@ -30,9 +31,9 @@ import pytest
 from benchmarks.conftest import bench_path, record_bench
 
 from repro.core.bridge import market_game
-from repro.game.best_response import best_response_dynamics
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
+from tests.oracles.best_response_reference import DYNAMICS
 
 RESULTS_PATH = bench_path("BENCH_scale.json")
 
@@ -103,14 +104,12 @@ def test_bench_scale_tier(n_nodes, n_providers, emit):
     timings = {}
     repeats = 3 if n_nodes < LARGE_TIER_NODES else 2
     for engine in ("incremental", "batch"):
-        outcomes[engine] = best_response_dynamics(
-            game, dict(start), engine=engine, compiled=compiled,
-            record_moves=True,
+        dynamics = DYNAMICS[engine]
+        outcomes[engine] = dynamics(
+            game, dict(start), compiled=compiled, record_moves=True
         )
         timings[engine] = _best_of(
-            lambda e=engine: best_response_dynamics(
-                game, dict(start), engine=e, compiled=compiled
-            ),
+            lambda d=dynamics: d(game, dict(start), compiled=compiled),
             repeats=repeats,
         )
 

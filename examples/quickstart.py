@@ -6,31 +6,16 @@ Stackelberg mechanism (Algorithm 2) against the two baselines, and prints
 the cost breakdown.
 
 Run:  python examples/quickstart.py
-      python examples/quickstart.py --engine batch   # batch-vectorized kernel
-
-``--engine`` picks the best-response engine for the selfish phase
-(``incremental``, ``batch`` or ``naive``); all three reach the identical
-equilibrium, ``batch`` is the fast path on large markets.
 """
-
-import argparse
 
 from repro.core import jo_offload_cache, lcf, offload_cache
 from repro.core.bounds import bounds_for_market
-from repro.game.best_response import ENGINES
 from repro.market import generate_market
 from repro.network import random_mec_network
 from repro.utils.tables import Table
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--engine", choices=ENGINES, default="incremental",
-        help="best-response engine for the selfish phase",
-    )
-    args = parser.parse_args()
-
     # A 200-node network: 20 cloudlets at the edge, 5 remote data centers.
     network = random_mec_network(200, rng=42)
     print(network)
@@ -40,7 +25,7 @@ def main() -> None:
     print(market)
 
     # The infrastructure provider coordinates 70% of them (1 - xi = 0.3).
-    result = lcf(market, xi=0.7, allow_remote=True, engine=args.engine)
+    result = lcf(market, xi=0.7, allow_remote=True)
     assignment = result.assignment
     print(f"\nLCF: stable = {result.is_equilibrium}, "
           f"coordinated = {len(result.coordinated_ids)}, "

@@ -15,9 +15,7 @@ Usage::
 ``bench`` (the benchmark harness scale, ~a minute) or ``paper`` (the full
 Section IV.A scale). ``--workers N`` fans each sweep's (x, repetition)
 grid over ``N`` worker processes (``0`` = one per CPU) with bit-identical
-results; ``--engine`` switches the best-response engine between the
-compiled incremental implementation, the batch-vectorized kernel and the
-naive reference loops (all bit-identical in outcome).
+results.
 ``--csv DIR`` additionally writes each figure's rows as CSV files for
 external plotting.
 """
@@ -45,7 +43,6 @@ from repro.experiments.figures import (
 from repro.experiments.harness import SweepResult
 from repro.experiments.report import METRIC_LABELS, render_sweep, sweep_to_csv
 from repro.experiments.settings import PAPER, QUICK, ExperimentConfig
-from repro.game.best_response import ENGINES
 from repro.utils.ascii_plot import line_chart
 from repro.utils.validation import CAPACITY_EPS
 
@@ -146,10 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", type=int, default=0, metavar="N",
             help="sweep worker processes: 0 = one per CPU (default), "
             "1 = serial, N = that many (results identical at any value)",
-        )
-        p.add_argument(
-            "--engine", choices=ENGINES, default="incremental",
-            help="best-response engine (default: incremental)",
         )
 
     poa = sub.add_parser("poa", help="empirical bounds study (A1)")
@@ -455,7 +448,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_lint(args)
 
     try:
-        config = _SCALES[args.scale].with_(workers=args.workers, engine=args.engine)
+        config = _SCALES[args.scale].with_(workers=args.workers)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ that capacities far exceed individual demands, the repair is a no-op.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -73,7 +74,10 @@ def _repair_capacities(
 
     Within an overloaded cloudlet, the largest services leave first — they
     free the most capacity per eviction, keeping the approximate solution's
-    structure as intact as possible. Returns (placement, rejected, moves).
+    structure as intact as possible. An evicted service re-enters at its
+    cheapest cloudlet among those that fit it and have a finite Eq. (9)
+    cost (an infinite cost marks a pair outside the latency budget); with
+    none, it is rejected. Returns (placement, rejected, moves).
 
     With a :class:`CompiledMarket` the per-cloudlet loads live in one
     ``(m, 2)`` array, built once and maintained incrementally through both
@@ -117,6 +121,7 @@ def _repair_capacities(
             cl.node_id
             for cl in market.network.cloudlets
             if _fits(market, cl.node_id, loads[cl.node_id], pid)
+            and math.isfinite(model.gap_cost(provider, cl))
         ]
         if not candidates:
             rejected.add(pid)
@@ -162,7 +167,7 @@ def _repair_capacities_compiled(
     moves = 0
     for pid in evicted:
         row = cm.provider_index[pid]
-        candidates = np.flatnonzero(cm.fits_mask(row, loads))
+        candidates = np.flatnonzero(cm.fits_mask(row, loads) & np.isfinite(gap[row]))
         if candidates.size == 0:
             rejected.add(pid)
             continue
@@ -226,7 +231,9 @@ def _warm_appro(
             gap = cm.gap_costs()
             for pid in newcomers:
                 row = cm.provider_row(pid)
-                candidates = np.flatnonzero(cm.fits_mask(row, loads))
+                candidates = np.flatnonzero(
+                    cm.fits_mask(row, loads) & np.isfinite(gap[row])
+                )
                 if candidates.size == 0:
                     rejected.add(pid)
                     continue
@@ -246,6 +253,7 @@ def _warm_appro(
                     cl.node_id
                     for cl in market.network.cloudlets
                     if _fits(market, cl.node_id, obj_loads[cl.node_id], pid)
+                    and math.isfinite(model.gap_cost(provider, cl))
                 ]
                 if not candidates_o:
                     rejected.add(pid)

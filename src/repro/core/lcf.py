@@ -33,7 +33,7 @@ Step 4 supports two information models:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -41,7 +41,8 @@ from repro.core.appro import appro
 from repro.core.assignment import CachingAssignment, Stopwatch
 from repro.core.bridge import market_game
 from repro.exceptions import ConfigurationError, InfeasibleError
-from repro.game.best_response import ENGINES, best_response_dynamics
+from repro.game.best_response import best_response_dynamics
+from repro.game.congestion import SingletonCongestionGame
 from repro.game.equilibrium import is_nash_equilibrium
 from repro.market.compiled import CompiledMarket
 from repro.market.market import ServiceMarket
@@ -83,6 +84,41 @@ def select_coordinated_lcf(
     return sorted(ranked[:budget])
 
 
+def _selfish_entry(
+    game_all: SingletonCongestionGame,
+    profile: Dict[int, int],
+    selfish_ids: List[int],
+    rejected: Set[int],
+    placed_selfish: List[int],
+    posted: bool,
+    entry_threshold: Callable[[int], float],
+) -> None:
+    """Sequential selfish entry with rejection of unplaceable providers.
+
+    Each selfish provider, in order, takes its cheapest feasible cloudlet
+    from the compiled entry-cost row (occupancy term at face value under
+    ``posted``, else the live occupancy it would join) unless that cost
+    does not beat ``entry_threshold``; then it is rejected. Updates
+    ``profile``, ``rejected`` and ``placed_selfish`` in place.
+    """
+    compiled = game_all.compile()
+    occ_vec = compiled.occupancy_vector(profile)
+    load_mat = compiled.load_matrix(profile)
+    for pid in selfish_ids:
+        pi = compiled.player_index[pid]
+        costs = compiled.entry_costs(pi, occ_vec, load_mat, posted=posted)
+        j = int(np.argmin(costs))
+        if not costs[j] < entry_threshold(pid):
+            rejected.add(pid)
+            continue
+        node = compiled.resources[j]
+        profile[pid] = node
+        occ_vec[j] += 1
+        if load_mat is not None:
+            load_mat[j] += compiled.demand[pi, j]
+        placed_selfish.append(pid)
+
+
 @dataclass
 class LCFResult:
     """Everything produced by one LCF run."""
@@ -109,7 +145,6 @@ def lcf(
     allow_remote: bool = False,
     slot_pricing: str = "marginal",
     information: str = "posted_price",
-    engine: str = "incremental",
     representation: str = "compiled",
     compiled: Optional[CompiledMarket] = None,
     warm_start: Optional[object] = None,
@@ -121,13 +156,9 @@ def lcf(
     ``information`` selects the selfish players' information model (see the
     module docstring): ``"posted_price"`` or ``"full"``.
 
-    ``engine`` selects the game engine driving the selfish phase:
-    ``"incremental"`` (compiled cost tables, vectorised entry scans and
-    delta-maintained best-response state), ``"batch"`` (the
-    batch-vectorized kernel — all providers' candidate moves priced as one
-    delta-cost matrix per round, Jacobi-propose/Gauss-Seidel-commit; see
-    :mod:`repro.game.batch`) or ``"naive"`` (the reference per-resource
-    Python loops). All produce identical placements.
+    The selfish phase enters providers with a vectorised scan of the
+    compiled cost tables and settles them on the batch best-response
+    kernel (:mod:`repro.game.batch`).
 
     ``representation`` selects the instance representation for the leader
     phase (Appro's GAP build and repair): ``"compiled"`` (default, the
@@ -161,8 +192,6 @@ def lcf(
         raise ConfigurationError(
             f"information must be 'posted_price' or 'full', got {information!r}"
         )
-    if engine not in ENGINES:
-        raise ConfigurationError(f"unknown engine {engine!r}; choose from {ENGINES}")
     seed = (
         warm_start.appro_assignment
         if isinstance(warm_start, LCFResult)
@@ -219,45 +248,10 @@ def lcf(
             else (lambda pid: float("inf"))
         )
 
-        if engine in ("incremental", "batch"):
-            compiled = game_all.compile()
-            occ_vec = compiled.occupancy_vector(profile)
-            load_mat = compiled.load_matrix(profile)
-            for pid in selfish_ids:
-                pi = compiled.player_index[pid]
-                costs = compiled.entry_costs(pi, occ_vec, load_mat, posted=posted)
-                j = int(np.argmin(costs))
-                if not costs[j] < entry_threshold(pid):
-                    rejected.add(pid)
-                    continue
-                node = compiled.resources[j]
-                profile[pid] = node
-                occ_vec[j] += 1
-                if load_mat is not None:
-                    load_mat[j] += compiled.demand[pi, j]
-                placed_selfish.append(pid)
-        else:
-            occ: Dict[int, int] = game_all.occupancy(profile)
-            loads = game_all.loads(profile)
-            for pid in selfish_ids:
-                best_node = None
-                best_cost = entry_threshold(pid)
-                for node in game_all.resources:
-                    if not game_all.move_is_feasible(pid, node, profile, loads):
-                        continue
-                    evaluated_occ = 1 if posted else occ.get(node, 0) + 1
-                    c = game_all.cost(pid, node, evaluated_occ)
-                    if c < best_cost:
-                        best_cost = c
-                        best_node = node
-                if best_node is None:
-                    rejected.add(pid)
-                    continue
-                profile[pid] = best_node
-                occ[best_node] = occ.get(best_node, 0) + 1
-                d = game_all.demand_of(pid, best_node)
-                loads[best_node] = loads.get(best_node, d * 0.0) + d
-                placed_selfish.append(pid)
+        _selfish_entry(
+            game_all, profile, selfish_ids, rejected, placed_selfish,
+            posted, entry_threshold,
+        )
 
         game = market_game(market, players=list(profile), use_compiled=use_compiled)
         if posted:
@@ -266,13 +260,12 @@ def lcf(
             # a stable outcome; only capacity-driven compromises deviate
             # from each player's unconstrained optimum.
             result = best_response_dynamics(
-                game, profile, movable=[], max_rounds=1, engine=engine
+                game, profile, movable=[], max_rounds=1
             )
             equilibrium = True
         else:
             result = best_response_dynamics(
-                game, profile, movable=placed_selfish, max_rounds=max_rounds,
-                engine=engine,
+                game, profile, movable=placed_selfish, max_rounds=max_rounds
             )
             equilibrium = is_nash_equilibrium(
                 game, result.profile, movable=placed_selfish

@@ -60,7 +60,6 @@ import numpy as np
 
 from repro.core.lcf import LCFResult, lcf
 from repro.dynamics.outages import OutageEvent, OutageTrace
-from repro.game.best_response import ENGINES
 from repro.game.partitioned import partitioned_best_response
 from repro.dynamics.population import PopulationEvent, PopulationProcess
 from repro.exceptions import ConfigurationError
@@ -234,12 +233,6 @@ class DynamicMarketSimulation:
         stays), ``"replan"`` (full warm LCF replan) or ``"hysteresis"``
         (failover until drift exceeds ``hysteresis_threshold``). Ignored
         when ``outages`` is ``None``.
-    engine:
-        The best-response engine driving each replan's selfish phase:
-        ``"batch"`` (default — the batch-vectorized kernel, the fast path
-        for warm-started epoch replans), ``"incremental"`` or ``"naive"``.
-        All engines replay the identical move sequence, so the billed
-        costs are engine-independent bit for bit.
     sharding:
         ``"none"`` (default) bills each epoch's policy output as-is;
         ``"region"`` partitions the market into transit-stub region
@@ -301,7 +294,6 @@ class DynamicMarketSimulation:
         hysteresis_threshold: float = 0.15,
         outages: Optional[OutageTrace] = None,
         recovery: str = "failover",
-        engine: str = "batch",
         sharding: str = "none",
         n_shards: Optional[int] = None,
         boundary_rounds: int = 8,
@@ -339,10 +331,6 @@ class DynamicMarketSimulation:
             raise ConfigurationError(
                 f"hysteresis_threshold must be >= 0, got {hysteresis_threshold}"
             )
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"engine must be one of {ENGINES}, got {engine!r}"
-            )
         if sum(
             arg is not None for arg in (shard_workers, shard_runtime, shard_spool)
         ) > 1:
@@ -373,7 +361,6 @@ class DynamicMarketSimulation:
         self.hysteresis_threshold = hysteresis_threshold
         self.outages = outages
         self.recovery = recovery
-        self.engine = engine
         #: Completed outage durations (epochs down per recovered incident).
         self._recovery_times: List[int] = []
         #: node -> epoch it failed, for incidents still open.
@@ -541,7 +528,6 @@ class DynamicMarketSimulation:
             gap_solver=self.gap_solver,
             representation=self.representation,
             warm_start=warm,
-            engine=self.engine,
         )
         self._last_result = result
         return dict(result.assignment.placement), set(result.assignment.rejected)

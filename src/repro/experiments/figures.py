@@ -69,11 +69,11 @@ def _fixed_size_market(config: ExperimentConfig, _x: object, seed: int) -> Servi
 
 
 def _fixed_xi_algorithms(config: ExperimentConfig, _x: object) -> AlgorithmTable:
-    return default_algorithms(config.one_minus_xi, config.allow_remote, config.engine)
+    return default_algorithms(config.one_minus_xi, config.allow_remote)
 
 
 def _swept_xi_algorithms(config: ExperimentConfig, x: object) -> AlgorithmTable:
-    return default_algorithms(float(x), config.allow_remote, config.engine)
+    return default_algorithms(float(x), config.allow_remote)
 
 
 # --------------------------------------------------------------------- #
@@ -180,9 +180,7 @@ def _run_testbed_task(
         if task.one_minus_xi_of is not None
         else task.config.one_minus_xi
     )
-    algorithms = default_algorithms(
-        omx, task.config.allow_remote, task.config.engine
-    )
+    algorithms = default_algorithms(omx, task.config.allow_remote)
     for alg_name, alg in algorithms.items():
         testbed.register_algorithm(alg_name, alg)
     out: Dict[str, Tuple[AssignmentRecord, float, Dict[str, float]]] = {}
@@ -348,7 +346,6 @@ def _run_lcf_selection(
         selection=strategy,
         allow_remote=config.allow_remote,
         rng=config.seed,
-        engine=config.engine,
     ).assignment
 
 
@@ -397,7 +394,7 @@ def ablation_congestion_models(config: ExperimentConfig = PAPER) -> SweepResult:
             seed = config.point_seed(list(models).index(model_name), rep)
             market = make_market_for(model_name, seed)
             algorithms = default_algorithms(
-                config.one_minus_xi, config.allow_remote, config.engine
+                config.one_minus_xi, config.allow_remote
             )
             for alg, assignment in evaluate_algorithms(market, algorithms).items():
                 collected.setdefault(alg, []).append(assignment)
@@ -459,7 +456,7 @@ def ablation_topologies(config: ExperimentConfig = PAPER) -> SweepResult:
                 network, config.n_providers, params=config.workload, rng=seed + 1
             )
             algorithms = default_algorithms(
-                config.one_minus_xi, config.allow_remote, config.engine
+                config.one_minus_xi, config.allow_remote
             )
             for alg, assignment in evaluate_algorithms(market, algorithms).items():
                 collected.setdefault(alg, []).append(assignment)

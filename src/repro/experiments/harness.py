@@ -117,15 +117,13 @@ class SweepResult:
 
 
 def _run_lcf(
-    one_minus_xi: float, allow_remote: bool, engine: str, market: ServiceMarket
+    one_minus_xi: float, allow_remote: bool, market: ServiceMarket
 ) -> CachingAssignment:
-    return lcf(
-        market, xi=1.0 - one_minus_xi, allow_remote=allow_remote, engine=engine
-    ).assignment
+    return lcf(market, xi=1.0 - one_minus_xi, allow_remote=allow_remote).assignment
 
 
 def default_algorithms(
-    one_minus_xi: float, allow_remote: bool, engine: str = "incremental"
+    one_minus_xi: float, allow_remote: bool, _unused: object = None
 ) -> AlgorithmTable:
     """The three algorithms of every paper figure.
 
@@ -136,9 +134,13 @@ def default_algorithms(
     Every entry is a picklable callable (module-level function or
     ``functools.partial`` thereof), so the table can cross a process-pool
     boundary for parallel sweeps.
+
+    ``_unused`` is ignored: ``perfbench/workloads.py`` still passes
+    ``config.engine`` third, from when LCF took an engine name. Drop the
+    parameter with that call.
     """
     return {
-        "LCF": partial(_run_lcf, one_minus_xi, allow_remote, engine),
+        "LCF": partial(_run_lcf, one_minus_xi, allow_remote),
         "JoOffloadCache": jo_offload_cache,
         "OffloadCache": offload_cache,
     }

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.game.best_response import ENGINES
 from repro.market.workload import WorkloadParams
+from repro.utils.validation import check_fraction
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,6 @@ class ExperimentConfig:
     #: than compute on the testbed (VMs ship 10-100 Mbps each), so the
     #: sweep reaches further before Eq. (7) binds.
     bandwidth_scale_sweep: Tuple[float, ...] = (1.0, 2.0, 4.0, 6.0, 8.0)
-    #: Game engine driving LCF's selfish phase: ``"incremental"`` (compiled
-    #: tables + per-move deltas) or ``"naive"`` (the reference loops).
-    engine: str = "incremental"
     #: Sweep parallelism: ``None``/``1`` serial, ``0`` one process per CPU,
     #: ``N > 1`` that many worker processes. Results are identical at any
     #: setting (per-task seeding).
@@ -69,14 +66,22 @@ class ExperimentConfig:
             raise ConfigurationError("repetitions must be >= 1")
         if self.n_providers < 1:
             raise ConfigurationError("n_providers must be >= 1")
+        check_fraction(self.one_minus_xi, "one_minus_xi")
         if not all(0.0 <= x <= 1.0 for x in self.xi_sweep):
             raise ConfigurationError("xi_sweep values must lie in [0, 1]")
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
-            )
         if self.workers is not None and self.workers < 0:
             raise ConfigurationError("workers must be None or >= 0")
+
+    @property
+    def engine(self) -> str:
+        """The best-response kernel's name, always ``"batch"``.
+
+        Read-only and not a field: there is one kernel. It exists only
+        because ``perfbench/workloads.py`` still passes ``config.engine``
+        to :func:`repro.experiments.harness.default_algorithms`; remove it
+        with that call.
+        """
+        return "batch"
 
     def with_(self, **kwargs) -> "ExperimentConfig":
         """A modified copy (dataclasses.replace wrapper)."""

@@ -1,10 +1,9 @@
-"""The batch-vectorized best-response kernel.
+"""The best-response kernel: batch-vectorized round-robin dynamics.
 
-The incremental engine (:mod:`repro.game.engine`) made each best-response
-*scan* a vectorised argmin, but still visits providers one Python turn at a
-time — ~8 small numpy calls per player per round, which caps equilibria at
-a few hundred nodes. This kernel computes **all** providers' candidate
-moves at once as a (players x cloudlets) delta-cost matrix over the same
+A serial engine visits providers one Python turn at a time — ~8 small
+numpy calls per player per round even with compiled tables, which caps
+equilibria at a few hundred nodes. This kernel computes **all** providers'
+candidate moves at once as a (players x cloudlets) delta-cost matrix over the same
 compiled tables, with masked infeasibility, and resolves conflicts with a
 Jacobi-propose -> Gauss-Seidel-commit rule:
 
@@ -14,7 +13,7 @@ Jacobi-propose -> Gauss-Seidel-commit rule:
   marks the players whose best candidate strictly improves on their
   current cost.
 * **Gauss-Seidel commit** — proposals are committed in the deterministic
-  round-robin priority order (the serial engines' visiting order), and a
+  round-robin priority order (the serial visiting order), and a
   cached proposal is only trusted while no earlier commit has touched the
   state: the first firing player's move is applied (occupancy, loads and
   the Rosenthal potential updated incrementally, exactly the serial
@@ -25,12 +24,18 @@ Jacobi-propose -> Gauss-Seidel-commit rule:
 
 Every committed move is therefore evaluated at exactly the state the
 serial scan would see at that player's turn, so the kernel reproduces the
-incremental engine's move sequence — and its fixed point — **bit for
-bit**: same placements, same move count, same potential trace floats.
-``tests/game/test_batch_kernel_equivalence.py`` pins this differentially
-against both serial engines across seeds, congestion functions and
-instance representations; ``tests/game/test_batch_kernel_properties.py``
-fuzzes the per-round invariants and the delta-churn path.
+serial round-robin move sequence — and its fixed point — **bit for bit**:
+same placements, same move count, same potential trace floats as the
+per-turn incremental engine. That engine and the naive per-resource one
+are kept in ``tests/oracles/best_response_reference.py``;
+``tests/game/test_batch_kernel_equivalence.py`` pins the kernel against
+both across seeds, congestion functions and instance representations, and
+``tests/game/test_batch_kernel_properties.py`` fuzzes the per-round
+invariants and the delta-churn path.
+
+This is the only best-response kernel of the library: every caller
+(:func:`repro.game.best_response.best_response_dynamics`, LCF, warm
+starts, the sharded settle) reaches it.
 """
 
 from __future__ import annotations
@@ -296,12 +301,15 @@ def batch_best_response(
 ) -> Tuple[Profile, bool, int, int, List[float], List[Commit]]:
     """Batch-vectorized round-robin best-response dynamics.
 
-    Same signature and return contract as
-    :func:`repro.game.engine.incremental_best_response` — ``(profile,
-    converged, rounds, moves, potential_trace, move_log)`` — and the same
-    results bit for bit: the Jacobi/Gauss-Seidel schedule commits exactly
-    the serial engine's move sequence (see the module docstring), it just
-    prices the candidates in bulk.
+    Returns ``(profile, converged, rounds, moves, potential_trace,
+    move_log)``. The potential trace samples the Rosenthal potential
+    before the first round and after each round, maintained by a per-move
+    accumulator; ``move_log`` holds ``(player, old_resource,
+    new_resource, cost_delta)`` records when ``record_moves`` is set (each
+    ``cost_delta`` is the mover's strict improvement, i.e. the exact
+    potential decrease of that move). The Jacobi/Gauss-Seidel schedule
+    commits exactly the serial round-robin move sequence (see the module
+    docstring); it just prices the candidates in bulk.
     """
     game.validate_profile(initial_profile)
     movable_set = set(movable) if movable is not None else set(game.players)

@@ -224,7 +224,7 @@ class SingletonCongestionGame:
         """Precompute the game's cost/demand/capacity tables.
 
         The returned :class:`~repro.game.engine.CompiledGame` backs the
-        incremental best-response engine: all ``fixed_cost`` /
+        best-response kernel: all ``fixed_cost`` /
         ``shared_cost`` / ``demand`` / ``capacity`` evaluations are done
         once up front and later queries are vectorised array lookups.
 

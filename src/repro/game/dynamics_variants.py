@@ -21,8 +21,9 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set
 import numpy as np
 
 from repro.exceptions import InfeasibleError
-from repro.game.best_response import BestResponseResult, _IMPROVEMENT_EPS
+from repro.game.best_response import BestResponseResult
 from repro.game.congestion import Profile, SingletonCongestionGame
+from repro.game.engine import IMPROVEMENT_EPS
 from repro.utils.rng import RandomSource, as_rng
 
 
@@ -43,7 +44,7 @@ def _first_improving_response(
         if not game.move_is_feasible(player, resource, profile, loads):
             continue
         if game.cost(player, resource, occ.get(resource, 0) + 1) < (
-            current_cost - _IMPROVEMENT_EPS
+            current_cost - IMPROVEMENT_EPS
         ):
             return resource
     return None
@@ -57,7 +58,7 @@ def _best_response(
     occ: Dict[Hashable, int],
 ) -> Optional[Hashable]:
     current = profile[player]
-    best_cost = game.cost(player, current, occ[current]) - _IMPROVEMENT_EPS
+    best_cost = game.cost(player, current, occ[current]) - IMPROVEMENT_EPS
     best_resource = None
     for resource in game.resources:
         if resource == current:

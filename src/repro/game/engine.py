@@ -1,34 +1,21 @@
-"""The incremental best-response engine.
+"""Compiled game tables and warm-started best response.
 
-The naive dynamics in :mod:`repro.game.best_response` re-evaluate the
-player-facing cost function resource by resource on every scan and recompute
-the Rosenthal potential from scratch once per round.  Both are Python-level
-loops over callables, which dominates the wall clock of every
-equilibrium-seeking path (LCF's ``information="full"`` mode, the PoA study,
-the convergence experiments).
-
-:class:`CompiledGame` evaluates the game's cost structure exactly once —
+:class:`CompiledGame` evaluates a game's cost structure exactly once —
 fixed costs, shared congestion costs at every occupancy, demands and
-capacities all become numpy tables — and :func:`incremental_best_response`
-runs the same round-robin dynamics on top of array state:
+capacities all become numpy tables — so the best-response kernel of
+:mod:`repro.game.batch` prices moves with array gathers instead of
+Python-level calls into the cost callables. Every table entry is the same
+``float(...)`` evaluation the cost callables return, so compiled cost
+comparisons are bit-equal to the object-graph ones.
 
-* per-resource occupancy and load vectors are maintained by applying the
-  mover's delta (instead of re-aggregating the profile),
-* the Rosenthal potential is maintained by a per-move accumulator
-  (``Phi`` changes by exactly the mover's cost improvement — the exact
-  potential property),
-* each best-response scan is one vectorised ``argmin`` over the compiled
-  cost row, with the same first-minimum tie-breaking as the naive scan.
-
-The engine is move-for-move equivalent to the naive implementation: same
-visiting order, same strict-improvement threshold, same tie-breaking, same
-capacity tolerance.  ``tests/game/test_engine_equivalence.py`` pins this
-down differentially on randomized markets.
+:func:`warm_started_best_response` carries an equilibrium across a market
+delta: survivors keep their strategies and only the disturbed players
+re-enter before the kernel settles them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -37,15 +24,9 @@ from repro.game.congestion import Profile, SingletonCongestionGame
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (market.compiled is upstream)
     from repro.market.compiled import CompiledMarket
-from repro.utils.contracts import (
-    check_potential_accumulator,
-    invariant_capacity_feasible,
-    invariant_potential_descends,
-    invariants_active,
-)
 from repro.utils.validation import CAPACITY_EPS
 
-#: Minimum strict cost improvement for a move (mirrors best_response.py).
+#: Minimum strict cost improvement for a best-response move.
 IMPROVEMENT_EPS = 1e-9
 
 
@@ -67,8 +48,8 @@ class CompiledGame:
         ``(n_resources, dims)`` for capacitated games, else ``None``.
 
     All entries are produced by the exact same ``float(...)`` evaluations
-    the naive engine performs, so compiled cost comparisons are bit-equal
-    to the naive ones.
+    the game's cost callables return, so compiled cost comparisons are
+    bit-equal to object-graph ones.
     """
 
     def __init__(self, game: SingletonCongestionGame) -> None:
@@ -236,88 +217,6 @@ class CompiledGame:
         return total
 
 
-@invariant_capacity_feasible()
-@invariant_potential_descends()
-def incremental_best_response(
-    game: SingletonCongestionGame,
-    initial_profile: Mapping[Hashable, Hashable],
-    movable: Optional[Iterable[Hashable]] = None,
-    max_rounds: int = 1000,
-    compiled: Optional[CompiledGame] = None,
-    record_moves: bool = False,
-) -> Tuple[Profile, bool, int, int, List[float], List[Tuple[Hashable, Hashable, Hashable, float]]]:
-    """Round-robin best-response dynamics on compiled tables.
-
-    Returns ``(profile, converged, rounds, moves, potential_trace,
-    move_log)`` with the same semantics as the naive engine; the potential
-    trace is maintained by the per-move accumulator. ``move_log`` holds
-    ``(player, old_resource, new_resource, cost_delta)`` tuples when
-    ``record_moves`` is set (each ``cost_delta`` is the mover's strict
-    improvement, i.e. the exact potential decrease of that move).
-    """
-    game.validate_profile(initial_profile)
-    profile: Profile = dict(initial_profile)
-    movable_set = set(movable) if movable is not None else set(game.players)
-    unknown = movable_set - set(game.players)
-    if unknown:
-        raise InfeasibleError(f"movable contains unknown players {sorted(unknown, key=str)}")
-    move_order = [p for p in game.players if p in movable_set]
-
-    phi = game.potential(profile)
-    trace = [phi]
-    moves = 0
-    rounds = 0
-    converged = not move_order
-    move_log: List[Tuple[Hashable, Hashable, Hashable, float]] = []
-
-    if move_order:
-        c = compiled if compiled is not None else game.compile()
-        occ = c.occupancy_vector(profile)
-        loads = c.load_matrix(profile)
-        strat = {p: c.resource_index[profile[p]] for p in move_order}
-        mover_idx = [c.player_index[p] for p in move_order]
-    else:
-        c = None
-
-    for rounds in range(1, max_rounds + 1):
-        improved = False
-        for p, pi in zip(move_order, mover_idx) if move_order else ():
-            cur = strat[p]
-            current_cost = c.shared[cur, occ[cur]] + c.fixed[pi, cur]
-            costs = c.entry_costs(pi, occ, loads)
-            costs[cur] = np.inf
-            j = int(np.argmin(costs))
-            best = costs[j]
-            if not best < current_cost - IMPROVEMENT_EPS:
-                continue
-            # Apply the move delta. The mover's new cost is exactly the
-            # selected entry cost, so the exact-potential property gives
-            # the accumulator update for free.
-            occ[cur] -= 1
-            occ[j] += 1
-            if loads is not None:
-                loads[cur] -= c.demand[pi, cur]
-                loads[j] += c.demand[pi, j]
-            strat[p] = j
-            profile[p] = c.resources[j]
-            delta = float(best - current_cost)
-            phi += delta
-            if record_moves:
-                move_log.append((p, c.resources[cur], c.resources[j], delta))
-            moves += 1
-            improved = True
-        trace.append(phi)
-        if not improved:
-            converged = True
-            break
-
-    if invariants_active():
-        # The delta updates are exact by the potential property; verify the
-        # accumulator against a from-scratch Rosenthal recomputation.
-        check_potential_accumulator(game, profile, phi)
-    return profile, converged, rounds, moves, trace, move_log
-
-
 def warm_started_best_response(
     game: SingletonCongestionGame,
     prior_profile: Mapping[Hashable, Hashable],
@@ -325,7 +224,6 @@ def warm_started_best_response(
     max_rounds: int = 1000,
     compiled: Optional[CompiledGame] = None,
     record_moves: bool = False,
-    engine: str = "incremental",
 ) -> Tuple[Profile, bool, int, int, List[float], List[Tuple[Hashable, Hashable, Hashable, float]]]:
     """Carry an equilibrium across a market delta instead of restarting cold.
 
@@ -345,22 +243,13 @@ def warm_started_best_response(
        survivors are *pinned*: the dynamics only settle the players the
        delta actually disturbed, which is what makes warm epochs cheap.
 
-    ``engine`` selects the dynamics kernel settling the queue:
-    ``"incremental"`` (the per-turn serial engine above, the default) or
-    ``"batch"`` (the batch-vectorized kernel of :mod:`repro.game.batch`
-    — the same moves bit for bit, priced in bulk; the right choice when
-    an epoch replan disturbs many players at once).
-
-    Returns the same ``(profile, converged, rounds, moves, trace,
-    move_log)`` tuple as :func:`incremental_best_response`.
+    The queue settles on the batch kernel of :mod:`repro.game.batch`;
+    the result is its ``(profile, converged, rounds, moves, trace,
+    move_log)`` tuple.
     """
     if scope not in ("queue", "all"):
         raise InfeasibleError(
             f"scope must be 'queue' or 'all', got {scope!r}"
-        )
-    if engine not in ("incremental", "batch"):
-        raise ConfigurationError(
-            f"engine must be 'incremental' or 'batch', got {engine!r}"
         )
     c = compiled if compiled is not None else game.compile()
     resources = set(game.resources)
@@ -406,22 +295,12 @@ def warm_started_best_response(
         if live_loads is not None:
             live_loads[j] += c.demand[pi, j]
 
-    movable = queue if scope == "queue" else None
-    if engine == "batch":
-        from repro.game.batch import batch_best_response  # cycle guard
+    from repro.game.batch import batch_best_response  # cycle guard
 
-        return batch_best_response(
-            game,
-            profile,
-            movable=movable,
-            max_rounds=max_rounds,
-            compiled=c,
-            record_moves=record_moves,
-        )
-    return incremental_best_response(
+    return batch_best_response(
         game,
         profile,
-        movable=movable,
+        movable=queue if scope == "queue" else None,
         max_rounds=max_rounds,
         compiled=c,
         record_moves=record_moves,
@@ -431,6 +310,5 @@ def warm_started_best_response(
 __all__ = [
     "CompiledGame",
     "IMPROVEMENT_EPS",
-    "incremental_best_response",
     "warm_started_best_response",
 ]

@@ -16,6 +16,7 @@ Three layers:
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -228,6 +229,40 @@ class TestOutageArmEquivalence:
         sim = outage_sim(13, "compiled", "failover")
         summary = sim.run(25)
         assert summary.cloudlet_downtime > 0
+
+
+class TestOutagesUnderLatencyBudget:
+    """Appro's capacity repair and warm entry re-place evicted providers
+    and newcomers only on latency-admissible cloudlets (finite Eq. 9
+    cost). Placing one outside a 3 ms budget bills an infinite social
+    cost; these seeds used to do so within 3 to 11 epochs."""
+
+    @staticmethod
+    def budget_sim(seed, representation):
+        network = random_mec_network(200, rng=seed)
+        population = PopulationProcess(
+            network, arrival_rate=40, mean_lifetime=20, rng=seed
+        )
+        trace = IndependentOutageTrace(
+            network, mttf=8, mttr=3, min_survivors=3, rng=seed
+        )
+        return DynamicMarketSimulation(
+            network,
+            population,
+            policy="hysteresis",
+            latency_budget_ms=3.0,
+            outages=trace,
+            representation=representation,
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_every_epoch_bills_a_finite_cost(self, seed):
+        compiled = self.budget_sim(seed, "compiled").run(12)
+        reference = self.budget_sim(seed, "object").run(12)
+        assert compiled.total_displaced > 0, "trace produced no displacement"
+        for epoch, (ra, rb) in enumerate(zip(compiled.epochs, reference.epochs)):
+            assert math.isfinite(ra.social_cost), f"epoch {epoch} billed inf"
+            assert dataclasses.astuple(ra) == dataclasses.astuple(rb)
 
 
 # --------------------------------------------------------------------- #

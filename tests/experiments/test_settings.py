@@ -37,6 +37,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(xi_sweep=(0.0, 1.2))
 
+    @pytest.mark.parametrize("one_minus_xi", [-0.1, 1.5, float("nan")])
+    def test_invalid_one_minus_xi(self, one_minus_xi):
+        # An out-of-range default fraction used to construct fine and
+        # then fail every LCF cell of a sweep, leaving empty points.
+        with pytest.raises(ConfigurationError, match="one_minus_xi"):
+            QUICK.with_(one_minus_xi=one_minus_xi)
+
     def test_invalid_n_providers(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(n_providers=0)

@@ -1,11 +1,13 @@
 """Differential lockdown for the batch-vectorized best-response kernel.
 
-``engine="batch"`` (:mod:`repro.game.batch`) claims more than the naive and
-incremental engines claim of each other: the Jacobi-propose /
-Gauss-Seidel-commit rule replays the serial engine's move sequence **bit
-for bit** — identical profiles, move logs, round counts *and* potential
-traces (``==``, not ``allclose``), because both engines feed the same IEEE
-operand pairs through the same compiled tables in the same order.
+The library's kernel (:mod:`repro.game.batch`) claims more than the naive
+and incremental reference engines of
+``tests/oracles/best_response_reference.py`` claim of each other: the
+Jacobi-propose / Gauss-Seidel-commit rule replays the incremental engine's
+move sequence **bit for bit** — identical profiles, move logs, round
+counts *and* potential traces (``==``, not ``allclose``), because both
+feed the same IEEE operand pairs through the same compiled tables in the
+same order.
 
 The matrix here covers that claim against both oracles across 3 seeds x 3
 congestion functions (linear, quadratic, M/M/1) x 2 representations
@@ -31,6 +33,7 @@ from repro.network.generators import random_mec_network
 from repro.utils.rng import as_rng
 
 from tests.game.test_engine_equivalence import random_game
+from tests.oracles.best_response_reference import DYNAMICS, use_kernel
 
 SEEDS = (131, 257, 509)
 
@@ -58,9 +61,9 @@ def run_three_engines(game, start, movable=None, max_rounds=1000):
     incremental, and both must agree with the naive oracle up to float
     accumulation order."""
     results = {
-        engine: best_response_dynamics(
+        engine: DYNAMICS[engine](
             game, dict(start), movable=movable, max_rounds=max_rounds,
-            engine=engine, record_moves=True,
+            record_moves=True,
         )
         for engine in ("naive", "incremental", "batch")
     }
@@ -117,7 +120,7 @@ class TestSyntheticTripleDifferential:
     def test_empty_movable_contract(self):
         game = random_game(as_rng(13))
         start = greedy_feasible_profile(game)
-        result = best_response_dynamics(game, start, movable=[], engine="batch")
+        result = best_response_dynamics(game, start, movable=[])
         assert result.converged
         assert result.rounds == 1
         assert result.moves == 0
@@ -128,9 +131,7 @@ class TestSyntheticTripleDifferential:
         game = random_game(as_rng(17))
         start = greedy_feasible_profile(game)
         with pytest.raises(InfeasibleError, match="unknown players"):
-            best_response_dynamics(
-                game, start, movable=["ghost"], engine="batch"
-            )
+            best_response_dynamics(game, start, movable=["ghost"])
 
 
 class TestDensePathEquivalence:
@@ -166,12 +167,8 @@ class TestDensePathEquivalence:
             game.validate_profile(start)
         else:
             start = greedy_feasible_profile(game)
-        incr = best_response_dynamics(
-            game, dict(start), engine="incremental", record_moves=True
-        )
-        batch = best_response_dynamics(
-            game, dict(start), engine="batch", record_moves=True
-        )
+        incr = DYNAMICS["incremental"](game, dict(start), record_moves=True)
+        batch = best_response_dynamics(game, dict(start), record_moves=True)
         assert incr.moves > 0
         assert_bit_identical(batch, incr)
 
@@ -209,14 +206,13 @@ class TestMarketMatrix:
     def test_lcf_pipeline_bit_equal(self, seed, representation):
         network = random_mec_network(36, rng=seed)
         market = generate_market(network, n_providers=14, rng=seed + 2000)
-        runs = {
-            engine: lcf(
-                market, xi=0.5, allow_remote=True, information="full",
-                engine=engine, representation=representation,
-                gap_solver="greedy",
-            )
-            for engine in ("naive", "incremental", "batch")
-        }
+        runs = {}
+        for engine in ("naive", "incremental", "batch"):
+            with use_kernel(engine):
+                runs[engine] = lcf(
+                    market, xi=0.5, allow_remote=True, information="full",
+                    representation=representation, gap_solver="greedy",
+                )
         incr, batch = runs["incremental"], runs["batch"]
         assert batch.assignment.placement == incr.assignment.placement
         assert batch.assignment.rejected == incr.assignment.rejected

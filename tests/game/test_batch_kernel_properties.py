@@ -14,7 +14,9 @@ Three layers of lockdown on :mod:`repro.game.batch`:
 3. **Churn fuzz** — a 50-epoch :class:`~repro.market.delta.MarketDelta`
    churn trace (arrivals, departures, capacity shocks) replanned warm with
    the batch kernel stays pinned, epoch by epoch, to the object-graph
-   oracle (the incremental engine on the object representation).
+   oracle (the incremental reference engine of
+   ``tests/oracles/best_response_reference.py`` on the object
+   representation).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.utils.validation import CAPACITY_EPS
 
 from tests.dynamics.conftest import draw_providers
 from tests.game.test_engine_equivalence import random_game
+from tests.oracles.best_response_reference import use_kernel
 
 _CONGESTIONS = (LinearCongestion, QuadraticCongestion, MM1Congestion)
 
@@ -64,8 +67,7 @@ def converging_batch_runs(seeds, movable_fraction=None):
             k = max(1, int(len(game.players) * movable_fraction))
             movable = list(game.players)[:k]
         result = best_response_dynamics(
-            game, dict(start), movable=movable, engine="batch",
-            record_moves=True,
+            game, dict(start), movable=movable, record_moves=True,
         )
         yield game, start, result
 
@@ -118,7 +120,7 @@ class TestPerRoundInvariants:
             market = random_market(seed)
             result = lcf(
                 market, xi=0.4, allow_remote=True, information="full",
-                engine="batch", gap_solver="greedy",
+                gap_solver="greedy",
             )
             assert result.is_equilibrium
 
@@ -158,9 +160,7 @@ class TestDeterministicReplay:
                 except Exception:
                     break  # over-tight draw: deterministic, skips both runs
                 runs.append(
-                    best_response_dynamics(
-                        game, start, engine="batch", record_moves=True
-                    )
+                    best_response_dynamics(game, start, record_moves=True)
                 )
             if len(runs) < 2:
                 continue
@@ -176,7 +176,7 @@ class TestDeterministicReplay:
         results = [
             lcf(
                 random_market(5), xi=0.5, allow_remote=True,
-                information="full", engine="batch", gap_solver="greedy",
+                information="full", gap_solver="greedy",
             )
             for _ in range(2)
         ]
@@ -241,14 +241,15 @@ class TestChurnFuzz:
                 continue
             batch = lcf(
                 market, xi=0.5, allow_remote=True, information="full",
-                engine="batch", representation="compiled",
-                gap_solver="greedy", warm_start=batch_prior,
+                representation="compiled", gap_solver="greedy",
+                warm_start=batch_prior,
             )
-            oracle = lcf(
-                market, xi=0.5, allow_remote=True, information="full",
-                engine="incremental", representation="object",
-                gap_solver="greedy", warm_start=oracle_prior,
-            )
+            with use_kernel("incremental"):
+                oracle = lcf(
+                    market, xi=0.5, allow_remote=True, information="full",
+                    representation="object", gap_solver="greedy",
+                    warm_start=oracle_prior,
+                )
             assert batch.assignment.placement == oracle.assignment.placement, (
                 f"epoch {epoch}: batch/compiled diverged from the object oracle"
             )

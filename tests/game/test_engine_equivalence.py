@@ -1,16 +1,17 @@
-"""Differential tests: the incremental engine against the naive reference.
+"""Differential tests: the library's dynamics against the naive reference.
 
-The compiled incremental engine (``repro.game.engine``) is only allowed to
-change *how fast* best-response dynamics run, never *what* they compute.
-These tests lock that down on ~50 randomized instances — synthetic
-congestion games and full service markets with varying cloudlet counts,
-capacities and selfish fractions xi — and additionally pin the parallel
-sweep harness to its serial twin (bit-identical metrics).
+The library's best-response kernel is only allowed to change *how fast*
+best-response dynamics run, never *what* they compute. These tests lock
+that down against the naive oracle of
+``tests/oracles/best_response_reference.py`` on ~50 randomized instances —
+synthetic congestion games and full service markets with varying cloudlet
+counts, capacities and selfish fractions xi — and additionally pin the
+parallel sweep harness to its serial twin (bit-identical metrics).
 
-Potential traces are compared with ``allclose`` at 1e-9: the incremental
-engine accumulates Rosenthal-potential deltas instead of recomputing the
-sum, which reorders float additions (~1e-15 relative drift). Profiles,
-move counts, rounds and convergence flags must match exactly.
+Potential traces are compared with ``allclose`` at 1e-9: the kernel
+accumulates Rosenthal-potential deltas instead of recomputing the sum,
+which reorders float additions (~1e-15 relative drift). Profiles, move
+counts, rounds and convergence flags must match exactly.
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.game.best_response import best_response_dynamics, greedy_feasible_pro
 from repro.game.congestion import SingletonCongestionGame
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
+from tests.oracles.best_response_reference import naive_best_response_dynamics, use_kernel
 
 #: Non-wall-clock AlgorithmMetrics fields that must be bit-identical.
 METRIC_FIELDS = ("social_cost", "coordinated_cost", "selfish_cost", "rejected", "samples")
@@ -55,23 +57,23 @@ def random_game(rng: np.random.Generator) -> SingletonCongestionGame:
 
 
 def assert_same_dynamics(game, start, movable=None):
-    """Run both engines from the same start and compare everything."""
-    results = {
-        engine: best_response_dynamics(
-            game, dict(start), movable=movable, engine=engine, record_moves=True
-        )
-        for engine in ("naive", "incremental")
-    }
-    naive, incr = results["naive"], results["incremental"]
-    assert incr.profile == naive.profile
-    assert incr.moves == naive.moves
-    assert incr.rounds == naive.rounds
-    assert incr.converged == naive.converged
-    assert len(incr.potential_trace) == len(naive.potential_trace)
-    assert np.allclose(incr.potential_trace, naive.potential_trace, rtol=1e-9, atol=1e-9)
-    assert [m[:3] for m in incr.move_log] == [m[:3] for m in naive.move_log]
+    """Run the library and the naive oracle from the same start and
+    compare everything."""
+    naive = naive_best_response_dynamics(
+        game, dict(start), movable=movable, record_moves=True
+    )
+    lib = best_response_dynamics(
+        game, dict(start), movable=movable, record_moves=True
+    )
+    assert lib.profile == naive.profile
+    assert lib.moves == naive.moves
+    assert lib.rounds == naive.rounds
+    assert lib.converged == naive.converged
+    assert len(lib.potential_trace) == len(naive.potential_trace)
+    assert np.allclose(lib.potential_trace, naive.potential_trace, rtol=1e-9, atol=1e-9)
+    assert [m[:3] for m in lib.move_log] == [m[:3] for m in naive.move_log]
     assert np.allclose(
-        [m[3] for m in incr.move_log], [m[3] for m in naive.move_log],
+        [m[3] for m in lib.move_log], [m[3] for m in naive.move_log],
         rtol=1e-9, atol=1e-9,
     )
     return naive
@@ -106,9 +108,10 @@ class TestSyntheticGames:
             assert_same_dynamics(game, start, movable=movable)
 
     def test_unknown_engine_rejected(self):
+        # There is one kernel: an engine name is no longer an option.
         game = random_game(as_rng(3))
         start = greedy_feasible_profile(game)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError, match="engine"):
             best_response_dynamics(game, start, engine="turbo")
 
 
@@ -129,20 +132,15 @@ class TestMarketGames:
     def test_lcf_engines_agree(self, xi, information):
         network = random_mec_network(40, rng=11)
         market = generate_market(network, 16, rng=12)
-        runs = {
-            engine: lcf(
-                market, xi=xi, allow_remote=True,
-                information=information, engine=engine,
-            )
-            for engine in ("naive", "incremental")
-        }
-        naive, incr = runs["naive"], runs["incremental"]
-        assert incr.assignment.placement == naive.assignment.placement
-        assert incr.assignment.rejected == naive.assignment.rejected
-        assert incr.coordinated_ids == naive.coordinated_ids
-        assert incr.br_rounds == naive.br_rounds
-        assert incr.br_moves == naive.br_moves
-        assert incr.is_equilibrium == naive.is_equilibrium
+        with use_kernel("naive"):
+            naive = lcf(market, xi=xi, allow_remote=True, information=information)
+        lib = lcf(market, xi=xi, allow_remote=True, information=information)
+        assert lib.assignment.placement == naive.assignment.placement
+        assert lib.assignment.rejected == naive.assignment.rejected
+        assert lib.coordinated_ids == naive.coordinated_ids
+        assert lib.br_rounds == naive.br_rounds
+        assert lib.br_moves == naive.br_moves
+        assert lib.is_equilibrium == naive.is_equilibrium
 
 
 def _tiny_market(_x, seed):

@@ -1,7 +1,9 @@
-"""Property-based invariants of the best-response engines.
+"""Property-based invariants of best-response dynamics.
 
 Seeded-random instances (no external property-testing dependency) checking
-the game-theoretic contracts both engines must uphold on *every* run:
+the game-theoretic contracts the library's kernel and both reference
+engines of ``tests/oracles/best_response_reference.py`` must uphold on
+*every* run:
 
 * Rosenthal's potential decreases strictly on every improving move — the
   exact-potential property (Theorem: Phi changes by exactly the mover's
@@ -18,11 +20,12 @@ from repro.utils.rng import as_rng
 import pytest
 
 from repro.exceptions import InfeasibleError
-from repro.game.best_response import best_response_dynamics, greedy_feasible_profile
+from repro.game.best_response import greedy_feasible_profile
 from repro.game.engine import IMPROVEMENT_EPS
 from repro.game.equilibrium import is_nash_equilibrium
 
 from tests.game.test_engine_equivalence import random_game
+from tests.oracles.best_response_reference import DYNAMICS
 
 
 def _converging_instances(seed, count):
@@ -42,13 +45,11 @@ def _converging_instances(seed, count):
     assert produced == count
 
 
-@pytest.mark.parametrize("engine", ["naive", "incremental"])
+@pytest.mark.parametrize("engine", ["naive", "incremental", "batch"])
 class TestPotentialInvariants:
     def test_every_improving_move_strictly_decreases_potential(self, engine):
         for game, start in _converging_instances(101, 12):
-            result = best_response_dynamics(
-                game, start, engine=engine, record_moves=True
-            )
+            result = DYNAMICS[engine](game, start, record_moves=True)
             assert result.moves == len(result.move_log)
             for player, old, new, delta in result.move_log:
                 assert old != new
@@ -58,9 +59,7 @@ class TestPotentialInvariants:
 
     def test_trace_is_nonincreasing_and_matches_move_deltas(self, engine):
         for game, start in _converging_instances(202, 12):
-            result = best_response_dynamics(
-                game, start, engine=engine, record_moves=True
-            )
+            result = DYNAMICS[engine](game, start, record_moves=True)
             trace = result.potential_trace
             assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
             total_delta = sum(delta for _, _, _, delta in result.move_log)
@@ -68,7 +67,7 @@ class TestPotentialInvariants:
 
     def test_converged_profile_is_nash(self, engine):
         for game, start in _converging_instances(303, 12):
-            result = best_response_dynamics(game, start, engine=engine)
+            result = DYNAMICS[engine](game, start)
             assert result.converged
             assert is_nash_equilibrium(game, result.profile)
 
@@ -85,7 +84,7 @@ class TestPotentialInvariants:
                 start = greedy_feasible_profile(game)
             except InfeasibleError:
                 continue
-            result = best_response_dynamics(game, start, engine=engine)
+            result = DYNAMICS[engine](game, start)
             loads = game.loads(result.profile)
             for resource, load in loads.items():
                 assert np.all(load <= game.capacity_of(resource) + 1e-9)

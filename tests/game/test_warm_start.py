@@ -4,20 +4,20 @@
 protocol: survivors keep their strategies, only the players the delta
 disturbed (arrivals, capacity evictees) re-enter through the queue. These
 tests pin the three phases — restriction, eviction, queue entry — and the
-``scope`` semantics.
+``scope`` semantics. Tests parametrized over ``engine`` settle the queue
+on the library's batch kernel and on the incremental reference engine of
+``tests/oracles/best_response_reference.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, InfeasibleError
+from repro.exceptions import InfeasibleError
 from repro.game.congestion import SingletonCongestionGame
-from repro.game.engine import (
-    incremental_best_response,
-    warm_started_best_response,
-)
+from repro.game.engine import warm_started_best_response
 from repro.game.equilibrium import is_nash_equilibrium
 from repro.utils.validation import CAPACITY_EPS
+from tests.oracles.best_response_reference import incremental_best_response, use_kernel
 
 
 def make_game(players, n_resources=3, fixed=None, cap=None, weights=None):
@@ -113,9 +113,10 @@ class TestWarmStartedBestResponse:
         fixed = {(1, "r1"): -4.0}  # survivor 1 prefers r1 when free to move
         game = make_game([0, 1, 2, 3], cap=3.5, weights=weights, fixed=fixed)
         prior = {0: "r0", 1: "r0", 2: "r0", 3: "r1"}
-        profile, converged, _, moves, _, _ = warm_started_best_response(
-            game, prior, scope="all", engine=engine
-        )
+        with use_kernel(engine):
+            profile, converged, _, moves, _, _ = warm_started_best_response(
+                game, prior, scope="all"
+            )
         assert converged
         assert set(profile) == {0, 1, 2, 3}
         assert profile[0] == "r2"  # evicted (w=3 no longer fits anywhere else)
@@ -132,9 +133,10 @@ class TestWarmStartedBestResponse:
         fixed = {(p, "r1"): -5.0 for p in (0, 1)}
         game = make_game([0, 1], fixed=fixed)
         prior = {0: "r0", 1: "r0"}
-        profile, converged, rounds, moves, trace, log = warm_started_best_response(
-            game, prior, scope="queue", engine=engine, record_moves=True
-        )
+        with use_kernel(engine):
+            profile, converged, rounds, moves, trace, log = warm_started_best_response(
+                game, prior, scope="queue", record_moves=True
+            )
         assert converged
         assert profile == prior
         assert moves == 0
@@ -158,9 +160,10 @@ class TestWarmStartedBestResponse:
             capacity=lambda r: np.array([0.0 if r == "r0" else 3.0]),
         )
         prior = {p: "r0" for p in range(4)}
-        profile, converged, _, _, _, _ = warm_started_best_response(
-            game, prior, scope=scope, engine=engine
-        )
+        with use_kernel(engine):
+            profile, converged, _, _, _, _ = warm_started_best_response(
+                game, prior, scope=scope
+            )
         assert converged
         assert set(profile) == set(range(4))
         assert all(node != "r0" for node in profile.values())
@@ -174,17 +177,19 @@ class TestWarmStartedBestResponse:
         fixed = {(0, "r1"): -1.0, (3, "r2"): -2.0, (4, "r0"): 0.5}
         game = make_game([0, 1, 2, 3, 4], cap=5.0, weights=weights, fixed=fixed)
         prior = {0: "r0", 1: "r0", 2: "r1"}
-        incr = warm_started_best_response(
-            game, prior, scope=scope, engine="incremental", record_moves=True
-        )
+        with use_kernel("incremental"):
+            incr = warm_started_best_response(
+                game, prior, scope=scope, record_moves=True
+            )
         batch = warm_started_best_response(
-            game, prior, scope=scope, engine="batch", record_moves=True
+            game, prior, scope=scope, record_moves=True
         )
         assert batch == incr  # full 6-tuple, floats compared with ==
 
     def test_rejects_unknown_engine(self):
+        # There is one kernel: an engine name is no longer an option.
         game = make_game([0, 1])
-        with pytest.raises(ConfigurationError, match="engine"):
+        with pytest.raises(TypeError, match="engine"):
             warm_started_best_response(game, {}, engine="turbo")
 
     def test_matches_incremental_best_response_contract(self):
@@ -197,8 +202,8 @@ class TestWarmStartedBestResponse:
         assert len(trace) >= 1
         for player, old, new, gain in move_log:
             assert player in game.players
-        # The queue-restricted run is reproducible through the public
-        # incremental engine with the same movable set.
+        # The queue-restricted run is reproducible through the incremental
+        # reference engine with the same movable set.
         profile2, *_ = incremental_best_response(
             game,
             {0: "r0", 1: "r1", 2: "r0", 3: "r1"},

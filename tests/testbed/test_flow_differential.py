@@ -86,7 +86,7 @@ class TestAgainstReference:
         market = generate_market(
             testbed.network, n_providers, params=PAPER.workload, rng=n_providers + 1
         )
-        algorithms = default_algorithms(PAPER.one_minus_xi, PAPER.allow_remote, PAPER.engine)
+        algorithms = default_algorithms(PAPER.one_minus_xi, PAPER.allow_remote)
         for name, app in algorithms.items():
             testbed.register_algorithm(name, app)
             run = testbed.run(name, market)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvariantViolation
-from repro.game.best_response import best_response_dynamics, greedy_feasible_profile
+from repro.game.best_response import greedy_feasible_profile
 from repro.game.congestion import SingletonCongestionGame
 from repro.utils.contracts import (
     ENV_FLAG,
@@ -16,6 +16,7 @@ from repro.utils.contracts import (
     invariant_potential_descends,
     invariants_active,
 )
+from tests.oracles.best_response_reference import DYNAMICS
 
 
 class FakeGame:
@@ -128,6 +129,6 @@ class TestDecorators:
             fixed_cost=lambda p, r: 1.0 if r == "r1" else 1.5,
         )
         profile = greedy_feasible_profile(game)
-        for engine in ("incremental", "naive"):
-            result = best_response_dynamics(game, profile, engine=engine)
+        for engine in ("incremental", "naive", "batch"):
+            result = DYNAMICS[engine](game, profile)
             assert result.converged
