@@ -1,9 +1,10 @@
 """Compiled-representation benchmarks (writes ``BENCH_compiled.json``).
 
 Times the array-backed :class:`~repro.market.compiled.CompiledMarket` paths
-against the object-graph reference pipeline (``representation="object"``:
-per-pair cost-model queries, scalar GAP build, scalar LP assembly, scalar
-greedy rounds, per-game table recompilation) on the same markets:
+against the object-graph oracle pipeline (``use_object_graph()`` from
+``tests/oracles/object_graph_reference.py``: per-pair cost-model queries,
+scalar GAP build, scalar LP assembly, scalar greedy rounds, per-game table
+recompilation) on the same markets:
 
 * **Appro per call** — one Algorithm 1 run on a warmed market, for both GAP
   solvers;
@@ -23,6 +24,7 @@ perf trajectory is recorded from this PR onward (partial ``-k`` selections
 merge instead of clobbering).
 """
 
+import contextlib
 import time
 
 from repro.core.appro import appro
@@ -31,6 +33,7 @@ from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
 
 from benchmarks.conftest import bench_path, record_bench
+from tests.oracles.object_graph_reference import use_object_graph
 
 RESULTS_PATH = bench_path("BENCH_compiled.json")
 
@@ -38,6 +41,9 @@ N_NODES = 150
 N_PROVIDERS = 60
 XI_VALUES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 REPETITIONS = 2
+
+#: How each representation runs: the library as is, or on the oracles.
+PIPELINES = {"compiled": contextlib.nullcontext, "object": use_object_graph}
 
 
 def _record(section: str, payload: dict) -> None:
@@ -53,6 +59,11 @@ def _best_of(fn, repeats: int = 3) -> float:
     return best
 
 
+def _appro(representation: str, market, gap_solver: str):
+    with PIPELINES[representation]():
+        return appro(market, gap_solver=gap_solver)
+
+
 def _make_market(seed: int):
     network = random_mec_network(N_NODES, rng=seed)
     return generate_market(network, n_providers=N_PROVIDERS, rng=seed + 1)
@@ -65,18 +76,14 @@ def test_bench_appro_per_call(emit):
     payload = {"n_nodes": N_NODES, "n_providers": N_PROVIDERS}
     speedups = {}
     for solver in ("greedy", "shmoys_tardos"):
-        compiled = appro(market, gap_solver=solver, representation="compiled")
-        obj = appro(market, gap_solver=solver, representation="object")
+        compiled = _appro("compiled", market, solver)
+        obj = _appro("object", market, solver)
         assert compiled.placement == obj.placement
         assert compiled.rejected == obj.rejected
         assert compiled.social_cost == obj.social_cost
 
-        t_c = _best_of(
-            lambda s=solver: appro(market, gap_solver=s, representation="compiled")
-        )
-        t_o = _best_of(
-            lambda s=solver: appro(market, gap_solver=s, representation="object")
-        )
+        t_c = _best_of(lambda s=solver: _appro("compiled", market, s))
+        t_o = _best_of(lambda s=solver: _appro("object", market, s))
         speedups[solver] = t_o / t_c
         payload[solver] = {
             "object_s": t_o,
@@ -104,9 +111,8 @@ def _xi_sweep(representation: str, gap_solver: str) -> float:
         if representation == "compiled":
             market.compile()
         for xi in XI_VALUES:
-            result = lcf(
-                market, xi=xi, gap_solver=gap_solver, representation=representation
-            )
+            with PIPELINES[representation]():
+                result = lcf(market, xi=xi, gap_solver=gap_solver)
             total += result.assignment.social_cost
     return total
 

@@ -3,8 +3,9 @@
 Two questions, one per test:
 
 1. **Throughput** — what did the mutation protocol buy? Epochs/sec of the
-   replan policy under three arms: the pre-refactor reference (market object
-   graph rebuilt and LCF cold-started every epoch), delta-patched compiled
+   replan policy under three arms: the object-graph oracle
+   (``ObjectRebuildSimulation``: market object graph rebuilt and LCF
+   cold-started every epoch), delta-patched compiled
    tables with cold replans, and delta + warm-started replans (survivors
    keep strategies, the GAP LP is skipped). The acceptance bar for PR 4 is
    delta+warm >= 5x the cold rebuild.
@@ -21,6 +22,7 @@ from repro.network.generators import random_mec_network
 from repro.utils.tables import Table
 
 from benchmarks.conftest import bench_path, record_bench
+from tests.oracles.object_graph_reference import ObjectRebuildSimulation
 
 RESULTS_PATH = bench_path("BENCH_dynamics.json")
 
@@ -48,14 +50,15 @@ def _network():
     return random_mec_network(N_NODES, rng=1)
 
 
-def _run(network, policy, representation="compiled", warm_start=True, **kwargs):
+def _run(
+    network, policy, simulation=DynamicMarketSimulation, warm_start=True, **kwargs
+):
     population = PopulationProcess(
         network, arrival_rate=ARRIVAL_RATE, mean_lifetime=MEAN_LIFETIME,
         rng=3, initial_population=INITIAL_POPULATION,
     )
-    sim = DynamicMarketSimulation(
-        network, population, policy=policy,
-        representation=representation, warm_start=warm_start, **kwargs,
+    sim = simulation(
+        network, population, policy=policy, warm_start=warm_start, **kwargs,
     )
     return sim.run(EPOCHS)
 
@@ -64,9 +67,11 @@ def test_bench_epochs_per_second(emit):
     """Cold rebuild vs delta-patched vs delta+warm, replan policy."""
     network = _network()
     arms = {
-        "cold_object_rebuild": dict(representation="object", warm_start=False),
-        "cold_compiled_delta": dict(representation="compiled", warm_start=False),
-        "warm_compiled_delta": dict(representation="compiled", warm_start=True),
+        "cold_object_rebuild": dict(
+            simulation=ObjectRebuildSimulation, warm_start=False
+        ),
+        "cold_compiled_delta": dict(warm_start=False),
+        "warm_compiled_delta": dict(warm_start=True),
     }
     times = {
         name: _best_of(lambda kw=kw: _run(network, "replan", **kw))

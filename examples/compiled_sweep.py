@@ -41,7 +41,7 @@ def make_market(n_nodes: int, n_providers: int, _xi: object, seed: int):
 
 
 def run_lcf(xi: float, market):
-    return lcf(market, xi=float(xi), representation="compiled").assignment
+    return lcf(market, xi=float(xi)).assignment
 
 
 def make_algorithms(xi: object):

@@ -19,7 +19,6 @@ that capacities far exceed individual demands, the repair is a no-op.
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -27,12 +26,13 @@ import numpy as np
 
 from repro.core.assignment import CachingAssignment, Stopwatch
 from repro.core.virtual_cloudlets import VirtualCloudletSplit
+from repro.exceptions import ConfigurationError
 from repro.gap.greedy import greedy_gap
 from repro.gap.instance import GAPInstance, GAPSolution
 from repro.gap.ladder import solve_with_degradation
 from repro.gap.shmoys_tardos import shmoys_tardos
 from repro.gap.exact import exact_gap
-from repro.market.compiled import CompiledMarket, resolve_compiled
+from repro.market.compiled import CompiledMarket
 from repro.market.market import ServiceMarket
 from repro.utils.contracts import invariant_capacity_feasible
 from repro.utils.validation import CAPACITY_EPS
@@ -44,31 +44,9 @@ _GAP_SOLVERS: Dict[str, Callable[[GAPInstance], GAPSolution]] = {
 }
 
 
-def _loads(market: ServiceMarket, placement: Dict[int, int]) -> Dict[int, List[float]]:
-    loads: Dict[int, List[float]] = {
-        cl.node_id: [0.0, 0.0] for cl in market.network.cloudlets
-    }
-    for pid, node in placement.items():
-        p = market.provider(pid)
-        loads[node][0] += p.compute_demand
-        loads[node][1] += p.bandwidth_demand
-    return loads
-
-
-def _fits(market: ServiceMarket, node: int, load: List[float], pid: int) -> bool:
-    cl = market.network.cloudlet_at(node)
-    p = market.provider(pid)
-    return (
-        load[0] + p.compute_demand <= cl.compute_capacity + CAPACITY_EPS
-        and load[1] + p.bandwidth_demand <= cl.bandwidth_capacity + CAPACITY_EPS
-    )
-
-
 @invariant_capacity_feasible()
 def _repair_capacities(
-    market: ServiceMarket,
-    placement: Dict[int, int],
-    compiled: Optional[CompiledMarket] = None,
+    market: ServiceMarket, placement: Dict[int, int], cm: CompiledMarket
 ) -> Tuple[Dict[int, int], Set[int], int]:
     """Evict overflow services and re-place (or reject) them.
 
@@ -79,68 +57,12 @@ def _repair_capacities(
     cost (an infinite cost marks a pair outside the latency budget); with
     none, it is rejected. Returns (placement, rejected, moves).
 
-    With a :class:`CompiledMarket` the per-cloudlet loads live in one
-    ``(m, 2)`` array, built once and maintained incrementally through both
-    the eviction and the re-placement phase; candidate filtering and the
-    cheapest-cloudlet pick are vectorised over the gap-cost table. Eviction
-    order, feasibility comparisons and tie-breaking match the object path
-    exactly.
+    The per-cloudlet loads of ``market`` live in one ``(m, 2)`` array of
+    its compiled tables ``cm``, built once and maintained incrementally
+    through both the eviction and the re-placement phase; candidate
+    filtering and the cheapest-cloudlet pick are vectorised over the
+    gap-cost table.
     """
-    if compiled is not None:
-        return _repair_capacities_compiled(market, placement, compiled)
-    loads = _loads(market, placement)
-    evicted: List[int] = []
-    for cl in market.network.cloudlets:
-        node = cl.node_id
-        members = sorted(
-            (pid for pid, n in placement.items() if n == node),
-            key=lambda pid: -max(
-                market.provider(pid).compute_demand,
-                market.provider(pid).bandwidth_demand,
-            ),
-        )
-        k = 0
-        while (
-            loads[node][0] > cl.compute_capacity + CAPACITY_EPS
-            or loads[node][1] > cl.bandwidth_capacity + CAPACITY_EPS
-        ) and k < len(members):
-            pid = members[k]
-            k += 1
-            p = market.provider(pid)
-            loads[node][0] -= p.compute_demand
-            loads[node][1] -= p.bandwidth_demand
-            del placement[pid]
-            evicted.append(pid)
-
-    rejected: Set[int] = set()
-    moves = 0
-    model = market.cost_model
-    for pid in evicted:
-        provider = market.provider(pid)
-        candidates = [
-            cl.node_id
-            for cl in market.network.cloudlets
-            if _fits(market, cl.node_id, loads[cl.node_id], pid)
-            and math.isfinite(model.gap_cost(provider, cl))
-        ]
-        if not candidates:
-            rejected.add(pid)
-            continue
-        best = min(
-            candidates,
-            key=lambda n: model.gap_cost(provider, market.network.cloudlet_at(n)),
-        )
-        placement[pid] = best
-        loads[best][0] += provider.compute_demand
-        loads[best][1] += provider.bandwidth_demand
-        moves += 1
-    return placement, rejected, moves
-
-
-def _repair_capacities_compiled(
-    market: ServiceMarket, placement: Dict[int, int], cm: CompiledMarket
-) -> Tuple[Dict[int, int], Set[int], int]:
-    """Array-state twin of :func:`_repair_capacities` (same moves)."""
     loads = cm.load_matrix(placement)
     gap = cm.gap_costs()
     evicted: List[int] = []
@@ -171,8 +93,7 @@ def _repair_capacities_compiled(
         if candidates.size == 0:
             rejected.add(pid)
             continue
-        # First minimum among the candidates in cloudlet order — the same
-        # pick as min(candidates, key=gap_cost) on the object path.
+        # First minimum among the candidates in cloudlet order.
         best = int(candidates[np.argmin(gap[row, candidates])])
         placement[pid] = cm.cloudlet_nodes[best]
         loads[best] += cm.demand[row]
@@ -180,12 +101,46 @@ def _repair_capacities_compiled(
     return placement, rejected, moves
 
 
+def _enter_newcomers(
+    market: ServiceMarket,
+    cm: CompiledMarket,
+    placement: Dict[int, int],
+    newcomers: List[int],
+    rejected: Set[int],
+    allow_remote: bool,
+) -> int:
+    """Place each newcomer, in order, at its cheapest feasible Eq. (9) cost.
+
+    Same candidate filter, cost and first-minimum tie-break as the repair's
+    re-placement phase; with ``allow_remote`` a newcomer whose remote cost
+    beats that cloudlet stays remote. Updates ``placement`` and
+    ``rejected`` of ``market`` in place and returns the number placed.
+    """
+    loads = cm.load_matrix(placement)
+    gap = cm.gap_costs()
+    entered = 0
+    for pid in newcomers:
+        row = cm.provider_row(pid)
+        candidates = np.flatnonzero(cm.fits_mask(row, loads) & np.isfinite(gap[row]))
+        if candidates.size == 0:
+            rejected.add(pid)
+            continue
+        best = int(candidates[np.argmin(gap[row, candidates])])
+        if allow_remote and cm.remote[row] < gap[row, best]:
+            rejected.add(pid)
+            continue
+        placement[pid] = cm.cloudlet_nodes[best]
+        loads[best] += cm.demand[row]
+        entered += 1
+    return entered
+
+
 def _warm_appro(
     market: ServiceMarket,
     seed_placement: Dict[int, int],
     seed_rejected: Set[int],
     allow_remote: bool,
-    cm: Optional[CompiledMarket],
+    cm: CompiledMarket,
 ) -> CachingAssignment:
     """Warm-start Algorithm 1 from a previous run's assignment.
 
@@ -198,9 +153,7 @@ def _warm_appro(
     previous rounding seed replaces the LP, which is what makes warm
     epochs an order of magnitude cheaper than cold ones.
 
-    The object and compiled arms decide identically (same floats, same
-    scan order), so warm runs stay differential-testable; a warm run on an
-    *unchanged* market reproduces its seed exactly.
+    A warm run on an *unchanged* market reproduces its seed exactly.
     """
     with Stopwatch() as watch:
         present = set(p.provider_id for p in market.providers)
@@ -221,59 +174,12 @@ def _warm_appro(
             pid for pid in present if pid not in placement and pid not in rejected
         )
         placement, repair_rejected, moves = _repair_capacities(
-            market, placement, compiled=cm
+            market, placement, cm
         )
         rejected |= repair_rejected
-
-        entered = 0
-        if cm is not None:
-            loads = cm.load_matrix(placement)
-            gap = cm.gap_costs()
-            for pid in newcomers:
-                row = cm.provider_row(pid)
-                candidates = np.flatnonzero(
-                    cm.fits_mask(row, loads) & np.isfinite(gap[row])
-                )
-                if candidates.size == 0:
-                    rejected.add(pid)
-                    continue
-                best = int(candidates[np.argmin(gap[row, candidates])])
-                if allow_remote and cm.remote[row] < gap[row, best]:
-                    rejected.add(pid)
-                    continue
-                placement[pid] = cm.cloudlet_nodes[best]
-                loads[best] += cm.demand[row]
-                entered += 1
-        else:
-            model = market.cost_model
-            obj_loads = _loads(market, placement)
-            for pid in newcomers:
-                provider = market.provider(pid)
-                candidates_o = [
-                    cl.node_id
-                    for cl in market.network.cloudlets
-                    if _fits(market, cl.node_id, obj_loads[cl.node_id], pid)
-                    and math.isfinite(model.gap_cost(provider, cl))
-                ]
-                if not candidates_o:
-                    rejected.add(pid)
-                    continue
-                best_node = min(
-                    candidates_o,
-                    key=lambda n: model.gap_cost(
-                        provider, market.network.cloudlet_at(n)
-                    ),
-                )
-                best_cost = model.gap_cost(
-                    provider, market.network.cloudlet_at(best_node)
-                )
-                if allow_remote and model.remote_cost(provider) < best_cost:
-                    rejected.add(pid)
-                    continue
-                placement[pid] = best_node
-                obj_loads[best_node][0] += provider.compute_demand
-                obj_loads[best_node][1] += provider.bandwidth_demand
-                entered += 1
+        entered = _enter_newcomers(
+            market, cm, placement, newcomers, rejected, allow_remote
+        )
 
     return CachingAssignment(
         market=market,
@@ -295,7 +201,6 @@ def appro(
     gap_solver: str = "shmoys_tardos",
     allow_remote: bool = False,
     slot_pricing: str = "marginal",
-    representation: str = "compiled",
     compiled: Optional[CompiledMarket] = None,
     warm_start: Optional[CachingAssignment] = None,
     lp_time_limit_s: Optional[float] = None,
@@ -307,17 +212,11 @@ def appro(
     gap_solver:
         ``"shmoys_tardos"`` (the paper's choice), ``"greedy"`` or
         ``"exact"`` — the latter two support ablation A4.
-    representation:
-        ``"compiled"`` (default) builds the GAP instance and runs the
-        repair from the market's array-backed
-        :class:`~repro.market.compiled.CompiledMarket` and assembles the
-        GAP LP from the instance arrays in bulk; ``"object"`` queries the
-        cost model object graph and keeps the per-pair LP assembly — the
-        reference path the differential tests compare against. Both
-        produce the identical assignment.
     compiled:
         An explicit precompiled market (e.g. shipped to a sweep worker);
-        default compiles on demand and caches on the market instance.
+        default compiles on demand and caches on the market instance. The
+        GAP build, the capacity repair and the warm entry all read its
+        array-backed tables.
     allow_remote:
         Give the GAP a remote ("do not cache") bin: services for which
         remote serving is genuinely cheaper — or that no virtual cloudlet
@@ -344,8 +243,9 @@ def appro(
         solve_with_degradation`): a timeout falls back to the greedy
         solver and the substitution is surfaced as
         ``info["degradation"]`` (a :class:`~repro.gap.ladder.
-        DegradationEvent`) instead of silently swapping. Only meaningful
-        with ``gap_solver="shmoys_tardos"``.
+        DegradationEvent`) instead of silently swapping. Must be positive,
+        and is only accepted with ``gap_solver="shmoys_tardos"``; a warm
+        start accepts it too, since a cold first epoch does use it.
 
     Returns a :class:`CachingAssignment` whose ``info`` carries the LP lower
     bound, ``delta``/``kappa``, the Lemma 2 ratio bound, and repair stats.
@@ -356,7 +256,23 @@ def appro(
         raise ValueError(
             f"unknown gap_solver {gap_solver!r}; choose from {sorted(_GAP_SOLVERS)}"
         ) from None
-    cm = resolve_compiled(market, representation, compiled)
+    if lp_time_limit_s is not None:
+        if not lp_time_limit_s > 0:
+            raise ConfigurationError(
+                f"lp_time_limit_s must be positive, got {lp_time_limit_s}"
+            )
+        if gap_solver != "shmoys_tardos":
+            raise ConfigurationError(
+                "lp_time_limit_s bounds the Shmoys–Tardos LP; "
+                f"gap_solver={gap_solver!r} solves no LP"
+            )
+        solve = partial(solve_with_degradation, time_limit_s=lp_time_limit_s)
+    if slot_pricing not in VirtualCloudletSplit.PRICINGS:
+        raise ConfigurationError(
+            f"slot_pricing must be one of {VirtualCloudletSplit.PRICINGS}, "
+            f"got {slot_pricing!r}"
+        )
+    cm = compiled if compiled is not None else market.compile()
     if warm_start is not None:
         return _warm_appro(
             market,
@@ -364,25 +280,6 @@ def appro(
             seed_rejected=set(warm_start.rejected),
             allow_remote=allow_remote,
             cm=cm,
-        )
-    if gap_solver == "shmoys_tardos":
-        # The object representation keeps the whole pre-compiled pipeline,
-        # including the per-pair LP assembly; the relaxation (and hence the
-        # rounding) is bit-identical either way.
-        assemble = "vectorized" if cm is not None else "scalar"
-        if lp_time_limit_s is not None:
-            solve = partial(
-                solve_with_degradation,
-                time_limit_s=lp_time_limit_s,
-                assemble=assemble,
-            )
-        else:
-            solve = partial(shmoys_tardos, assemble=assemble)
-    elif gap_solver == "greedy":
-        # Same split for the greedy heuristic: whole-array regret rounds on
-        # the compiled path, the per-item reference loop on the object path.
-        solve = partial(
-            greedy_gap, mode="vectorized" if cm is not None else "scalar"
         )
 
     with Stopwatch() as watch:
@@ -393,7 +290,7 @@ def appro(
         solution: GAPSolution = solve(instance)
         placement, gap_rejected = split.merge_assignment(solution.assignment)
         placement, repair_rejected, moves = _repair_capacities(
-            market, placement, compiled=cm
+            market, placement, cm
         )
 
     return CachingAssignment(

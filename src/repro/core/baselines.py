@@ -24,71 +24,25 @@ stays remote) only when no cloudlet fits it.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.assignment import CachingAssignment, Stopwatch
-from repro.market.compiled import CompiledMarket, resolve_compiled
+from repro.market.compiled import CompiledMarket
 from repro.market.market import ServiceMarket
-from repro.market.service import ServiceProvider
-from repro.network.elements import Cloudlet
-from repro.utils.validation import CAPACITY_EPS
 
 
-def _sequential_admission(
-    market: ServiceMarket,
-    preference_cost: Callable[[ServiceProvider, Cloudlet, int], float],
-) -> Tuple[Dict[int, int], Set[int]]:
-    """Admit providers in id order; each takes its cheapest feasible cloudlet
-    under ``preference_cost(provider, cloudlet, occupancy_if_joining)``."""
-    loads: Dict[int, List[float]] = {
-        cl.node_id: [0.0, 0.0] for cl in market.network.cloudlets
-    }
-    occupancy: Dict[int, int] = {cl.node_id: 0 for cl in market.network.cloudlets}
-    placement: Dict[int, int] = {}
-    rejected: Set[int] = set()
-
-    for provider in market.providers:
-        best_node: Optional[int] = None
-        best_cost = float("inf")
-        for cl in market.network.cloudlets:
-            node = cl.node_id
-            if (
-                loads[node][0] + provider.compute_demand > cl.compute_capacity + CAPACITY_EPS
-                or loads[node][1] + provider.bandwidth_demand
-                > cl.bandwidth_capacity + CAPACITY_EPS
-            ):
-                continue
-            # Infrastructure-level admission: forbidden (infinite fixed
-            # cost) pairs — e.g. latency-budget violations — are rejected
-            # for the baselines too.
-            if not math.isfinite(market.cost_model.fixed_cost(provider, cl)):
-                continue
-            cost = preference_cost(provider, cl, occupancy[node] + 1)
-            if cost < best_cost:
-                best_cost = cost
-                best_node = node
-        if best_node is None:
-            rejected.add(provider.provider_id)
-            continue
-        placement[provider.provider_id] = best_node
-        loads[best_node][0] += provider.compute_demand
-        loads[best_node][1] += provider.bandwidth_demand
-        occupancy[best_node] += 1
-    return placement, rejected
-
-
-def _sequential_admission_compiled(
+def _admit_in_id_order(
     cm: CompiledMarket, preference: np.ndarray
 ) -> Tuple[Dict[int, int], Set[int]]:
-    """Array-state twin of :func:`_sequential_admission`.
+    """Admit providers in id order; each takes its cheapest feasible
+    cloudlet under ``preference``.
 
     ``preference`` is a precomputed ``(n, m)`` cost table — both baselines'
     preferences are occupancy-independent, which is what makes them
-    tabulable up front. Admission order, the capacity/admissibility
-    filters and the strict first-minimum pick match the object path.
+    tabulable up front. A cloudlet is feasible when the provider fits its
+    residual capacity and the pair is admissible (finite fixed cost).
     """
     loads = np.zeros((cm.n_cloudlets, 2))
     placement: Dict[int, int] = {}
@@ -103,8 +57,8 @@ def _sequential_admission_compiled(
         if candidates.size == 0:
             rejected.add(pid)
             continue
-        # np.argmin returns the first minimum — the same cloudlet the
-        # object path's strict `cost < best_cost` scan settles on.
+        # np.argmin returns the first minimum: ties go to the lowest
+        # cloudlet column.
         best = int(candidates[np.argmin(preference[i, candidates])])
         if not preference[i, best] < np.inf:
             rejected.add(pid)
@@ -115,40 +69,23 @@ def _sequential_admission_compiled(
 
 
 def jo_offload_cache(
-    market: ServiceMarket,
-    representation: str = "compiled",
-    compiled: Optional[CompiledMarket] = None,
+    market: ServiceMarket, compiled: Optional[CompiledMarket] = None
 ) -> CachingAssignment:
     """The ``JoOffloadCache`` baseline (see module docstring).
 
-    ``representation="object"`` selects the cost-model reference path used
-    as the differential-testing oracle; both produce identical assignments.
+    ``compiled`` optionally supplies a precompiled market.
     """
-    model = market.cost_model
-    cm = resolve_compiled(market, representation, compiled)
-
-    def myopic_cost(provider: ServiceProvider, cloudlet: Cloudlet, occupancy: int) -> float:
+    cm = compiled if compiled is not None else market.compile()
+    with Stopwatch() as watch:
         # Joint offloading + caching under static prices: the provider sees
         # the published per-unit congestion prices (occupancy 1, i.e.
         # itself) but not the other providers' simultaneous choices, and
-        # the update/synchronisation cost is invisible to [23].
-        return (
-            model.congestion_cost(cloudlet, 1)
-            + model.instantiation_cost(provider)
-            + model.access_cost(provider, cloudlet)
-        )
-
-    with Stopwatch() as watch:
-        if cm is not None:
-            # The same three terms, tabulated: published congestion price
-            # (occupancy 1) + instantiation + access, added in the same
-            # order as `myopic_cost` so the entries are bit-equal.
-            preference = (
-                (cm.coeff * cm.g[1])[None, :] + cm.instantiation[:, None]
-            ) + cm.access
-            placement, rejected = _sequential_admission_compiled(cm, preference)
-        else:
-            placement, rejected = _sequential_admission(market, myopic_cost)
+        # the update/synchronisation cost is invisible to [23]. Published
+        # congestion price + instantiation + access, tabulated.
+        preference = (
+            (cm.coeff * cm.g[1])[None, :] + cm.instantiation[:, None]
+        ) + cm.access
+        placement, rejected = _admit_in_id_order(cm, preference)
     return CachingAssignment(
         market=market,
         placement=placement,
@@ -159,29 +96,18 @@ def jo_offload_cache(
 
 
 def offload_cache(
-    market: ServiceMarket,
-    representation: str = "compiled",
-    compiled: Optional[CompiledMarket] = None,
+    market: ServiceMarket, compiled: Optional[CompiledMarket] = None
 ) -> CachingAssignment:
     """The ``OffloadCache`` baseline (see module docstring).
 
-    ``representation="object"`` selects the network-query reference path
-    used as the differential-testing oracle.
+    ``compiled`` optionally supplies a precompiled market.
     """
-    network = market.network
-    cm = resolve_compiled(market, representation, compiled)
-
-    def offload_only_cost(provider: ServiceProvider, cloudlet: Cloudlet, occupancy: int) -> float:
+    cm = compiled if compiled is not None else market.compile()
+    with Stopwatch() as watch:
         # Pure offloading optimum: minimum end-to-end delay from the users
         # to the cloudlet; caching (prices, congestion, updates) is decided
         # "later" by simply instantiating where the requests went.
-        return network.path_delay(provider.service.user_node, cloudlet.node_id)
-
-    with Stopwatch() as watch:
-        if cm is not None:
-            placement, rejected = _sequential_admission_compiled(cm, cm.user_delay)
-        else:
-            placement, rejected = _sequential_admission(market, offload_only_cost)
+        placement, rejected = _admit_in_id_order(cm, cm.user_delay)
     return CachingAssignment(
         market=market,
         placement=placement,

@@ -29,7 +29,6 @@ def _compiled_game_view(
 def market_game(
     market: ServiceMarket,
     players: Optional[Sequence[int]] = None,
-    use_compiled: bool = True,
 ) -> SingletonCongestionGame:
     """Construct the service-caching congestion game for a market.
 
@@ -37,11 +36,9 @@ def market_game(
     some providers were rejected and stay out of the market); default is the
     full population ``N``.
 
-    ``use_compiled`` (default) installs a ``compiled_factory`` so
-    ``game.compile()`` slices the market's cached
-    :class:`~repro.market.compiled.CompiledMarket` tables; ``False`` leaves
-    the game to build its own tables from the cost callables — the
-    pre-compiled reference path (bit-equal tables either way).
+    The game's ``compiled_factory`` makes ``game.compile()`` slice the
+    market's cached :class:`~repro.market.compiled.CompiledMarket` tables
+    instead of evaluating the cost callables pair by pair.
     """
     model = market.cost_model
     net = market.network
@@ -70,8 +67,7 @@ def market_game(
         demand=demand,
         capacity=capacity,
     )
-    if use_compiled:
-        game.compiled_factory = partial(_compiled_game_view, market)
+    game.compiled_factory = partial(_compiled_game_view, market)
     return game
 
 

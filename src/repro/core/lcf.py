@@ -145,7 +145,6 @@ def lcf(
     allow_remote: bool = False,
     slot_pricing: str = "marginal",
     information: str = "posted_price",
-    representation: str = "compiled",
     compiled: Optional[CompiledMarket] = None,
     warm_start: Optional[object] = None,
     lp_time_limit_s: Optional[float] = None,
@@ -160,14 +159,11 @@ def lcf(
     compiled cost tables and settles them on the batch best-response
     kernel (:mod:`repro.game.batch`).
 
-    ``representation`` selects the instance representation for the leader
-    phase (Appro's GAP build and repair): ``"compiled"`` (default, the
-    shared :class:`~repro.market.compiled.CompiledMarket` — the follower
-    phase's game tables are then sliced from the same blob) or
-    ``"object"`` (the cost-model reference path: per-pair GAP build and LP
-    assembly, and game tables re-evaluated from the cost callables).
-    ``compiled`` optionally supplies a precompiled market (e.g. shipped to
-    a sweep worker).
+    The leader phase (Appro's GAP build and repair) reads the market's
+    :class:`~repro.market.compiled.CompiledMarket`, and the follower
+    phase's game tables are sliced from the same blob. ``compiled``
+    optionally supplies a precompiled market (e.g. shipped to a sweep
+    worker).
 
     ``lp_time_limit_s`` bounds the leader phase's GAP LP solve through the
     degradation ladder (see :func:`repro.core.appro.appro`): a timeout
@@ -180,8 +176,7 @@ def lcf(
     in place of the GAP rounding — survivors keep their strategies, only
     newcomers are placed, and the LP solve is skipped (see
     :func:`repro.core.appro.appro`). The downstream selection, pinning and
-    selfish phases run unchanged on the seeded ``zeta``; the compiled and
-    object representations of a warm run still decide bit-identically.
+    selfish phases run unchanged on the seeded ``zeta``.
 
     Marks the market's providers as coordinated/selfish accordingly, so the
     returned assignment's :attr:`coordinated_cost` / :attr:`selfish_cost`
@@ -204,7 +199,6 @@ def lcf(
             gap_solver=gap_solver,
             allow_remote=allow_remote,
             slot_pricing=slot_pricing,
-            representation=representation,
             compiled=compiled,
             warm_start=seed,
             lp_time_limit_s=lp_time_limit_s,
@@ -236,8 +230,7 @@ def lcf(
         # sheet only (occupancy term at its face value of one unit); under
         # "full" it sees the live occupancy it would join.
         rejected: Set[int] = set(pinned_remote)
-        use_compiled = representation == "compiled"
-        game_all = market_game(market, use_compiled=use_compiled)
+        game_all = market_game(market)
         placed_selfish: List[int] = []
         posted = information == "posted_price"
         # With the remote option open, "not to cache" competes with every
@@ -253,7 +246,7 @@ def lcf(
             posted, entry_threshold,
         )
 
-        game = market_game(market, players=list(profile), use_compiled=use_compiled)
+        game = market_game(market, players=list(profile))
         if posted:
             # Posted-price choices are dominant strategies (no player's
             # evaluated cost depends on others), so the profile is already

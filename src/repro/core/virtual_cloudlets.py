@@ -157,53 +157,11 @@ class VirtualCloudletSplit:
         """Items = providers (in id order), bins = virtual cloudlets, plus
         the remote bin when ``allow_remote`` is set.
 
-        With a :class:`CompiledMarket` the cost matrix is assembled from
-        the precomputed tables (one broadcast add per pricing mode) instead
-        of querying the cost model per (provider, slot) pair; the entries
-        are bit-equal because both paths add/multiply the same doubles.
+        The cost matrix is assembled from the compiled tables (one broadcast
+        add per pricing mode); ``compiled`` supplies a precompiled market,
+        by default the market's own cached ``compile()``.
         """
-        if compiled is not None:
-            return self._build_gap_instance_compiled(compiled)
-        providers = self.market.providers
-        n = len(providers)
-        m = len(self.virtual_cloudlets) + (1 if self.allow_remote else 0)
-        costs = np.zeros((n, m))
-        weights = np.full((n, m), self.slot_capacity)
-        model = self.market.cost_model
-        net = self.market.network
-        for j, provider in enumerate(providers):
-            for vc in self.virtual_cloudlets:
-                cloudlet = net.cloudlet_at(vc.cloudlet_node)
-                if self.slot_pricing == "flat":
-                    # The paper's Eq. (9): alpha_i + beta_i + fixed.
-                    costs[j, vc.index] = model.gap_cost(provider, cloudlet)
-                else:
-                    # Marginal pricing: slot k of CL_i carries the marginal
-                    # social congestion charge
-                    #   (alpha_i + beta_i) * (k*g(k) - (k-1)*g(k-1)),
-                    # i.e. (2k - 1)(alpha_i + beta_i) under the paper's
-                    # linear model, so filling k slots sums to the true
-                    # social congestion cost (alpha_i+beta_i) * k * g(k).
-                    # The GAP objective then equals the social cost (Eq. 6)
-                    # exactly, which is what makes the coordinated
-                    # placement worth following.
-                    k = vc.slot + 1
-                    g = model.congestion
-                    marginal = (cloudlet.alpha + cloudlet.beta) * (
-                        k * g(k) - (k - 1) * g(k - 1)
-                    )
-                    costs[j, vc.index] = marginal + model.fixed_cost(provider, cloudlet)
-            if self.allow_remote:
-                costs[j, self.remote_bin] = model.remote_cost(provider)
-        capacities = np.array(
-            [vc.capacity for vc in self.virtual_cloudlets]
-            + ([n * self.slot_capacity] if self.allow_remote else [])
-        )
-        return GAPInstance(costs=costs, weights=weights, capacities=capacities)
-
-    def _build_gap_instance_compiled(self, cm: CompiledMarket) -> GAPInstance:
-        """Table-backed :meth:`build_gap_instance` (same instance, no
-        per-pair cost-model calls)."""
+        cm = compiled if compiled is not None else self.market.compile()
         n = cm.n_providers
         n_virtual = len(self.virtual_cloudlets)
         m = n_virtual + (1 if self.allow_remote else 0)
@@ -224,8 +182,15 @@ class VirtualCloudletSplit:
                     np.ix_(rows, cols)
                 ]
             else:
-                # Marginal congestion increment of slot k (see the object
-                # path above): (alpha_i + beta_i) * (k*g(k) - (k-1)*g(k-1)).
+                # Marginal pricing: slot k of CL_i carries the marginal
+                # social congestion charge
+                #   (alpha_i + beta_i) * (k*g(k) - (k-1)*g(k-1)),
+                # i.e. (2k - 1)(alpha_i + beta_i) under the paper's linear
+                # model, so filling k slots sums to the true social
+                # congestion cost (alpha_i+beta_i) * k * g(k). The GAP
+                # objective then equals the social cost (Eq. 6) exactly,
+                # which is what makes the coordinated placement worth
+                # following.
                 marg = np.empty(n_virtual)
                 for t, vc in enumerate(self.virtual_cloudlets):
                     k = vc.slot + 1

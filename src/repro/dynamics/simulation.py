@@ -44,10 +44,11 @@ Epochs run on the mutation protocol: the simulation keeps **one** persistent
 :class:`~repro.market.compiled.CompiledMarket` in place (tombstone/append
 rows) instead of recompiling; replans are *warm-started* from the previous
 epoch's LCF result (survivors keep strategies, only newcomers are placed —
-the GAP LP is skipped entirely). ``representation="object"`` keeps the
-pre-refactor reference behaviour — a fresh market object graph every epoch —
-as the differential-testing oracle: for the same policy and ``warm_start``
-setting the two representations bill bit-identical costs every epoch, which
+the GAP LP is skipped entirely). The rebuild-every-epoch reference — a
+fresh market object graph per epoch, run on the object-graph algorithms —
+lives on as a test oracle (``ObjectRebuildSimulation`` in
+``tests/oracles/object_graph_reference.py``); for the same policy and
+``warm_start`` setting it bills bit-identical costs every epoch, which
 ``tests/dynamics/test_delta_equivalence.py`` pins over long churn traces.
 """
 
@@ -58,12 +59,12 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.core.appro import _GAP_SOLVERS
 from repro.core.lcf import LCFResult, lcf
 from repro.dynamics.outages import OutageEvent, OutageTrace
 from repro.game.partitioned import partitioned_best_response
 from repro.dynamics.population import PopulationEvent, PopulationProcess
 from repro.exceptions import ConfigurationError
-from repro.market.compiled import REPRESENTATIONS
 from repro.market.costs import CongestionFunction
 from repro.market.delta import MarketDelta
 from repro.market.market import ServiceMarket
@@ -71,7 +72,7 @@ from repro.market.pricing import Pricing
 from repro.market.service import ServiceProvider
 from repro.market.shard import MarketPartition, ShardLog, partition_market
 from repro.network.topology import MECNetwork
-from repro.utils.validation import CAPACITY_EPS, check_fraction
+from repro.utils.validation import check_fraction
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runtime import CheckpointJournal, Runtime
@@ -207,12 +208,6 @@ class DynamicMarketSimulation:
     policy:
         ``"replan"``, ``"incremental"`` or ``"hysteresis"`` (see the
         module docstring).
-    representation:
-        ``"compiled"`` (default) keeps one persistent market whose
-        compiled tables are delta-patched every epoch; ``"object"``
-        rebuilds the market object graph from scratch each epoch — the
-        pre-refactor reference path the differential tests compare
-        against. Both bill identical costs.
     warm_start:
         Warm-start each replan from the previous replan's LCF result
         (survivors keep strategies, newcomers enter greedily, no GAP LP).
@@ -241,8 +236,7 @@ class DynamicMarketSimulation:
         :func:`~repro.game.partitioned.partitioned_best_response` —
         epoch churn rides the sequence-numbered
         :class:`~repro.market.shard.ShardLog` replication log alongside
-        the compiled-table deltas. Requires
-        ``representation="compiled"``.
+        the compiled-table deltas.
     n_shards / boundary_rounds:
         Shard count for :func:`~repro.market.shard.partition_market`
         (default: one shard per cloudlet-bearing region) and the cap on
@@ -288,7 +282,6 @@ class DynamicMarketSimulation:
         latency_budget_ms: Optional[float] = None,
         migration_setup_cost: float = 0.1,
         trace: Optional[Callable[[int], float]] = None,
-        representation: str = "compiled",
         warm_start: bool = True,
         gap_solver: str = "shmoys_tardos",
         hysteresis_threshold: float = 0.15,
@@ -310,10 +303,6 @@ class DynamicMarketSimulation:
             raise ConfigurationError(
                 f"sharding must be one of {_SHARDING}, got {sharding!r}"
             )
-        if sharding == "region" and representation != "compiled":
-            raise ConfigurationError(
-                "sharding='region' runs on the compiled representation only"
-            )
         if boundary_rounds < 1:
             raise ConfigurationError(
                 f"boundary_rounds must be >= 1, got {boundary_rounds}"
@@ -322,10 +311,10 @@ class DynamicMarketSimulation:
             raise ConfigurationError(
                 f"recovery must be one of {_RECOVERY_POLICIES}, got {recovery!r}"
             )
-        if representation not in REPRESENTATIONS:
+        if gap_solver not in _GAP_SOLVERS:
             raise ConfigurationError(
-                f"representation must be one of {REPRESENTATIONS}, "
-                f"got {representation!r}"
+                f"gap_solver must be one of {sorted(_GAP_SOLVERS)}, "
+                f"got {gap_solver!r}"
             )
         if hysteresis_threshold < 0:
             raise ConfigurationError(
@@ -355,7 +344,6 @@ class DynamicMarketSimulation:
         #: :class:`repro.dynamics.traces.DiurnalTrace`); when given, the
         #: population's arrival rate is retargeted before every epoch.
         self.trace = trace
-        self.representation = representation
         self.warm_start = warm_start
         self.gap_solver = gap_solver
         self.hysteresis_threshold = hysteresis_threshold
@@ -368,8 +356,8 @@ class DynamicMarketSimulation:
         #: provider_id -> cloudlet node of the *currently cached* instance.
         self.placement: Dict[int, int] = {}
         self.rejected: Set[int] = set()
-        #: The persistent delta-patched market (compiled representation
-        #: only; the object arm rebuilds per epoch).
+        #: The persistent delta-patched market (built on the first
+        #: populated epoch).
         self.market: Optional[ServiceMarket] = None
         self._last_result: Optional[LCFResult] = None
         self._anchor_cost: Optional[float] = None
@@ -436,18 +424,11 @@ class DynamicMarketSimulation:
         self, market: ServiceMarket, placement: Dict[int, int], rejected: Set[int]
     ) -> float:
         """Epoch social cost: Eq. (6) over the placed providers plus the
-        remote-serving cost of the rejected ones (folded in id order, so
-        the compiled and object arms sum identically)."""
-        if self.representation == "compiled":
-            cm = market.compile()
-            total = cm.social_cost(placement)
-            for pid in sorted(rejected):
-                total += cm.remote_cost(pid)
-            return total
-        model = market.cost_model
-        total = model.social_cost(market.providers_by_id(), placement)
+        remote-serving cost of the rejected ones (folded in id order)."""
+        cm = market.compile()
+        total = cm.social_cost(placement)
         for pid in sorted(rejected):
-            total += model.remote_cost(market.provider(pid))
+            total += cm.remote_cost(pid)
         return total
 
     # ------------------------------------------------------------------ #
@@ -491,22 +472,11 @@ class DynamicMarketSimulation:
     def _advance_market(
         self, delta: MarketDelta, providers: List[ServiceProvider]
     ) -> ServiceMarket:
-        """One epoch's market: delta-patch the persistent one (compiled)
-        or rebuild from scratch (object, the pre-refactor reference).
-
-        Outages still route through the protocol on the object arm: the
-        fresh market gets one cumulative ``MarketDelta(outages=...)`` for
-        everything currently down (and :meth:`step` recovers them again
-        before the epoch ends, since the rebuilt markets share one
-        network whose cloudlets must re-enter each epoch nominal).
-        """
-        down = self.outages.failed if self.outages is not None else ()
-        if self.representation != "compiled":
-            market = self._market(providers)
-            if down:
-                market.apply(MarketDelta(outages=down))
-            return market
+        """One epoch's market: delta-patch the persistent one, or build it
+        on the first populated epoch (with one cumulative
+        ``MarketDelta(outages=...)`` for everything already down)."""
         if self.market is None:
+            down = self.outages.failed if self.outages is not None else ()
             self.market = self._market(providers)
             self.market.compile()
             self._init_sharding(self.market)
@@ -526,7 +496,6 @@ class DynamicMarketSimulation:
             xi=self.xi,
             allow_remote=True,
             gap_solver=self.gap_solver,
-            representation=self.representation,
             warm_start=warm,
         )
         self._last_result = result
@@ -542,56 +511,21 @@ class DynamicMarketSimulation:
         }
         rejected = {pid for pid in self.rejected if pid in present}
 
-        if self.representation == "compiled":
-            cm = market.compile()
-            loads = cm.load_matrix(placement)
-            for pid in sorted(arrivals):
-                row = cm.provider_row(pid)
-                # Posted price sheet: congestion at its face value of one
-                # occupant plus the fixed cost — the same two terms, in
-                # the same order, as `model.cost(provider, cl, 1)`.
-                costs = cm.shared[:, 1] + cm.fixed[row]
-                costs = np.where(cm.fits_mask(row, loads), costs, np.inf)
-                j = int(np.argmin(costs))
-                if not costs[j] < cm.remote[row]:
-                    rejected.add(pid)
-                    continue
-                placement[pid] = cm.cloudlet_nodes[j]
-                loads[j] += cm.demand[row]
-            return placement, rejected
-
-        model = market.cost_model
-        obj_loads: Dict[int, List[float]] = {
-            cl.node_id: [0.0, 0.0] for cl in self.network.cloudlets
-        }
-        for pid, node in placement.items():
-            provider = market.provider(pid)
-            obj_loads[node][0] += provider.compute_demand
-            obj_loads[node][1] += provider.bandwidth_demand
-
+        cm = market.compile()
+        loads = cm.load_matrix(placement)
         for pid in sorted(arrivals):
-            provider = market.provider(pid)
-            best_node = None
-            best_cost = model.remote_cost(provider)
-            for cl in self.network.cloudlets:
-                node = cl.node_id
-                if (
-                    obj_loads[node][0] + provider.compute_demand
-                    > cl.compute_capacity + CAPACITY_EPS
-                    or obj_loads[node][1] + provider.bandwidth_demand
-                    > cl.bandwidth_capacity + CAPACITY_EPS
-                ):
-                    continue
-                cost = model.cost(provider, cl, 1)  # posted price sheet
-                if cost < best_cost:
-                    best_cost = cost
-                    best_node = node
-            if best_node is None:
+            row = cm.provider_row(pid)
+            # Posted price sheet: congestion at its face value of one
+            # occupant plus the fixed cost — the same two terms, in the
+            # same order, as `model.cost(provider, cl, 1)`.
+            costs = cm.shared[:, 1] + cm.fixed[row]
+            costs = np.where(cm.fits_mask(row, loads), costs, np.inf)
+            j = int(np.argmin(costs))
+            if not costs[j] < cm.remote[row]:
                 rejected.add(pid)
                 continue
-            placement[pid] = best_node
-            obj_loads[best_node][0] += provider.compute_demand
-            obj_loads[best_node][1] += provider.bandwidth_demand
+            placement[pid] = cm.cloudlet_nodes[j]
+            loads[j] += cm.demand[row]
         return placement, rejected
 
     def _hysteresis(
@@ -648,7 +582,7 @@ class DynamicMarketSimulation:
             # The market died out this epoch: keep the persistent market's
             # tables in sync (it may refill later) and reset the warm state
             # — the next population starts a fresh history.
-            if self.market is not None and self.representation == "compiled":
+            if self.market is not None:
                 self._apply_delta(delta)
             self.placement = {}
             self.rejected = set()
@@ -731,11 +665,6 @@ class DynamicMarketSimulation:
         self.rejected = new_rejected
 
         social = self._social(market, new_placement, new_rejected)
-        if self.representation != "compiled" and market.failed_cloudlets:
-            # The object arm rebuilds its market every epoch but shares
-            # one network: hand the borrowed cloudlets back at nominal
-            # capacity before the next rebuild saves 0.0 as "nominal".
-            market.apply(MarketDelta(recoveries=market.failed_cloudlets))
         return EpochRecord(
             epoch=event.epoch,
             population=len(providers),

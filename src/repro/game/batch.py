@@ -29,7 +29,8 @@ same placements, same move count, same potential trace floats as the
 per-turn incremental engine. That engine and the naive per-resource one
 are kept in ``tests/oracles/best_response_reference.py``;
 ``tests/game/test_batch_kernel_equivalence.py`` pins the kernel against
-both across seeds, congestion functions and instance representations, and
+both across seeds, congestion functions and game tables (sliced from the
+compiled market or evaluated from the cost callables), and
 ``tests/game/test_batch_kernel_properties.py`` fuzzes the per-round
 invariants and the delta-churn path.
 

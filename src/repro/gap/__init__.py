@@ -10,14 +10,13 @@ measure empirical ratios.
 """
 
 from repro.gap.instance import GAPInstance, GAPSolution
-from repro.gap.lp import ASSEMBLIES, solve_lp_relaxation, LPRelaxationResult
+from repro.gap.lp import solve_lp_relaxation, LPRelaxationResult
 from repro.gap.shmoys_tardos import shmoys_tardos
-from repro.gap.greedy import MODES as GREEDY_MODES, greedy_gap
+from repro.gap.greedy import greedy_gap
 from repro.gap.exact import exact_gap
 from repro.gap.ladder import DegradationEvent, solve_with_degradation
 
 __all__ = [
-    "ASSEMBLIES",
     "DegradationEvent",
     "GAPInstance",
     "GAPSolution",
@@ -26,6 +25,5 @@ __all__ = [
     "shmoys_tardos",
     "solve_with_degradation",
     "greedy_gap",
-    "GREEDY_MODES",
     "exact_gap",
 ]

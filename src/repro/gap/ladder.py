@@ -49,8 +49,6 @@ class DegradationEvent:
 def solve_with_degradation(
     instance: GAPInstance,
     time_limit_s: Optional[float] = None,
-    assemble: str = "vectorized",
-    greedy_mode: str = "vectorized",
 ) -> GAPSolution:
     """Solve with Shmoys–Tardos under a time budget, degrading to greedy.
 
@@ -64,11 +62,9 @@ def solve_with_degradation(
     solution, and greedy would only dress that up.
     """
     try:
-        return shmoys_tardos(
-            instance, assemble=assemble, time_limit_s=time_limit_s
-        )
+        return shmoys_tardos(instance, time_limit_s=time_limit_s)
     except SolverTimeout as exc:
-        solution = greedy_gap(instance, mode=greedy_mode)
+        solution = greedy_gap(instance)
         return GAPSolution(
             instance=solution.instance,
             assignment=solution.assignment,

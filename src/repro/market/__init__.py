@@ -17,7 +17,7 @@ from repro.market.costs import (
 )
 from repro.market.market import ServiceMarket
 from repro.market.delta import MarketDelta
-from repro.market.compiled import REPRESENTATIONS, CompiledMarket, resolve_compiled
+from repro.market.compiled import CompiledMarket
 from repro.market.shard import (
     MarketPartition,
     ShardClassification,
@@ -42,8 +42,6 @@ __all__ = [
     "ServiceMarket",
     "MarketDelta",
     "CompiledMarket",
-    "REPRESENTATIONS",
-    "resolve_compiled",
     "MarketPartition",
     "ShardClassification",
     "ShardDelta",

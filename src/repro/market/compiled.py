@@ -3,19 +3,19 @@
 Every algorithm layer in the library consumes the same instance data —
 fixed caching costs (Eq. 3's ``c_l^ins + c_i^bdw``), per-cloudlet
 congestion charges ``(alpha_i + beta_i) * g(k)``, provider demand vectors
-and cloudlet capacity vectors — but historically each layer re-derived it
-from the :class:`~repro.market.market.ServiceMarket` object graph on every
-call: Appro rebuilt its GAP instance (Eq. 9) pair by pair, the baselines
-re-queried the cost model per candidate cloudlet, ``optimal`` re-tabulated
-fixed costs, and the game engine compiled its own private tables.
+and cloudlet capacity vectors. :class:`CompiledMarket` is the one
+structure-of-arrays all of them read: Appro's GAP build (Eq. 9) and
+capacity repair, the baselines' admission, ``optimal``'s fixed-cost table,
+the game engine's tables and the dynamic simulation's billing. It is the
+only instance representation the algorithms run on.
 
-:class:`CompiledMarket` is the one structure-of-arrays all of them share.
 It is built exactly once per market (``ServiceMarket.compile()`` caches it
 on the instance) by evaluating the cost model's own methods, so every table
-entry is **bit-equal** to the object-graph evaluation it replaces — the
-compiled and object paths must agree on placements and social costs
-exactly, which ``tests/integration/test_compiled_equivalence.py`` pins
-differentially.
+entry is **bit-equal** to the object-graph evaluation. The object-graph
+versions of the algorithms live on as test oracles
+(``tests/oracles/object_graph_reference.py``), and
+``tests/integration/test_compiled_equivalence.py`` pins the two to the same
+placements and social costs, bit for bit.
 
 It is also a *live* structure: when the market changes — providers arrive
 or depart, capacities or congestion prices move — a
@@ -64,13 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (market imports us)
 #: Tombstoned rows tolerated before :meth:`CompiledMarket.compact` fires
 #: (beyond one full active population's worth).
 COMPACTION_SLACK = 16
-
-#: Instance representations an algorithm can run on: ``"compiled"`` (the
-#: array-backed :class:`CompiledMarket`, the default) or ``"object"`` (the
-#: reference object-graph path, kept as the differential-testing oracle —
-#: the same role the ``"naive"`` engine plays for best-response dynamics).
-REPRESENTATIONS = ("compiled", "object")
-
 
 class _ProviderRow(NamedTuple):
     """One provider's worth of compiled table entries."""
@@ -734,29 +727,4 @@ class CompiledMarket:
         )
 
 
-def resolve_compiled(
-    market: "ServiceMarket",
-    representation: str = "compiled",
-    compiled: Optional[CompiledMarket] = None,
-) -> Optional[CompiledMarket]:
-    """Normalise an algorithm's ``(representation, compiled)`` arguments.
-
-    Returns the :class:`CompiledMarket` to run on (compiling on demand and
-    caching on the market instance), or ``None`` for the object-graph
-    reference path. Passing an explicit blob with ``representation="object"``
-    is contradictory and rejected.
-    """
-    if representation not in REPRESENTATIONS:
-        raise ConfigurationError(
-            f"unknown representation {representation!r}; choose from {REPRESENTATIONS}"
-        )
-    if representation == "object":
-        if compiled is not None:
-            raise ConfigurationError(
-                "representation='object' cannot take a precompiled market"
-            )
-        return None
-    return compiled if compiled is not None else market.compile()
-
-
-__all__ = ["COMPACTION_SLACK", "REPRESENTATIONS", "CompiledMarket", "resolve_compiled"]
+__all__ = ["COMPACTION_SLACK", "CompiledMarket"]

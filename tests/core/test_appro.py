@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.appro import appro
+from repro.core.lcf import lcf
 from repro.core.optimal import optimal_caching
-from repro.exceptions import InfeasibleError
+from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.market.market import ServiceMarket
 from repro.market.pricing import Pricing
 
@@ -93,3 +94,50 @@ class TestQuality:
 
     def test_algorithm_label(self, small_market):
         assert appro(small_market).algorithm == "Appro[shmoys_tardos]"
+
+
+class TestOptionValidation:
+    """Options appro cannot honour raise up front, warm start included,
+    instead of being silently ignored. The tiny line market keeps a
+    regression (an option accepted and a solve run) fast."""
+
+    @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
+    def test_non_positive_lp_time_limit_rejected(self, limit):
+        market = make_market()
+        with pytest.raises(ConfigurationError):
+            appro(market, lp_time_limit_s=limit)
+
+    def test_non_positive_lp_time_limit_rejected_on_warm_start(self):
+        # A warm replan never reaches the LP that used to validate it.
+        market = make_market()
+        previous = appro(market)
+        with pytest.raises(ConfigurationError):
+            appro(market, lp_time_limit_s=-1.0, warm_start=previous)
+
+    @pytest.mark.parametrize(
+        "gap_solver,limit", [("greedy", -1.0), ("greedy", 5.0), ("exact", 0.0)]
+    )
+    def test_lp_time_limit_needs_the_lp_solver(self, gap_solver, limit):
+        market = make_market()
+        with pytest.raises(ConfigurationError):
+            appro(market, gap_solver=gap_solver, lp_time_limit_s=limit)
+
+    def test_lcf_forwards_the_lp_time_limit_check(self):
+        market = make_market()
+        with pytest.raises(ConfigurationError):
+            lcf(market, xi=0.5, gap_solver="greedy", lp_time_limit_s=-5.0)
+
+    def test_unknown_slot_pricing_rejected_on_warm_start(self):
+        market = make_market()
+        previous = appro(market)
+        with pytest.raises(ConfigurationError):
+            appro(market, slot_pricing="bogus", warm_start=previous)
+
+    def test_lp_time_limit_accepted_with_warm_start(self):
+        market = make_market()
+        # A warm replan skips the LP, but the cold first epoch of the same
+        # configuration does solve it, so the option stays valid.
+        previous = appro(market, lp_time_limit_s=60.0)
+        warm = appro(market, lp_time_limit_s=60.0, warm_start=previous)
+        assert warm.algorithm == "Appro[warm]"
+        assert warm.placement == previous.placement

@@ -1,8 +1,10 @@
 """Capacity-tolerance regressions (the shared ``CAPACITY_EPS`` slack).
 
 Feasibility checks across the codebase (game moves, greedy seeding,
-Appro's ``_fits``/``_repair_capacities``, assignment validation) all share
-:data:`repro.utils.validation.CAPACITY_EPS`. The key regression: a demand
+``CompiledMarket.fits_mask`` and Appro's ``_repair_capacities``, their
+object-graph oracles ``_fits``/``object_repair_capacities`` in
+``tests/oracles/object_graph_reference.py``, assignment validation) all
+share :data:`repro.utils.validation.CAPACITY_EPS`. The key regression: a demand
 that *exactly* fills the residual capacity must be accepted even when
 float accumulation pushes the sum a few ulps over (0.1 + 0.1 + 0.1 >
 0.3), rather than being bounced by a strict ``<=``.
@@ -11,13 +13,19 @@ float accumulation pushes the sum a few ulps over (0.1 + 0.1 + 0.1 >
 import numpy as np
 import pytest
 
-from repro.core.appro import _fits, _loads, _repair_capacities, appro
+from repro.core.appro import _repair_capacities, appro
 from repro.exceptions import InfeasibleError
 from repro.game.best_response import greedy_feasible_profile
 from repro.game.congestion import SingletonCongestionGame
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
 from repro.utils.validation import CAPACITY_EPS
+
+from tests.oracles.object_graph_reference import (
+    _fits,
+    _loads,
+    object_repair_capacities,
+)
 
 
 def exact_fit_game(n_players=3, per_demand=0.1):
@@ -92,19 +100,39 @@ class TestApproFits:
             cl.bandwidth_capacity - p.bandwidth_demand,
         ]
         assert _fits(market, cl.node_id, load, pid)
+        cm = market.compile()
+        loads = np.zeros((cm.n_cloudlets, 2))
+        loads[cm.cloudlet_index[cl.node_id]] = load
+        assert cm.fits_mask(cm.provider_row(pid), loads)[
+            cm.cloudlet_index[cl.node_id]
+        ]
 
     def test_fits_rejects_true_overflow(self, market):
         cl = market.network.cloudlets[0]
         pid = market.providers[0].provider_id
         load = [cl.compute_capacity, cl.bandwidth_capacity]
         assert not _fits(market, cl.node_id, load, pid)
+        cm = market.compile()
+        loads = np.zeros((cm.n_cloudlets, 2))
+        loads[cm.cloudlet_index[cl.node_id]] = load
+        assert not cm.fits_mask(cm.provider_row(pid), loads)[
+            cm.cloudlet_index[cl.node_id]
+        ]
 
     def test_repair_restores_feasibility(self, market):
         # Pile every provider onto one cloudlet: heavily overloaded.
         node = market.network.cloudlets[0].node_id
         placement = {p.provider_id: node for p in market.providers}
         original = set(placement)
-        repaired, rejected, moves = _repair_capacities(market, dict(placement))
+        repaired, rejected, moves = _repair_capacities(
+            market, dict(placement), market.compile()
+        )
+        # The object-graph oracle evicts and re-places identically.
+        assert object_repair_capacities(market, dict(placement)) == (
+            repaired,
+            rejected,
+            moves,
+        )
         loads = _loads(market, repaired)
         for cl in market.network.cloudlets:
             load = loads[cl.node_id]

@@ -1,4 +1,10 @@
-"""Tests for the Eq. (7)–(9) virtual-cloudlet reduction."""
+"""Tests for the Eq. (7)–(9) virtual-cloudlet reduction.
+
+Every GAP instance is built twice: by the library (from the compiled
+tables) and by the object-graph oracle of
+``tests/oracles/object_graph_reference.py`` (per-pair cost-model queries).
+The two must agree bit for bit before any property is checked.
+"""
 
 import math
 
@@ -11,12 +17,24 @@ from repro.market.market import ServiceMarket
 from repro.market.pricing import Pricing
 
 from tests.conftest import build_line_network, build_provider
+from tests.oracles.object_graph_reference import object_build_gap_instance
 
 
 def make_market(n_providers=4, compute=10.0, bandwidth=500.0):
     net = build_line_network(compute=compute, bandwidth=bandwidth)
     providers = [build_provider(i) for i in range(n_providers)]
     return ServiceMarket(net, providers, pricing=Pricing())
+
+
+def build_instance(split):
+    """The split's GAP instance, pinned bit for bit to the object-graph
+    oracle's."""
+    inst = split.build_gap_instance()
+    oracle = object_build_gap_instance(split)
+    np.testing.assert_array_equal(inst.costs, oracle.costs)
+    np.testing.assert_array_equal(inst.weights, oracle.weights)
+    np.testing.assert_array_equal(inst.capacities, oracle.capacities)
+    return inst
 
 
 class TestSplitCounts:
@@ -61,7 +79,7 @@ class TestSplitCounts:
         providers = [build_provider(0)]
         market = ServiceMarket(net, providers)
         split = VirtualCloudletSplit(market, allow_remote=True)
-        inst = split.build_gap_instance()
+        inst = build_instance(split)
         assert inst.n_bins == 1  # just the remote bin
 
     def test_bad_pricing_mode_rejected(self):
@@ -74,7 +92,7 @@ class TestGAPInstance:
     def test_one_service_per_slot(self):
         market = make_market()
         split = VirtualCloudletSplit(market)
-        inst = split.build_gap_instance()
+        inst = build_instance(split)
         # uniform weights equal to capacities: exactly one item fits a bin.
         assert np.allclose(inst.weights, split.slot_capacity)
         assert np.allclose(inst.capacities, split.slot_capacity)
@@ -82,7 +100,7 @@ class TestGAPInstance:
     def test_flat_pricing_is_eq9(self):
         market = make_market()
         split = VirtualCloudletSplit(market, slot_pricing="flat")
-        inst = split.build_gap_instance()
+        inst = build_instance(split)
         model = market.cost_model
         for j, provider in enumerate(market.providers):
             for vc in split.virtual_cloudlets:
@@ -92,7 +110,7 @@ class TestGAPInstance:
     def test_flat_pricing_equal_across_slots(self):
         market = make_market()
         split = VirtualCloudletSplit(market, slot_pricing="flat")
-        inst = split.build_gap_instance()
+        inst = build_instance(split)
         by_cloudlet = {}
         for vc in split.virtual_cloudlets:
             by_cloudlet.setdefault(vc.cloudlet_node, []).append(inst.costs[0, vc.index])
@@ -102,7 +120,7 @@ class TestGAPInstance:
     def test_marginal_pricing_increases_with_slot(self):
         market = make_market()
         split = VirtualCloudletSplit(market, slot_pricing="marginal")
-        inst = split.build_gap_instance()
+        inst = build_instance(split)
         for node in sorted({vc.cloudlet_node for vc in split.virtual_cloudlets}):
             slots = sorted(
                 (vc for vc in split.virtual_cloudlets if vc.cloudlet_node == node),
@@ -116,7 +134,7 @@ class TestGAPInstance:
         social congestion cost k * (alpha+beta) * g(k) = (alpha+beta)k^2."""
         market = make_market()
         split = VirtualCloudletSplit(market, slot_pricing="marginal")
-        inst = split.build_gap_instance()
+        inst = build_instance(split)
         model = market.cost_model
         provider = market.providers[0]
         node = split.virtual_cloudlets[0].cloudlet_node
@@ -133,7 +151,7 @@ class TestGAPInstance:
     def test_remote_bin_costs(self):
         market = make_market()
         split = VirtualCloudletSplit(market, allow_remote=True)
-        inst = split.build_gap_instance()
+        inst = build_instance(split)
         model = market.cost_model
         for j, provider in enumerate(market.providers):
             assert inst.costs[j, split.remote_bin] == pytest.approx(

@@ -34,6 +34,8 @@ from repro.market.delta import MarketDelta
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
 
+from tests.oracles.object_graph_reference import ObjectRebuildSimulation
+
 RECOVERY_POLICIES = ("failover", "replan", "hysteresis")
 
 
@@ -187,7 +189,11 @@ class TestOutageDelta:
 # --------------------------------------------------------------------- #
 # 3. The acceptance pin: compiled/warm == object oracle under outages
 # --------------------------------------------------------------------- #
-def outage_sim(seed, representation, recovery, policy="incremental", epochs_hint=100):
+#: The two arms of the acceptance pin: the library and the object oracle.
+ARMS = {"compiled": DynamicMarketSimulation, "object": ObjectRebuildSimulation}
+
+
+def outage_sim(seed, arm, recovery, policy="incremental", epochs_hint=100):
     """One arm: its own network, population, and trace, all seeded alike."""
     network = outage_network(seed=71)
     population = PopulationProcess(
@@ -198,12 +204,11 @@ def outage_sim(seed, representation, recovery, policy="incremental", epochs_hint
         rng=seed,
     )
     trace = IndependentOutageTrace(network, mttf=7.0, mttr=3.0, rng=seed + 1)
-    return DynamicMarketSimulation(
+    return ARMS[arm](
         network,
         population,
         policy=policy,
         gap_solver="greedy",
-        representation=representation,
         warm_start=True,
         outages=trace,
         recovery=recovery,
@@ -238,7 +243,7 @@ class TestOutagesUnderLatencyBudget:
     cost; these seeds used to do so within 3 to 11 epochs."""
 
     @staticmethod
-    def budget_sim(seed, representation):
+    def budget_sim(seed, arm):
         network = random_mec_network(200, rng=seed)
         population = PopulationProcess(
             network, arrival_rate=40, mean_lifetime=20, rng=seed
@@ -246,13 +251,12 @@ class TestOutagesUnderLatencyBudget:
         trace = IndependentOutageTrace(
             network, mttf=8, mttr=3, min_survivors=3, rng=seed
         )
-        return DynamicMarketSimulation(
+        return ARMS[arm](
             network,
             population,
             policy="hysteresis",
             latency_budget_ms=3.0,
             outages=trace,
-            representation=representation,
         )
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])

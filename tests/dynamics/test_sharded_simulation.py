@@ -33,7 +33,8 @@ class TestValidation:
             make_sim(network, sharding="hash")
 
     def test_object_representation_rejected(self, network):
-        with pytest.raises(ConfigurationError):
+        # One representation: the representation= option is gone.
+        with pytest.raises(TypeError):
             make_sim(network, sharding="region", representation="object")
 
     def test_boundary_rounds_floor(self, network):

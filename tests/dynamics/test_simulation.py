@@ -29,6 +29,11 @@ class TestPolicies:
         with pytest.raises(ConfigurationError):
             make_sim(network, policy="oracle")
 
+    @pytest.mark.parametrize("policy", ["replan", "incremental", "hysteresis"])
+    def test_unknown_gap_solver_rejected(self, network, policy):
+        with pytest.raises(ConfigurationError):
+            make_sim(network, policy=policy, gap_solver="bogus")
+
     def test_replan_runs_and_bills(self, network):
         summary = make_sim(network, "replan").run(5)
         assert len(summary.epochs) == 5

@@ -11,12 +11,15 @@ same order.
 
 The matrix here covers that claim against both oracles across 3 seeds x 3
 congestion functions (linear, quadratic, M/M/1) x 2 representations
-(compiled tables vs the object-graph cost callables), on synthetic games
+(compiled tables vs the object-graph oracle of
+``tests/oracles/object_graph_reference.py``), on synthetic games
 and on full service markets, through ``best_response_dynamics`` directly
 and through the whole ``lcf`` pipeline. The sparse and dense commit paths
 of the kernel are both exercised (the dense path needs
 ``fired * resources`` above :data:`repro.game.batch.SPARSE_REPROPOSE_BUDGET`).
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from repro.utils.rng import as_rng
 
 from tests.game.test_engine_equivalence import random_game
 from tests.oracles.best_response_reference import DYNAMICS, use_kernel
+from tests.oracles.object_graph_reference import object_market_game, use_object_graph
 
 SEEDS = (131, 257, 509)
 
@@ -43,7 +47,10 @@ CONGESTIONS = {
     "mm1": MM1Congestion,
 }
 
-REPRESENTATIONS = ("compiled", "object")
+#: How each representation builds the market's game and runs a pipeline.
+GAMES = {"compiled": market_game, "object": object_market_game}
+PIPELINES = {"compiled": contextlib.nullcontext, "object": use_object_graph}
+REPRESENTATIONS = tuple(GAMES)
 
 
 def assert_bit_identical(batch, incremental):
@@ -185,7 +192,7 @@ class TestMarketMatrix:
             network, n_providers=16, rng=seed + 1000,
             congestion=CONGESTIONS[congestion](),
         )
-        game = market_game(market, use_compiled=representation == "compiled")
+        game = GAMES[representation](market)
         start = greedy_feasible_profile(game)
         results = run_three_engines(game, start)
         batch, incr = results["batch"], results["incremental"]
@@ -208,10 +215,10 @@ class TestMarketMatrix:
         market = generate_market(network, n_providers=14, rng=seed + 2000)
         runs = {}
         for engine in ("naive", "incremental", "batch"):
-            with use_kernel(engine):
+            with use_kernel(engine), PIPELINES[representation]():
                 runs[engine] = lcf(
                     market, xi=0.5, allow_remote=True, information="full",
-                    representation=representation, gap_solver="greedy",
+                    gap_solver="greedy",
                 )
         incr, batch = runs["incremental"], runs["batch"]
         assert batch.assignment.placement == incr.assignment.placement

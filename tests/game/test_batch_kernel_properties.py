@@ -15,8 +15,8 @@ Three layers of lockdown on :mod:`repro.game.batch`:
    churn trace (arrivals, departures, capacity shocks) replanned warm with
    the batch kernel stays pinned, epoch by epoch, to the object-graph
    oracle (the incremental reference engine of
-   ``tests/oracles/best_response_reference.py`` on the object
-   representation).
+   ``tests/oracles/best_response_reference.py`` run on the object-graph
+   pipeline of ``tests/oracles/object_graph_reference.py``).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from repro.utils.validation import CAPACITY_EPS
 from tests.dynamics.conftest import draw_providers
 from tests.game.test_engine_equivalence import random_game
 from tests.oracles.best_response_reference import use_kernel
+from tests.oracles.object_graph_reference import use_object_graph
 
 _CONGESTIONS = (LinearCongestion, QuadraticCongestion, MM1Congestion)
 
@@ -241,14 +242,12 @@ class TestChurnFuzz:
                 continue
             batch = lcf(
                 market, xi=0.5, allow_remote=True, information="full",
-                representation="compiled", gap_solver="greedy",
-                warm_start=batch_prior,
+                gap_solver="greedy", warm_start=batch_prior,
             )
-            with use_kernel("incremental"):
+            with use_kernel("incremental"), use_object_graph():
                 oracle = lcf(
                     market, xi=0.5, allow_remote=True, information="full",
-                    representation="object", gap_solver="greedy",
-                    warm_start=oracle_prior,
+                    gap_solver="greedy", warm_start=oracle_prior,
                 )
             assert batch.assignment.placement == oracle.assignment.placement, (
                 f"epoch {epoch}: batch/compiled diverged from the object oracle"

@@ -1,15 +1,18 @@
-"""Differential tests: compiled-representation paths against the object graph.
+"""Differential tests: the compiled library paths against the object graph.
 
 The :class:`~repro.market.compiled.CompiledMarket` layer is only allowed to
 change *how fast* algorithms evaluate the instance, never *what* they
 decide. For Appro (GAP build + capacity repair), LCF, both baselines, the
-PoA social-cost path and the sweep harness's precompiled dispatch, these
-tests pin ``representation="compiled"`` to ``representation="object"`` on
+GAP LP assembly and greedy rounds, the PoA social-cost path and the sweep
+harness's precompiled dispatch, these tests pin the library to the
+object-graph oracles of ``tests/oracles/object_graph_reference.py`` on
 randomized markets: identical placements, identical rejection sets, and
 bit-equal social costs.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +28,16 @@ from repro.game.poa import worst_equilibrium_cost
 from repro.market.costs import LinearCongestion, MM1Congestion, QuadraticCongestion
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
+
+from tests.oracles.object_graph_reference import (
+    _assemble_scalar,
+    _greedy_scalar,
+    object_build_gap_instance,
+    object_jo_offload_cache,
+    object_market_game,
+    object_offload_cache,
+    use_object_graph,
+)
 
 METRIC_FIELDS = ("social_cost", "coordinated_cost", "selfish_cost", "rejected", "samples")
 
@@ -64,8 +77,9 @@ class TestApproEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_placements_and_costs_match(self, gap_solver, seed):
         market = make_market(40 + seed)
-        c = appro(market, gap_solver=gap_solver, representation="compiled")
-        o = appro(market, gap_solver=gap_solver, representation="object")
+        c = appro(market, gap_solver=gap_solver)
+        with use_object_graph():
+            o = appro(market, gap_solver=gap_solver)
         assert_same_assignment(market, c, o)
         assert c.info["gap_cost"] == o.info["gap_cost"]
         assert c.info["repair_moves"] == o.info["repair_moves"]
@@ -73,8 +87,9 @@ class TestApproEquivalence:
     @pytest.mark.parametrize("slot_pricing", ["marginal", "flat"])
     def test_pricing_modes_match(self, slot_pricing):
         market = make_market(50)
-        c = appro(market, slot_pricing=slot_pricing, representation="compiled")
-        o = appro(market, slot_pricing=slot_pricing, representation="object")
+        c = appro(market, slot_pricing=slot_pricing)
+        with use_object_graph():
+            o = appro(market, slot_pricing=slot_pricing)
         assert_same_assignment(market, c, o)
 
     @pytest.mark.parametrize("name", sorted(CONGESTIONS))
@@ -82,8 +97,9 @@ class TestApproEquivalence:
         # A tight market (many providers per cloudlet slot) exercises the
         # remote bin and the repair's eviction loop.
         market = make_market(60, congestion=CONGESTIONS[name], n_providers=20, n_nodes=25)
-        c = appro(market, allow_remote=True, representation="compiled")
-        o = appro(market, allow_remote=True, representation="object")
+        c = appro(market, allow_remote=True)
+        with use_object_graph():
+            o = appro(market, allow_remote=True)
         assert_same_assignment(market, c, o)
 
     def test_gap_instances_are_identical(self):
@@ -95,8 +111,8 @@ class TestApproEquivalence:
                 split = VirtualCloudletSplit(
                     market, allow_remote=allow_remote, slot_pricing=slot_pricing
                 )
-                obj = split.build_gap_instance()
-                cmp_ = split.build_gap_instance(compiled=market.compile())
+                obj = object_build_gap_instance(split)
+                cmp_ = split.build_gap_instance()
                 assert np.array_equal(obj.costs, cmp_.costs)
                 assert np.array_equal(obj.weights, cmp_.weights)
                 assert np.array_equal(obj.capacities, cmp_.capacities)
@@ -107,8 +123,9 @@ class TestLCFEquivalence:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_placements_and_costs_match(self, information, seed):
         market = make_market(80 + seed)
-        c = lcf(market, xi=0.6, information=information, representation="compiled")
-        o = lcf(market, xi=0.6, information=information, representation="object")
+        c = lcf(market, xi=0.6, information=information)
+        with use_object_graph():
+            o = lcf(market, xi=0.6, information=information)
         assert c.coordinated_ids == o.coordinated_ids
         assert c.br_rounds == o.br_rounds
         assert c.br_moves == o.br_moves
@@ -117,25 +134,33 @@ class TestLCFEquivalence:
 
     def test_allow_remote_matches(self):
         market = make_market(90, n_providers=20, n_nodes=25)
-        c = lcf(market, xi=0.5, allow_remote=True, representation="compiled")
-        o = lcf(market, xi=0.5, allow_remote=True, representation="object")
+        c = lcf(market, xi=0.5, allow_remote=True)
+        with use_object_graph():
+            o = lcf(market, xi=0.5, allow_remote=True)
         assert_same_assignment(market, c.assignment, o.assignment)
 
 
+#: Each baseline paired with its object-graph oracle.
+BASELINES = [
+    pytest.param(jo_offload_cache, object_jo_offload_cache, id="jo_offload_cache"),
+    pytest.param(offload_cache, object_offload_cache, id="offload_cache"),
+]
+
+
 class TestBaselineEquivalence:
-    @pytest.mark.parametrize("baseline", [jo_offload_cache, offload_cache])
+    @pytest.mark.parametrize("baseline,oracle", BASELINES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_placements_and_costs_match(self, baseline, seed):
+    def test_placements_and_costs_match(self, baseline, oracle, seed):
         market = make_market(100 + seed)
-        c = baseline(market, representation="compiled")
-        o = baseline(market, representation="object")
+        c = baseline(market)
+        o = oracle(market)
         assert_same_assignment(market, c, o)
 
-    @pytest.mark.parametrize("baseline", [jo_offload_cache, offload_cache])
-    def test_rejections_match_on_tight_market(self, baseline):
+    @pytest.mark.parametrize("baseline,oracle", BASELINES)
+    def test_rejections_match_on_tight_market(self, baseline, oracle):
         market = make_market(110, n_providers=24, n_nodes=25)
-        c = baseline(market, representation="compiled")
-        o = baseline(market, representation="object")
+        c = baseline(market)
+        o = oracle(market)
         assert_same_assignment(market, c, o)
 
 
@@ -181,8 +206,8 @@ class TestCompiledGameView:
 
 
 class TestLPAssemblyEquivalence:
-    """The vectorized LP assembly must reproduce the scalar reference
-    bit-for-bit: same allowed-pair enumeration, same matrices, same
+    """The library's bulk LP assembly must reproduce the per-pair scalar
+    oracle bit-for-bit: same allowed-pair enumeration, same matrices, same
     relaxation."""
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -194,8 +219,9 @@ class TestLPAssemblyEquivalence:
         market = make_market(180 + seed)
         split = VirtualCloudletSplit(market, allow_remote=allow_remote)
         instance = split.build_gap_instance()
-        scalar = solve_lp_relaxation(instance, assemble="scalar")
-        vector = solve_lp_relaxation(instance, assemble="vectorized")
+        with mock.patch("repro.gap.lp._assemble", _assemble_scalar):
+            scalar = solve_lp_relaxation(instance)
+        vector = solve_lp_relaxation(instance)
         assert vector.value == scalar.value
         assert np.array_equal(vector.fractions, scalar.fractions)
 
@@ -210,19 +236,21 @@ class TestLPAssemblyEquivalence:
                 assert bool(mask[j, i]) == instance.allowed(j, i)
 
     def test_unknown_assembly_rejected(self):
+        # One assembly path: the assemble= option left every solver.
         from repro.core.virtual_cloudlets import VirtualCloudletSplit
-        from repro.exceptions import ConfigurationError
-        from repro.gap.lp import ASSEMBLIES, solve_lp_relaxation
+        from repro.gap.ladder import solve_with_degradation
+        from repro.gap.lp import solve_lp_relaxation
+        from repro.gap.shmoys_tardos import shmoys_tardos
 
-        assert ASSEMBLIES == ("vectorized", "scalar")
         market = make_market(195)
         instance = VirtualCloudletSplit(market).build_gap_instance()
-        with pytest.raises(ConfigurationError):
-            solve_lp_relaxation(instance, assemble="sparse")
+        for solver in (solve_lp_relaxation, shmoys_tardos, solve_with_degradation):
+            with pytest.raises(TypeError):
+                solver(instance, assemble="scalar")
 
 
 class TestGreedyModeEquivalence:
-    """The vectorized greedy rounds must reproduce the scalar reference's
+    """The library's array greedy rounds must reproduce the scalar oracle's
     assignment item for item (same regret order, same tie-breaks)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -235,31 +263,36 @@ class TestGreedyModeEquivalence:
         market = make_market(210 + seed, n_providers=20, n_nodes=25)
         split = VirtualCloudletSplit(market, allow_remote=allow_remote)
         instance = split.build_gap_instance()
-        scalar = greedy_gap(instance, mode="scalar")
-        vector = greedy_gap(instance, mode="vectorized")
+        with mock.patch("repro.gap.greedy._greedy_assignment", _greedy_scalar):
+            scalar = greedy_gap(instance)
+        vector = greedy_gap(instance)
         assert vector.assignment == scalar.assignment
         assert vector.cost == scalar.cost
 
     def test_unknown_mode_rejected(self):
+        # One greedy path: mode= and the ladder's greedy_mode= are gone.
         from repro.core.virtual_cloudlets import VirtualCloudletSplit
-        from repro.exceptions import ConfigurationError
-        from repro.gap.greedy import MODES, greedy_gap
+        from repro.gap.greedy import greedy_gap
+        from repro.gap.ladder import solve_with_degradation
 
-        assert MODES == ("vectorized", "scalar")
         market = make_market(220)
         instance = VirtualCloudletSplit(market).build_gap_instance()
-        with pytest.raises(ConfigurationError):
-            greedy_gap(instance, mode="fast")
+        with pytest.raises(TypeError):
+            greedy_gap(instance, mode="scalar")
+        with pytest.raises(TypeError):
+            solve_with_degradation(instance, greedy_mode="scalar")
 
 
 class TestUncompiledGameBridge:
-    """market_game(use_compiled=False) rebuilds its tables from the cost
+    """The object-graph game oracle rebuilds its tables from the cost
     callables — the pre-compiled path — and must stay bit-equal."""
 
     def test_tables_match_factory_view(self):
         market = make_market(200)
         fast = market_game(market).compile()
-        plain_game = market_game(market, use_compiled=False)
+        with pytest.raises(TypeError):
+            market_game(market, use_compiled=False)
+        plain_game = object_market_game(market)
         assert plain_game.compiled_factory is None
         slow = plain_game.compile()
         assert np.array_equal(fast.fixed, slow.fixed)

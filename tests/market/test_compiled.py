@@ -16,7 +16,14 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.market.compiled import REPRESENTATIONS, CompiledMarket, resolve_compiled
+import repro.market
+import repro.market.compiled
+from repro.core.appro import appro
+from repro.core.baselines import jo_offload_cache, offload_cache
+from repro.core.lcf import lcf
+from repro.dynamics.population import PopulationProcess
+from repro.dynamics.simulation import DynamicMarketSimulation
+from repro.market.compiled import CompiledMarket
 from repro.market.costs import LinearCongestion, MM1Congestion, QuadraticCongestion
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
@@ -276,24 +283,56 @@ class TestCachingAndInvalidation:
 
 
 class TestResolveCompiled:
-    def test_default_compiles_and_caches(self, small_market):
-        cm = resolve_compiled(small_market)
-        assert cm is small_market.compile()
+    """Every algorithm runs on ``compiled if compiled is not None else
+    market.compile()``: the market's cached blob by default, an explicit
+    blob when one is given, and no switch to another representation."""
 
-    def test_explicit_blob_wins(self, small_market):
+    ALGORITHMS = (appro, lcf, jo_offload_cache, offload_cache)
+
+    def test_default_compiles_and_caches(self, small_market, monkeypatch):
+        small_market.invalidate_compiled()
+        builds = []
+        original = CompiledMarket.from_market
+
+        def counting(market):
+            builds.append(market)
+            return original(market)
+
+        monkeypatch.setattr(CompiledMarket, "from_market", counting)
+        for algorithm in self.ALGORITHMS:
+            algorithm(small_market)
+        assert builds == [small_market]
+
+    def test_explicit_blob_wins(self, small_market, monkeypatch):
         blob = small_market.compile()
-        assert resolve_compiled(small_market, "compiled", blob) is blob
+        small_market.invalidate_compiled()
+
+        def no_compile():
+            raise AssertionError("an explicit blob must not be recompiled")
+
+        monkeypatch.setattr(small_market, "compile", no_compile)
+        for algorithm in (appro, jo_offload_cache, offload_cache):
+            algorithm(small_market, compiled=blob)
 
     def test_object_path_returns_none(self, small_market):
-        assert resolve_compiled(small_market, "object") is None
+        # The object-graph path left src/; it is a test oracle now.
+        for algorithm in self.ALGORITHMS:
+            with pytest.raises(TypeError):
+                algorithm(small_market, representation="object")
 
     def test_object_with_blob_is_rejected(self, small_market):
-        with pytest.raises(ConfigurationError):
-            resolve_compiled(small_market, "object", small_market.compile())
+        blob = small_market.compile()
+        for algorithm in self.ALGORITHMS:
+            with pytest.raises(TypeError):
+                algorithm(small_market, representation="object", compiled=blob)
 
     def test_unknown_representation_rejected(self, small_market):
-        with pytest.raises(ConfigurationError):
-            resolve_compiled(small_market, "vectorised")
+        network = small_market.network
+        population = PopulationProcess(network, arrival_rate=1.0, rng=0)
+        with pytest.raises(TypeError):
+            DynamicMarketSimulation(network, population, representation="compiled")
 
     def test_representations_tuple(self):
-        assert REPRESENTATIONS == ("compiled", "object")
+        for module in (repro.market, repro.market.compiled):
+            assert not hasattr(module, "REPRESENTATIONS")
+            assert not hasattr(module, "resolve_compiled")
