@@ -10,7 +10,7 @@ shards x instance-size grid. Three assertions ride along:
 * on the large tier the best sharded configuration must be at least
   ``SPEEDUP_BAR`` x the global engine in providers/sec, and must stay
   within 10% of the previously recorded number (the CI regression bar);
-* interiors settled on a two-worker :class:`ShardExecutor` must be at
+* interiors settled on a ``Runtime(workers=2)`` must be at
   least as fast as the serial path (skipped on single-CPU hosts, where
   process-pool parallelism cannot win).
 """

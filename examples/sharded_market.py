@@ -35,6 +35,7 @@ from repro.game.partitioned import game_from_compiled, partitioned_best_response
 from repro.market.shard import classify_providers, partition_market
 from repro.market.workload import generate_market
 from repro.network import random_mec_network
+from repro.runtime import Runtime
 from repro.utils.tables import Table
 from repro.utils.validation import CAPACITY_EPS
 
@@ -129,12 +130,14 @@ def main() -> None:
         mean_lifetime=8.0, rng=args.seed + 2,
         initial_population=args.providers,
     )
-    with DynamicMarketSimulation(
-        network, population, policy="incremental",
-        sharding="region", n_shards=args.shards,
-        boundary_rounds=args.boundary_rounds,
-        shard_workers=args.workers,
-    ) as sim:
+    with Runtime(workers=args.workers) as runtime:
+        sim = DynamicMarketSimulation(
+            network, population, policy="incremental",
+            sharding="region", n_shards=args.shards,
+            boundary_rounds=args.boundary_rounds,
+            latency_budget_ms=args.latency_budget,
+            shard_runtime=runtime,
+        )
         t0 = time.perf_counter()
         summary = sim.run(args.epochs)
         elapsed = time.perf_counter() - t0

@@ -183,9 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="churn epochs to simulate (default 5)")
     shard.add_argument("--boundary-rounds", type=int, default=8,
                        help="interior/boundary reconciliation cap (default 8)")
-    shard.add_argument("--workers", type=int, default=1,
+    where = shard.add_mutually_exclusive_group()
+    where.add_argument("--workers", type=int, default=None,
                        help="shard worker processes (default 1 = serial)")
-    shard.add_argument("--spool", metavar="DIR", default=None,
+    where.add_argument("--spool", metavar="DIR", default=None,
                        help="shared spool directory: settle shard interiors "
                        "on the `repro host` agents serving DIR instead of a "
                        "local pool (mutually exclusive with --workers)")
@@ -308,6 +309,7 @@ def _run_shard(args) -> int:
     from repro.market.shard import classify_providers, partition_market
     from repro.market.workload import generate_market
     from repro.network.generators import random_mec_network
+    from repro.runtime import Runtime
 
     network = random_mec_network(args.nodes, rng=args.seed)
     market = generate_market(
@@ -370,19 +372,14 @@ def _run_shard(args) -> int:
         mean_lifetime=8.0, rng=args.seed + 2,
         initial_population=args.providers,
     )
-    dispatch = (
-        {"shard_spool": args.spool}
-        if args.spool is not None
-        else {"shard_workers": args.workers}
-    )
-    with DynamicMarketSimulation(
-        network, population, policy="incremental",
-        sharding="region", n_shards=args.shards,
-        boundary_rounds=args.boundary_rounds,
-        latency_budget_ms=args.latency_budget,
-        **dispatch,
-    ) as sim:
-        summary = sim.run(args.epochs)
+    with Runtime(workers=args.workers, spool=args.spool) as runtime:
+        summary = DynamicMarketSimulation(
+            network, population, policy="incremental",
+            sharding="region", n_shards=args.shards,
+            boundary_rounds=args.boundary_rounds,
+            latency_budget_ms=args.latency_budget,
+            shard_runtime=runtime,
+        ).run(args.epochs)
     certified = sum(
         1 for e in summary.epochs if e.equilibrium_certified
     )

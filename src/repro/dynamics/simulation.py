@@ -241,26 +241,12 @@ class DynamicMarketSimulation:
         Shard count for :func:`~repro.market.shard.partition_market`
         (default: one shard per cloudlet-bearing region) and the cap on
         interior/boundary reconciliation iterations per settle.
-    shard_workers:
-        Settle shard interiors on a :class:`~repro.runtime.Runtime`
-        process pool of this size (``None``/``1`` = serial, the
-        deterministic reference). Call :meth:`close` (or use the
-        simulation as a context manager) to release the pool.
     shard_runtime:
-        Alternatively, a caller-owned live :class:`~repro.runtime.Runtime`
-        to settle on (mutually exclusive with ``shard_workers``); the
-        simulation borrows it — its workers and blob store persist after
-        :meth:`close`.
-    shard_spool:
-        Alternatively again (mutually exclusive with both), a shared
-        spool directory: interiors settle on an owned
-        :class:`~repro.runtime.remote.RemoteTransport` against the
-        ``repro host`` agents serving that spool, shipping shard
-        sub-views once per ``(shard, seq)`` into the content-addressed
-        store.  Host loss surfaces through the runtime's quarantine
-        machinery; when the live-host set drops below the transport's
-        floor the settle degrades to a local pool and records a
-        :class:`~repro.runtime.remote.DegradationEvent`.
+        Where shard interiors settle: a caller-owned live
+        :class:`~repro.runtime.Runtime` (``Runtime(workers=N)``,
+        ``Runtime(spool=DIR)`` or ``Runtime(transport=...)``) that the
+        simulation borrows and never closes; ``None`` settles serially,
+        the deterministic reference. Region sharding only.
     shard_journal:
         Optional :class:`~repro.runtime.CheckpointJournal`
         handed to the :class:`~repro.market.shard.ShardLog`: every routed
@@ -268,7 +254,7 @@ class DynamicMarketSimulation:
         under ``(seq, shard_id)`` before the epoch settles, and
         :meth:`ShardLog.replay <repro.market.shard.ShardLog.replay>`
         rebuilds the delta stream deterministically from it after a
-        crash.
+        crash. Region sharding only.
     """
 
     def __init__(
@@ -290,9 +276,7 @@ class DynamicMarketSimulation:
         sharding: str = "none",
         n_shards: Optional[int] = None,
         boundary_rounds: int = 8,
-        shard_workers: Optional[int] = None,
         shard_runtime: Optional["Runtime"] = None,
-        shard_spool: Optional[str] = None,
         shard_journal: Optional["CheckpointJournal"] = None,
     ) -> None:
         if policy not in _POLICIES:
@@ -320,12 +304,12 @@ class DynamicMarketSimulation:
             raise ConfigurationError(
                 f"hysteresis_threshold must be >= 0, got {hysteresis_threshold}"
             )
-        if sum(
-            arg is not None for arg in (shard_workers, shard_runtime, shard_spool)
-        ) > 1:
+        if sharding == "none" and (
+            shard_runtime is not None or shard_journal is not None
+        ):
             raise ConfigurationError(
-                "pass at most one of shard_workers=, shard_runtime= or "
-                "shard_spool="
+                'shard_runtime= and shard_journal= need sharding="region"; '
+                'with sharding="none" no shard settle runs'
             )
         check_fraction(xi, "xi")
         self.network = network
@@ -364,13 +348,8 @@ class DynamicMarketSimulation:
         self.sharding = sharding
         self.n_shards = n_shards
         self.boundary_rounds = boundary_rounds
-        self.shard_workers = shard_workers
-        self.shard_spool = shard_spool
         self.shard_journal = shard_journal
-        #: Borrowed caller-owned runtime (left open by :meth:`close`), as
-        #: opposed to one built from ``shard_workers`` (owned, closed).
-        self._borrowed_runtime = shard_runtime is not None
-        self._shard_runtime: Optional["Runtime"] = shard_runtime
+        self.shard_runtime = shard_runtime
         #: Region partition + replication log, built lazily with the
         #: persistent market (``sharding="region"`` only).
         self._partition: Optional[MarketPartition] = None
@@ -446,18 +425,6 @@ class DynamicMarketSimulation:
             providers=market.providers,
             journal=self.shard_journal,
         )
-        if self._shard_runtime is None and self.shard_spool is not None:
-            from repro.runtime import Runtime
-
-            self._shard_runtime = Runtime(spool=self.shard_spool)
-        elif (
-            self._shard_runtime is None
-            and self.shard_workers is not None
-            and self.shard_workers > 1
-        ):
-            from repro.runtime import Runtime
-
-            self._shard_runtime = Runtime(workers=self.shard_workers)
 
     def _apply_delta(self, delta: MarketDelta) -> None:
         """Patch the persistent market and, when sharding, append the
@@ -699,7 +666,7 @@ class DynamicMarketSimulation:
             placement,
             partition=self._partition,
             boundary_rounds=self.boundary_rounds,
-            runtime=self._shard_runtime,
+            runtime=self.shard_runtime,
             blob_seq=self._shard_log.seq,
             cache=self._shard_cache,
         )
@@ -715,19 +682,6 @@ class DynamicMarketSimulation:
             epochs=records,
             recovery_epochs=tuple(self._recovery_times),
         )
-
-    def close(self) -> None:
-        """Release an owned shard runtime (a borrowed ``shard_runtime=``
-        stays open for its owner; serial settles are a no-op)."""
-        if self._shard_runtime is not None and not self._borrowed_runtime:
-            self._shard_runtime.close()
-            self._shard_runtime = None
-
-    def __enter__(self) -> "DynamicMarketSimulation":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
 
 __all__ = ["EpochRecord", "SimulationSummary", "DynamicMarketSimulation"]

@@ -26,7 +26,6 @@ from repro.runtime import (
     CheckpointJournal,
     RetryPolicy,
     TaskFailure,
-    supervised_map,
 )
 from repro.experiments.figures import (
     fig2_network_size,
@@ -55,7 +54,6 @@ __all__ = [
     "RetryPolicy",
     "SweepResult",
     "TaskFailure",
-    "supervised_map",
     "evaluate_algorithms",
     "legacy_point_seed",
     "map_tasks",

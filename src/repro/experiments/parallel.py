@@ -72,9 +72,6 @@ from repro.runtime import (
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Backward-compatible private alias (this helper predates the runtime).
-_check_picklable = check_picklable
-
 
 def sweep_task_seed(base_seed: int, x_index: int, rep: int, paired: bool = True) -> int:
     """A deterministic, order-independent seed for one sweep task.
@@ -187,17 +184,12 @@ class ParallelSweepRunner:
     """Runs sweep grids serially or on a supervised runtime pool.
 
     ``workers=None``/``1`` → serial in-process execution; ``workers=0`` →
-    one process per CPU; ``workers=N`` → ``N`` processes. ``spool=``
-    instead dispatches cells to the ``repro host`` agents serving that
-    shared spool directory (a
-    :class:`~repro.runtime.remote.RemoteTransport`). Identical metrics
-    every way.
+    one process per CPU; ``workers=N`` → ``N`` processes. For any other
+    transport — e.g. the ``repro host`` agents of a shared spool — pass
+    ``run(runtime=Runtime(spool=...))``. Identical metrics every way.
     """
 
     workers: Optional[int] = None
-    #: Shared spool directory for multi-host dispatch (mutually
-    #: exclusive with ``workers``).
-    spool: Optional[str] = None
 
     def run(
         self,
@@ -256,14 +248,7 @@ class ParallelSweepRunner:
 
         owned = runtime is None
         if runtime is None:
-            if self.spool is not None and self.workers is not None:
-                raise ConfigurationError(
-                    "pass either workers= or spool=, not both"
-                )
-            if self.spool is not None:
-                runtime = Runtime(spool=self.spool)
-            else:
-                runtime = Runtime(workers=self.workers)
+            runtime = Runtime(workers=self.workers)
         try:
             parallel = (
                 runtime.workers > 1 or not runtime.transport.colocated

@@ -440,7 +440,6 @@ def partitioned_best_response(
     max_rounds: int = 1000,
     boundary_rounds: int = 8,
     runtime: Optional["Runtime"] = None,
-    executor: Optional["Runtime"] = None,
     compiled: Optional[CompiledMarket] = None,
     blob_seq: int = 0,
     cache: Optional[Dict[object, object]] = None,
@@ -464,10 +463,6 @@ def partitioned_best_response(
         interiors (sub-views published once per ``blob_seq``, shards
         settled via :meth:`~repro.runtime.Runtime.map`); ``None`` (or
         one worker) settles serially with bit-identical results.
-    executor:
-        Deprecated alias of ``runtime`` (the pre-``repro.runtime``
-        parameter, which took a ``ShardExecutor``; any ``Runtime`` —
-        including that shim — works).
     classification:
         A precomputed :class:`ShardClassification` for ``compiled`` at
         its current table state (recompute after every applied delta).
@@ -489,8 +484,6 @@ def partitioned_best_response(
         raise ConfigurationError(
             f"boundary_rounds must be >= 1, got {boundary_rounds}"
         )
-    if runtime is None:
-        runtime = executor
     cm = compiled if compiled is not None else market.compile()
     if partition is None:
         partition = partition_market(market, n_shards)

@@ -19,9 +19,10 @@ replans.  Four pieces, composed rather than welded:
 * :mod:`repro.runtime.executor` — the single public :class:`Runtime`
   facade consumers hold.
 
-``repro.experiments.supervisor`` re-exports the old names with a
-``DeprecationWarning``; new code imports from here.  See
-``docs/runtime.md`` for the architecture and the transport seam.
+Callers build a :class:`Runtime` (``Runtime(workers=N)``,
+``Runtime(spool=DIR)`` or ``Runtime(transport=...)``), own it, and pass
+it to whatever dispatches.  See ``docs/runtime.md`` for the architecture
+and the transport seam.
 """
 
 from repro.runtime.executor import BlobMap, Runtime
@@ -36,7 +37,6 @@ from repro.runtime.supervisor import (
     RetryPolicy,
     TaskFailure,
     supervise,
-    supervised_map,
 )
 from repro.runtime.transport import (
     DEFAULT_SPILL_THRESHOLD,
@@ -76,6 +76,5 @@ __all__ = [
     "resolve_workers",
     "run_host_agent",
     "supervise",
-    "supervised_map",
     "translate_crash",
 ]

@@ -10,7 +10,7 @@ Sweep grids (:mod:`repro.experiments.parallel`), shard interior settles
 ``Runtime`` composes the three runtime layers:
 
 * a :class:`~repro.runtime.transport.Transport` (where work executes —
-  serial, persistent local pool, or the future remote seam) with its
+  serial, persistent local pool, or a remote spool) with its
   publish-once blob store,
 * the supervision policy of :func:`repro.runtime.supervisor.supervise`
   (per-task timeout, bounded deterministic retry, crash quarantine with
@@ -21,10 +21,9 @@ Sweep grids (:mod:`repro.experiments.parallel`), shard interior settles
 
 :meth:`Runtime.run` is the supervised entry point; :meth:`Runtime.map`
 is the thin ordered fast path (no retries, deterministic in-process
-fallback on worker death) that the shard settle loop uses where the old
-``ShardExecutor.run`` sat.  Both are bit-identical to serial execution
-for pure task functions — the property every equivalence test in
-``tests/runtime`` pins.
+fallback on worker death) that the shard settle loop uses.  Both are
+bit-identical to serial execution for pure task functions — the property
+every equivalence test in ``tests/runtime`` pins.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Durable checkpoint journaling for supervised task grids.
 
-:class:`CheckpointJournal` moved here from
-``repro.experiments.supervisor``: the on-disk format is an append-only
+The on-disk format of :class:`CheckpointJournal` is an append-only
 JSONL file, one ``{"key": [...], "value": <payload>}`` line per
-completed cell, flushed and fsynced as it is written. Journals written
-before the move replay bit-identically through this module — the format
-is a compatibility contract, not an implementation detail
-(``tests/runtime`` pins it, and :class:`~repro.market.shard.ShardLog`
-rides the same file format for its replication log).
+completed cell, flushed and fsynced as it is written. The format is a
+compatibility contract, not an implementation detail: older journals
+replay bit-identically (``tests/runtime`` pins it, and
+:class:`~repro.market.shard.ShardLog` rides the same file format for its
+replication log).
 
 Shared-filesystem hardening
 ---------------------------

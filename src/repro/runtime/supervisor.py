@@ -40,9 +40,8 @@ pool implementation:
   so a resumed grid is bit-identical to an uninterrupted one — and
   executes only the missing cells.
 
-:func:`supervised_map` keeps the pre-:mod:`repro.runtime` signature
-(``workers=`` instead of ``transport=``) for existing callers; new code
-goes through the :class:`~repro.runtime.executor.Runtime` facade.
+Callers go through the :class:`~repro.runtime.executor.Runtime` facade,
+which picks the transport.
 """
 
 from __future__ import annotations
@@ -57,13 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
 
 from repro.exceptions import ConfigurationError, TaskTimeout
 from repro.runtime.journal import CheckpointJournal, TaskKey
-from repro.runtime.transport import (
-    PoolTransport,
-    SerialTransport,
-    Transport,
-    WorkerCrash,
-    resolve_workers,
-)
+from repro.runtime.transport import Transport, WorkerCrash
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -457,51 +450,8 @@ def supervise(
     return results  # type: ignore[return-value]
 
 
-def supervised_map(
-    fn: Callable[[T], R],
-    tasks: Sequence[T],
-    keys: Optional[Sequence[TaskKey]] = None,
-    workers: Optional[int] = None,
-    retry: Optional[RetryPolicy] = None,
-    journal: Optional[CheckpointJournal] = None,
-    encode: Optional[Callable[[R], object]] = None,
-    decode: Optional[Callable[[object], R]] = None,
-    sleep: Callable[[float], None] = time.sleep,
-    fail_fast: bool = False,
-) -> List[Union[R, TaskFailure]]:
-    """:func:`supervise` with a worker *count* instead of a transport.
-
-    The pre-:mod:`repro.runtime` signature, kept for existing callers:
-    builds a throwaway :class:`~repro.runtime.transport.SerialTransport`
-    or :class:`~repro.runtime.transport.PoolTransport` for the call and
-    closes it on exit.  Callers that dispatch repeatedly should hold a
-    :class:`~repro.runtime.executor.Runtime` instead, so workers and
-    published blobs persist across batches.
-    """
-    n_workers = resolve_workers(workers)
-    transport: Transport = (
-        SerialTransport() if n_workers <= 1 else PoolTransport(workers=n_workers)
-    )
-    try:
-        return supervise(
-            fn,
-            tasks,
-            transport=transport,
-            keys=keys,
-            retry=retry,
-            journal=journal,
-            encode=encode,
-            decode=decode,
-            sleep=sleep,
-            fail_fast=fail_fast,
-        )
-    finally:
-        transport.close()
-
-
 __all__ = [
     "RetryPolicy",
     "TaskFailure",
     "supervise",
-    "supervised_map",
 ]

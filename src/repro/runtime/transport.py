@@ -5,7 +5,7 @@ runs — retries, timeouts, quarantine, journaling.  A :class:`Transport`
 decides *where*: in-process (:class:`SerialTransport`, the deterministic
 reference), on a persistent local process pool (:class:`PoolTransport`),
 or on host agents over a shared-filesystem spool
-(:class:`~repro.runtime.remote.RemoteTransport`, re-exported here).
+(:class:`~repro.runtime.remote.RemoteTransport`).
 Every transport carries the same publish-once blob store, so a
 consumer written against the :class:`~repro.runtime.executor.Runtime`
 facade is transport-agnostic by construction.
@@ -53,7 +53,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar, Union
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
 
 from repro.exceptions import ConfigurationError
 
@@ -152,9 +152,8 @@ class BlobRef:
     """A picklable handle to one published blob.
 
     ``token`` uniquely identifies the publication (for spilled blobs it
-    is the spill path, keeping refs interchangeable with the legacy
-    string tokens :func:`fetch_blob` still accepts).  Exactly one of
-    ``data`` (inline pickle bytes) and ``path`` (spill file) is set.
+    is the spill path).  Exactly one of ``data`` (inline pickle bytes)
+    and ``path`` (spill file) is set.
     """
 
     token: str
@@ -163,7 +162,7 @@ class BlobRef:
     #: Pickled payload size in bytes (spilled or inline).
     size: int = 0
     #: Hex SHA-256 of the pickled payload.  ``None`` for refs published
-    #: before checksums existed (and legacy string tokens); set, it is
+    #: before checksums existed; set, it is
     #: verified by :func:`fetch_blob` before unpickling, so a torn or
     #: bit-rotted blob on a shared filesystem fails loudly instead of
     #: deserialising garbage.
@@ -178,26 +177,23 @@ _BLOB_CACHE_ORDER: List[str] = []
 _BLOB_CACHE_LIMIT = 8
 
 
-def fetch_blob(ref: Union[str, BlobRef]) -> object:
+def fetch_blob(ref: BlobRef) -> object:
     """Resolve a published blob, memoized per process.
 
-    Accepts a :class:`BlobRef` or a legacy string token (the spill-file
-    path the pre-:mod:`repro.runtime` ``ShardExecutor.publish`` returned).
     The first fetch in a process unpickles the payload; later fetches of
     the same token are dictionary hits.
     """
-    token = ref if isinstance(ref, str) else ref.token
+    token = ref.token
     if token in _BLOB_CACHE:
         return _BLOB_CACHE[token]
-    if isinstance(ref, BlobRef) and ref.data is not None:
+    if ref.data is not None:
         payload = ref.data
     else:
-        path = ref if isinstance(ref, str) else ref.path
-        if path is None:  # pragma: no cover - BlobRef invariant
+        if ref.path is None:  # pragma: no cover - BlobRef invariant
             raise ConfigurationError(f"blob {token!r} has neither data nor path")
-        with open(path, "rb") as fh:
+        with open(ref.path, "rb") as fh:
             payload = fh.read()
-    if isinstance(ref, BlobRef) and ref.checksum is not None:
+    if ref.checksum is not None:
         digest = sha256(payload).hexdigest()
         if digest != ref.checksum:
             raise ConfigurationError(
@@ -411,24 +407,12 @@ class PoolTransport(Transport):
         super().close()
 
 
-def __getattr__(name: str) -> Any:
-    # RemoteTransport lives in repro.runtime.remote (which imports this
-    # module); the historical import path `repro.runtime.transport.
-    # RemoteTransport` keeps working through this lazy re-export.
-    if name == "RemoteTransport":
-        from repro.runtime.remote import RemoteTransport
-
-        return RemoteTransport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "BlobRef",
     "DEFAULT_SPILL_THRESHOLD",
     "HostLost",
     "PoolCrash",
     "PoolTransport",
-    "RemoteTransport",
     "SerialTransport",
     "Transport",
     "WorkerCrash",

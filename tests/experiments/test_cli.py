@@ -42,6 +42,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["outages", "--policy", "pray"])
 
+    @pytest.mark.parametrize("workers", ["4", "1"])
+    def test_shard_spool_and_workers_are_exclusive(
+        self, capsys, tmp_path, workers
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["shard", "--spool", str(tmp_path), "--workers", workers])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_bench_scale_exists(self):
         assert BENCH.repetitions < PAPER.repetitions or (
             BENCH.n_providers < PAPER.n_providers

@@ -19,14 +19,15 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.harness import sweep
-from repro.experiments.supervisor import (
-    CheckpointJournal,
-    RetryPolicy,
-    TaskFailure,
-    supervised_map,
-)
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
+from repro.runtime import CheckpointJournal, RetryPolicy, Runtime, TaskFailure
+
+
+def run_grid(fn, tasks, workers=1, **kwargs):
+    """One supervised grid on a fresh ``Runtime(workers=workers)``."""
+    with Runtime(workers=workers) as runtime:
+        return runtime.run(fn, tasks, **kwargs)
 
 
 # --------------------------------------------------------------------- #
@@ -125,30 +126,30 @@ class TestRetryPolicy:
 
 
 # --------------------------------------------------------------------- #
-# supervised_map basics
+# Runtime.run basics
 # --------------------------------------------------------------------- #
 class TestSupervisedMap:
     def test_serial_order_preserved(self):
-        assert supervised_map(_square, [3, 1, 2], workers=1) == [9, 1, 4]
+        assert run_grid(_square, [3, 1, 2], workers=1) == [9, 1, 4]
 
     def test_parallel_matches_serial(self):
         tasks = list(range(6))
-        assert supervised_map(_square, tasks, workers=2) == [
+        assert run_grid(_square, tasks, workers=2) == [
             x * x for x in tasks
         ]
 
     def test_key_count_validated(self):
         with pytest.raises(ConfigurationError, match="keys"):
-            supervised_map(_square, [1, 2], keys=[(1,)], workers=1)
+            run_grid(_square, [1, 2], keys=[(1,)], workers=1)
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ConfigurationError, match="unique"):
-            supervised_map(_square, [1, 2], keys=[(0,), (0,)], workers=1)
+            run_grid(_square, [1, 2], keys=[(0,), (0,)], workers=1)
 
     def test_persistent_failure_is_isolated(self):
         """The poisoned cell becomes a TaskFailure; the grid completes."""
         delays = []
-        results = supervised_map(
+        results = run_grid(
             _fail_on_three,
             [1, 2, 3, 4],
             workers=1,
@@ -167,7 +168,7 @@ class TestSupervisedMap:
         """A cell failing twice sleeps exactly delay(1) then delay(2)."""
         policy = RetryPolicy(max_attempts=3, base_delay_s=0.05, backoff=3.0)
         delays = []
-        results = supervised_map(
+        results = run_grid(
             _flaky,
             [(7, str(tmp_path))],
             workers=1,
@@ -179,7 +180,7 @@ class TestSupervisedMap:
 
     def test_fail_fast_reraises(self):
         with pytest.raises(ValueError, match="poisoned"):
-            supervised_map(
+            run_grid(
                 _fail_on_three,
                 [1, 2, 3],
                 workers=1,
@@ -196,7 +197,7 @@ class TestChaos:
         """SIGKILL mid-grid: the pool is rebuilt, the crashed cell is
         charged one attempt and re-run, and the grid still completes."""
         tasks = [(x, str(tmp_path)) for x in range(5)]
-        results = supervised_map(
+        results = run_grid(
             _sigkill_once,
             tasks,
             workers=2,
@@ -206,7 +207,7 @@ class TestChaos:
         assert (tmp_path / "crashed").exists()
 
     def test_persistent_crasher_surfaces_as_worker_crash(self):
-        results = supervised_map(
+        results = run_grid(
             _exit_always,
             [0, 1, 2, 3],
             workers=2,
@@ -219,7 +220,7 @@ class TestChaos:
         assert failure.attempts == 2
 
     def test_wedged_task_times_out(self):
-        results = supervised_map(
+        results = run_grid(
             _wedge_on_one,
             [0, 1, 2],
             workers=2,
@@ -262,20 +263,22 @@ class TestCheckpointJournal:
         path = tmp_path / "j.jsonl"
         journal = CheckpointJournal(path)
         tasks = list(range(4))
-        first = supervised_map(_square, tasks, workers=1, journal=journal)
+        first = run_grid(_square, tasks, workers=1, journal=journal)
         assert first == [0, 1, 4, 9]
 
         # Drop the last journal line: cell 3 must re-run, the others replay.
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 4
         path.write_text("\n".join(lines[:3]) + "\n")
-        resumed = supervised_map(_square, tasks, workers=1, journal=journal)
+        resumed = run_grid(
+            _square, tasks, workers=1, journal=journal, resume=True
+        )
         assert resumed == first
         # ...and a fully-journaled grid runs nothing at all, even with a
         # task body that would now fail.
-        replayed = supervised_map(
+        replayed = run_grid(
             _fail_on_three, [0, 0, 0, 3], workers=1,
-            retry=RetryPolicy(max_attempts=1), journal=journal,
+            retry=RetryPolicy(max_attempts=1), journal=journal, resume=True,
         )
         assert replayed == first
 

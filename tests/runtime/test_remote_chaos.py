@@ -329,8 +329,7 @@ def _epoch_signature(epochs):
 
 class TestShardedSimulationOverRemote:
     def test_two_agents_bit_identical_to_serial(self, network, spool):
-        with _make_sim(network) as serial:
-            ss = serial.run(3)
+        ss = _make_sim(network).run(3)
 
         agents = _start_agents(spool, 2, lease_s=10.0)
         transport = RemoteTransport(
@@ -339,8 +338,7 @@ class TestShardedSimulationOverRemote:
         try:
             transport.wait_for_hosts(2, timeout_s=30.0)
             with Runtime(transport=transport) as rt:
-                with _make_sim(network, shard_runtime=rt) as remote_sim:
-                    sr = remote_sim.run(3)
+                sr = _make_sim(network, shard_runtime=rt).run(3)
             assert transport.degraded is False
             assert transport.degradation_events == []
             # The settle really went through the spool (tasks were
@@ -355,8 +353,7 @@ class TestShardedSimulationOverRemote:
     def test_killing_every_agent_degrades_to_pool_mid_run(
         self, network, spool
     ):
-        with _make_sim(network) as serial:
-            ss = serial.run(3)
+        ss = _make_sim(network).run(3)
 
         agents = _start_agents(spool, 2, lease_s=2.0)
         transport = RemoteTransport(
@@ -366,16 +363,16 @@ class TestShardedSimulationOverRemote:
         try:
             transport.wait_for_hosts(2, timeout_s=30.0)
             with Runtime(transport=transport) as rt:
-                with _make_sim(network, shard_runtime=rt) as remote_sim:
-                    first = remote_sim.run(1)
-                    # Every agent dies between epochs; the next settle's
-                    # unclaimed tasks trip the degradation ladder.
-                    _stop_agents(agents)
-                    import warnings
+                remote_sim = _make_sim(network, shard_runtime=rt)
+                first = remote_sim.run(1)
+                # Every agent dies between epochs; the next settle's
+                # unclaimed tasks trip the degradation ladder.
+                _stop_agents(agents)
+                import warnings
 
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", RuntimeWarning)
-                        rest = remote_sim.run(2)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    rest = remote_sim.run(2)
             assert transport.degraded is True
             assert any(
                 e.requested == "remote" and e.used == "pool"

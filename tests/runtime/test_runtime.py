@@ -7,7 +7,9 @@ borrowed transports) and the off-main-thread timeout degradation.
 
 from __future__ import annotations
 
+import importlib
 import threading
+import warnings
 
 import pytest
 
@@ -196,3 +198,12 @@ class TestOffMainThreadTimeout:
         assert isinstance(failure, TaskFailure)
         assert failure.kind == "timeout"
         assert "wall-clock" in failure.message
+
+
+def test_runtime_package_imports_stay_warning_free():
+    """Importing the runtime package (or repro.experiments) must not warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        importlib.import_module("repro.runtime")
+        importlib.import_module("repro.experiments")
+        importlib.import_module("repro.experiments.parallel")
