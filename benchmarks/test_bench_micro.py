@@ -1,6 +1,7 @@
 """Micro-benchmarks of the core substrates (pytest-benchmark timings).
 
-These time the individual building blocks — the GAP LP + rounding,
+These time the individual building blocks — the GAP relaxation on the
+unit-slot assignment path and on the HiGHS LP + rounding path,
 best-response dynamics, Algorithm 1 end-to-end, and the flow-level
 emulator — so regressions in any layer show up independently of the
 figure-level sweeps.
@@ -33,6 +34,19 @@ def test_bench_gap_shmoys_tardos(benchmark):
     instance = GAPInstance(
         costs=rng.uniform(1, 10, size=(60, 40)),
         weights=np.ones((60, 40)),
+        capacities=np.ones(40) * 2.0,
+    )
+    solution = benchmark(shmoys_tardos, instance)
+    assert len(solution.assignment) == 60
+
+
+def test_bench_gap_lp_fractional(benchmark):
+    # Non-uniform weights keep the relaxation off the unit-slot assignment
+    # path: this times the HiGHS LP and the slot-matching rounding.
+    rng = np.random.default_rng(1)
+    instance = GAPInstance(
+        costs=rng.uniform(1, 10, size=(60, 40)),
+        weights=rng.uniform(0.2, 1.0, size=(60, 40)),
         capacities=np.ones(40) * 2.0,
     )
     solution = benchmark(shmoys_tardos, instance)

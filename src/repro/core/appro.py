@@ -4,13 +4,15 @@ Steps (Section III.B):
 
 1. split each cloudlet into ``n_i`` virtual cloudlets (Eq. 7);
 2. build the GAP instance with the congestion-free cost (Eq. 9);
-3. solve GAP with the Shmoys–Tardos approximation [34];
+3. solve GAP with the Shmoys–Tardos approximation [34] (the reduction is a
+   unit-slot instance, whose relaxation :mod:`repro.gap.lp` solves exactly
+   as an assignment problem, so the rounding has nothing to round);
 4. move every service assigned to a virtual cloudlet of ``CL_i`` onto the
    real ``CL_i``.
 
-Step 4 can overload a real cloudlet (the Shmoys–Tardos rounding may exceed a
-virtual cloudlet's capacity by one item, and the split floors may not tile
-the capacity exactly), so we finish with the *adjustment procedure* the
+Step 4 can overload a real cloudlet (Shmoys–Tardos rounding of a fractional
+relaxation may exceed a virtual cloudlet's capacity by one item, and the
+split floors may not tile the capacity exactly), so we finish with the *adjustment procedure* the
 paper's Fig. 7 discussion refers to: overflow services are moved to the
 cheapest cloudlet with residual room, and rejected (left in the remote
 cloud) when no cloudlet fits them. Under the paper's standing assumption
@@ -245,7 +247,10 @@ def appro(
         ``info["degradation"]`` (a :class:`~repro.gap.ladder.
         DegradationEvent`) instead of silently swapping. Must be positive,
         and is only accepted with ``gap_solver="shmoys_tardos"``; a warm
-        start accepts it too, since a cold first epoch does use it.
+        start accepts it too, since a cold first epoch does use it. The
+        budget cannot fire on this reduction's own GAP: it is a unit-slot
+        instance, solved exactly as an assignment problem (polynomial but
+        not interruptible), so no degradation event is ever emitted for it.
 
     Returns a :class:`CachingAssignment` whose ``info`` carries the LP lower
     bound, ``delta``/``kappa``, the Lemma 2 ratio bound, and repair stats.

@@ -13,6 +13,12 @@ surface degraded cells instead of discovering them in the curves.
 The ladder today has two rungs — ``shmoys_tardos`` (LP + rounding, the
 paper's choice) over ``greedy`` (regret-ordered, no LP, effectively
 bounded running time) — matching the two solvers Algorithm 1 accepts.
+
+Only the HiGHS LP honours the budget. A unit-slot instance — Appro's own
+virtual-cloudlet reduction among them — is solved exactly as an
+assignment problem (see :mod:`repro.gap.lp`), which is polynomial but not
+interruptible: the budget cannot fire there and no degradation event is
+emitted.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""LP relaxation of min-cost GAP, solved with :func:`scipy.optimize.linprog`.
+"""LP relaxation of min-cost GAP.
 
 Variables ``x[j, i] >= 0`` for each *allowed* (item, bin) pair:
 
@@ -6,11 +6,23 @@ Variables ``x[j, i] >= 0`` for each *allowed* (item, bin) pair:
 * capacity constraints    ``sum_j w[j, i] * x[j, i] <= cap[i]``;
 * objective               ``min sum c[j, i] * x[j, i]``.
 
+Two solvers share this entry point.
+
+*Unit-slot instances* — every item weighs the same ``w_i`` in bin ``i``
+and each ``cap_i / w_i`` is an integer (or at least the item count) — are
+the paper's virtual-cloudlet reduction (Eq. 7: every item weighs one slot's
+capacity; the remote bin holds all ``n`` items). Their capacity rows read
+``sum_j x[j, i] <= k_i``, so the LP is a bipartite transportation problem
+whose constraint matrix is totally unimodular: the LP optimum is integral.
+Expanding bin ``i`` into ``k_i = min(n, cap_i / w_i)`` identical columns
+turns it into a rectangular assignment problem, solved exactly by
+:func:`scipy.optimize.linear_sum_assignment`; the result is a 0/1
+relaxation whose value is the LP optimum.
+
+*Every other instance* goes to HiGHS through :func:`scipy.optimize.linprog`.
 Only allowed pairs get a column, which keeps the LP small for sparse
-instances (each virtual cloudlet admits every service in the paper's
-reduction, but the library is generic). The constraint matrices are
-assembled from the instance arrays in bulk, one column per allowed pair in
-row-major (item, bin) order.
+instances. The constraint matrices are assembled from the instance arrays
+in bulk, one column per allowed pair in row-major (item, bin) order.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csr_matrix
 
 from repro.exceptions import (
@@ -43,7 +55,7 @@ class LPRelaxationResult:
 
     def support(self, item: int, atol: float = 1e-9) -> List[int]:
         """Bins with positive fraction for ``item``."""
-        return [i for i in range(self.instance.n_bins) if self.fractions[item, i] > atol]
+        return np.flatnonzero(self.fractions[item] > atol).tolist()
 
 
 def _assemble(
@@ -73,21 +85,69 @@ def _assemble(
     return rows, cols, a_eq, a_ub, c, np.ones(instance.n_items)
 
 
-def solve_lp_relaxation(
-    instance: GAPInstance,
-    time_limit_s: Optional[float] = None,
-) -> LPRelaxationResult:
-    """Solve the GAP LP relaxation; raises :class:`InfeasibleError` when the
-    relaxation (hence the GAP) has no solution.
+#: Relative tolerance for reading ``cap_i / w_i`` as an integer.
+_RATIO_RTOL = 1e-9
 
-    ``time_limit_s`` bounds the HiGHS solve; exceeding it raises
-    :class:`~repro.exceptions.SolverTimeout` (the degradation ladder in
-    :mod:`repro.gap.ladder` catches this and falls back to greedy).
+
+def _slot_multiplicities(instance: GAPInstance) -> Optional[np.ndarray]:
+    """Per-bin slot counts ``k_i`` of a unit-slot instance, else ``None``.
+
+    The instance qualifies when every item weighs the same ``w_i`` in bin
+    ``i`` and each ``cap_i / w_i`` is an integer (within a relative
+    ``_RATIO_RTOL``) or at least the item count; a zero-weight bin holds
+    every item. ``k_i`` is that ratio capped at the item count.
     """
-    if time_limit_s is not None and time_limit_s <= 0:
-        raise ConfigurationError(
-            f"time_limit_s must be positive, got {time_limit_s}"
+    weights = instance.weights
+    column = weights[0]
+    if not bool((weights == column).all()):
+        return None
+    n = instance.n_items
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero weights
+        ratio = instance.capacities / column
+        nearest = np.rint(ratio)
+        integral = np.abs(ratio - nearest) <= _RATIO_RTOL * ratio
+    roomy = ratio >= n
+    if not bool((roomy | integral).all()):
+        return None
+    return np.where(roomy, n, nearest).astype(np.int64)
+
+
+def _assignment_relaxation(
+    instance: GAPInstance, multiplicities: np.ndarray
+) -> LPRelaxationResult:
+    """Solve a unit-slot instance exactly as a rectangular assignment.
+
+    Bin ``i`` becomes ``multiplicities[i]`` identical columns; forbidden
+    pairs cost ``inf``. By total unimodularity the assignment optimum is
+    the LP optimum, so the relaxation returned is 0/1.
+    """
+    mask = instance.allowed_mask()
+    if not bool(mask.any(axis=1).all()):
+        raise InfeasibleError("some item has no admissible bin")
+    column_bin = np.repeat(np.arange(instance.n_bins), multiplicities)
+    if column_bin.shape[0] < instance.n_items:
+        raise InfeasibleError(
+            f"{instance.n_items} items but only {column_bin.shape[0]} slots"
         )
+    costs = np.where(mask, instance.costs, np.inf)[:, column_bin]
+    try:
+        items, picked = linear_sum_assignment(costs)
+    except ValueError as exc:  # no assignment avoids every forbidden pair
+        raise InfeasibleError(f"GAP assignment is infeasible: {exc}") from exc
+
+    fractions = np.zeros((instance.n_items, instance.n_bins))
+    fractions[items, column_bin[picked]] = 1.0
+    return LPRelaxationResult(
+        instance=instance,
+        fractions=fractions,
+        value=float(costs[items, picked].sum()),
+    )
+
+
+def _highs_relaxation(
+    instance: GAPInstance, time_limit_s: Optional[float]
+) -> LPRelaxationResult:
+    """Solve the LP with HiGHS, bounded by ``time_limit_s`` when given."""
     rows, cols, a_eq, a_ub, c, b_eq = _assemble(instance)
     b_ub = instance.capacities
 
@@ -122,6 +182,31 @@ def solve_lp_relaxation(
     return LPRelaxationResult(
         instance=instance, fractions=fractions, value=float(result.fun)
     )
+
+
+def solve_lp_relaxation(
+    instance: GAPInstance,
+    time_limit_s: Optional[float] = None,
+) -> LPRelaxationResult:
+    """Solve the GAP LP relaxation; raises :class:`InfeasibleError` when the
+    relaxation (hence the GAP) has no solution.
+
+    A unit-slot instance (see the module docstring) is solved exactly as an
+    assignment problem; every other instance goes to HiGHS.
+    ``time_limit_s`` bounds the HiGHS solve; exceeding it raises
+    :class:`~repro.exceptions.SolverTimeout` (the degradation ladder in
+    :mod:`repro.gap.ladder` catches this and falls back to greedy). The
+    assignment solve is polynomial but not interruptible, so the budget
+    never fires on a unit-slot instance.
+    """
+    if time_limit_s is not None and time_limit_s <= 0:
+        raise ConfigurationError(
+            f"time_limit_s must be positive, got {time_limit_s}"
+        )
+    multiplicities = _slot_multiplicities(instance)
+    if multiplicities is not None:
+        return _assignment_relaxation(instance, multiplicities)
+    return _highs_relaxation(instance, time_limit_s)
 
 
 __all__ = ["LPRelaxationResult", "solve_lp_relaxation"]

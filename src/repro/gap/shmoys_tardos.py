@@ -18,6 +18,13 @@ its capacity plus the largest single item weight placed there. When every
 item fits in a bin on its own — exactly the situation in the paper's
 virtual-cloudlet reduction, where slot capacity is ``max(a_max, b_max)`` —
 the load is below twice the capacity: the "2-approximation" the paper cites.
+
+On the paper's own instances the rounding has nothing to round: the
+virtual-cloudlet reduction is a unit-slot instance, which
+:mod:`repro.gap.lp` solves exactly as an assignment problem, and a 0/1
+relaxation forces the slot matching (every slot holds one whole item). An
+integral relaxation is therefore read off directly; the slot matching
+serves every fractional one.
 """
 
 from __future__ import annotations
@@ -48,11 +55,13 @@ def _build_slots(
     slots: List[Tuple[int, List[Tuple[int, float]]]] = []
 
     for i in range(inst.n_bins):
-        items = [(j, x[j, i]) for j in range(inst.n_items) if x[j, i] > _EPS]
-        if not items:
+        members = np.flatnonzero(x[:, i] > _EPS)
+        if members.size == 0:
             continue
-        # Non-increasing weight order is what bounds the per-slot weight.
-        items.sort(key=lambda t: (-inst.weights[t[0], i], t[0]))
+        # Non-increasing weight order is what bounds the per-slot weight;
+        # ties go to the lower item index.
+        members = members[np.lexsort((members, -inst.weights[members, i]))]
+        items = list(zip(members.tolist(), x[members, i].tolist()))
         total = sum(f for _, f in items)
         n_slots = max(1, math.ceil(total - _EPS))
 
@@ -78,21 +87,9 @@ def _build_slots(
     return slots
 
 
-def shmoys_tardos(
-    instance: GAPInstance,
-    time_limit_s: Optional[float] = None,
-) -> GAPSolution:
-    """Round the GAP LP optimum to an integral assignment (see module doc).
-
-    ``time_limit_s`` bounds the LP solve; exceeding it raises
-    :class:`~repro.exceptions.SolverTimeout` (callers wanting a fallback
-    instead use :func:`repro.gap.ladder.solve_with_degradation`).
-
-    Raises :class:`repro.exceptions.InfeasibleError` when the LP relaxation
-    is infeasible and :class:`SolverError` if the matching step fails (which
-    would indicate a bug — the fractional matching guarantees existence).
-    """
-    relaxation = solve_lp_relaxation(instance, time_limit_s=time_limit_s)
+def _match_slots(relaxation: LPRelaxationResult) -> List[int]:
+    """Steps 2–4: each item's bin under a min-cost item–slot matching."""
+    instance = relaxation.instance
     slots = _build_slots(relaxation)
 
     graph = nx.Graph()
@@ -121,6 +118,30 @@ def shmoys_tardos(
             raise SolverError(f"item {j} left unmatched by the rounding")
         _, slot_idx = node
         assignment.append(slots[slot_idx][0])
+    return assignment
+
+
+def shmoys_tardos(
+    instance: GAPInstance,
+    time_limit_s: Optional[float] = None,
+) -> GAPSolution:
+    """Round the GAP LP optimum to an integral assignment (see module doc).
+
+    ``time_limit_s`` bounds the LP solve; exceeding it raises
+    :class:`~repro.exceptions.SolverTimeout` (callers wanting a fallback
+    instead use :func:`repro.gap.ladder.solve_with_degradation`).
+
+    Raises :class:`repro.exceptions.InfeasibleError` when the LP relaxation
+    is infeasible and :class:`SolverError` if the matching step fails (which
+    would indicate a bug — the fractional matching guarantees existence).
+    """
+    relaxation = solve_lp_relaxation(instance, time_limit_s=time_limit_s)
+    x = relaxation.fractions
+    if bool(((x == 0.0) | (x == 1.0)).all()):
+        # Each slot holds one whole item: the matching is forced.
+        assignment = x.argmax(axis=1).tolist()
+    else:
+        assignment = _match_slots(relaxation)
 
     return GAPSolution(
         instance=instance,

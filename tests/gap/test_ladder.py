@@ -11,6 +11,8 @@ from repro.gap.greedy import greedy_gap
 from repro.gap.instance import GAPInstance
 from repro.gap.ladder import DegradationEvent, solve_with_degradation
 from repro.gap.shmoys_tardos import shmoys_tardos
+from repro.market.workload import generate_market
+from repro.network.generators import random_mec_network
 from repro.utils.rng import as_rng
 
 #: Where the rounding looks the LP up; patching it forces a timeout.
@@ -104,3 +106,13 @@ class TestApproSurfacesDegradation:
         # The fallback is the greedy GAP on the same instance.
         assert result.placement == greedy.placement
         assert result.rejected == greedy.rejected
+
+    def test_budget_cannot_fire_on_a_unit_slot_market(self):
+        # Appro's GAP is a unit-slot instance: the exact assignment solve
+        # ignores the LP budget, so even a 1 us budget degrades nothing.
+        market = generate_market(random_mec_network(150, rng=1), 60, rng=2)
+        untimed = appro(market, allow_remote=True)
+        timed = appro(market, allow_remote=True, lp_time_limit_s=1e-6)
+        assert timed.info["degradation"] is None
+        assert timed.placement == untimed.placement
+        assert timed.rejected == untimed.rejected
