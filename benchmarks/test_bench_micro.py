@@ -2,9 +2,10 @@
 
 These time the individual building blocks — the GAP relaxation on the
 unit-slot assignment path and on the HiGHS LP + rounding path,
-best-response dynamics, Algorithm 1 end-to-end, and the flow-level
-emulator — so regressions in any layer show up independently of the
-figure-level sweeps.
+best-response dynamics, Algorithm 1 end-to-end, the routing table's
+per-source rows (next to the networkx oracle it replaced) and the
+flow-level emulator — so regressions in any layer show up independently
+of the figure-level sweeps.
 """
 
 import numpy as np
@@ -18,9 +19,11 @@ from repro.gap.instance import GAPInstance
 from repro.gap.shmoys_tardos import shmoys_tardos
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
+from repro.network.routing import RoutingTable
 from repro.network.zoo import as1755_mec_network
 from repro.testbed.emulator import Testbed
 from repro.testbed.flows import FlowSimulator
+from tests.oracles.routing_reference import ReferenceRoutingTable
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +80,33 @@ def test_bench_lcf(benchmark, medium_market):
 def test_bench_topology_generation(benchmark):
     network = benchmark(lambda: random_mec_network(250, rng=3))
     assert network.num_nodes == 250
+
+
+@pytest.fixture(scope="module")
+def routing_graph():
+    return random_mec_network(1000, rng=1).graph
+
+
+def _all_rows(table_cls, graph):
+    table = table_cls(graph)
+    for u in graph.nodes:
+        table.delay_row(u)
+        table.hop_row(u)
+    return table
+
+
+def test_bench_routing_rows(benchmark, routing_graph):
+    # Every delay and hop row of a 1000-node topology on a fresh table.
+    table = benchmark(_all_rows, RoutingTable, routing_graph)
+    assert len(table._delay_rows) == routing_graph.number_of_nodes()
+
+
+def test_bench_routing_rows_reference(benchmark, routing_graph):
+    # The same rows on the networkx oracle, for the before/after.
+    table = benchmark.pedantic(
+        _all_rows, args=(ReferenceRoutingTable, routing_graph), rounds=2
+    )
+    assert len(table._delay_rows) == routing_graph.number_of_nodes()
 
 
 def test_bench_testbed_build(benchmark):

@@ -99,25 +99,23 @@ class _ProviderRowBuilder:
             [cl.bdw_unit_cost for cl in net.cloudlets], dtype=float
         )
         # One single-source row per distinct endpoint (user nodes, home
-        # DCs), gathered over the cloudlet columns. Values are the same
-        # memoised BFS/Dijkstra results the per-pair queries return.
+        # DCs), gathered over the cloudlet columns by node position. Values
+        # are the routing table's memoised shortest-path rows, the same ones
+        # the per-pair queries return.
+        self._cl_idx = self.routing.index_of(self.cl_nodes)
         self._hop_cache: Dict[int, np.ndarray] = {}
         self._delay_cache: Dict[int, np.ndarray] = {}
 
     def hops_to_cloudlets(self, u: int) -> np.ndarray:
         arr = self._hop_cache.get(u)
         if arr is None:
-            row = self.routing.hop_row(u)
-            arr = np.array([row[v] for v in self.cl_nodes], dtype=float)
-            self._hop_cache[u] = arr
+            arr = self._hop_cache[u] = self.routing.hop_row(u)[self._cl_idx]
         return arr
 
     def delays_to_cloudlets(self, u: int) -> np.ndarray:
         arr = self._delay_cache.get(u)
         if arr is None:
-            row = self.routing.delay_row(u)
-            arr = np.array([row[v] for v in self.cl_nodes], dtype=float)
-            self._delay_cache[u] = arr
+            arr = self._delay_cache[u] = self.routing.delay_row(u)[self._cl_idx]
         return arr
 
     def build(self, p: "ServiceProvider") -> _ProviderRow:

@@ -4,21 +4,35 @@ The cost model turns network distance into bandwidth cost (a cached instance
 must synchronise updates back to its home data center, Section II.C), so
 distance queries are on the hot path of every algorithm. An eager all-pairs
 computation is wasted work, though: the queried sources are almost entirely
-cloudlet and data-center nodes — roughly 15% of a GT-ITM-style topology —
-so we run single-source Dijkstra/BFS on demand and cache each completed row.
-Undirected graphs additionally answer ``(u, v)`` from a cached row of either
-endpoint (distances are symmetric), which keeps the row set small when the
-query pattern is many-sources-to-few-destinations.
+user, cloudlet and data-center nodes, so rows are solved on demand.
+
+The table builds one CSR adjacency (link delays as weights) when it is
+constructed. Undirected graphs store both directions, so every solve runs
+directed and skips a per-call symmetrisation; explicit zeros are kept,
+because a zero-delay link is still a link. The first touch of a source runs
+one :func:`scipy.sparse.csgraph.dijkstra` from it (the delay row) or one
+unweighted solve (the hop row), and memoises the result as a read-only
+float64 array indexed by node position (:meth:`RoutingTable.index_of`);
+unreachable nodes read ``inf``. Delays are summed from the source outwards,
+exactly as networkx's Dijkstra sums them, so every entry is bit-equal to
+the networkx result. Undirected graphs additionally answer ``(u, v)`` from
+a cached row of either endpoint (distances are symmetric), which keeps the
+row set small when the query pattern is many-sources-to-few-destinations.
+
+There is deliberately no batch entry point: a row is solved where it is
+first asked for, so the time spent routing stays with the ``delay_row`` /
+``hop_row`` calls that cause it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+import math
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
-
-#: Row value type: delay rows hold floats, hop rows hold ints.
-_V = TypeVar("_V", float, int)
+import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import dijkstra
 
 from repro.exceptions import TopologyError
 
@@ -27,96 +41,119 @@ class RoutingTable:
     """Shortest-path oracle over a delay-weighted graph.
 
     Per-source distance rows (sum of ``weight`` = link delay) and hop-count
-    rows (unweighted BFS) are computed lazily on first use and memoised;
-    explicit paths are memoised per pair. Query results are identical to an
-    eager all-pairs computation — laziness only changes when the Dijkstra
-    runs happen.
+    rows (unweighted shortest paths) are computed lazily on first use and
+    memoised; explicit paths are memoised per pair. Query results are
+    identical to an eager all-pairs computation — laziness only changes
+    when the Dijkstra runs happen.
     """
 
     def __init__(self, graph: nx.Graph) -> None:
         if graph.number_of_nodes() == 0:
             raise TopologyError("cannot build a routing table for an empty graph")
+        if graph.is_multigraph():
+            raise TopologyError("cannot build a routing table for a multigraph")
         self._graph = graph
         self._symmetric = not graph.is_directed()
-        self._delay_rows: Dict[int, Dict[int, float]] = {}
-        self._hop_rows: Dict[int, Dict[int, int]] = {}
+        self._pos: Dict[int, int] = {node: i for i, node in enumerate(graph.nodes)}
+        src: List[int] = []
+        dst: List[int] = []
+        weights: List[float] = []
+        for u, v, w in graph.edges(data="weight", default=1):
+            i, j = self._pos[u], self._pos[v]
+            if i == j:
+                continue  # a non-negative self-loop never shortens a path
+            src.append(i)
+            dst.append(j)
+            weights.append(w)
+            if self._symmetric:
+                src.append(j)
+                dst.append(i)
+                weights.append(w)
+        n = len(self._pos)
+        self._csr = csr_array(
+            (np.array(weights, dtype=np.float64), (src, dst)), shape=(n, n)
+        )
+        self._delay_rows: Dict[int, np.ndarray] = {}
+        self._hop_rows: Dict[int, np.ndarray] = {}
         self._path_cache: Dict[Tuple[int, int], List[int]] = {}
 
     # ------------------------------------------------------------------ #
     # Row computation
     # ------------------------------------------------------------------ #
-    def _delay_row(self, u: int) -> Dict[int, float]:
-        row = self._delay_rows.get(u)
+    def _row(self, u: int, unweighted: bool) -> np.ndarray:
+        """The memoised delay row of ``u``, or with ``unweighted`` its hop
+        row; solved on first touch."""
+        rows = self._hop_rows if unweighted else self._delay_rows
+        row = rows.get(u)
         if row is None:
-            if u not in self._graph:
+            i = self._pos.get(u)
+            if i is None:
                 raise TopologyError(f"unknown node {u}")
-            row = dict(
-                nx.single_source_dijkstra_path_length(self._graph, u, weight="weight")
-            )
-            self._delay_rows[u] = row
+            row = dijkstra(self._csr, directed=True, indices=i, unweighted=unweighted)
+            row.setflags(write=False)
+            rows[u] = row
         return row
 
-    def _hop_row(self, u: int) -> Dict[int, int]:
-        row = self._hop_rows.get(u)
-        if row is None:
-            if u not in self._graph:
-                raise TopologyError(f"unknown node {u}")
-            row = dict(nx.single_source_shortest_path_length(self._graph, u))
-            self._hop_rows[u] = row
-        return row
+    def _entry(self, row: np.ndarray, v: int) -> Optional[float]:
+        """``row``'s value at node ``v``; None if ``v`` is unknown or
+        unreachable."""
+        j = self._pos.get(v)
+        if j is None:
+            return None
+        d = float(row[j])
+        return None if d == math.inf else d
 
-    def _lookup(
-        self,
-        rows: Dict[int, Dict[int, _V]],
-        compute_row: Callable[[int], Dict[int, _V]],
-        u: int,
-        v: int,
-    ) -> Optional[_V]:
+    def _lookup(self, unweighted: bool, u: int, v: int) -> Optional[float]:
         """Answer ``(u, v)`` from a cached row of ``u`` or — on undirected
         graphs — of ``v``; otherwise compute the row for ``v`` (the
         destination side is the small node set under the cost model's
         query pattern: cloudlets and data centers)."""
-        row = rows.get(u)
+        row = (self._hop_rows if unweighted else self._delay_rows).get(u)
         if row is not None:
-            return row.get(v)
+            return self._entry(row, v)
         if self._symmetric:
-            row = rows.get(v)
-            if row is None:
-                row = compute_row(v)
-            return row.get(u) if u in self._graph else None
-        return compute_row(u).get(v)
+            return self._entry(self._row(v, unweighted), u)
+        return self._entry(self._row(u, unweighted), v)
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def delay_row(self, u: int) -> Dict[int, float]:
-        """The full single-source delay row ``{node: delay_ms}`` of ``u``.
+    def index_of(self, nodes: Iterable[int]) -> np.ndarray:
+        """Row positions of ``nodes``: ``delay_row(u)[index_of([v])[0]]``
+        is the delay ``u → v``."""
+        try:
+            return np.array([self._pos[n] for n in nodes], dtype=np.intp)
+        except KeyError as exc:
+            raise TopologyError(f"unknown node {exc.args[0]}") from None
+
+    def delay_row(self, u: int) -> np.ndarray:
+        """The full single-source delay row of ``u`` (ms), indexed by node
+        position (:meth:`index_of`); ``inf`` marks unreachable nodes.
 
         Bulk consumers (e.g. the market compiler) gather whole rows instead
         of issuing per-pair queries; values are the memoised Dijkstra
-        results :meth:`path_delay` serves from. Treat the dict as
-        read-only.
+        results :meth:`path_delay` serves from. The array is read-only.
         """
-        return self._delay_row(u)
+        return self._row(u, unweighted=False)
 
-    def hop_row(self, u: int) -> Dict[int, int]:
-        """The full single-source hop-count row ``{node: hops}`` of ``u``
-        (same memoised BFS results as :meth:`hop_count`; read-only)."""
-        return self._hop_row(u)
+    def hop_row(self, u: int) -> np.ndarray:
+        """The full single-source hop-count row of ``u`` (same layout and
+        memoised solves as :meth:`hop_count`; read-only)."""
+        return self._row(u, unweighted=True)
 
     def path_delay(self, u: int, v: int) -> float:
         """Total delay (ms) along the min-delay path; 0 when ``u == v``."""
-        d = self._lookup(self._delay_rows, self._delay_row, u, v)
+        d = self._lookup(False, u, v)
         if d is None:
             raise TopologyError(f"no path between {u} and {v}")
         return d
 
     def hop_count(self, u: int, v: int) -> int:
         """Hop count of the unweighted shortest path; 0 when ``u == v``."""
-        h = self._lookup(self._hop_rows, self._hop_row, u, v)
+        h = self._lookup(True, u, v)
         if h is None:
             raise TopologyError(f"no path between {u} and {v}")
-        return h
+        return int(h)
 
     def shortest_path(self, u: int, v: int) -> List[int]:
         """Node sequence of the min-delay path ``u → v`` (inclusive)."""
@@ -133,7 +170,8 @@ class RoutingTable:
 
     def eccentricity(self, u: int) -> float:
         """Max delay from ``u`` to any reachable node."""
-        return max(self._delay_row(u).values())
+        row = self._row(u, unweighted=False)
+        return float(row[np.isfinite(row)].max())
 
     def diameter(self) -> float:
         """Max delay between any node pair (delay-weighted diameter)."""

@@ -130,7 +130,8 @@ class MECNetwork:
     # ------------------------------------------------------------------ #
     @property
     def routing(self) -> RoutingTable:
-        """Lazily computed all-pairs shortest-path routing table."""
+        """The shortest-path routing table, built on first access and after
+        any topology change; it solves each source's row on first touch."""
         if self._routing is None:
             self._routing = RoutingTable(self.graph)
         return self._routing
