@@ -4,9 +4,9 @@ The testbed is wired so "network data can still be transmitted if one
 switch is down" (Section IV.C); this example exercises the service layer's
 side of that story, in two acts:
 
-1. **One-epoch drills** — fail each cloudlet of a static market in turn
-   (then the two busiest at once) and compare the greedy-failover bill to
-   a full LCF replan.
+1. **A scripted drill** — fail two cloudlets for one epoch with a
+   ``ScheduledOutageTrace`` and compare the greedy-failover bill to a
+   full LCF replan.
 2. **An outage-laden run** — drive the dynamic market through an
    MTTF/MTTR outage process and report the availability ledger: provider
    displacement, SLA violations, cloudlet downtime and mean
@@ -19,59 +19,53 @@ Run:  python examples/resilience.py
 
 import argparse
 
-from repro.core import lcf
 from repro.dynamics import (
     CorrelatedOutageTrace,
     DynamicMarketSimulation,
-    FailureInjector,
     IndependentOutageTrace,
     PopulationProcess,
+    ScheduledOutageTrace,
 )
-from repro.market import generate_market
 from repro.network import random_mec_network
 from repro.utils.tables import Table
 
 
-def one_epoch_drills(network, market) -> None:
-    baseline = lcf(market, xi=0.7, allow_remote=True).assignment
-    print(f"pre-failure social cost: {baseline.social_cost:.1f}")
-
-    injector = FailureInjector(market)
-    occupancy = baseline.occupancy()
-
-    table = Table([
-        "failed cloudlet", "tenants", "failover cost", "replan cost",
-        "failover delta", "newly remote",
-    ])
-    for cl in market.network.cloudlets:
-        node = cl.node_id
-        failover = injector.inject(baseline, [node], policy="failover")
-        replan = injector.inject(baseline, [node], policy="replan")
+def scheduled_drill() -> None:
+    # A near-static population (slow arrivals, long lifetimes), so the
+    # outage epoch's bill is the outage's cost rather than churn.
+    table = Table(["recovery", "displaced", "SLA viol.", "social cost",
+                   "migration cost"])
+    for recovery in ("failover", "replan"):
+        network = random_mec_network(100, rng=1)
+        victims = [cl.node_id for cl in network.cloudlets[:2]]
+        trace = ScheduledOutageTrace(
+            network, {2: (victims, ()), 3: ((), victims)}
+        )
+        population = PopulationProcess(
+            network,
+            arrival_rate=0.5,
+            mean_lifetime=1000.0,
+            rng=3,
+            initial_population=40,
+        )
+        sim = DynamicMarketSimulation(
+            network,
+            population,
+            policy="incremental",
+            outages=trace,
+            recovery=recovery,
+        )
+        outage = sim.run(3).epochs[1]
         table.add_row([
-            cl.name,
-            occupancy.get(node, 0),
-            failover.cost_after,
-            replan.cost_after,
-            failover.cost_increase,
-            len(failover.newly_rejected),
+            recovery, outage.displaced, outage.sla_violations,
+            outage.social_cost, outage.migration_cost,
         ])
-    print()
-    print(table.render(title="Single-cloudlet outages"))
-
-    busiest = sorted(occupancy, key=occupancy.get, reverse=True)[:2]
-    double = injector.inject(baseline, busiest, policy="failover")
-    double_replan = injector.inject(baseline, busiest, policy="replan")
-    print(f"\ncorrelated outage of the two busiest cloudlets {busiest}:")
-    print(f"  displaced instances:  {len(double.displaced)}")
-    print(f"  failover: {double.cost_after:.1f} "
-          f"(+{double.cost_increase:.1f})")
-    print(f"  replan:   {double_replan.cost_after:.1f} "
-          f"(+{double_replan.cost_increase:.1f})")
+    print(table.render(
+        title=f"Cloudlets {victims} down for epoch 2 (recovered at epoch 3)"
+    ))
 
 
 def outage_run(args) -> None:
-    # A fresh network: the trace zeroes live cloudlet capacities while
-    # nodes are down, so the drills above must not share topology.
     network = random_mec_network(100, rng=1)
     population = PopulationProcess(
         network,
@@ -130,9 +124,7 @@ def main() -> None:
                         help="regional outages (neighbourhoods fail together)")
     args = parser.parse_args()
 
-    network = random_mec_network(100, rng=1)
-    market = generate_market(network, 40, rng=2)
-    one_epoch_drills(network, market)
+    scheduled_drill()
     outage_run(args)
 
 

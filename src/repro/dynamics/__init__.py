@@ -29,7 +29,6 @@ from repro.dynamics.simulation import (
     EpochRecord,
     SimulationSummary,
 )
-from repro.dynamics.failures import FailureInjector, FailureReport
 from repro.dynamics.outages import (
     CorrelatedOutageTrace,
     IndependentOutageTrace,
@@ -45,8 +44,6 @@ __all__ = [
     "DynamicMarketSimulation",
     "EpochRecord",
     "SimulationSummary",
-    "FailureInjector",
-    "FailureReport",
     "DiurnalTrace",
     "OutageEvent",
     "OutageTrace",

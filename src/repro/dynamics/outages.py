@@ -19,8 +19,8 @@ Three generators cover the regimes studied by online service-caching work
 * :class:`CorrelatedOutageTrace` — regional events: one failure takes its
   nearest neighbours (by hop count) down with it, modelling a shared
   switch or power domain;
-* :class:`ScheduledOutageTrace` — an explicit per-epoch script, used by
-  the failure-injection wrapper and the differential tests.
+* :class:`ScheduledOutageTrace` — an explicit per-epoch script, for
+  scripted drills and the differential tests.
 
 Every trace guarantees at least ``min_survivors`` healthy cloudlets
 (matching the guard in :meth:`ServiceMarket.apply

@@ -4,15 +4,13 @@ The selfish providers play a *capacitated singleton congestion game*: each
 player picks one resource (cloudlet); the cost is a shared non-decreasing
 congestion term plus a player-and-resource-specific fixed term. This package
 provides the game model, Rosenthal's exact potential, best-response dynamics,
-Nash-equilibrium verification, the Stackelberg wrapper used by algorithm
-``LCF``, and empirical Price-of-Anarchy measurement.
+Nash-equilibrium verification and empirical Price-of-Anarchy measurement.
 """
 
 from repro.game.congestion import Profile, SingletonCongestionGame
 from repro.game.batch import batch_best_response
 from repro.game.best_response import BestResponseResult, best_response_dynamics, greedy_feasible_profile
 from repro.game.equilibrium import best_deviation, is_nash_equilibrium
-from repro.game.stackelberg import StackelbergOutcome, play_stackelberg
 from repro.game.poa import empirical_poa, enumerate_equilibria, worst_equilibrium_cost
 from repro.game.dynamics_variants import improvement_dynamics
 from repro.game.partitioned import (
@@ -32,8 +30,6 @@ __all__ = [
     "greedy_feasible_profile",
     "best_deviation",
     "is_nash_equilibrium",
-    "StackelbergOutcome",
-    "play_stackelberg",
     "empirical_poa",
     "enumerate_equilibria",
     "worst_equilibrium_cost",

@@ -1,4 +1,4 @@
-"""Compiled game tables and warm-started best response.
+"""Compiled game tables.
 
 :class:`CompiledGame` evaluates a game's cost structure exactly once —
 fixed costs, shared congestion costs at every occupancy, demands and
@@ -7,20 +7,16 @@ capacities all become numpy tables — so the best-response kernel of
 Python-level calls into the cost callables. Every table entry is the same
 ``float(...)`` evaluation the cost callables return, so compiled cost
 comparisons are bit-equal to the object-graph ones.
-
-:func:`warm_started_best_response` carries an equilibrium across a market
-delta: survivors keep their strategies and only the disturbed players
-re-enter before the kernel settles them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, InfeasibleError
-from repro.game.congestion import Profile, SingletonCongestionGame
+from repro.exceptions import ConfigurationError
+from repro.game.congestion import SingletonCongestionGame
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (market.compiled is upstream)
     from repro.market.compiled import CompiledMarket
@@ -217,98 +213,7 @@ class CompiledGame:
         return total
 
 
-def warm_started_best_response(
-    game: SingletonCongestionGame,
-    prior_profile: Mapping[Hashable, Hashable],
-    scope: str = "queue",
-    max_rounds: int = 1000,
-    compiled: Optional[CompiledGame] = None,
-    record_moves: bool = False,
-) -> Tuple[Profile, bool, int, int, List[float], List[Tuple[Hashable, Hashable, Hashable, float]]]:
-    """Carry an equilibrium across a market delta instead of restarting cold.
-
-    ``prior_profile`` is the previous (pre-delta) equilibrium; ``game`` is
-    the game on the *current* player population. Three phases:
-
-    1. **Survivors keep their strategies** — the prior profile restricted
-       to players and resources that still exist, in player order.
-    2. **Evictions** — resources whose capacity no longer covers the
-       surviving load shed members (largest demand first, the same rule as
-       Appro's repair) until feasible; evictees join the entry queue
-       behind the arrivals.
-    3. **Queue entry + best response** — queued players enter greedily at
-       the live occupancies, then round-robin best response runs with
-       ``movable`` limited to the queue (``scope="queue"``, the default)
-       or open to everyone (``scope="all"``). With ``scope="queue"`` the
-       survivors are *pinned*: the dynamics only settle the players the
-       delta actually disturbed, which is what makes warm epochs cheap.
-
-    The queue settles on the batch kernel of :mod:`repro.game.batch`;
-    the result is its ``(profile, converged, rounds, moves, trace,
-    move_log)`` tuple.
-    """
-    if scope not in ("queue", "all"):
-        raise InfeasibleError(
-            f"scope must be 'queue' or 'all', got {scope!r}"
-        )
-    c = compiled if compiled is not None else game.compile()
-    resources = set(game.resources)
-    profile: Profile = {
-        p: prior_profile[p]
-        for p in game.players
-        if p in prior_profile and prior_profile[p] in resources
-    }
-    queue = [p for p in game.players if p not in profile]
-
-    if c.capacity is not None:
-        loads = c.load_matrix(profile)
-        for j in range(c.n_resources):
-            if np.all(loads[j] <= c.capacity[j] + CAPACITY_EPS):
-                continue
-            members = sorted(
-                (p for p, r in profile.items() if c.resource_index[r] == j),
-                key=lambda p: -float(np.max(c.demand[c.player_index[p], j])),
-            )
-            k = 0
-            while (
-                np.any(loads[j] > c.capacity[j] + CAPACITY_EPS)
-                and k < len(members)
-            ):
-                p = members[k]
-                k += 1
-                loads[j] -= c.demand[c.player_index[p], j]
-                del profile[p]
-                queue.append(p)
-
-    occ = c.occupancy_vector(profile)
-    live_loads = c.load_matrix(profile)
-    for p in queue:
-        pi = c.player_index[p]
-        costs = c.entry_costs(pi, occ, live_loads)
-        j = int(np.argmin(costs))
-        if not np.isfinite(costs[j]):
-            raise InfeasibleError(
-                f"warm start cannot place player {p!r}: no feasible resource"
-            )
-        profile[p] = c.resources[j]
-        occ[j] += 1
-        if live_loads is not None:
-            live_loads[j] += c.demand[pi, j]
-
-    from repro.game.batch import batch_best_response  # cycle guard
-
-    return batch_best_response(
-        game,
-        profile,
-        movable=queue if scope == "queue" else None,
-        max_rounds=max_rounds,
-        compiled=c,
-        record_moves=record_moves,
-    )
-
-
 __all__ = [
     "CompiledGame",
     "IMPROVEMENT_EPS",
-    "warm_started_best_response",
 ]

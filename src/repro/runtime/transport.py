@@ -24,23 +24,18 @@ once per worker, however many tasks reference it.
 
 The crash hierarchy
 -------------------
-Worker death surfaces as :class:`WorkerCrash` — a proper exception
-hierarchy, not the bare ``BrokenProcessPool`` alias it used to be:
+Worker death surfaces as :class:`WorkerCrash`:
 
 * :class:`WorkerCrash` — the transport-agnostic base: "a worker died
   under us" (as opposed to the task raising).  The supervisor's
   quarantine protocol is keyed on exactly this type.
-* :class:`PoolCrash` — a local process-pool worker died.  It subclasses
-  *both* :class:`WorkerCrash` and the stdlib ``BrokenProcessPool``, so
-  legacy callers that still catch ``BrokenProcessPool`` keep catching
-  local pool breakage; :class:`PoolTransport` translates every raw
-  ``BrokenProcessPool`` the pool raises into it at the boundary.
+* :class:`PoolCrash` — a local process-pool worker died.
+  :class:`PoolTransport` translates every raw ``BrokenProcessPool`` the
+  pool raises into it at the boundary.
 * :class:`HostLost` — a remote host agent died, wedged past its lease,
   or corrupted its reply channel (see :mod:`repro.runtime.remote`).
 
-``except BrokenProcessPool`` therefore *narrows*: it misses
-:class:`HostLost`.  Code that means "any worker died" must catch
-:class:`WorkerCrash` — reprolint R7 flags the narrowing.
+Code that means "any worker died" catches :class:`WorkerCrash`.
 """
 
 from __future__ import annotations
@@ -73,14 +68,9 @@ class WorkerCrash(RuntimeError):
     """
 
 
-class PoolCrash(WorkerCrash, BrokenProcessPool):
-    """A local process-pool worker died (SIGKILL, ``os._exit``, OOM).
-
-    The translated form of the stdlib ``BrokenProcessPool``: it keeps
-    that type as a base so legacy ``except BrokenProcessPool`` handlers
-    still catch local pool breakage, while ``except WorkerCrash``
-    catches it alongside :class:`HostLost`.
-    """
+class PoolCrash(WorkerCrash):
+    """A local process-pool worker died (SIGKILL, ``os._exit``, OOM): the
+    translated form of the stdlib ``BrokenProcessPool``."""
 
 
 class HostLost(WorkerCrash):
@@ -379,7 +369,7 @@ class PoolTransport(Transport):
     def submit(self, fn: Callable[..., R], *args: object) -> "Future[R]":
         try:
             inner = self._live_pool().submit(fn, *args)
-        except BrokenProcessPool as exc:  # reprolint: ok[R7] boundary translation into the WorkerCrash hierarchy, re-raised as PoolCrash
+        except BrokenProcessPool as exc:
             raise translate_crash(exc) from exc
         return _translating_future(inner)
 

@@ -7,7 +7,6 @@ from repro.utils.validation import (
     check_fraction,
     check_non_negative,
     check_positive,
-    check_probability,
 )
 
 __all__ = [
@@ -20,5 +19,4 @@ __all__ = [
     "check_fraction",
     "check_non_negative",
     "check_positive",
-    "check_probability",
 ]

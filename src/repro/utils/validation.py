@@ -42,11 +42,6 @@ def check_fraction(value: float, name: str) -> float:
     return value
 
 
-def check_probability(value: float, name: str) -> float:
-    """Alias of :func:`check_fraction` kept for call-site readability."""
-    return check_fraction(value, name)
-
-
 def check_int_at_least(value: int, minimum: int, name: str) -> int:
     """Require an integer ``value >= minimum``; return it for chaining."""
     if int(value) != value:
@@ -61,6 +56,5 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_fraction",
-    "check_probability",
     "check_int_at_least",
 ]

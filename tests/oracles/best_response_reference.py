@@ -306,8 +306,8 @@ def naive_selfish_entry(
 
 
 #: Where the library looks the best-response kernel up: the module that
-#: defines it (``warm_started_best_response`` imports it at call time) and
-#: the module-level name ``best_response_dynamics`` calls.
+#: defines it (``repro.cli`` imports it at call time) and the module-level
+#: name ``best_response_dynamics`` calls.
 _KERNEL_SITES = (
     "repro.game.batch.batch_best_response",
     "repro.game.best_response.batch_best_response",

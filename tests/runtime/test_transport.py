@@ -168,12 +168,12 @@ class TestPoolTransport:
 
 
 # --------------------------------------------------------------------- #
-# The WorkerCrash hierarchy (tentpole: no longer a bare alias)
+# The WorkerCrash hierarchy
 # --------------------------------------------------------------------- #
 class TestCrashHierarchy:
     def test_hierarchy_membership(self):
         assert issubclass(PoolCrash, WorkerCrash)
-        assert issubclass(PoolCrash, BrokenProcessPool)
+        assert not issubclass(PoolCrash, BrokenProcessPool)
         assert issubclass(HostLost, WorkerCrash)
         assert not issubclass(HostLost, BrokenProcessPool)
 
@@ -190,12 +190,12 @@ class TestCrashHierarchy:
         assert translate_crash(plain) is plain
 
     def test_except_broken_process_pool_misses_host_lost(self):
-        """The narrowing reprolint R7 now flags: a legacy handler keeps
-        catching local pool breakage but misses remote host loss."""
+        """Only ``WorkerCrash`` names every worker death: the stdlib pool
+        type misses remote host loss."""
         with pytest.raises(HostLost):
             try:
                 raise HostLost("agent died")
-            except BrokenProcessPool:  # reprolint: ok[R7] the test demonstrates exactly this narrowing
+            except BrokenProcessPool:
                 pytest.fail("HostLost must not be BrokenProcessPool")
 
     def test_pool_transport_translates_at_the_boundary(self):
@@ -206,6 +206,9 @@ class TestCrashHierarchy:
             with pytest.raises(WorkerCrash) as excinfo:
                 fut.result(timeout=60)
             assert isinstance(excinfo.value, PoolCrash)
+            # The broken pool refuses new work with the same translated type.
+            with pytest.raises(PoolCrash):
+                transport.submit(_double, 1)
 
 
 # --------------------------------------------------------------------- #

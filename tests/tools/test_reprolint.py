@@ -529,87 +529,6 @@ class TestSwallowedError:
         assert lint(code, rules=["R7"]) == []
 
 
-class TestCrashHierarchyNarrowing:
-    """R7 also guards the WorkerCrash hierarchy: ``except
-    BrokenProcessPool`` catches local pool crashes but lets a remote
-    ``HostLost`` escape, even when the body handles what it caught."""
-
-    def test_flags_broken_process_pool_even_when_reraised(self):
-        code = """
-            from concurrent.futures.process import BrokenProcessPool
-
-            def drain(fut):
-                try:
-                    return fut.result()
-                except BrokenProcessPool as exc:
-                    raise RuntimeError("pool died") from exc
-        """
-        diags = lint(code, rules=["R7"])
-        assert rule_ids(diags) == ["R7"]
-        assert "HostLost" in diags[0].message
-
-    def test_flags_broken_process_pool_in_tuple(self):
-        code = """
-            from concurrent.futures.process import BrokenProcessPool
-
-            def drain(fut):
-                try:
-                    return fut.result()
-                except (OSError, BrokenProcessPool):
-                    return None
-        """
-        assert rule_ids(lint(code, rules=["R7"])) == ["R7"]
-
-    def test_catching_worker_crash_passes(self):
-        code = """
-            from repro.runtime import WorkerCrash
-
-            def drain(fut):
-                try:
-                    return fut.result()
-                except WorkerCrash as exc:
-                    raise RuntimeError("worker lost") from exc
-        """
-        assert lint(code, rules=["R7"]) == []
-
-    def test_spelled_out_union_passes(self):
-        code = """
-            from concurrent.futures.process import BrokenProcessPool
-            from repro.runtime import HostLost
-
-            def drain(fut):
-                try:
-                    return fut.result()
-                except (BrokenProcessPool, HostLost) as exc:
-                    raise RuntimeError("worker lost") from exc
-        """
-        assert lint(code, rules=["R7"]) == []
-
-    def test_boundary_translation_escape_hatch(self):
-        code = """
-            from concurrent.futures.process import BrokenProcessPool
-
-            def translate(fut):
-                try:
-                    return fut.result()
-                except BrokenProcessPool as exc:  # reprolint: ok[R7] boundary translation
-                    raise RuntimeError("translated") from exc
-        """
-        assert lint(code, rules=["R7"]) == []
-
-    def test_test_files_exempt(self):
-        code = """
-            from concurrent.futures.process import BrokenProcessPool
-
-            def drain(fut):
-                try:
-                    return fut.result()
-                except BrokenProcessPool:
-                    return None
-        """
-        assert lint(code, path="tests/test_x.py", rules=["R7"]) == []
-
-
 # --------------------------------------------------------------------- #
 # Suppressions (escape hatch + R0 hygiene)
 # --------------------------------------------------------------------- #

@@ -10,7 +10,6 @@ from repro.utils.validation import (
     check_int_at_least,
     check_non_negative,
     check_positive,
-    check_probability,
 )
 
 
@@ -47,9 +46,6 @@ class TestCheckFraction:
     def test_rejects(self, bad):
         with pytest.raises(ConfigurationError):
             check_fraction(bad, "x")
-
-    def test_probability_alias(self):
-        assert check_probability(0.3, "p") == 0.3
 
 
 class TestCheckIntAtLeast:

@@ -20,16 +20,6 @@ A handler is flagged when all of the following hold:
 * its body does not hand the error to a logger (``log``/``warning``/
   ``error``/``exception``/``debug``/``info``/``print``).
 
-The rule also knows the runtime's :class:`WorkerCrash` hierarchy
-(:mod:`repro.runtime.transport`): ``PoolCrash`` subclasses both
-``WorkerCrash`` and the stdlib ``BrokenProcessPool``, but ``HostLost`` —
-a worker lost over :class:`~repro.runtime.remote.RemoteTransport` — does
-*not*.  A handler written as ``except BrokenProcessPool`` therefore
-silently narrows: it catches local pool crashes but lets remote host
-loss escape.  Such handlers are flagged regardless of what their body
-does; catch ``WorkerCrash``, or mark a deliberate boundary translation
-with the escape hatch.
-
 Deliberate broad swallows (e.g. best-effort cleanup in a ``finally``
 replacement) carry the usual escape hatch: ``# reprolint: ok[R7] reason``.
 Test files are exempt — teardown code may legitimately ignore everything.
@@ -44,12 +34,6 @@ from reprolint.rules.base import Rule
 
 #: Exception names considered "broad": catching one of these catches bugs.
 _BROAD_NAMES = {"Exception", "BaseException"}
-
-#: The crash-hierarchy names an ``except BrokenProcessPool`` handler must
-#: mention to not be a narrowing bug: ``WorkerCrash`` covers the whole
-#: hierarchy (``HostLost`` included); a handler that names ``HostLost``
-#: alongside ``BrokenProcessPool`` has spelled the union by hand.
-_CRASH_UNION_NAMES = {"WorkerCrash", "HostLost"}
 
 #: Called names that count as routing the error somewhere visible.
 _LOGGING_CALLS = {
@@ -109,27 +93,7 @@ class SwallowedErrorRule(Rule):
                         return True
         return False
 
-    def _narrows_crash_hierarchy(self, handler: ast.ExceptHandler) -> bool:
-        """``except BrokenProcessPool`` without ``WorkerCrash``: catches
-        local pool crashes, misses remote :class:`HostLost`."""
-        if handler.type is None:
-            return False
-        caught = set(_caught_names(handler.type))
-        return (
-            "BrokenProcessPool" in caught
-            and not (caught & _CRASH_UNION_NAMES)
-        )
-
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if not self.ctx.is_test_file and self._narrows_crash_hierarchy(node):
-            self.report(
-                node,
-                "except BrokenProcessPool narrows the WorkerCrash hierarchy: "
-                "HostLost (a worker lost over RemoteTransport) is not a "
-                "BrokenProcessPool and escapes this handler; catch "
-                "repro.runtime.WorkerCrash, or mark a deliberate boundary "
-                "translation with '# reprolint: ok[R7] ...'",
-            )
         if (
             not self.ctx.is_test_file
             and self._is_broad(node)

@@ -13,8 +13,7 @@ R3 (sweep-pickle) checks the *argument* at the dispatch site.  R8 is its
 flow-aware big sibling: it roots a call-graph walk (see
 :mod:`reprolint.project`) at every worker-dispatch site —
 
-* ``map_tasks(fn, ...)`` / ``supervised_map(fn, ...)`` /
-  ``supervise(fn, ...)``,
+* ``map_tasks(fn, ...)`` / ``supervise(fn, ...)``,
 * ``pool.map`` / ``imap`` / ``imap_unordered`` / ``starmap`` /
   ``submit`` / ``apply_async`` / ``run`` on pool/executor/runtime-named
   receivers (``runtime.run(fn, tasks)`` and ``runtime.map(fn, tasks)``
@@ -58,7 +57,7 @@ if TYPE_CHECKING:  # imported lazily at runtime: rules/__init__ loads before pro
 
 #: Direct callee names that dispatch their first argument to workers.
 _DISPATCH_FUNCS: Set[str] = {
-    "map_tasks", "supervise", "supervised_map", "run_sweep", "submit_sweep",
+    "map_tasks", "supervise", "run_sweep", "submit_sweep",
 }
 
 #: Pool/executor methods whose first argument crosses the pool boundary
