@@ -657,8 +657,10 @@ class DynamicMarketSimulation:
         """Settle the policy's placement to a partitioned equilibrium.
 
         The log's sequence number keys the settle-layer cache and the
-        worker blob publications, so a shard whose tables have not moved
-        since the last epoch is neither re-sliced nor re-pickled.
+        worker blob publications. It is one global counter that every
+        delta advances (and :meth:`_apply_delta` clears the cache), so
+        after a delta every shard's view is sliced and published again;
+        only repeated settles at the same sequence number reuse them.
         """
         assert self._shard_log is not None
         result = partitioned_best_response(

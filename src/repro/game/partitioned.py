@@ -8,10 +8,17 @@ runs the paper's best-response dynamics as a two-level fixed point:
    batch kernel, boundary providers currently cached on the shard pinned
    in place. Congestion is per-cloudlet, so a shard's occupancies are
    *exact* — the only coupling across shards is boundary providers
-   wanting to move between them. Shards are independent and run either
-   serially (deterministic reference) or concurrently on a
-   :class:`~repro.runtime.Runtime` — blob-published sub-views,
-   persistent workers, bit-identical merge.
+   wanting to move between them. A sub-view carries only the rows its
+   shard can price (interior providers plus the boundary providers that
+   reach it), and a placed provider outside them is rejected with
+   :class:`~repro.exceptions.InfeasibleError`. Shards are independent
+   and run either serially (deterministic reference) or concurrently on
+   a :class:`~repro.runtime.Runtime`: each sub-view is published once
+   per table state, and the shard tasks of one phase travel as one chunk
+   per worker (balanced by sub-profile size, settled in shard-id order
+   inside a chunk), so a phase is a single ``Runtime.map`` call of at
+   most ``runtime.workers`` tasks. The merge is bit-identical to the
+   serial path.
 2. **Boundary phase** — one batch best-response pass over the *global*
    tables with only the boundary providers movable, re-pricing their
    cross-shard options against the frozen interiors.
@@ -52,7 +59,7 @@ from typing import (
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.game.batch import _BatchState, batch_best_response
 from repro.game.congestion import Profile, SingletonCongestionGame
 from repro.game.engine import IMPROVEMENT_EPS, CompiledGame
@@ -223,21 +230,48 @@ def _settle_shard(
     return profile, moves
 
 
-def _shard_task(
-    task: Tuple[BlobRef, int, Tuple[Tuple[int, int], ...], Tuple[int, ...], int],
-) -> Tuple[int, Tuple[Tuple[int, int], ...], int]:
-    """Worker body for one shard's interior settle.
+#: One shard's work item inside a chunk: ``(blob ref of its sub-view,
+#: shard id, sub-profile items, movable ids)``.
+ShardItem = Tuple[BlobRef, int, Tuple[Tuple[int, int], ...], Tuple[int, ...]]
 
-    ``task`` is ``(blob ref, shard id, profile items, movable ids,
-    max_rounds)`` — the heavy sub-view travels by reference (fetched and
-    memoized per worker by :func:`repro.runtime.fetch_blob`), the task
-    payload is a few tuples. Pure: reads the blob, returns the settled
-    items; no module state is written besides the fetch memo.
+
+def _shard_task(
+    task: Tuple[Tuple[ShardItem, ...], int],
+) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], int], ...]:
+    """Worker body for one chunk of shard interior settles.
+
+    ``task`` is ``(shard items, max_rounds)``; each item's heavy sub-view
+    travels by reference (fetched and memoized per worker by
+    :func:`repro.runtime.fetch_blob`), the rest is a few tuples. The
+    chunk's shards settle in order, and each yields ``(settled items,
+    moves)``. Pure: reads the blobs, returns the settled items; no
+    module state is written besides the fetch memo.
     """
-    ref, shard_id, items, movable, max_rounds = task
-    sub_cm = fetch_blob(ref)
-    profile, moves = _settle_shard(sub_cm, dict(items), list(movable), max_rounds)
-    return shard_id, tuple(sorted(profile.items())), moves
+    items, max_rounds = task
+    results = []
+    for ref, _shard_id, sub_items, movable in items:
+        profile, moves = _settle_shard(
+            fetch_blob(ref), dict(sub_items), list(movable), max_rounds
+        )
+        results.append((tuple(sorted(profile.items())), moves))
+    return tuple(results)
+
+
+def _chunks(
+    tasks: Sequence[Tuple[int, Profile, List[int]]], n_chunks: int
+) -> List[List[Tuple[int, Profile, List[int]]]]:
+    """Split shard tasks into ``n_chunks`` deterministic chunks balanced
+    by sub-profile size: largest first onto the lightest chunk (lowest
+    index on ties), each chunk then in shard-id order."""
+    chunks: List[List[Tuple[int, Profile, List[int]]]] = [
+        [] for _ in range(n_chunks)
+    ]
+    loads = [0] * n_chunks
+    for task in sorted(tasks, key=lambda t: (-len(t[1]), t[0])):
+        k = loads.index(min(loads))
+        chunks[k].append(task)
+        loads[k] += len(task[1])
+    return [sorted(chunk, key=lambda t: t[0]) for chunk in chunks]
 
 
 @dataclass(frozen=True)
@@ -288,7 +322,8 @@ def _reconcile(
     Decorated with the capacity contract (market-form, against the first
     argument) and the shard-ownership contract (partition/classification
     from the second/third arguments) — both armed by
-    ``REPRO_DEBUG_INVARIANTS=1``.
+    ``REPRO_DEBUG_INVARIANTS=1``. Raises :class:`InfeasibleError` for a
+    placed provider that its cloudlet's shard view cannot price.
     """
     if not profile:
         return PartitionedResult(
@@ -335,21 +370,32 @@ def _reconcile(
     # settles everything, later iterations only the shards the boundary
     # phase's move log actually touched.
     dirty = set(partition.shard_ids)
+    interior_shard = classification.interior_shard
+    reach = {s: set(pids) for s, pids in classification.boundary_reach.items()}
+    dispatch = runtime is not None and (
+        runtime.workers > 1 or not runtime.transport.colocated
+    )
     for rounds in range(1, boundary_rounds + 1):
         it_moves = 0
+
+        # One pass groups the placement by shard (profile order within a
+        # shard) and rejects a provider its shard's view cannot price.
+        by_shard: Dict[int, Profile] = {}
+        for pid, node in profile.items():
+            s = shard_of_cl.get(node)
+            if s is None or (interior_shard.get(pid) != s and pid not in reach[s]):
+                raise InfeasibleError(
+                    f"provider {pid} is placed on node {node}, which no "
+                    f"shard view can price: the node is not a cloudlet of "
+                    f"a shard the provider's feasible mask reaches"
+                )
+            by_shard.setdefault(s, {})[pid] = node
 
         # Interior phase: shards are disjoint, merge order is irrelevant;
         # shard-id order keeps the serial path deterministic anyway.
         tasks = []
         for s in sorted(dirty):
-            in_view = set(classification.interior.get(s, ())) | set(
-                classification.boundary
-            )
-            sub_profile = {
-                pid: node
-                for pid, node in profile.items()
-                if pid in in_view and shard_of_cl.get(node) == s
-            }
+            sub_profile = by_shard.get(s, {})
             mv = sorted(
                 set(classification.interior.get(s, ()))
                 & movable_set
@@ -359,24 +405,27 @@ def _reconcile(
                 continue
             tasks.append((s, sub_profile, mv))
 
-        dispatch = runtime is not None and (
-            runtime.workers > 1 or not runtime.transport.colocated
-        )
         if dispatch and runtime is not None and len(tasks) > 1:
             payloads = [
                 (
-                    runtime.publish(("shard", s, blob_seq), view_of(s)),
-                    s,
-                    tuple(sorted(sub_profile.items())),
-                    tuple(mv),
+                    tuple(
+                        (
+                            runtime.publish(("shard", s, blob_seq), view_of(s)),
+                            s,
+                            tuple(sorted(sub_profile.items())),
+                            tuple(mv),
+                        )
+                        for s, sub_profile, mv in chunk
+                    ),
                     max_rounds,
                 )
-                for s, sub_profile, mv in tasks
+                for chunk in _chunks(tasks, min(runtime.workers, len(tasks)))
             ]
-            for _s, items, moves in runtime.map(_shard_task, payloads):
-                profile.update(dict(items))
-                interior_moves += moves
-                it_moves += moves
+            for chunk_results in runtime.map(_shard_task, payloads):
+                for items, moves in chunk_results:
+                    profile.update(dict(items))
+                    interior_moves += moves
+                    it_moves += moves
         else:
             for s, sub_profile, mv in tasks:
                 settled, moves = _settle_shard(
@@ -460,17 +509,20 @@ def partitioned_best_response(
         earlier — at the first iteration committing zero moves.
     runtime:
         Optional :class:`~repro.runtime.Runtime` for concurrent
-        interiors (sub-views published once per ``blob_seq``, shards
-        settled via :meth:`~repro.runtime.Runtime.map`); ``None`` (or
-        one worker) settles serially with bit-identical results.
+        interiors (sub-views published once per ``blob_seq``, an
+        interior phase's shards settled in one
+        :meth:`~repro.runtime.Runtime.map` call of one chunk per
+        worker); ``None`` (or one worker) settles serially with
+        bit-identical results.
     classification:
         A precomputed :class:`ShardClassification` for ``compiled`` at
         its current table state (recompute after every applied delta).
     compiled / blob_seq:
         The market's :class:`CompiledMarket` if the caller already holds
         it, and the delta-log sequence number identifying its table
-        state — the blob-publication cache key, so an unchanged shard is
-        pickled to the workers once per delta, not once per call.
+        state — the blob-publication cache key, so a shard's view is
+        pickled to the workers once per table state, however many
+        boundary iterations re-settle it.
     cache:
         Optional caller-owned dict reused across calls: shard sub-views
         are cached under ``("view", shard_id, blob_seq)`` and the global

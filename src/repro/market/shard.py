@@ -18,8 +18,11 @@ This module turns that locality into an explicit sharded architecture:
 * :func:`shard_view` builds one self-contained
   :class:`~repro.market.compiled.CompiledMarket` per shard — a
   fancy-indexed copy of the global tables over the shard's cloudlet
-  columns and its interior-plus-boundary provider rows, bit-equal entry
-  by entry, cheap to pickle to a worker process.
+  columns and only the provider rows the shard can price: its interior
+  providers plus the boundary providers whose mask reaches it (recorded
+  per shard by the classification). The congestion prefix is cut to the
+  view's row count. Entries are bit-equal slices of the global tables,
+  and a view pickles to a few KB for shipping to a worker process.
 * :class:`ShardDelta` + :class:`ShardLog` extend the
   :class:`~repro.market.delta.MarketDelta` protocol into a
   sequence-numbered replication log: every global delta is routed into
@@ -98,6 +101,9 @@ class ShardClassification:
     unreachable: Tuple[int, ...]
     #: interior provider id -> its single feasible shard.
     interior_shard: Mapping[int, int]
+    #: shard id -> the boundary providers whose feasible mask touches
+    #: that shard, ascending: the only boundary rows its view can price.
+    boundary_reach: Mapping[int, Tuple[int, ...]]
 
 
 def partition_market(
@@ -228,24 +234,36 @@ def classify_providers(
             touched[:, s] = feasible[:, cols].any(axis=1)
     counts = touched.sum(axis=1)
 
+    # Boundary reach per shard, without a per-provider scan: the nonzeros
+    # of the boundary block of ``touched``, transposed, come out grouped
+    # by shard and ascending by row (= ascending provider id) within it.
+    ids = np.asarray(compiled.provider_ids, dtype=np.int64)
+    boundary_ids = ids[counts > 1]
+    reach = touched[counts > 1].T
+    per_shard = np.split(
+        boundary_ids[np.nonzero(reach)[1]], np.cumsum(reach.sum(axis=1))[:-1]
+    )
+    boundary_reach = {
+        s: tuple(pids.tolist()) for s, pids in enumerate(per_shard)
+    }
+
+    home = touched.argmax(axis=1)
     interior: Dict[int, List[int]] = {s: [] for s in partition.shard_ids}
     interior_shard: Dict[int, int] = {}
-    boundary: List[int] = []
     unreachable: List[int] = []
     for i, pid in enumerate(compiled.provider_ids):  # ascending id order
         if counts[i] == 0:
             unreachable.append(pid)
         elif counts[i] == 1:
-            s = int(np.flatnonzero(touched[i])[0])
+            s = int(home[i])
             interior[s].append(pid)
             interior_shard[pid] = s
-        else:
-            boundary.append(pid)
     return ShardClassification(
         interior={s: tuple(pids) for s, pids in interior.items()},
-        boundary=tuple(boundary),
+        boundary=tuple(boundary_ids.tolist()),
         unreachable=tuple(unreachable),
         interior_shard=interior_shard,
+        boundary_reach=boundary_reach,
     )
 
 
@@ -257,24 +275,26 @@ def shard_view(
 ) -> CompiledMarket:
     """One shard's self-contained :class:`CompiledMarket` sub-view.
 
-    Rows: the shard's interior providers plus *all* boundary providers
-    (whatever shard a boundary provider currently caches on, its
-    occupancy must be priceable here), ascending id order. Columns: the
-    shard's cloudlets in global column order. Every table entry is a
-    fancy-indexed *copy* of the global entry — bit-equal, and safely
-    picklable to a worker without aliasing the parent arrays. The
-    congestion prefix ``g`` is carried at global length, so the sub-view
-    shares the exact ``coeff * g`` products of the global ``shared``
-    table. The view depends only on ``(shard_id, partition,
-    classification)`` and the current tables — i.e. on the shard id and
-    the delta sequence number — which is what makes worker-side blob
-    caching sound.
+    Rows: the shard's interior providers plus the boundary providers
+    whose feasible mask reaches it (``classification.boundary_reach``),
+    ascending id order. A placed provider outside those rows has no
+    finite cost anywhere in the shard, so the view cannot price it; the
+    settle loop rejects such a placement instead of dropping it.
+    Columns: the shard's cloudlets in global column order. Every table
+    entry is a fancy-indexed *copy* of the global entry — bit-equal, and
+    safely picklable to a worker without aliasing the parent arrays. The
+    congestion prefix ``g`` is cut to ``len(rows) + 1``: a sub-game over
+    these rows never reaches a higher occupancy, and its ``coeff * g``
+    products are the global ``shared`` entries bit for bit. The view
+    depends only on ``(shard_id, partition, classification)`` and the
+    current tables — i.e. on the shard id and the delta sequence number
+    — which is what makes worker-side blob caching sound.
     """
     if shard_id not in partition.cloudlets:
         raise ConfigurationError(f"unknown shard id {shard_id}")
     pids = sorted(
-        set(classification.interior.get(shard_id, ()))
-        | set(classification.boundary)
+        classification.interior.get(shard_id, ())
+        + classification.boundary_reach.get(shard_id, ())
     )
     col_nodes = list(partition.cloudlets[shard_id])
     if not col_nodes:
@@ -307,7 +327,7 @@ def shard_view(
         access=access,
         update=update,
         coeff=compiled.coeff[cols],
-        g=compiled.g.copy(),
+        g=compiled.g[: len(rows) + 1].copy(),
         demand=demand,
         capacity=compiled.capacity[cols],
         remote=remote,

@@ -63,7 +63,8 @@ class TestFrozenTables:
         with pytest.raises(ValueError, match="read-only"):
             np.add(cm.remote, 1.0, out=cm.remote)
 
-    def test_unsanitized_default_stays_writable(self):
+    def test_unsanitized_default_stays_writable(self, monkeypatch):
+        monkeypatch.delenv(SANITIZE_ENV_FLAG, raising=False)
         assert not sanitize_active()
         cm = make_market().compile()
         assert cm.fixed.flags.writeable
@@ -144,6 +145,7 @@ class TestPickling:
         assert clone.fixed.flags.writeable
 
     def test_unpickling_with_flag_freezes_writable_blob(self, monkeypatch):
+        monkeypatch.delenv(SANITIZE_ENV_FLAG, raising=False)
         cm = make_market().compile()
         assert cm.fixed.flags.writeable
         blob = pickle.dumps(cm)
