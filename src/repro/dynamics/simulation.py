@@ -249,9 +249,10 @@ class DynamicMarketSimulation:
         the deterministic reference. Region sharding only.
     shard_journal:
         Optional :class:`~repro.runtime.CheckpointJournal`
-        handed to the :class:`~repro.market.shard.ShardLog`: every routed
-        :class:`~repro.market.shard.ShardDelta` is durably checkpointed
-        under ``(seq, shard_id)`` before the epoch settles, and
+        handed to the :class:`~repro.market.shard.ShardLog`: every
+        :class:`~repro.market.shard.ShardDelta` routed from one global
+        delta is durably checkpointed in one record under ``(seq,)``
+        before the epoch settles, and
         :meth:`ShardLog.replay <repro.market.shard.ShardLog.replay>`
         rebuilds the delta stream deterministically from it after a
         crash. Region sharding only.

@@ -42,7 +42,9 @@ The partitioned equilibrium driver that consumes all of this lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (
+    Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING, cast,
+)
 
 import numpy as np
 
@@ -500,11 +502,14 @@ class ShardLog:
     Owns the provider -> shard ownership map (seeded from the initial
     population, updated on every arrival/departure so departures route to
     the shard that received the matching arrival) and the monotone
-    sequence counter. With a journal attached, every routed sub-delta is
-    durably appended (flushed + fsynced) *before* :meth:`append` returns
-    — the shard equilibria that consume the delta only ever run after the
-    log entry is on disk, which is what makes a crashed run resumable by
-    :meth:`replay`.
+    sequence counter. With a journal attached, each global delta that
+    routes anywhere is durably appended (flushed + fsynced) as one
+    journal record keyed ``(seq,)``, holding the payloads of all its
+    sub-deltas, *before* :meth:`append` returns — the shard equilibria
+    that consume the delta only ever run after the log entry is on disk,
+    which is what makes a crashed run resumable by :meth:`replay`. One
+    record per sequence number makes a delta durable all or nothing: a
+    torn tail loses a whole global delta, never part of one.
     """
 
     def __init__(
@@ -540,20 +545,33 @@ class ShardLog:
             ]
         for pid in delta.departures:
             self._owners.pop(pid, None)
-        if self.journal is not None:
-            for sd in routed:
-                self.journal.record((sd.seq, sd.shard_id), sd.to_payload())
+        if self.journal is not None and routed:
+            self.journal.record(
+                (self._seq,), [sd.to_payload() for sd in routed]
+            )
         self.entries.extend(routed)
         return routed
 
     @staticmethod
     def replay(journal: "CheckpointJournal") -> List[ShardDelta]:
         """All journaled sub-deltas in replay order (``(seq, shard_id)``
-        ascending) — the crash-consistent resume stream."""
-        records = journal.load()
+        ascending) — the crash-consistent resume stream.
+
+        Reads both record layouts: one record per global delta, keyed
+        ``(seq,)`` with a list of sub-delta payloads, and the older one
+        record per sub-delta, keyed ``(seq, shard_id)``. Each
+        ``(seq, shard_id)`` is yielded once; where records overlap, the
+        one :meth:`~repro.runtime.journal.CheckpointJournal.load` yields
+        later wins, as a re-recorded key does there.
+        """
+        payloads: Dict[Tuple[int, int], Mapping] = {}
+        for key, value in journal.load().items():
+            batch = value if len(key) == 1 else [value]
+            for payload in cast(List[Mapping], batch):
+                sid = (int(payload["seq"]), int(payload["shard_id"]))
+                payloads[sid] = payload
         return [
-            ShardDelta.from_payload(records[key])
-            for key in sorted(records, key=lambda k: (int(k[0]), int(k[1])))
+            ShardDelta.from_payload(payloads[sid]) for sid in sorted(payloads)
         ]
 
 

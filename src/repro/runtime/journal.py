@@ -138,15 +138,17 @@ class CheckpointJournal:
         append that creates the file — the parent directory fsynced so
         the new directory entry is durable too.
         """
-        body = {"key": list(key), "value": value}
-        crc = zlib.crc32(_canonical(body["key"], body["value"]))
-        line = json.dumps({"crc": crc, **body}, sort_keys=True)
+        canonical = _canonical(list(key), value)
+        # ``"crc"`` sorts before ``"key"``, so splicing it in front of the
+        # canonical bytes gives exactly ``json.dumps({"crc", "key",
+        # "value"}, sort_keys=True)`` without serialising the value twice.
+        line = b'{"crc": %d, ' % zlib.crc32(canonical) + canonical[1:] + b"\n"
         existed = os.path.exists(self.path)
-        with open(self.path, "a", encoding="utf-8") as fh:
+        with open(self.path, "ab") as fh:
             if fcntl is not None:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
             try:
-                fh.write(line + "\n")
+                fh.write(line)
                 fh.flush()
                 os.fsync(fh.fileno())
             finally:

@@ -182,3 +182,6 @@ class TestJournal:
         for a, b in zip(replayed, live):
             assert a.to_payload() == b.to_payload()
         assert max(sd.seq for sd in replayed) == sim._shard_log.seq
+        # One durable line per global delta, not one per sub-delta.
+        lines = open(journal.path).read().splitlines()
+        assert len(lines) == sim._shard_log.seq < len(live)

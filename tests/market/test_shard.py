@@ -280,6 +280,32 @@ class TestRouting:
             (sd.seq, sd.shard_id) for sd in log.entries
         )
 
+    def test_append_records_once_per_global_delta(self):
+        """The global delta is the unit of durability: one ``record``
+        per sequence number, holding every routed sub-delta, and none
+        for a delta that routes nowhere."""
+        market = make_market(29, n_providers=30)
+        partition, deltas = churn_trace(market, None)
+        deltas.insert(2, MarketDelta())
+
+        class CountingJournal:
+            def __init__(self):
+                self.calls = []
+
+            def record(self, key, value):
+                self.calls.append((key, value))
+
+        journal = CountingJournal()
+        log = ShardLog(partition, providers=market.providers, journal=journal)
+        routed = {seq: log.append(d) for seq, d in enumerate(deltas, 1)}
+        assert routed[3] == ()
+        assert max(len(subs) for subs in routed.values()) > 1
+        assert [key for key, _ in journal.calls] == [
+            (seq,) for seq in routed if seq != 3
+        ]
+        for key, value in journal.calls:
+            assert value == [sd.to_payload() for sd in routed[key[0]]]
+
 
 # --------------------------------------------------------------------- #
 # The replay property (satellite: delta-log equivalence)
@@ -364,17 +390,7 @@ def test_sharded_replay_rebuilds_global_tables(interleaving_seed):
         )
 
 
-def test_replayed_journal_stream_matches_live_routing(tmp_path):
-    """Crash consistency: the journal's replay stream is exactly the live
-    routed stream, payload for payload."""
-    from repro.runtime import CheckpointJournal
-
-    market = make_market(29, n_providers=30)
-    partition, deltas = churn_trace(market, None)
-    journal = CheckpointJournal(tmp_path / "shard-log.jsonl")
-    log = ShardLog(partition, providers=market.providers, journal=journal)
-    for d in deltas:
-        log.append(d)
+def _assert_replay_matches_live(journal, log):
     replayed = ShardLog.replay(journal)
     assert len(replayed) == len(log.entries)
     live = sorted(log.entries, key=lambda sd: (sd.seq, sd.shard_id))
@@ -382,20 +398,44 @@ def test_replayed_journal_stream_matches_live_routing(tmp_path):
         assert a.to_payload() == b.to_payload()
 
 
+def test_replayed_journal_stream_matches_live_routing(tmp_path):
+    """Crash consistency: the journal's replay stream is exactly the live
+    routed stream, payload for payload, from the one-line-per-delta
+    journal :class:`ShardLog` writes."""
+    _assert_replay_matches_live(*_journaled_churn(tmp_path, "delta"))
+
+
+def test_replayed_legacy_journal_stream_matches_live_routing(tmp_path):
+    """Older one-line-per-sub-delta journals replay to the same live
+    routed stream."""
+    _assert_replay_matches_live(*_journaled_churn(tmp_path, "legacy"))
+
+
 # --------------------------------------------------------------------- #
 # Replay over a damaged journal (shared-filesystem crash artefacts)
 # --------------------------------------------------------------------- #
-def _journaled_churn(tmp_path):
+def _journaled_churn(tmp_path, layout):
     """A churn trace fully journaled to disk; returns the journal and the
-    live log for comparison."""
+    live log for comparison.
+
+    ``layout="delta"`` is what :class:`ShardLog` writes: one line per
+    global delta, keyed ``(seq,)``. ``layout="legacy"`` is the older
+    one line per sub-delta, keyed ``(seq, shard_id)``, which replay must
+    keep reading.
+    """
     from repro.runtime import CheckpointJournal
 
     market = make_market(29, n_providers=30)
     partition, deltas = churn_trace(market, None)
     journal = CheckpointJournal(tmp_path / "shard-log.jsonl")
-    log = ShardLog(partition, providers=market.providers, journal=journal)
+    log = ShardLog(
+        partition, providers=market.providers,
+        journal=journal if layout == "delta" else None,
+    )
     for d in deltas:
-        log.append(d)
+        for sd in log.append(d):
+            if layout == "legacy":
+                journal.record((sd.seq, sd.shard_id), sd.to_payload())
     return journal, log
 
 
@@ -407,13 +447,16 @@ def _live_payloads(log):
 
 
 class TestReplayOverDamagedJournal:
+    """Damage to a legacy one-line-per-sub-delta journal: each line is
+    one ``(seq, shard_id)``, so damage costs single sub-deltas."""
+
     def test_corrupt_midfile_record_is_skipped_with_warning(self, tmp_path):
         """Bit rot in the middle of the log: the failed-checksum record
         drops out of the replay stream — counted and warned, never
         silently replayed as garbage."""
         import json
 
-        journal, log = _journaled_churn(tmp_path)
+        journal, log = _journaled_churn(tmp_path, "legacy")
         lines = open(journal.path).read().splitlines()
         victim = json.loads(lines[len(lines) // 2])
         # Mutate the payload without touching the stored crc.
@@ -437,7 +480,7 @@ class TestReplayOverDamagedJournal:
         when the global delta re-runs."""
         import warnings
 
-        journal, log = _journaled_churn(tmp_path)
+        journal, log = _journaled_churn(tmp_path, "legacy")
         raw = open(journal.path).read()
         open(journal.path, "w").write(raw[: len(raw) - 15])
         with warnings.catch_warnings():
@@ -460,7 +503,7 @@ class TestReplayOverDamagedJournal:
         import json
         import warnings
 
-        journal, log = _journaled_churn(tmp_path)
+        journal, log = _journaled_churn(tmp_path, "legacy")
         lines = open(journal.path).read().splitlines()
         victim = json.loads(lines[2])
         victim["value"]["seq"] = 9999
@@ -500,3 +543,166 @@ class TestReplayOverDamagedJournal:
             gathered_state(market_live.compile()),
             gathered_state(market_resumed.compile()),
         )
+
+
+def _sub_delta_keys(log, seq):
+    return [(sd.seq, sd.shard_id) for sd in log.entries if sd.seq == seq]
+
+
+def _rewrite(journal, lines):
+    open(journal.path, "w").write("\n".join(lines) + "\n")
+
+
+class TestReplayOverDamagedDeltaJournal:
+    """The same damage on the one-line-per-global-delta layout
+    :class:`ShardLog` writes: a line is a whole sequence number, so
+    damage costs whole global deltas, never part of one."""
+
+    def test_corrupt_midfile_delta_drops_every_sub_delta(self, tmp_path):
+        import json
+
+        journal, log = _journaled_churn(tmp_path, "delta")
+        lines = open(journal.path).read().splitlines()
+        assert len(lines) == log.seq
+        # The widest delta, so the loss spans several shards.
+        index = max(
+            range(len(lines)),
+            key=lambda i: len(_sub_delta_keys(log, i + 1)),
+        )
+        victim = json.loads(lines[index])
+        lost_seq = victim["key"][0]
+        assert len(victim["value"]) == len(_sub_delta_keys(log, lost_seq)) > 1
+        victim["value"][-1]["seq"] = 9999  # crc left stale
+        lines[index] = json.dumps(victim, sort_keys=True)
+        _rewrite(journal, lines)
+
+        with pytest.warns(RuntimeWarning, match="1 corrupt record"):
+            replayed = ShardLog.replay(journal)
+        assert journal.last_load_corrupt == 1
+        expected = {
+            key: payload for key, payload in _live_payloads(log).items()
+            if key[0] != lost_seq
+        }
+        assert {
+            (sd.seq, sd.shard_id): sd.to_payload() for sd in replayed
+        } == expected
+
+    def test_torn_tail_drops_the_whole_last_delta_silently(self, tmp_path):
+        """A crash mid-append of a delta routed to several shards leaves
+        none of its sub-deltas behind, and no warning."""
+        import warnings
+
+        journal, log = _journaled_churn(tmp_path, "delta")
+        lines = open(journal.path).read().splitlines()
+        torn_seq = max(
+            seq for seq in range(1, log.seq + 1)
+            if len(_sub_delta_keys(log, seq)) > 1
+        )
+        torn = lines[torn_seq - 1]
+        _rewrite(journal, lines[: torn_seq - 1] + [torn[: len(torn) // 2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            replayed = ShardLog.replay(journal)
+        assert journal.last_load_corrupt == 0
+        live = sorted(log.entries, key=lambda sd: (sd.seq, sd.shard_id))
+        assert [(sd.seq, sd.shard_id) for sd in replayed] == [
+            (sd.seq, sd.shard_id) for sd in live if sd.seq < torn_seq
+        ]
+
+    def test_resumed_replay_rebuilds_the_uninterrupted_tables(self, tmp_path):
+        """Lose one delta to bit rot and the tail from a torn append,
+        re-record the lost sequence numbers (the resume path re-runs
+        them), and the repaired stream rebuilds the live tables."""
+        import json
+        import warnings
+
+        journal, log = _journaled_churn(tmp_path, "delta")
+        lines = open(journal.path).read().splitlines()
+        victim = json.loads(lines[1])
+        victim["value"][0]["seq"] = 9999
+        lines[1] = json.dumps(victim, sort_keys=True)
+        torn = lines[3]
+        _rewrite(journal, lines[:3] + [torn[: len(torn) // 2]])
+
+        live = _live_payloads(log)
+        with pytest.warns(RuntimeWarning):
+            survivors = {sd.seq for sd in ShardLog.replay(journal)}
+        lost = sorted({key[0] for key in live} - survivors)
+        assert lost == [2] + list(range(4, log.seq + 1))
+        for seq in lost:
+            journal.record(
+                (seq,), [live[key] for key in _sub_delta_keys(log, seq)]
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            repaired = ShardLog.replay(journal)
+        assert {
+            (sd.seq, sd.shard_id): sd.to_payload() for sd in repaired
+        } == live
+
+        market_live = make_market(29, n_providers=30)
+        market_resumed = make_market(29, n_providers=30)
+        market_live.compile()
+        market_resumed.compile()
+        for sd in sorted(log.entries, key=lambda s: (s.seq, s.shard_id)):
+            market_live.apply(sd.delta)
+        for sd in repaired:
+            market_resumed.apply(sd.delta)
+        assert_states_equal(
+            gathered_state(market_live.compile()),
+            gathered_state(market_resumed.compile()),
+        )
+
+
+def test_every_crash_point_replays_a_prefix_of_whole_deltas(tmp_path):
+    """Truncate the journal at every byte offset: replay always returns
+    exactly the sub-deltas of sequence numbers ``1..m`` for some ``m``,
+    payload for payload, and never warns."""
+    import warnings
+
+    journal, log = _journaled_churn(tmp_path, "delta")
+    raw = open(journal.path, "rb").read()
+    live = sorted(log.entries, key=lambda sd: (sd.seq, sd.shard_id))
+    prefixes = {
+        m: [sd.to_payload() for sd in live if sd.seq <= m]
+        for m in range(log.seq + 1)
+    }
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for offset in range(len(raw) + 1):
+            with open(journal.path, "wb") as fh:
+                fh.write(raw[:offset])
+            replayed = [sd.to_payload() for sd in ShardLog.replay(journal)]
+            m = max((p["seq"] for p in replayed), default=0)
+            assert replayed == prefixes[m], offset
+            assert journal.last_load_corrupt == 0
+            seen.add(m)
+    assert seen == set(prefixes)
+
+
+def test_mixed_legacy_and_delta_lines_replay_each_sub_delta_once(tmp_path):
+    """A legacy journal resumed by the current writer: legacy lines for the
+    first sequence numbers (the last one only partly written), then
+    whole-delta lines from the re-run of that sequence number on."""
+    import json
+
+    (tmp_path / "legacy").mkdir()
+    (tmp_path / "delta").mkdir()
+    legacy, log = _journaled_churn(tmp_path / "legacy", "legacy")
+    delta, _ = _journaled_churn(tmp_path / "delta", "delta")
+    legacy_lines = open(legacy.path).read().splitlines()
+    delta_lines = open(delta.path).read().splitlines()
+    resumed_seq = 4
+    keyed = [(json.loads(line)["key"][0], line) for line in legacy_lines]
+    head = [line for seq, line in keyed if seq < resumed_seq]
+    partial = [line for seq, line in keyed if seq == resumed_seq]
+    assert len(partial) > 1
+    lines = head + partial[:1] + delta_lines[resumed_seq - 1:]
+    _rewrite(legacy, lines)
+
+    replayed = ShardLog.replay(legacy)
+    live = sorted(log.entries, key=lambda sd: (sd.seq, sd.shard_id))
+    assert [sd.to_payload() for sd in replayed] == [
+        sd.to_payload() for sd in live
+    ]

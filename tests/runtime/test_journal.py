@@ -14,6 +14,8 @@ import zlib
 
 import pytest
 
+from repro.experiments.harness import AssignmentRecord
+from repro.experiments.parallel import encode_point_records
 from repro.runtime import CheckpointJournal
 from repro.runtime.journal import _canonical
 
@@ -39,6 +41,46 @@ class TestRecordFormat:
         journal.record((1,), {"nested": [1.25, "x"]})
         assert journal.load() == {(0,): 111, (1,): {"nested": [1.25, "x"]}}
         assert journal.last_load_corrupt == 0
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ((0, 1), {"v": 1.5}),
+            (("zürich", 2), {"name": "café ☕", "emoji": "\U0001f680"}),
+            ((3,), {"tiny": 1e-300, "nested": [[0.1, 2.0 / 3.0], {"x": 1e300}]}),
+            ((4,), None),
+            ((5,), [None, {"a": None}, -0.0, 5e-324]),
+            (
+                (2, 7),
+                encode_point_records({
+                    "Appro": AssignmentRecord(
+                        social_cost=20054.56601728012,
+                        coordinated_cost=1234.5678901234567,
+                        selfish_cost=0.1 + 0.2,
+                        runtime_s=0.0123,
+                        rejected=3,
+                    ),
+                    "LCF": AssignmentRecord(
+                        social_cost=1e-300, coordinated_cost=0.0,
+                        selfish_cost=1853245.6666140612, runtime_s=2.5,
+                        rejected=0,
+                    ),
+                }),
+            ),
+        ],
+    )
+    def test_line_bytes_match_the_three_field_dump(self, journal, key, value):
+        """``record`` serialises the value once and splices the crc in
+        front; the line it writes is byte for byte the one a full
+        ``json.dumps`` of the three fields produces, so journals on disk
+        do not change."""
+        journal.record(key, value)
+        raw = open(journal.path, "rb").read()
+        body = {"key": list(key), "value": value}
+        crc = zlib.crc32(_canonical(body["key"], body["value"]))
+        expected = json.dumps({"crc": crc, **body}, sort_keys=True) + "\n"
+        assert raw == expected.encode("utf-8")
+        assert journal.load() == {key: value}
 
     def test_pre_crc_journals_still_replay(self, journal):
         """Backward compatibility: lines without a ``crc`` field — the
