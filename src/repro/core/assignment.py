@@ -85,6 +85,15 @@ class CachingAssignment:
             return cm.remote_cost(provider_id)
         return cm.provider_cost(provider_id, self.placement)
 
+    def provider_costs(self) -> Dict[int, float]:
+        """``provider_id -> cost`` for every provider: Eq. (5) if cached
+        (occupancy counted once for all of them), remote cost if rejected.
+        Each entry is bit-equal to :meth:`provider_cost`."""
+        cm = self.market.compile()
+        costs = cm.provider_costs(self.placement)
+        costs.update((pid, cm.remote_cost(pid)) for pid in self.rejected)
+        return costs
+
     @property
     def social_cost(self) -> float:
         """Eq. (6) over cached providers plus remote costs of rejected ones.
@@ -99,7 +108,8 @@ class CachingAssignment:
 
     def cost_of(self, provider_ids: Iterable[int]) -> float:
         """Total cost of a subset of providers (Fig. 2b/2c splits)."""
-        return sum(self.provider_cost(pid) for pid in provider_ids)
+        costs = self.provider_costs()
+        return sum(costs[pid] for pid in provider_ids)
 
     @property
     def coordinated_cost(self) -> float:

@@ -78,7 +78,7 @@ def select_coordinated_lcf(
         rng = as_rng(rng)
         picked = rng.choice(len(eligible), size=budget, replace=False)
         return sorted(eligible[i] for i in picked)
-    costs = {pid: reference.provider_cost(pid) for pid in eligible}
+    costs = reference.provider_costs()
     reverse = strategy == "largest_cost"
     ranked = sorted(eligible, key=lambda pid: (costs[pid], pid), reverse=reverse)
     return sorted(ranked[:budget])

@@ -90,10 +90,11 @@ def vcg_payments(
         allocation = appro(market, allow_remote=allow_remote)
         total_cost = allocation.social_cost
 
+        own_costs = allocation.provider_costs()
         payments: Dict[int, float] = {}
         for provider in market.providers:
             pid = provider.provider_id
-            own_cost = allocation.provider_cost(pid)
+            own_cost = own_costs[pid]
             others_with_l = total_cost - own_cost
             sub = _submarket(market, exclude=pid)
             without_l = appro(sub, allow_remote=allow_remote).social_cost

@@ -635,15 +635,10 @@ class CompiledMarket:
             self.shared[j, occ[j]] + self.fixed[self.provider_row(provider_id), j]
         )
 
-    def social_cost(self, placement: Mapping[int, int]) -> float:
-        """Eq. (6) over the placed providers.
-
-        The congestion and fixed terms come from one vectorised gather;
-        the fold runs left-to-right in placement order so the result is
-        bit-equal to ``CostModel.social_cost``.
-        """
-        if not placement:
-            return 0.0
+    def _placed_costs(self, placement: Mapping[int, int]) -> np.ndarray:
+        """Every placed provider's Eq. (5) cost, in placement order: the
+        occupancy is counted once and the congestion and fixed terms come
+        from one vectorised gather."""
         rows = np.fromiter(
             (self.provider_index[pid] for pid in placement), dtype=np.int64,
             count=len(placement),
@@ -652,11 +647,23 @@ class CompiledMarket:
             (self.cloudlet_index[node] for node in placement.values()),
             dtype=np.int64, count=len(placement),
         )
-        occ = np.zeros(self.n_cloudlets, dtype=np.int64)
-        np.add.at(occ, cols, 1)
-        terms = self.shared[cols, occ[cols]] + self.fixed[rows, cols]
+        occ = np.bincount(cols, minlength=self.n_cloudlets)
+        return self.shared[cols, occ[cols]] + self.fixed[rows, cols]
+
+    def provider_costs(self, placement: Mapping[int, int]) -> Dict[int, float]:
+        """``provider_id -> c_l(sigma_l)`` (Eq. 5) for every placed provider,
+        bit-equal to :meth:`provider_cost` of each."""
+        return dict(zip(placement, self._placed_costs(placement).tolist()))
+
+    def social_cost(self, placement: Mapping[int, int]) -> float:
+        """Eq. (6) over the placed providers.
+
+        The fold runs left-to-right in placement order over
+        :meth:`_placed_costs`, so the result is bit-equal to
+        ``CostModel.social_cost``.
+        """
         total = 0.0
-        for t in terms.tolist():
+        for t in self._placed_costs(placement).tolist():
             total += t
         return total
 

@@ -4,25 +4,34 @@ Each :class:`Flow` carries a volume across a set of capacitated resources
 (overlay links and underlay cables). Rates follow the classic max-min
 fair / progressive-filling allocation: repeatedly saturate the most
 contended resource and freeze the flows crossing it.
-:func:`max_min_fair_rates` runs that filling on a (flows x resources)
-incidence array, one vectorised pass per bottleneck level.
 
 Rates are piecewise constant between events, so :meth:`FlowSimulator.run`
-steps from event time to event time and the emulation is exact. The next
-event time is the earlier of the next flow start and the first completion
-``now + remaining / rate`` under the current rates. At that time the loop
-drains every active flow's volume, finishes every flow whose completion
-falls exactly on it, admits every flow starting at it, and then recomputes
-all rates once. Simultaneous starts (every epoch of the testbed starts all
-its flows at t = 0) and completion ties thus cost one allocation, not one
-each.
+steps from event time to event time and the emulation is exact. It works
+on arrays compiled once per run:
+
+* :func:`compile_flows` lists the (flow, resource) pairs of the pending
+  flows in ``(start_time, flow_id)`` order, one pair per resource a flow
+  crosses however often it lists it, plus the capacity vector in the
+  simulator's resource order. A flow crossing an unknown resource is
+  rejected here, before any flow moves.
+* The event loop keeps ``remaining``/``rate``/``finish`` arrays and an
+  ``alive`` mask over those flows. The next event time is the earlier of
+  the next flow start and the first completion ``now + remaining / rate``
+  under the current rates. At that time the loop drains every alive flow's
+  volume, finishes every flow whose completion falls exactly on it, admits
+  every flow starting at it, and then recomputes all rates once. The
+  results are written back to the :class:`Flow` objects at the end.
+  Simultaneous starts (every epoch of the testbed starts all its flows at
+  t = 0) and completion ties thus cost one allocation, not one each.
+* :func:`max_min_fair_rates` is the filling kernel ``run`` calls once per
+  event time: ``(flow_of, resource_of, capacity, alive) -> rates``, one
+  vectorised pass per bottleneck level over the pairs of the alive flows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, count
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,89 +77,107 @@ class Flow:
         return self.finish_time - self.start_time
 
 
-def max_min_fair_rates(
+def compile_flows(
     flows: Sequence[Flow],
     capacities_mbps: Dict[Hashable, float],
-) -> Dict[int, float]:
-    """Progressive-filling max-min fair allocation.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (flow, resource) incidence of ``flows`` as pair arrays.
 
-    Every resource a flow lists constrains it, counted once however often
-    the flow lists it; flows not crossing any listed resource get ``inf``
-    (uncapped locally, the caller may clamp). Done flows are skipped.
-    Returns ``flow_id -> rate (Mbps)``.
-
-    The filling runs on the nonzero entries of the (flows x resources)
-    incidence array, one vectorised pass per bottleneck level. A pass
-    takes every resource's fair share (remaining capacity over unfrozen
-    flows) and each flow's smallest share. A resource is a bottleneck when
-    no flow crossing it has a smaller share elsewhere: a share can only
-    grow as flows crossing it freeze below it, so such a resource
-    saturates at its current share. The pass freezes every flow on a
-    bottleneck at that share and charges it to every resource it crosses.
-    The resource with the globally smallest share is always a bottleneck,
-    so each pass makes progress; a long chain of bottlenecks costs as many
-    passes as it has levels.
+    Returns ``(flow_of, resource_of, capacity)``: one pair per resource a
+    flow crosses, counted once however often the flow lists it, grouped by
+    flow in the order of ``flows``; ``resource_of`` indexes ``capacity``,
+    the capacities in the order of ``capacities_mbps``. Raises
+    :class:`EmulationError` for the first flow crossing a resource
+    ``capacities_mbps`` does not list.
     """
-    active = [f for f in flows if not f.done]
-    crossed = list(chain.from_iterable([f.resources for f in active]))
-    column = dict(zip(dict.fromkeys(crossed), count()))
-    unknown = [r for r in column if r not in capacities_mbps]
-    if unknown:
-        culprit = next(f for f in active if unknown[0] in f.resources)
-        raise EmulationError(
-            f"flow {culprit.flow_id} crosses unknown resource {unknown[0]!r}"
-        )
+    column = {r: j for j, r in enumerate(capacities_mbps)}
+    flow_of: List[int] = []
+    resource_of: List[int] = []
+    for i, f in enumerate(flows):
+        for r in dict.fromkeys(f.resources):
+            j = column.get(r)
+            if j is None:
+                raise EmulationError(f"flow {f.flow_id} crosses unknown resource {r!r}")
+            flow_of.append(i)
+            resource_of.append(j)
+    capacity = np.fromiter(
+        capacities_mbps.values(), dtype=float, count=len(capacities_mbps)
+    )
+    return (
+        np.array(flow_of, dtype=np.intp),
+        np.array(resource_of, dtype=np.intp),
+        capacity,
+    )
 
-    rates = np.full(len(active), math.inf)
-    if crossed:
-        incidence = np.zeros((len(active), len(column)), dtype=bool)
-        incidence[
-            np.repeat(np.arange(len(active)), [len(f.resources) for f in active]),
-            np.array(list(map(column.__getitem__, crossed)), dtype=np.intp),
-        ] = True
-        # One (flow, resource) pair per crossing, duplicates merged.
-        flow_of, resource_of = np.nonzero(incidence)
-        capacity = np.array([capacities_mbps[r] for r in column], dtype=float)
+
+def max_min_fair_rates(
+    flow_of: np.ndarray,
+    resource_of: np.ndarray,
+    capacity: np.ndarray,
+    alive: np.ndarray,
+) -> np.ndarray:
+    """Progressive-filling max-min fair allocation among the ``alive`` flows.
+
+    ``flow_of``/``resource_of``/``capacity`` are :func:`compile_flows`
+    arrays and ``alive`` a bool mask over the flows they index. Returns
+    every flow's rate (Mbps); a flow crossing no resource gets ``inf``
+    (uncapped locally, the caller may clamp), and so does every flow
+    outside ``alive``.
+
+    The filling runs on the pairs of the alive flows, one vectorised pass
+    per bottleneck level. A pass takes every resource's fair share
+    (remaining capacity over unfrozen flows) and each flow's smallest
+    share. A resource is a bottleneck when no flow crossing it has a
+    smaller share elsewhere: a share can only grow as flows crossing it
+    freeze below it, so such a resource saturates at its current share.
+    The pass freezes every flow on a bottleneck at that share and charges
+    it to every resource it crosses. The resource with the globally
+    smallest share is always a bottleneck, so each pass makes progress; a
+    long chain of bottlenecks costs as many passes as it has levels.
+    """
+    n_flows, n_resources = alive.size, capacity.size
+    rates = np.full(n_flows, math.inf)
+    crossing = alive[flow_of]
+    on, at = flow_of[crossing], resource_of[crossing]
+    if on.size:
+        pairs = on, at
         remaining = capacity.copy()
-        live = np.bincount(resource_of, minlength=len(column)).astype(float)
-        on, at = flow_of, resource_of  # the pairs of still unfrozen flows
+        live = np.bincount(at, minlength=n_resources).astype(float)
         # A saturated resource has no unfrozen flow left; its 0/0 share is
         # never read.
         with np.errstate(divide="ignore", invalid="ignore"):
             while on.size:
                 shares = remaining / live
                 share_at = shares[at]
-                smallest = np.full(len(active), math.inf)
+                smallest = np.full(n_flows, math.inf)
                 np.minimum.at(smallest, on, share_at)
                 smallest_on = smallest[on]
-                least = np.full(len(column), math.inf)
+                least = np.full(n_resources, math.inf)
                 np.minimum.at(least, at, smallest_on)
-                freeze = np.zeros(len(active), dtype=bool)
+                freeze = np.zeros(n_flows, dtype=bool)
                 freeze[on[share_at <= least[at]]] = True
                 rates[freeze] = smallest[freeze]
                 hit = freeze[on]
                 charged = at[hit]
                 remaining -= np.bincount(
-                    charged, weights=smallest_on[hit], minlength=len(column)
+                    charged, weights=smallest_on[hit], minlength=n_resources
                 )
                 np.maximum(remaining, 0.0, out=remaining)
-                live -= np.bincount(charged, minlength=len(column))
+                live -= np.bincount(charged, minlength=n_resources)
                 keep = ~hit
                 on, at = on[keep], at[keep]
         if invariants_active():
-            _check_max_min_fair(active, flow_of, resource_of, capacity, rates)
-
-    return dict(zip([f.flow_id for f in active], rates.tolist()))
+            _check_max_min_fair(*pairs, capacity, rates)
+    return rates
 
 
 def _check_max_min_fair(
-    active: Sequence[Flow],
     flow_of: np.ndarray,
     resource_of: np.ndarray,
     capacity: np.ndarray,
     rates: np.ndarray,
 ) -> None:
-    """Contract: ``rates`` is the max-min fair allocation.
+    """Contract: ``rates`` is the max-min fair allocation on these pairs.
 
     No resource carries more than its capacity, and every flow with a
     finite rate has a bottleneck: a saturated resource on which no other
@@ -170,24 +197,25 @@ def _check_max_min_fair(
     top = np.full(capacity.size, -math.inf)
     np.maximum.at(top, resource_of, rate_of)
     full = load >= capacity - slack
-    bottlenecked = np.zeros(len(active), dtype=bool)
+    bottlenecked = np.zeros(rates.size, dtype=bool)
     bottlenecked[
         flow_of[full[resource_of] & (rate_of >= top[resource_of] - slack[resource_of])]
     ] = True
     starved = np.flatnonzero(~bottlenecked & np.isfinite(rates))
-    # Flows crossing no resource are uncapped (inf), so every starved flow
-    # crosses one.
+    # Flows crossing no resource, and flows outside the pairs, are uncapped
+    # (inf), so every starved flow crosses one.
     if starved.size:
-        f = active[int(starved[0])]
+        i = int(starved[0])
         raise InvariantViolation(
-            f"flow {f.flow_id} at {float(rates[starved[0]])!r} Mbps has no bottleneck "
-            f"resource: the allocation is not max-min fair"
+            f"flow {i} of the compiled set at {float(rates[i])!r} Mbps has no "
+            f"bottleneck resource: the allocation is not max-min fair"
         )
 
 
 class FlowSimulator:
     """Completion of a set of flows under max-min sharing, stepped from
-    event time to event time (see the module docstring)."""
+    event time to event time on arrays compiled once per run (see the
+    module docstring)."""
 
     def __init__(
         self,
@@ -201,10 +229,6 @@ class FlowSimulator:
         self.default_rate_cap = default_rate_cap_mbps
         self.flows: List[Flow] = []
         self._next_id = 0
-        #: Each resource id mapped to itself: flows hold the capacity
-        #: table's own key objects, so the per-event dict lookups in
-        #: :func:`max_min_fair_rates` match by identity, not by ``==``.
-        self._interned: Dict[Hashable, Hashable] = {r: r for r in self.capacities}
 
     def add_flow(
         self,
@@ -219,7 +243,7 @@ class FlowSimulator:
             src=src,
             dst=dst,
             volume_gb=volume_gb,
-            resources=tuple(self._interned.get(r, r) for r in resources),
+            resources=tuple(resources),
             start_time=start_time,
         )
         self._next_id += 1
@@ -257,37 +281,48 @@ class FlowSimulator:
             raise EmulationError(
                 f"flow {pending[0].flow_id} starts at negative time {pending[0].start_time}"
             )
-        active: List[Flow] = []
+        flow_of, resource_of, capacity = compile_flows(pending, self.capacities)
+        n = len(pending)
+        starts = [f.start_time for f in pending]
+        remaining = np.array([f.remaining_gbits for f in pending], dtype=float)
+        rate = np.zeros(n)
+        finish = np.full(n, math.nan)
+        alive = np.zeros(n, dtype=bool)
+        eta = np.empty(n)
         now = 0.0
         k = 0
         while True:
-            next_start = pending[k].start_time if k < len(pending) else math.inf
-            etas = [
-                now + f.remaining_gbits * 1000.0 / f.rate_mbps if f.rate_mbps > 0
-                else math.inf
-                for f in active
-            ]
-            t = min(next_start, min(etas, default=math.inf))
+            next_start = starts[k] if k < n else math.inf
+            moving = alive & (rate > 0)
+            eta.fill(math.inf)
+            eta[moving] = now + remaining[moving] * 1000.0 / rate[moving]
+            t = min(next_start, float(eta.min()) if n else math.inf)
             if t == math.inf:
                 break
             dt = t - now
-            still: List[Flow] = []
-            for f, eta in zip(active, etas):
-                if eta == t:
-                    f.remaining_gbits = 0.0
-                    f.finish_time = t
-                    continue
-                if dt > 0:
-                    f.remaining_gbits = max(0.0, f.remaining_gbits - f.rate_mbps * dt / 1000.0)
-                still.append(f)
-            while k < len(pending) and pending[k].start_time <= t:
-                still.append(pending[k])
+            ending = eta == t
+            finish[ending] = t
+            remaining[ending] = 0.0
+            alive[ending] = False
+            if dt > 0:
+                remaining[alive] = np.maximum(
+                    0.0, remaining[alive] - rate[alive] * dt / 1000.0
+                )
+            first = k
+            while k < n and starts[k] <= t:
                 k += 1
-            active, now = still, t
-            if active:
-                rates = max_min_fair_rates(active, self.capacities)
-                for f in active:
-                    f.rate_mbps = min(rates[f.flow_id], self.default_rate_cap)
+            alive[first:k] = True
+            now = t
+            if alive.any():
+                rates = max_min_fair_rates(flow_of, resource_of, capacity, alive)
+                rate[alive] = np.minimum(rates[alive], self.default_rate_cap)
+
+        for f, left, r, end in zip(
+            pending, remaining.tolist(), rate.tolist(), finish.tolist()
+        ):
+            f.remaining_gbits, f.rate_mbps = left, r
+            if not math.isnan(end):
+                f.finish_time = end
 
         unfinished = [f for f in self.flows if not f.done]
         if unfinished:
@@ -313,4 +348,4 @@ class FlowSimulator:
         }
 
 
-__all__ = ["GBITS_PER_GB", "Flow", "max_min_fair_rates", "FlowSimulator"]
+__all__ = ["GBITS_PER_GB", "Flow", "compile_flows", "max_min_fair_rates", "FlowSimulator"]

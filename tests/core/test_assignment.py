@@ -2,10 +2,15 @@
 
 import pytest
 
+from repro.core.appro import appro
 from repro.core.assignment import CachingAssignment, Stopwatch
+from repro.core.lcf import lcf
 from repro.exceptions import CapacityError, ConfigurationError
+from repro.experiments.settings import PAPER
 from repro.market.market import ServiceMarket
 from repro.market.pricing import Pricing
+from repro.market.workload import generate_market
+from repro.network.generators import random_mec_network
 
 from tests.conftest import build_line_network, build_provider
 
@@ -67,6 +72,26 @@ class TestCosts:
     def test_occupancy(self, market):
         a = CachingAssignment(market, placement={0: 2, 1: 2, 2: 4})
         assert a.occupancy() == {2: 2, 4: 1}
+
+
+class TestProviderCosts:
+    """``provider_costs`` against per-provider ``provider_cost``, with ``==``."""
+
+    @pytest.mark.parametrize("allow_remote", [False, True])
+    @pytest.mark.parametrize("size,seed", [(100, 1), (100, 2), (250, 1), (250, 2)])
+    def test_paper_markets(self, size, seed, allow_remote):
+        network = random_mec_network(size, rng=seed)
+        market = generate_market(
+            network, PAPER.n_providers, params=PAPER.workload, rng=seed + 1
+        )
+        result = lcf(market, 1 - PAPER.one_minus_xi, allow_remote=allow_remote)
+        for a in (appro(market, allow_remote=allow_remote), result.assignment):
+            assert bool(a.rejected) == allow_remote
+            ids = [p.provider_id for p in market.providers]
+            assert a.provider_costs() == {pid: a.provider_cost(pid) for pid in ids}
+            for group in (market.coordinated, market.selfish):
+                members = [p.provider_id for p in group]
+                assert a.cost_of(members) == sum(a.provider_cost(pid) for pid in members)
 
 
 class TestCapacities:

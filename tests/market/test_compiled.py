@@ -222,6 +222,15 @@ class TestSocialCostEquivalence:
         with pytest.raises(ConfigurationError):
             cm.provider_cost(small_market.providers[0].provider_id, {})
 
+    def test_provider_costs_match_provider_cost(self, small_market):
+        cm = small_market.compile()
+        for seed in range(5):
+            placement = random_placement(small_market, as_rng(seed))
+            assert cm.provider_costs(placement) == {
+                pid: cm.provider_cost(pid, placement) for pid in placement
+            }
+        assert cm.provider_costs({}) == {}
+
 
 class TestPlacementState:
     def test_occupancy_and_loads(self, small_market):

@@ -1,29 +1,43 @@
-"""Reference flow emulator: set-based max-min filling and one event per flow.
+"""Reference flow emulators: set-based filling, and the coalesced object loop.
 
-:func:`max_min_fair_rates` and :meth:`ReferenceFlowSimulator.run` are the
-library's original implementations, kept verbatim as the oracle the
-coalesced, array-based :mod:`repro.testbed.flows` is tested against. The
-reference schedules one start event per flow on the heap engine of
-:mod:`tests.oracles.events_reference`, recomputes every rate at every start
-and completion, and cancels and reschedules every completion each time.
+Two references live here, each kept verbatim as an oracle for
+:mod:`repro.testbed.flows`.
 
-Max-min fair allocations are unique, so the library must agree with this
-oracle up to floating-point rounding (the differential tests allow 1e-9
-relative) — with one known exception. The reference charges a flow against
-a resource once per *occurrence* in ``Flow.resources`` while counting it
-once in that resource's fair share, so a flow listing a resource twice
-under-serves the other flows on it. The library counts each resource once
-per flow; differential generators therefore draw distinct resources per
-flow.
+* :func:`max_min_fair_rates` and :meth:`ReferenceFlowSimulator.run` are the
+  library's original implementations. The reference schedules one start
+  event per flow on the heap engine of :mod:`tests.oracles.events_reference`,
+  recomputes every rate at every start and completion, and cancels and
+  reschedules every completion each time.
+* :func:`coalesced_max_min_fair_rates` and
+  :meth:`CoalescedReferenceFlowSimulator.run` are the event-time loop on
+  :class:`~repro.testbed.flows.Flow` objects that preceded the compiled
+  array loop: one filling call per event time, each rebuilding the
+  (flow x resource) incidence from the flows it is given. The library
+  compiles that incidence once per run and must reproduce this reference
+  bit for bit (the differential tests compare with ``==``).
+
+Max-min fair allocations are unique, so the library must agree with the
+set-based oracle up to floating-point rounding (the differential tests
+allow 1e-9 relative) — with one known exception. The set-based reference
+charges a flow against a resource once per *occurrence* in
+``Flow.resources`` while counting it once in that resource's fair share, so
+a flow listing a resource twice under-serves the other flows on it. The
+library counts each resource once per flow; differential generators
+therefore draw distinct resources per flow.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain, count
 from typing import Dict, Hashable, List, Sequence, Set
 
-from repro.exceptions import EmulationError
+import numpy as np
+
+from repro.exceptions import EmulationError, InvariantViolation
 from repro.testbed.flows import GBITS_PER_GB, Flow, FlowSimulator
+from repro.utils.contracts import invariants_active
+from repro.utils.validation import CAPACITY_EPS
 from tests.oracles.events_reference import Simulator
 
 
@@ -187,4 +201,203 @@ class ReferenceFlowSimulator(FlowSimulator):
         }
 
 
-__all__ = ["ReferenceFlowSimulator", "max_min_fair_rates"]
+def coalesced_max_min_fair_rates(
+    flows: Sequence[Flow],
+    capacities_mbps: Dict[Hashable, float],
+) -> Dict[int, float]:
+    """Progressive-filling max-min fair allocation.
+
+    Every resource a flow lists constrains it, counted once however often
+    the flow lists it; flows not crossing any listed resource get ``inf``
+    (uncapped locally, the caller may clamp). Done flows are skipped.
+    Returns ``flow_id -> rate (Mbps)``.
+
+    The filling runs on the nonzero entries of the (flows x resources)
+    incidence array, one vectorised pass per bottleneck level. A pass
+    takes every resource's fair share (remaining capacity over unfrozen
+    flows) and each flow's smallest share. A resource is a bottleneck when
+    no flow crossing it has a smaller share elsewhere: a share can only
+    grow as flows crossing it freeze below it, so such a resource
+    saturates at its current share. The pass freezes every flow on a
+    bottleneck at that share and charges it to every resource it crosses.
+    The resource with the globally smallest share is always a bottleneck,
+    so each pass makes progress; a long chain of bottlenecks costs as many
+    passes as it has levels.
+    """
+    active = [f for f in flows if not f.done]
+    crossed = list(chain.from_iterable([f.resources for f in active]))
+    column = dict(zip(dict.fromkeys(crossed), count()))
+    unknown = [r for r in column if r not in capacities_mbps]
+    if unknown:
+        culprit = next(f for f in active if unknown[0] in f.resources)
+        raise EmulationError(
+            f"flow {culprit.flow_id} crosses unknown resource {unknown[0]!r}"
+        )
+
+    rates = np.full(len(active), math.inf)
+    if crossed:
+        incidence = np.zeros((len(active), len(column)), dtype=bool)
+        incidence[
+            np.repeat(np.arange(len(active)), [len(f.resources) for f in active]),
+            np.array(list(map(column.__getitem__, crossed)), dtype=np.intp),
+        ] = True
+        # One (flow, resource) pair per crossing, duplicates merged.
+        flow_of, resource_of = np.nonzero(incidence)
+        capacity = np.array([capacities_mbps[r] for r in column], dtype=float)
+        remaining = capacity.copy()
+        live = np.bincount(resource_of, minlength=len(column)).astype(float)
+        on, at = flow_of, resource_of  # the pairs of still unfrozen flows
+        # A saturated resource has no unfrozen flow left; its 0/0 share is
+        # never read.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while on.size:
+                shares = remaining / live
+                share_at = shares[at]
+                smallest = np.full(len(active), math.inf)
+                np.minimum.at(smallest, on, share_at)
+                smallest_on = smallest[on]
+                least = np.full(len(column), math.inf)
+                np.minimum.at(least, at, smallest_on)
+                freeze = np.zeros(len(active), dtype=bool)
+                freeze[on[share_at <= least[at]]] = True
+                rates[freeze] = smallest[freeze]
+                hit = freeze[on]
+                charged = at[hit]
+                remaining -= np.bincount(
+                    charged, weights=smallest_on[hit], minlength=len(column)
+                )
+                np.maximum(remaining, 0.0, out=remaining)
+                live -= np.bincount(charged, minlength=len(column))
+                keep = ~hit
+                on, at = on[keep], at[keep]
+        if invariants_active():
+            _check_max_min_fair(active, flow_of, resource_of, capacity, rates)
+
+    return dict(zip([f.flow_id for f in active], rates.tolist()))
+
+
+def _check_max_min_fair(
+    active: Sequence[Flow],
+    flow_of: np.ndarray,
+    resource_of: np.ndarray,
+    capacity: np.ndarray,
+    rates: np.ndarray,
+) -> None:
+    """Contract: ``rates`` is the max-min fair allocation.
+
+    No resource carries more than its capacity, and every flow with a
+    finite rate has a bottleneck: a saturated resource on which no other
+    flow gets more. The two properties characterise the unique max-min
+    fair allocation; both are checked up to ``CAPACITY_EPS`` relative slack.
+    """
+    rate_of = rates[flow_of]
+    load = np.bincount(resource_of, weights=rate_of, minlength=capacity.size)
+    slack = CAPACITY_EPS * np.maximum(capacity, 1.0)
+    over = np.flatnonzero(load > capacity + slack)
+    if over.size:
+        j = int(over[0])
+        raise InvariantViolation(
+            f"max-min allocation overloads resource {j}: load {float(load[j])!r} > "
+            f"capacity {float(capacity[j])!r} beyond CAPACITY_EPS={CAPACITY_EPS}"
+        )
+    top = np.full(capacity.size, -math.inf)
+    np.maximum.at(top, resource_of, rate_of)
+    full = load >= capacity - slack
+    bottlenecked = np.zeros(len(active), dtype=bool)
+    bottlenecked[
+        flow_of[full[resource_of] & (rate_of >= top[resource_of] - slack[resource_of])]
+    ] = True
+    starved = np.flatnonzero(~bottlenecked & np.isfinite(rates))
+    # Flows crossing no resource are uncapped (inf), so every starved flow
+    # crosses one.
+    if starved.size:
+        f = active[int(starved[0])]
+        raise InvariantViolation(
+            f"flow {f.flow_id} at {float(rates[starved[0]])!r} Mbps has no bottleneck "
+            f"resource: the allocation is not max-min fair"
+        )
+
+
+class CoalescedReferenceFlowSimulator(ReferenceFlowSimulator):
+    """:class:`FlowSimulator` with the coalesced event-time ``run`` on
+    :class:`Flow` objects (replays like :class:`ReferenceFlowSimulator`)."""
+
+    def run(self) -> Dict[str, float]:
+        """Simulate all flows to completion; returns summary metrics.
+
+        Metrics: ``makespan`` (seconds until the last flow finishes),
+        ``mean_completion``, ``total_gb``, ``mean_rate_mbps``.
+        """
+        if not self.flows:
+            return {"makespan": 0.0, "mean_completion": 0.0, "total_gb": 0.0,
+                    "mean_rate_mbps": 0.0}
+
+        pending = sorted(
+            (f for f in self.flows if not f.done), key=lambda f: (f.start_time, f.flow_id)
+        )
+        if pending and pending[0].start_time < 0:
+            raise EmulationError(
+                f"flow {pending[0].flow_id} starts at negative time {pending[0].start_time}"
+            )
+        active: List[Flow] = []
+        now = 0.0
+        k = 0
+        while True:
+            next_start = pending[k].start_time if k < len(pending) else math.inf
+            etas = [
+                now + f.remaining_gbits * 1000.0 / f.rate_mbps if f.rate_mbps > 0
+                else math.inf
+                for f in active
+            ]
+            t = min(next_start, min(etas, default=math.inf))
+            if t == math.inf:
+                break
+            dt = t - now
+            still: List[Flow] = []
+            for f, eta in zip(active, etas):
+                if eta == t:
+                    f.remaining_gbits = 0.0
+                    f.finish_time = t
+                    continue
+                if dt > 0:
+                    f.remaining_gbits = max(0.0, f.remaining_gbits - f.rate_mbps * dt / 1000.0)
+                still.append(f)
+            while k < len(pending) and pending[k].start_time <= t:
+                still.append(pending[k])
+                k += 1
+            active, now = still, t
+            if active:
+                rates = coalesced_max_min_fair_rates(active, self.capacities)
+                for f in active:
+                    f.rate_mbps = min(rates[f.flow_id], self.default_rate_cap)
+
+        unfinished = [f for f in self.flows if not f.done]
+        if unfinished:
+            raise EmulationError(
+                f"{len(unfinished)} flows never completed (zero rate?)"
+            )
+        makespan = max(f.finish_time for f in self.flows)
+        completions = [f.completion_time for f in self.flows]
+        total_gb = sum(f.volume_gb for f in self.flows)
+        mean_rate = (
+            sum(
+                f.volume_gb * GBITS_PER_GB * 1000.0 / f.completion_time
+                for f in self.flows
+                if f.completion_time and f.completion_time > 0
+            )
+            / len(self.flows)
+        )
+        return {
+            "makespan": makespan,
+            "mean_completion": sum(completions) / len(completions),
+            "total_gb": total_gb,
+            "mean_rate_mbps": mean_rate,
+        }
+
+
+__all__ = [
+    "CoalescedReferenceFlowSimulator",
+    "ReferenceFlowSimulator",
+    "coalesced_max_min_fair_rates",
+    "max_min_fair_rates",
+]

@@ -1,13 +1,17 @@
-"""Differential tests: the flow emulator against the reference in tests/oracles.
+"""Differential tests: the flow emulator against the references in tests/oracles.
 
-:mod:`repro.testbed.flows` fills max-min fair rates on arrays and steps from
-event time to event time; :mod:`tests.oracles.flows_reference` keeps the
-original set-based filling and one heap event per flow start and
-completion. Max-min fair allocations are unique, so every flow's finish
-time and the four summary metrics must agree to 1e-9 relative.
+:mod:`repro.testbed.flows` compiles each run's flows into arrays once and
+steps from event time to event time on them. :mod:`tests.oracles.flows_reference`
+keeps two references:
 
-The reference charges a flow once per listing of a resource, so the
-generator draws distinct resources per flow (see the oracle's docstring).
+* the original set-based filling with one heap event per flow start and
+  completion. Max-min fair allocations are unique, so every flow's finish
+  time and the four summary metrics must agree to 1e-9 relative. This
+  reference charges a flow once per listing of a resource, so the
+  generator draws distinct resources per flow (see the oracle's docstring);
+* the coalesced event-time loop on ``Flow`` objects, which rebuilt the
+  incidence at every event time. The compiled loop performs the same float
+  operations in the same order, so results must be equal with ``==``.
 """
 
 import math
@@ -21,7 +25,10 @@ from repro.experiments.settings import PAPER
 from repro.market.workload import generate_market
 from repro.testbed.emulator import Testbed
 from repro.testbed.flows import FlowSimulator
-from tests.oracles.flows_reference import ReferenceFlowSimulator
+from tests.oracles.flows_reference import (
+    CoalescedReferenceFlowSimulator,
+    ReferenceFlowSimulator,
+)
 
 RTOL = 1e-9
 RATE_CAP_MBPS = 500.0
@@ -40,6 +47,34 @@ def assert_matches_reference(simulator: FlowSimulator) -> None:
         assert math.isclose(got.finish_time, want.finish_time, rel_tol=RTOL), (
             got.flow_id, got.finish_time, want.finish_time,
         )
+
+
+def assert_equals_coalesced(simulator: FlowSimulator) -> None:
+    """Run ``simulator`` and a coalesced-reference replay; require ``==``."""
+    reference = CoalescedReferenceFlowSimulator.replay(simulator)
+    expected = reference.run()
+    assert simulator.run() == expected
+    assert [
+        (f.flow_id, f.finish_time, f.remaining_gbits, f.rate_mbps) for f in simulator.flows
+    ] == [
+        (f.flow_id, f.finish_time, f.remaining_gbits, f.rate_mbps) for f in reference.flows
+    ]
+
+
+def fig5_epoch_simulators(n_providers: int):
+    """The flow set of every algorithm's epoch on the Fig. 5 AS1755 testbed."""
+    testbed = Testbed(rng=n_providers)
+    market = generate_market(
+        testbed.network, n_providers, params=PAPER.workload, rng=n_providers + 1
+    )
+    algorithms = default_algorithms(PAPER.one_minus_xi, PAPER.allow_remote)
+    for name, app in algorithms.items():
+        testbed.register_algorithm(name, app)
+        run = testbed.run(name, market)
+        assert run.flow_metrics == testbed.emulate_traffic(run.assignment)
+        simulator = testbed.build_flow_simulator(run.assignment)
+        assert len(simulator.flows) > n_providers // 2
+        yield simulator
 
 
 @st.composite
@@ -94,3 +129,17 @@ class TestAgainstReference:
             simulator = testbed.build_flow_simulator(run.assignment)
             assert len(simulator.flows) > n_providers // 2
             assert_matches_reference(simulator)
+
+
+class TestAgainstCoalescedReference:
+    @given(simulator=flow_sets())
+    @settings(deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_random_flow_sets(self, simulator):
+        assert_equals_coalesced(simulator)
+
+    @pytest.mark.parametrize("n_providers", [20, 40, 60, 80])
+    def test_fig5_testbed_runs(self, n_providers):
+        """Every algorithm's epoch on the Fig. 5 AS1755 testbed."""
+        for simulator in fig5_epoch_simulators(n_providers):
+            assert_equals_coalesced(simulator)

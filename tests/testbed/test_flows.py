@@ -2,15 +2,25 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, EmulationError
 from repro.testbed import flows as flows_module
-from repro.testbed.flows import Flow, FlowSimulator, max_min_fair_rates, GBITS_PER_GB
+from repro.testbed.flows import Flow, FlowSimulator, compile_flows, GBITS_PER_GB
 
 
 def flow(fid, resources, volume=1.0):
     return Flow(flow_id=fid, src=0, dst=1, volume_gb=volume, resources=tuple(resources))
+
+
+def max_min_fair_rates(flows, capacities):
+    """``flow_id -> rate`` of the kernel on the compiled not-done flows."""
+    active = [f for f in flows if not f.done]
+    flow_of, resource_of, capacity = compile_flows(active, capacities)
+    alive = np.ones(len(active), dtype=bool)
+    rates = flows_module.max_min_fair_rates(flow_of, resource_of, capacity, alive)
+    return dict(zip([f.flow_id for f in active], rates.tolist()))
 
 
 class TestMaxMinFairRates:
@@ -123,9 +133,9 @@ class TestFlowSimulator:
         calls = []
         real = flows_module.max_min_fair_rates
 
-        def counting(flows, capacities):
-            calls.append(len(flows))
-            return real(flows, capacities)
+        def counting(flow_of, resource_of, capacity, alive):
+            calls.append(int(alive.sum()))
+            return real(flow_of, resource_of, capacity, alive)
 
         monkeypatch.setattr(flows_module, "max_min_fair_rates", counting)
         sim = FlowSimulator({"l": 100.0})
@@ -151,6 +161,16 @@ class TestFlowSimulator:
         sim.add_flow(0, 1, 1.0, ["l"], start_time=10.0)
         first = sim.run()
         assert sim.run() == first
+
+    def test_unknown_resource_rejected_before_any_flow_moves(self):
+        sim = FlowSimulator({"l": 100.0})
+        early = sim.add_flow(0, 1, 0.5, ["l"])
+        late = sim.add_flow(0, 1, 0.5, ["l", "ghost"], start_time=10.0)
+        with pytest.raises(EmulationError, match="flow 1 crosses unknown resource 'ghost'"):
+            sim.run()
+        for f in (early, late):
+            assert f.remaining_gbits == 0.5 * GBITS_PER_GB
+            assert f.finish_time is None
 
     def test_negative_start_rejected(self):
         sim = FlowSimulator({"l": 10.0})
