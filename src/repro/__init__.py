@@ -35,7 +35,6 @@ Quickstart
 from repro.exceptions import (
     CapacityError,
     ConfigurationError,
-    ConvergenceError,
     EmulationError,
     InfeasibleError,
     ReproError,
@@ -51,7 +50,6 @@ __all__ = [
     "CapacityError",
     "InfeasibleError",
     "SolverError",
-    "ConvergenceError",
     "TopologyError",
     "EmulationError",
     "__version__",

@@ -21,7 +21,6 @@ that capacities far exceed individual demands, the repair is a no-op.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -31,7 +30,6 @@ from repro.core.virtual_cloudlets import VirtualCloudletSplit
 from repro.exceptions import ConfigurationError
 from repro.gap.greedy import greedy_gap
 from repro.gap.instance import GAPInstance, GAPSolution
-from repro.gap.ladder import solve_with_degradation
 from repro.gap.shmoys_tardos import shmoys_tardos
 from repro.gap.exact import exact_gap
 from repro.market.compiled import CompiledMarket
@@ -203,9 +201,7 @@ def appro(
     gap_solver: str = "shmoys_tardos",
     allow_remote: bool = False,
     slot_pricing: str = "marginal",
-    compiled: Optional[CompiledMarket] = None,
     warm_start: Optional[CachingAssignment] = None,
-    lp_time_limit_s: Optional[float] = None,
 ) -> CachingAssignment:
     """Run Algorithm 1 on a market.
 
@@ -214,11 +210,6 @@ def appro(
     gap_solver:
         ``"shmoys_tardos"`` (the paper's choice), ``"greedy"`` or
         ``"exact"`` — the latter two support ablation A4.
-    compiled:
-        An explicit precompiled market (e.g. shipped to a sweep worker);
-        default compiles on demand and caches on the market instance. The
-        GAP build, the capacity repair and the warm entry all read its
-        array-backed tables.
     allow_remote:
         Give the GAP a remote ("do not cache") bin: services for which
         remote serving is genuinely cheaper — or that no virtual cloudlet
@@ -239,21 +230,18 @@ def appro(
         split/GAP solve is skipped entirely — see :func:`_warm_appro`.
         The result is a repaired greedy continuation of the seed, not a
         re-run of the LP rounding.
-    lp_time_limit_s:
-        Time budget for the Shmoys–Tardos LP solve. When set, the solve
-        runs through the degradation ladder (:func:`repro.gap.ladder.
-        solve_with_degradation`): a timeout falls back to the greedy
-        solver and the substitution is surfaced as
-        ``info["degradation"]`` (a :class:`~repro.gap.ladder.
-        DegradationEvent`) instead of silently swapping. Must be positive,
-        and is only accepted with ``gap_solver="shmoys_tardos"``; a warm
-        start accepts it too, since a cold first epoch does use it. The
-        budget cannot fire on this reduction's own GAP: it is a unit-slot
-        instance, solved exactly as an assignment problem (polynomial but
-        not interruptible), so no degradation event is ever emitted for it.
 
-    Returns a :class:`CachingAssignment` whose ``info`` carries the LP lower
-    bound, ``delta``/``kappa``, the Lemma 2 ratio bound, and repair stats.
+    The GAP build, the capacity repair and the warm entry all read the
+    market's cached :class:`~repro.market.compiled.CompiledMarket`
+    (``market.compile()``).
+
+    Returns a :class:`CachingAssignment` whose ``info`` carries
+    ``gap_lower_bound``, ``delta``/``kappa``, the Lemma 2 ratio bound, and
+    repair stats. ``gap_lower_bound`` is the optimum of Appro's own
+    slotted GAP (flat Eq. 9 or marginal slot costs, per ``slot_pricing``;
+    the Shmoys–Tardos relaxation is exact on this unit-slot instance, and
+    ``"exact"`` reports its integral optimum, ``"greedy"`` ``None``). It
+    bounds that GAP, not the Eq. 6 social optimum.
     """
     try:
         solve = _GAP_SOLVERS[gap_solver]
@@ -261,23 +249,12 @@ def appro(
         raise ValueError(
             f"unknown gap_solver {gap_solver!r}; choose from {sorted(_GAP_SOLVERS)}"
         ) from None
-    if lp_time_limit_s is not None:
-        if not lp_time_limit_s > 0:
-            raise ConfigurationError(
-                f"lp_time_limit_s must be positive, got {lp_time_limit_s}"
-            )
-        if gap_solver != "shmoys_tardos":
-            raise ConfigurationError(
-                "lp_time_limit_s bounds the Shmoys–Tardos LP; "
-                f"gap_solver={gap_solver!r} solves no LP"
-            )
-        solve = partial(solve_with_degradation, time_limit_s=lp_time_limit_s)
     if slot_pricing not in VirtualCloudletSplit.PRICINGS:
         raise ConfigurationError(
             f"slot_pricing must be one of {VirtualCloudletSplit.PRICINGS}, "
             f"got {slot_pricing!r}"
         )
-    cm = compiled if compiled is not None else market.compile()
+    cm = market.compile()
     if warm_start is not None:
         return _warm_appro(
             market,
@@ -291,7 +268,7 @@ def appro(
         split = VirtualCloudletSplit(
             market, allow_remote=allow_remote, slot_pricing=slot_pricing
         )
-        instance = split.build_gap_instance(compiled=cm)
+        instance = split.build_gap_instance()
         solution: GAPSolution = solve(instance)
         placement, gap_rejected = split.merge_assignment(solution.assignment)
         placement, repair_rejected, moves = _repair_capacities(
@@ -313,7 +290,6 @@ def appro(
             "virtual_cloudlets": len(split.virtual_cloudlets),
             "repair_moves": moves,
             "ratio_bound": 2.0 * split.delta * split.kappa,
-            "degradation": solution.degradation,
         },
     )
 

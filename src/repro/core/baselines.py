@@ -24,7 +24,7 @@ stays remote) only when no cloudlet fits it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 import numpy as np
 
@@ -68,14 +68,9 @@ def _admit_in_id_order(
     return placement, rejected
 
 
-def jo_offload_cache(
-    market: ServiceMarket, compiled: Optional[CompiledMarket] = None
-) -> CachingAssignment:
-    """The ``JoOffloadCache`` baseline (see module docstring).
-
-    ``compiled`` optionally supplies a precompiled market.
-    """
-    cm = compiled if compiled is not None else market.compile()
+def jo_offload_cache(market: ServiceMarket) -> CachingAssignment:
+    """The ``JoOffloadCache`` baseline (see module docstring)."""
+    cm = market.compile()
     with Stopwatch() as watch:
         # Joint offloading + caching under static prices: the provider sees
         # the published per-unit congestion prices (occupancy 1, i.e.
@@ -95,14 +90,9 @@ def jo_offload_cache(
     )
 
 
-def offload_cache(
-    market: ServiceMarket, compiled: Optional[CompiledMarket] = None
-) -> CachingAssignment:
-    """The ``OffloadCache`` baseline (see module docstring).
-
-    ``compiled`` optionally supplies a precompiled market.
-    """
-    cm = compiled if compiled is not None else market.compile()
+def offload_cache(market: ServiceMarket) -> CachingAssignment:
+    """The ``OffloadCache`` baseline (see module docstring)."""
+    cm = market.compile()
     with Stopwatch() as watch:
         # Pure offloading optimum: minimum end-to-end delay from the users
         # to the cloudlet; caching (prices, congestion, updates) is decided

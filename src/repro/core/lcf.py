@@ -44,7 +44,6 @@ from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.game.best_response import best_response_dynamics
 from repro.game.congestion import SingletonCongestionGame
 from repro.game.equilibrium import is_nash_equilibrium
-from repro.market.compiled import CompiledMarket
 from repro.market.market import ServiceMarket
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import check_fraction
@@ -145,9 +144,7 @@ def lcf(
     allow_remote: bool = False,
     slot_pricing: str = "marginal",
     information: str = "posted_price",
-    compiled: Optional[CompiledMarket] = None,
     warm_start: Optional[object] = None,
-    lp_time_limit_s: Optional[float] = None,
 ) -> LCFResult:
     """Run Algorithm 2 with coordination fraction ``xi`` (so ``1 - xi`` of
     the providers behave selfishly, the x-axis of Fig. 3/6a).
@@ -161,14 +158,7 @@ def lcf(
 
     The leader phase (Appro's GAP build and repair) reads the market's
     :class:`~repro.market.compiled.CompiledMarket`, and the follower
-    phase's game tables are sliced from the same blob. ``compiled``
-    optionally supplies a precompiled market (e.g. shipped to a sweep
-    worker).
-
-    ``lp_time_limit_s`` bounds the leader phase's GAP LP solve through the
-    degradation ladder (see :func:`repro.core.appro.appro`): a timeout
-    falls back to the greedy solver and surfaces on the assignment's
-    ``info["degradation"]``.
+    phase's game tables are sliced from the same blob.
 
     ``warm_start`` carries the previous epoch's result across a market
     delta: a prior :class:`LCFResult` (or any assignment with
@@ -199,9 +189,7 @@ def lcf(
             gap_solver=gap_solver,
             allow_remote=allow_remote,
             slot_pricing=slot_pricing,
-            compiled=compiled,
             warm_start=seed,
-            lp_time_limit_s=lp_time_limit_s,
         )
         budget = market.coordination_budget(xi)
         coordinated_ids = select_coordinated_lcf(
@@ -279,7 +267,6 @@ def lcf(
             "appro_social_cost": zeta.social_cost,
             "is_equilibrium": equilibrium,
             "warm_start": warm_start is not None,
-            "degradation": zeta.info.get("degradation"),
         },
     )
     return LCFResult(

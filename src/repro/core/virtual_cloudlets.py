@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.gap.instance import GAPInstance
-from repro.market.compiled import CompiledMarket
 from repro.market.market import ServiceMarket
 
 
@@ -151,17 +150,14 @@ class VirtualCloudletSplit:
             raise ConfigurationError("split was built without a remote bin")
         return len(self.virtual_cloudlets)
 
-    def build_gap_instance(
-        self, compiled: Optional[CompiledMarket] = None
-    ) -> GAPInstance:
+    def build_gap_instance(self) -> GAPInstance:
         """Items = providers (in id order), bins = virtual cloudlets, plus
         the remote bin when ``allow_remote`` is set.
 
-        The cost matrix is assembled from the compiled tables (one broadcast
-        add per pricing mode); ``compiled`` supplies a precompiled market,
-        by default the market's own cached ``compile()``.
+        The cost matrix is assembled from the market's cached compiled
+        tables (one broadcast add per pricing mode).
         """
-        cm = compiled if compiled is not None else self.market.compile()
+        cm = self.market.compile()
         n = cm.n_providers
         n_virtual = len(self.virtual_cloudlets)
         m = n_virtual + (1 if self.allow_remote else 0)

@@ -25,23 +25,14 @@ class InfeasibleError(ReproError):
 
 
 class SolverError(ReproError):
-    """An underlying numerical solver failed unexpectedly."""
-
-
-class SolverTimeout(SolverError):
-    """A numerical solver exceeded its time budget.  The degradation
-    ladder (see :mod:`repro.gap.ladder`) catches this and falls back to a
-    cheaper method, surfacing a ``DegradationEvent`` on the result."""
+    """An underlying numerical solver failed unexpectedly (e.g. HiGHS
+    stopped on an iteration limit, or the Shmoys–Tardos matching found no
+    full matching)."""
 
 
 class TaskTimeout(ReproError):
     """A supervised sweep task exceeded its per-task time budget (see
     :mod:`repro.runtime.supervisor`)."""
-
-
-class ConvergenceError(ReproError):
-    """An iterative procedure (e.g. best-response dynamics) did not converge
-    within its iteration budget."""
 
 
 class InvariantViolation(ReproError):

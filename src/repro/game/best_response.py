@@ -22,7 +22,7 @@ from typing import Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import ConvergenceError, InfeasibleError
+from repro.exceptions import InfeasibleError
 from repro.game.batch import batch_best_response
 from repro.game.congestion import Profile, SingletonCongestionGame
 from repro.game.engine import CompiledGame
@@ -97,7 +97,6 @@ def best_response_dynamics(
     initial_profile: Mapping[Hashable, Hashable],
     movable: Optional[Iterable[Hashable]] = None,
     max_rounds: int = 1000,
-    raise_on_nonconvergence: bool = False,
     compiled: Optional[CompiledGame] = None,
     record_moves: bool = False,
 ) -> BestResponseResult:
@@ -110,10 +109,8 @@ def best_response_dynamics(
         (Stackelberg-pinned) players are simply excluded from this set.
     max_rounds:
         Safety bound; the potential argument guarantees termination, the
-        bound only protects against ill-formed cost functions.
-    raise_on_nonconvergence:
-        When ``True``, raises :class:`ConvergenceError` instead of returning
-        ``converged=False``.
+        bound only protects against ill-formed cost functions; hitting it
+        returns ``converged=False``.
     compiled:
         An optional pre-built :class:`CompiledGame` (lets callers amortise
         table construction across runs).
@@ -129,10 +126,6 @@ def best_response_dynamics(
         compiled=compiled,
         record_moves=record_moves,
     )
-    if not converged and raise_on_nonconvergence:
-        raise ConvergenceError(
-            f"best-response dynamics did not converge in {max_rounds} rounds"
-        )
     return BestResponseResult(
         profile=profile,
         converged=converged,

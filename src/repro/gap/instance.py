@@ -109,10 +109,6 @@ class GAPSolution:
     method: str = ""
     #: Optimal LP value when the method solved a relaxation (lower bound).
     lower_bound: Optional[float] = None
-    #: Set when the degradation ladder substituted a cheaper method for
-    #: the requested one (a :class:`repro.gap.ladder.DegradationEvent`);
-    #: ``None`` for a solution produced as requested.
-    degradation: Optional[object] = None
 
     def __post_init__(self) -> None:
         if len(self.assignment) != self.instance.n_items:

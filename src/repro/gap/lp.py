@@ -34,12 +34,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csr_matrix
 
-from repro.exceptions import (
-    ConfigurationError,
-    InfeasibleError,
-    SolverError,
-    SolverTimeout,
-)
+from repro.exceptions import InfeasibleError, SolverError
 from repro.gap.instance import GAPInstance
 
 
@@ -144,14 +139,11 @@ def _assignment_relaxation(
     )
 
 
-def _highs_relaxation(
-    instance: GAPInstance, time_limit_s: Optional[float]
-) -> LPRelaxationResult:
-    """Solve the LP with HiGHS, bounded by ``time_limit_s`` when given."""
+def _highs_relaxation(instance: GAPInstance) -> LPRelaxationResult:
+    """Solve the LP with HiGHS."""
     rows, cols, a_eq, a_ub, c, b_eq = _assemble(instance)
     b_ub = instance.capacities
 
-    options = {} if time_limit_s is None else {"time_limit": float(time_limit_s)}
     result = linprog(
         c,
         A_eq=a_eq,
@@ -160,14 +152,7 @@ def _highs_relaxation(
         b_ub=b_ub,
         bounds=(0.0, 1.0),
         method="highs",
-        options=options,
     )
-    if result.status == 1:
-        # HiGHS reports hitting the time (or iteration) limit as status 1.
-        raise SolverTimeout(
-            f"GAP LP relaxation exceeded its {time_limit_s}s budget: "
-            f"{result.message}"
-        )
     if result.status == 2:
         raise InfeasibleError("GAP LP relaxation is infeasible")
     if not result.success:
@@ -184,29 +169,18 @@ def _highs_relaxation(
     )
 
 
-def solve_lp_relaxation(
-    instance: GAPInstance,
-    time_limit_s: Optional[float] = None,
-) -> LPRelaxationResult:
+def solve_lp_relaxation(instance: GAPInstance) -> LPRelaxationResult:
     """Solve the GAP LP relaxation; raises :class:`InfeasibleError` when the
-    relaxation (hence the GAP) has no solution.
+    relaxation (hence the GAP) has no solution, and :class:`SolverError`
+    when HiGHS stops for any other reason (an iteration limit included).
 
     A unit-slot instance (see the module docstring) is solved exactly as an
     assignment problem; every other instance goes to HiGHS.
-    ``time_limit_s`` bounds the HiGHS solve; exceeding it raises
-    :class:`~repro.exceptions.SolverTimeout` (the degradation ladder in
-    :mod:`repro.gap.ladder` catches this and falls back to greedy). The
-    assignment solve is polynomial but not interruptible, so the budget
-    never fires on a unit-slot instance.
     """
-    if time_limit_s is not None and time_limit_s <= 0:
-        raise ConfigurationError(
-            f"time_limit_s must be positive, got {time_limit_s}"
-        )
     multiplicities = _slot_multiplicities(instance)
     if multiplicities is not None:
         return _assignment_relaxation(instance, multiplicities)
-    return _highs_relaxation(instance, time_limit_s)
+    return _highs_relaxation(instance)
 
 
 __all__ = ["LPRelaxationResult", "solve_lp_relaxation"]

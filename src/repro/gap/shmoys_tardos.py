@@ -30,7 +30,7 @@ serves every fractional one.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import networkx as nx
 import numpy as np
@@ -121,21 +121,14 @@ def _match_slots(relaxation: LPRelaxationResult) -> List[int]:
     return assignment
 
 
-def shmoys_tardos(
-    instance: GAPInstance,
-    time_limit_s: Optional[float] = None,
-) -> GAPSolution:
+def shmoys_tardos(instance: GAPInstance) -> GAPSolution:
     """Round the GAP LP optimum to an integral assignment (see module doc).
-
-    ``time_limit_s`` bounds the LP solve; exceeding it raises
-    :class:`~repro.exceptions.SolverTimeout` (callers wanting a fallback
-    instead use :func:`repro.gap.ladder.solve_with_degradation`).
 
     Raises :class:`repro.exceptions.InfeasibleError` when the LP relaxation
     is infeasible and :class:`SolverError` if the matching step fails (which
     would indicate a bug — the fractional matching guarantees existence).
     """
-    relaxation = solve_lp_relaxation(instance, time_limit_s=time_limit_s)
+    relaxation = solve_lp_relaxation(instance)
     x = relaxation.fractions
     if bool(((x == 0.0) | (x == 1.0)).all()):
         # Each slot holds one whole item: the matching is forced.

@@ -45,9 +45,9 @@ The robustness core is the failure machinery, not the happy path:
   past ``claim_timeout_s`` with no live hosts), the transport degrades
   to a local :class:`~repro.runtime.transport.PoolTransport` — pending
   unclaimed work is re-dispatched, and the switch is recorded as a
-  structured :class:`DegradationEvent` (mirroring the GAP ladder's)
-  in :attr:`RemoteTransport.degradation_events`.  ``degrade="fail"``
-  turns the floor into a hard error instead.
+  structured :class:`DegradationEvent` in
+  :attr:`RemoteTransport.degradation_events`.  ``degrade="fail"`` turns
+  the floor into a hard error instead.
 
 ``publish`` ships each blob once into the content-addressed shared
 store; the ``(shard id, delta seq)`` keying of the shard layer means an
@@ -158,8 +158,8 @@ def _picklable_error(exc: BaseException) -> BaseException:
 
 @dataclass(frozen=True)
 class DegradationEvent:
-    """A structured record of one degradation decision, mirroring the
-    GAP ladder's event shape (`repro.gap.ladder.DegradationEvent`)."""
+    """A structured record of one degradation decision: the substrate
+    asked for, the one used, and why."""
 
     #: The substrate the caller asked for (``"remote"``).
     requested: str

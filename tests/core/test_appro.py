@@ -99,19 +99,23 @@ class TestQuality:
 class TestOptionValidation:
     """Options appro cannot honour raise up front, warm start included,
     instead of being silently ignored. The tiny line market keeps a
-    regression (an option accepted and a solve run) fast."""
+    regression (an option accepted and a solve run) fast.
+
+    ``lp_time_limit_s`` is gone: Appro's GAP is a unit-slot instance,
+    solved by an assignment that no budget can interrupt. The tests that
+    validated its values keep their names and now check that the keyword
+    itself is rejected, whatever its value, solver or warm start."""
 
     @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
     def test_non_positive_lp_time_limit_rejected(self, limit):
         market = make_market()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             appro(market, lp_time_limit_s=limit)
 
     def test_non_positive_lp_time_limit_rejected_on_warm_start(self):
-        # A warm replan never reaches the LP that used to validate it.
         market = make_market()
         previous = appro(market)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             appro(market, lp_time_limit_s=-1.0, warm_start=previous)
 
     @pytest.mark.parametrize(
@@ -119,12 +123,12 @@ class TestOptionValidation:
     )
     def test_lp_time_limit_needs_the_lp_solver(self, gap_solver, limit):
         market = make_market()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             appro(market, gap_solver=gap_solver, lp_time_limit_s=limit)
 
     def test_lcf_forwards_the_lp_time_limit_check(self):
         market = make_market()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             lcf(market, xi=0.5, gap_solver="greedy", lp_time_limit_s=-5.0)
 
     def test_unknown_slot_pricing_rejected_on_warm_start(self):
@@ -133,11 +137,13 @@ class TestOptionValidation:
         with pytest.raises(ConfigurationError):
             appro(market, slot_pricing="bogus", warm_start=previous)
 
-    def test_lp_time_limit_accepted_with_warm_start(self):
+    def test_positive_lp_time_limit_rejected_cold_and_warm(self):
+        # Even a generous budget is refused: no solve path reads one.
         market = make_market()
-        # A warm replan skips the LP, but the cold first epoch of the same
-        # configuration does solve it, so the option stays valid.
-        previous = appro(market, lp_time_limit_s=60.0)
-        warm = appro(market, lp_time_limit_s=60.0, warm_start=previous)
-        assert warm.algorithm == "Appro[warm]"
-        assert warm.placement == previous.placement
+        previous = appro(market)
+        with pytest.raises(TypeError):
+            appro(market, lp_time_limit_s=60.0)
+        with pytest.raises(TypeError):
+            appro(market, lp_time_limit_s=60.0, warm_start=previous)
+        with pytest.raises(TypeError):
+            lcf(market, xi=0.5, lp_time_limit_s=60.0, warm_start=previous)

@@ -121,6 +121,17 @@ class TestBestResponseDynamics:
         occ = game.occupancy(result.profile)
         assert sorted(occ.values()) == [2, 2, 2]
 
+    def test_round_cap_reports_non_convergence(self):
+        # Hitting max_rounds is reported as converged=False; there is no
+        # raising variant (raise_on_nonconvergence= is gone).
+        game = make_game(n_players=6, n_resources=3)
+        start = {p: "r0" for p in game.players}
+        result = best_response_dynamics(game, start, max_rounds=1)
+        assert not result.converged
+        assert result.rounds == 1
+        with pytest.raises(TypeError):
+            best_response_dynamics(game, start, raise_on_nonconvergence=True)
+
     def test_result_final_potential(self):
         game = make_game(n_players=2, n_resources=2)
         result = best_response_dynamics(game, {0: "r0", 1: "r0"})

@@ -11,15 +11,21 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from repro.core.appro import appro
+from repro.core.lcf import lcf
 from repro.core.virtual_cloudlets import VirtualCloudletSplit
-from repro.exceptions import InfeasibleError
+from repro.dynamics.population import PopulationProcess
+from repro.exceptions import InfeasibleError, SolverError
 from repro.gap import lp
 from repro.gap.exact import exact_gap
 from repro.gap.instance import GAPInstance
 from repro.gap.lp import _highs_relaxation, _slot_multiplicities, solve_lp_relaxation
 from repro.gap.shmoys_tardos import _build_slots, _match_slots, shmoys_tardos
+from repro.market.delta import MarketDelta
+from repro.market.market import ServiceMarket
+from repro.market.pricing import Pricing
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
 from repro.utils.rng import as_rng
@@ -60,7 +66,7 @@ def assert_exact_relaxation(instance):
     with lsa_patch:
         fast = solve_lp_relaxation(instance)
     assert lsa_calls
-    reference = _highs_relaxation(instance, None)
+    reference = _highs_relaxation(instance)
     assert np.all((fast.fractions == 0.0) | (fast.fractions == 1.0))
     assert np.all(fast.fractions.sum(axis=1) == 1.0)
     assert fast.value == pytest.approx(reference.value, rel=1e-9)
@@ -129,7 +135,7 @@ class TestAgainstHighs:
     def test_too_few_slots_raise_like_highs(self):
         inst = unit_slot_instance(3, n_items=9, n_slots=8, remote=False, p_forbid=0.0)
         with pytest.raises(InfeasibleError):
-            _highs_relaxation(inst, None)
+            _highs_relaxation(inst)
         with pytest.raises(InfeasibleError):
             solve_lp_relaxation(inst)
 
@@ -138,7 +144,7 @@ class TestAgainstHighs:
         costs = np.array([[1.0, np.inf], [2.0, np.inf], [3.0, 1.0]])
         inst = GAPInstance(costs=costs, weights=np.ones((3, 2)), capacities=np.ones(2))
         with pytest.raises(InfeasibleError):
-            _highs_relaxation(inst, None)
+            _highs_relaxation(inst)
         with pytest.raises(InfeasibleError):
             solve_lp_relaxation(inst)
 
@@ -147,13 +153,18 @@ class TestAgainstHighs:
 # Paper-scale markets: the placement Appro ships is unchanged.
 # --------------------------------------------------------------------- #
 @functools.lru_cache(maxsize=None)
-def paper_market(size, seed):
-    return generate_market(random_mec_network(size, rng=seed), 60, rng=seed + 1)
+def paper_market(size, seed, latency_budget_ms=None):
+    return generate_market(
+        random_mec_network(size, rng=seed),
+        60,
+        rng=seed + 1,
+        latency_budget_ms=latency_budget_ms,
+    )
 
 
 def highs_rounding(instance):
     """The HiGHS LP followed by the full slot-matching rounding."""
-    return _match_slots(_highs_relaxation(instance, None))
+    return _match_slots(_highs_relaxation(instance))
 
 
 @pytest.mark.parametrize("size", [50, 100, 150, 200, 250])
@@ -213,12 +224,89 @@ class TestPathGuards:
         result = self.fractional_reaches_highs(inst)
         assert result.value < exact_gap(inst).cost - 1.0
 
+    def test_highs_iteration_limit_raises_solver_error(self):
+        # HiGHS stopping short (status 1) is a solver failure, not a result.
+        costs = np.array([[1.0, 10.0, 10.0]] * 3)
+        inst = GAPInstance(
+            costs=costs, weights=np.ones((3, 3)), capacities=np.full(3, 1.5)
+        )
+        stopped = OptimizeResult(
+            status=1, success=False, message="Iteration limit reached."
+        )
+        with mock.patch.object(lp, "linprog", return_value=stopped):
+            with pytest.raises(SolverError, match="Iteration limit"):
+                solve_lp_relaxation(inst)
+
+    def guarded_solves(self, market, solve):
+        """Run ``solve(market, slot_pricing=, allow_remote=)`` on every
+        option pair; each run must take the assignment path exactly once
+        and never reach HiGHS. Returns the number of feasible runs."""
+        solved = 0
+        for pricing in ("flat", "marginal"):
+            for allow_remote in (False, True):
+                relax_patch, relax_calls = count_calls("_assignment_relaxation")
+                lsa_patch, lsa_calls = count_calls("linear_sum_assignment")
+                lp_patch, lp_calls = count_calls("linprog")
+                with relax_patch, lsa_patch, lp_patch:
+                    try:
+                        solve(market, slot_pricing=pricing, allow_remote=allow_remote)
+                    except InfeasibleError:
+                        # Too few slots, or a provider with no cloudlet in
+                        # budget: raised by the assignment path itself. The
+                        # remote bin always admits everyone.
+                        assert not allow_remote
+                    else:
+                        assert len(lsa_calls) == 1
+                        solved += 1
+                assert len(relax_calls) == 1
+                assert not lp_calls
+        return solved
+
+    @staticmethod
+    def guard_markets():
+        """Paper markets at 50/150/250 nodes, seeds 1-3, with no latency
+        budget and with a 3 ms one: 18 markets."""
+        for size in (50, 150, 250):
+            for seed in (1, 2, 3):
+                for budget in (None, 3.0):
+                    yield paper_market(size, seed, latency_budget_ms=budget)
+
     def test_appro_on_paper_market_uses_the_assignment(self):
-        lp_patch, lp_calls = count_calls("linprog")
-        lsa_patch, lsa_calls = count_calls("linear_sum_assignment")
-        with lp_patch, lsa_patch:
-            appro(paper_market(150, 1), allow_remote=True)
-        assert lsa_calls and not lp_calls
+        # The invariant that makes a solve-time budget pointless: on every
+        # paper market and option, Appro's GAP is a unit-slot instance
+        # solved by one assignment, and linprog is never called.
+        solved = sum(self.guarded_solves(m, appro) for m in self.guard_markets())
+        assert solved >= 18 * 2  # every allow_remote run at least
+
+    def test_lcf_on_paper_markets_uses_the_assignment(self):
+        def leader(market, **options):
+            return lcf(market, xi=0.7, **options)
+
+        solved = sum(self.guarded_solves(m, leader) for m in self.guard_markets())
+        assert solved >= 18 * 2
+
+    def test_appro_on_a_delta_patched_market_uses_the_assignment(self):
+        network = random_mec_network(150, rng=4)
+        population = PopulationProcess(
+            network, arrival_rate=8.0, mean_lifetime=4.0, rng=5,
+            initial_population=60,
+        )
+        market = ServiceMarket(network, population.present, pricing=Pricing())
+        cm = market.compile()
+        churn = 0
+        for _ in range(3):
+            event = population.step()
+            churn += event.churn
+            by_id = {p.provider_id: p for p in population.present}
+            market.apply(
+                MarketDelta(
+                    arrivals=tuple(by_id[pid] for pid in event.arrived),
+                    departures=event.departed,
+                )
+            )
+            assert market.compile() is cm  # patched in place, not rebuilt
+            assert self.guarded_solves(market, appro) >= 2
+        assert churn > 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_integral_relaxation_skips_an_equal_matching(self, seed):

@@ -238,13 +238,12 @@ class TestLPAssemblyEquivalence:
     def test_unknown_assembly_rejected(self):
         # One assembly path: the assemble= option left every solver.
         from repro.core.virtual_cloudlets import VirtualCloudletSplit
-        from repro.gap.ladder import solve_with_degradation
         from repro.gap.lp import solve_lp_relaxation
         from repro.gap.shmoys_tardos import shmoys_tardos
 
         market = make_market(195)
         instance = VirtualCloudletSplit(market).build_gap_instance()
-        for solver in (solve_lp_relaxation, shmoys_tardos, solve_with_degradation):
+        for solver in (solve_lp_relaxation, shmoys_tardos):
             with pytest.raises(TypeError):
                 solver(instance, assemble="scalar")
 
@@ -270,17 +269,14 @@ class TestGreedyModeEquivalence:
         assert vector.cost == scalar.cost
 
     def test_unknown_mode_rejected(self):
-        # One greedy path: mode= and the ladder's greedy_mode= are gone.
+        # One greedy path: mode= is gone.
         from repro.core.virtual_cloudlets import VirtualCloudletSplit
         from repro.gap.greedy import greedy_gap
-        from repro.gap.ladder import solve_with_degradation
 
         market = make_market(220)
         instance = VirtualCloudletSplit(market).build_gap_instance()
         with pytest.raises(TypeError):
             greedy_gap(instance, mode="scalar")
-        with pytest.raises(TypeError):
-            solve_with_degradation(instance, greedy_mode="scalar")
 
 
 class TestUncompiledGameBridge:

@@ -21,8 +21,10 @@ import repro.market.compiled
 from repro.core.appro import appro
 from repro.core.baselines import jo_offload_cache, offload_cache
 from repro.core.lcf import lcf
+from repro.core.virtual_cloudlets import VirtualCloudletSplit
 from repro.dynamics.population import PopulationProcess
 from repro.dynamics.simulation import DynamicMarketSimulation
+from repro.game.partitioned import partitioned_best_response
 from repro.market.compiled import CompiledMarket
 from repro.market.costs import LinearCongestion, MM1Congestion, QuadraticCongestion
 from repro.market.workload import generate_market
@@ -292,9 +294,8 @@ class TestCachingAndInvalidation:
 
 
 class TestResolveCompiled:
-    """Every algorithm runs on ``compiled if compiled is not None else
-    market.compile()``: the market's cached blob by default, an explicit
-    blob when one is given, and no switch to another representation."""
+    """Every algorithm runs on ``market.compile()``, the market's cached
+    blob: no hand-in blob and no switch to another representation."""
 
     ALGORITHMS = (appro, lcf, jo_offload_cache, offload_cache)
 
@@ -312,16 +313,18 @@ class TestResolveCompiled:
             algorithm(small_market)
         assert builds == [small_market]
 
-    def test_explicit_blob_wins(self, small_market, monkeypatch):
+    def test_explicit_blob_rejected(self, small_market):
+        # The market's cached compile() is the only table source: no
+        # solve-path entry point takes a hand-in blob any more.
         blob = small_market.compile()
-        small_market.invalidate_compiled()
-
-        def no_compile():
-            raise AssertionError("an explicit blob must not be recompiled")
-
-        monkeypatch.setattr(small_market, "compile", no_compile)
-        for algorithm in (appro, jo_offload_cache, offload_cache):
-            algorithm(small_market, compiled=blob)
+        start = appro(small_market).placement
+        for algorithm in self.ALGORITHMS + (partitioned_best_response,):
+            args = (start,) if algorithm is partitioned_best_response else ()
+            with pytest.raises(TypeError):
+                algorithm(small_market, *args, compiled=blob)
+        split = VirtualCloudletSplit(small_market)
+        with pytest.raises(TypeError):
+            split.build_gap_instance(compiled=blob)
 
     def test_object_path_returns_none(self, small_market):
         # The object-graph path left src/; it is a test oracle now.

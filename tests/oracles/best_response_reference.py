@@ -33,7 +33,7 @@ from unittest import mock
 
 import numpy as np
 
-from repro.exceptions import ConvergenceError, InfeasibleError
+from repro.exceptions import InfeasibleError
 from repro.game.best_response import BestResponseResult, best_response_dynamics
 from repro.game.congestion import Profile, SingletonCongestionGame
 from repro.game.engine import IMPROVEMENT_EPS, CompiledGame
@@ -80,7 +80,6 @@ def naive_best_response_dynamics(
     initial_profile: Mapping[Hashable, Hashable],
     movable: Optional[Iterable[Hashable]] = None,
     max_rounds: int = 1000,
-    raise_on_nonconvergence: bool = False,
     compiled: Optional[CompiledGame] = None,
     record_moves: bool = False,
 ) -> BestResponseResult:
@@ -130,10 +129,6 @@ def naive_best_response_dynamics(
             converged = True
             break
 
-    if not converged and raise_on_nonconvergence:
-        raise ConvergenceError(
-            f"best-response dynamics did not converge in {max_rounds} rounds"
-        )
     return BestResponseResult(
         profile=profile,
         converged=converged,
@@ -231,7 +226,6 @@ def incremental_best_response_dynamics(
     initial_profile: Mapping[Hashable, Hashable],
     movable: Optional[Iterable[Hashable]] = None,
     max_rounds: int = 1000,
-    raise_on_nonconvergence: bool = False,
     compiled: Optional[CompiledGame] = None,
     record_moves: bool = False,
 ) -> BestResponseResult:
@@ -246,10 +240,6 @@ def incremental_best_response_dynamics(
         compiled=compiled,
         record_moves=record_moves,
     )
-    if not converged and raise_on_nonconvergence:
-        raise ConvergenceError(
-            f"best-response dynamics did not converge in {max_rounds} rounds"
-        )
     return BestResponseResult(
         profile=profile,
         converged=converged,

@@ -138,11 +138,9 @@ def _greedy_scalar(instance: GAPInstance) -> List[int]:
 # Appro (replace VirtualCloudletSplit.build_gap_instance and
 # repro.core.appro._repair_capacities / _enter_newcomers)
 # --------------------------------------------------------------------- #
-def object_build_gap_instance(
-    self: VirtualCloudletSplit, compiled: Optional[CompiledMarket] = None
-) -> GAPInstance:
+def object_build_gap_instance(self: VirtualCloudletSplit) -> GAPInstance:
     """:meth:`VirtualCloudletSplit.build_gap_instance` from the cost model,
-    one (provider, slot) pair at a time; ``compiled`` is ignored."""
+    one (provider, slot) pair at a time."""
     providers = self.market.providers
     n = len(providers)
     m = len(self.virtual_cloudlets) + (1 if self.allow_remote else 0)
