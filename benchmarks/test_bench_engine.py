@@ -26,7 +26,7 @@ clobbering).
 import os
 import time
 
-from repro.core.bridge import market_game
+from repro.core import market_game
 from repro.experiments.figures import fig2_network_size
 from repro.game.best_response import greedy_feasible_profile
 from repro.market.workload import generate_market

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.appro import appro
-from repro.core.bridge import market_game
+from repro.core import market_game
 from repro.core.lcf import lcf
 from repro.game.best_response import best_response_dynamics, greedy_feasible_profile
 from repro.gap.instance import GAPInstance

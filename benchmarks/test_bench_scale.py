@@ -30,7 +30,7 @@ import pytest
 
 from benchmarks.conftest import bench_path, record_bench
 
-from repro.core.bridge import market_game
+from repro.core import market_game
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
 from tests.oracles.best_response_reference import DYNAMICS
@@ -87,14 +87,14 @@ def _scale_instance(n_nodes: int, n_providers: int):
         if loads is not None:
             loads[j] += c.demand[pi, j]
     game = market_game(market, players=list(profile))
-    return game, game.compile(), profile
+    return game, profile
 
 
 @pytest.mark.parametrize("n_nodes,n_providers", TIERS)
 def test_bench_scale_tier(n_nodes, n_providers, emit):
     section = f"scale_{n_nodes}"
     prior_pps = _prior_batch_pps(section)
-    game, compiled, start = _scale_instance(n_nodes, n_providers)
+    game, start = _scale_instance(n_nodes, n_providers)
     placed = len(start)
     assert placed >= int(0.9 * n_providers), (
         f"fixture must absorb the tier: only {placed}/{n_providers} placed"
@@ -106,10 +106,10 @@ def test_bench_scale_tier(n_nodes, n_providers, emit):
     for engine in ("incremental", "batch"):
         dynamics = DYNAMICS[engine]
         outcomes[engine] = dynamics(
-            game, dict(start), compiled=compiled, record_moves=True
+            game, dict(start), record_moves=True
         )
         timings[engine] = _best_of(
-            lambda d=dynamics: d(game, dict(start), compiled=compiled),
+            lambda d=dynamics: d(game, dict(start)),
             repeats=repeats,
         )
 

@@ -23,10 +23,7 @@ import pytest
 
 from benchmarks.conftest import record_bench
 from repro.game.batch import batch_best_response
-from repro.game.partitioned import (
-    game_from_compiled,
-    partitioned_best_response,
-)
+from repro.game import game_from_compiled, partitioned_best_response
 from repro.market.shard import classify_providers, partition_market
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
@@ -108,13 +105,12 @@ def test_bench_shard_tier(n_nodes, n_providers, emit):
     placed = len(start)
 
     game = game_from_compiled(cm, players=sorted(start))
-    global_compiled = game.compile()
     g_profile, g_converged, _r, _m, _t, _l = batch_best_response(
-        game, dict(start), max_rounds=1000, compiled=global_compiled
+        game, dict(start), max_rounds=1000
     )
     assert g_converged
     t_global = _best_of(lambda: batch_best_response(
-        game, dict(start), max_rounds=1000, compiled=global_compiled
+        game, dict(start), max_rounds=1000
     ))
     g_cost = cm.social_cost(g_profile)
 

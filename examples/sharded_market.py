@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.dynamics import DynamicMarketSimulation, PopulationProcess
 from repro.game.batch import batch_best_response
-from repro.game.partitioned import game_from_compiled, partitioned_best_response
+from repro.game import game_from_compiled, partitioned_best_response
 from repro.market.shard import classify_providers, partition_market
 from repro.market.workload import generate_market
 from repro.network import random_mec_network
@@ -98,7 +98,7 @@ def main() -> None:
     game = game_from_compiled(cm, players=sorted(start))
     t0 = time.perf_counter()
     g_profile, _, _, g_moves, _, _ = batch_best_response(
-        game, dict(start), max_rounds=1000, compiled=game.compile()
+        game, dict(start), max_rounds=1000
     )
     t_global = time.perf_counter() - t0
     t0 = time.perf_counter()

@@ -302,10 +302,8 @@ def _run_shard(args) -> int:
 
     from repro.dynamics import DynamicMarketSimulation, PopulationProcess
     from repro.game.batch import batch_best_response
-    from repro.game.partitioned import (
-        game_from_compiled,
-        partitioned_best_response,
-    )
+    from repro.game.engine import game_from_compiled
+    from repro.game.partitioned import partitioned_best_response
     from repro.market.shard import classify_providers, partition_market
     from repro.market.workload import generate_market
     from repro.network.generators import random_mec_network
@@ -349,7 +347,7 @@ def _run_shard(args) -> int:
     t0 = time.perf_counter()
     game = game_from_compiled(cm, players=sorted(start))
     g_profile, _, _, g_moves, _, _ = batch_best_response(
-        game, start, max_rounds=1000, compiled=game.compile()
+        game, start, max_rounds=1000
     )
     t_global = time.perf_counter() - t0
     t0 = time.perf_counter()

@@ -14,7 +14,7 @@
 
 from repro.core.assignment import CachingAssignment
 from repro.core.virtual_cloudlets import VirtualCloudletSplit
-from repro.core.bridge import market_game
+from repro.game.engine import market_game
 from repro.core.appro import appro
 from repro.core.lcf import lcf, LCFResult, select_coordinated_lcf
 from repro.core.baselines import jo_offload_cache, offload_cache

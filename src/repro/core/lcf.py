@@ -39,10 +39,10 @@ import numpy as np
 
 from repro.core.appro import appro
 from repro.core.assignment import CachingAssignment, Stopwatch
-from repro.core.bridge import market_game
 from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.game.best_response import best_response_dynamics
 from repro.game.congestion import SingletonCongestionGame
+from repro.game.engine import market_game
 from repro.game.equilibrium import is_nash_equilibrium
 from repro.market.market import ServiceMarket
 from repro.utils.rng import RandomSource, as_rng

@@ -19,10 +19,10 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.core.bridge import market_game
 from repro.exceptions import ConfigurationError
 from repro.game.best_response import best_response_dynamics, greedy_feasible_profile
 from repro.game.dynamics_variants import improvement_dynamics
+from repro.game.engine import market_game
 from repro.game.equilibrium import is_nash_equilibrium
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network

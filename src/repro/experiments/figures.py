@@ -26,7 +26,6 @@ from repro.core.appro import appro
 from repro.core.assignment import CachingAssignment
 from repro.core.baselines import jo_offload_cache, offload_cache
 from repro.core.bounds import appro_ratio_bound, optimal_v, stackelberg_poa_bound
-from repro.core.bridge import market_game
 from repro.core.lcf import lcf
 from repro.core.optimal import optimal_caching
 from repro.core.virtual_cloudlets import VirtualCloudletSplit
@@ -41,6 +40,7 @@ from repro.experiments.harness import (
 )
 from repro.experiments.parallel import map_tasks
 from repro.experiments.settings import ExperimentConfig, PAPER
+from repro.game.engine import market_game
 from repro.game.poa import worst_equilibrium_cost
 from repro.market.costs import LinearCongestion, MM1Congestion, QuadraticCongestion
 from repro.market.market import ServiceMarket

@@ -8,6 +8,7 @@ Nash-equilibrium verification and empirical Price-of-Anarchy measurement.
 """
 
 from repro.game.congestion import Profile, SingletonCongestionGame
+from repro.game.engine import game_from_compiled
 from repro.game.batch import batch_best_response
 from repro.game.best_response import BestResponseResult, best_response_dynamics, greedy_feasible_profile
 from repro.game.equilibrium import best_deviation, is_nash_equilibrium
@@ -17,7 +18,6 @@ from repro.game.partitioned import (
     BOUNDARY_TOLERANCE,
     PartitionedResult,
     certify_equilibrium,
-    game_from_compiled,
     partitioned_best_response,
 )
 

@@ -29,8 +29,9 @@ same placements, same move count, same potential trace floats as the
 per-turn incremental engine. That engine and the naive per-resource one
 are kept in ``tests/oracles/best_response_reference.py``;
 ``tests/game/test_batch_kernel_equivalence.py`` pins the kernel against
-both across seeds, congestion functions and game tables (sliced from the
-compiled market or evaluated from the cost callables), and
+both across seeds, congestion functions and game tables (the market
+game's slices of the compiled market, and the generic per-pair build of
+the cost-model oracle game), and
 ``tests/game/test_batch_kernel_properties.py`` fuzzes the per-round
 invariants and the delta-churn path.
 
@@ -297,7 +298,6 @@ def batch_best_response(
     initial_profile: Mapping[Hashable, Hashable],
     movable: Optional[Iterable[Hashable]] = None,
     max_rounds: int = 1000,
-    compiled: Optional[CompiledGame] = None,
     record_moves: bool = False,
 ) -> Tuple[Profile, bool, int, int, List[float], List[Commit]]:
     """Batch-vectorized round-robin best-response dynamics.
@@ -310,7 +310,8 @@ def batch_best_response(
     ``cost_delta`` is the mover's strict improvement, i.e. the exact
     potential decrease of that move). The Jacobi/Gauss-Seidel schedule
     commits exactly the serial round-robin move sequence (see the module
-    docstring); it just prices the candidates in bulk.
+    docstring); it just prices the candidates in bulk, on the game's own
+    cached :meth:`~SingletonCongestionGame.compile` tables.
     """
     game.validate_profile(initial_profile)
     movable_set = set(movable) if movable is not None else set(game.players)
@@ -320,11 +321,7 @@ def batch_best_response(
             f"movable contains unknown players {sorted(unknown, key=str)}"
         )
     move_order = [p for p in game.players if p in movable_set]
-    c = (
-        (compiled if compiled is not None else game.compile())
-        if move_order
-        else None
-    )
+    c = game.compile() if move_order else None
     profile, converged, rounds, moves, trace, move_log, _ = _batch_rounds(
         game, initial_profile, c, move_order, max_rounds, record_moves
     )

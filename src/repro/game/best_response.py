@@ -25,7 +25,6 @@ import numpy as np
 from repro.exceptions import InfeasibleError
 from repro.game.batch import batch_best_response
 from repro.game.congestion import Profile, SingletonCongestionGame
-from repro.game.engine import CompiledGame
 
 
 @dataclass
@@ -97,7 +96,6 @@ def best_response_dynamics(
     initial_profile: Mapping[Hashable, Hashable],
     movable: Optional[Iterable[Hashable]] = None,
     max_rounds: int = 1000,
-    compiled: Optional[CompiledGame] = None,
     record_moves: bool = False,
 ) -> BestResponseResult:
     """Run round-robin best-response dynamics from ``initial_profile``.
@@ -111,9 +109,6 @@ def best_response_dynamics(
         Safety bound; the potential argument guarantees termination, the
         bound only protects against ill-formed cost functions; hitting it
         returns ``converged=False``.
-    compiled:
-        An optional pre-built :class:`CompiledGame` (lets callers amortise
-        table construction across runs).
     record_moves:
         Fill :attr:`BestResponseResult.move_log` with one record per
         improving move.
@@ -123,7 +118,6 @@ def best_response_dynamics(
         initial_profile,
         movable=movable,
         max_rounds=max_rounds,
-        compiled=compiled,
         record_moves=record_moves,
     )
     return BestResponseResult(

@@ -18,6 +18,9 @@ affine special case; we keep the general statement).
 Resources may carry multi-dimensional capacities and players
 multi-dimensional demands (compute and bandwidth in the MEC instantiation);
 a strategy is feasible when the residual capacity admits the demand.
+
+The game on a concrete market is :class:`repro.game.engine.MarketGame`,
+whose costs are gathers of the market's compiled tables.
 """
 
 from __future__ import annotations
@@ -95,13 +98,6 @@ class SingletonCongestionGame:
         self._fixed = fixed_cost
         self._demand = demand
         self._capacity = capacity
-        #: Optional hook replacing the generic table build in :meth:`compile`
-        #: — the market bridge installs one that slices the market-wide
-        #: :class:`~repro.market.compiled.CompiledMarket` instead of
-        #: re-evaluating the cost callables pair by pair.
-        self.compiled_factory: Optional[
-            Callable[["SingletonCongestionGame"], "CompiledGame"]
-        ] = None
         self._compiled_cache: Optional["CompiledGame"] = None
 
     # ------------------------------------------------------------------ #
@@ -229,16 +225,14 @@ class SingletonCongestionGame:
         once up front and later queries are vectorised array lookups.
 
         The result is cached on the game (the cost structure is immutable
-        once constructed); a :attr:`compiled_factory`, when installed,
-        supplies the tables instead of the generic per-pair build.
+        once constructed). This is the generic per-pair build; the market
+        game (:class:`~repro.game.engine.MarketGame`) slices its tables
+        from the compiled market instead.
         """
         if self._compiled_cache is None:
-            if self.compiled_factory is not None:
-                self._compiled_cache = self.compiled_factory(self)
-            else:
-                from repro.game.engine import CompiledGame
+            from repro.game.engine import CompiledGame
 
-                self._compiled_cache = CompiledGame(self)
+            self._compiled_cache = CompiledGame(self)
         return self._compiled_cache
 
 

@@ -1,4 +1,4 @@
-"""Compiled game tables.
+"""Compiled game tables and the market congestion game built on them.
 
 :class:`CompiledGame` evaluates a game's cost structure exactly once —
 fixed costs, shared congestion costs at every occupancy, demands and
@@ -7,11 +7,16 @@ capacities all become numpy tables — so the best-response kernel of
 Python-level calls into the cost callables. Every table entry is the same
 ``float(...)`` evaluation the cost callables return, so compiled cost
 comparisons are bit-equal to the object-graph ones.
+
+:class:`MarketGame` is the congestion game of Section II.E on a concrete
+market, read off its :class:`~repro.market.compiled.CompiledMarket`;
+:func:`market_game` and :func:`game_from_compiled` are its two
+constructors.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +25,7 @@ from repro.game.congestion import SingletonCongestionGame
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (market.compiled is upstream)
     from repro.market.compiled import CompiledMarket
+    from repro.market.market import ServiceMarket
 from repro.utils.validation import CAPACITY_EPS
 
 #: Minimum strict cost improvement for a best-response move.
@@ -89,10 +95,10 @@ class CompiledGame:
     ) -> "CompiledGame":
         """Build the game's tables as slices of a :class:`CompiledMarket`.
 
-        The market-bridged game (see :func:`repro.core.bridge.market_game`)
-        uses provider ids as players and cloudlet node ids as resources, so
-        its tables are row/column selections of the market-wide ones — no
-        cost-model re-evaluation at all. Entries are bit-equal to what
+        The market game (see :class:`MarketGame`) uses provider ids as
+        players and cloudlet node ids as resources, so its tables are
+        row/column selections of the market-wide ones — no cost-model
+        re-evaluation at all. Entries are bit-equal to what
         ``CompiledGame(game)`` would compute: the fixed table is the same
         memoised ``fixed_cost`` value, and the shared table is the same
         IEEE product ``(alpha_i + beta_i) * g(k)`` of the same two doubles.
@@ -213,7 +219,144 @@ class CompiledGame:
         return total
 
 
+def _first_appearance(cols: np.ndarray) -> List[int]:
+    """The distinct entries of ``cols`` in order of first appearance."""
+    _values, first = np.unique(cols, return_index=True)
+    return cols[np.sort(first)].tolist()
+
+
+class MarketGame(SingletonCongestionGame):
+    """The service-caching congestion game of a market, on compiled tables.
+
+    Players are provider ids, resources are cloudlet node ids, the shared
+    cost is ``(alpha_i + beta_i) * g(k)``, the fixed cost
+    ``c_l^ins + c_i^bdw``, and capacities are the two-dimensional
+    (compute, bandwidth) cloudlet limits. Every value is a gather of the
+    :class:`~repro.market.compiled.CompiledMarket` tables, which hold the
+    cost model's own evaluations bit for bit
+    (``CompiledMarket.verify_against`` pins them); past the congestion
+    table an occupancy is priced through the congestion function, as
+    ``CompiledMarket.g_at`` does.
+
+    :meth:`compile` slices the market-wide tables wholesale, and the O(n)
+    aggregate queries the batch kernel issues once per call — ``loads``,
+    ``validate_profile``, ``potential`` — are vectorised table reads that
+    add in the same order as the generic profile-order loops, and so give
+    the same floats. The game holds only the compiled tables, so a worker
+    process can rebuild it from a shipped shard sub-view.
+    """
+
+    def __init__(self, cm: "CompiledMarket", players: Sequence[int]) -> None:
+        def shared(node: int, occupancy: int) -> float:
+            j = cm.cloudlet_index[node]
+            if occupancy < len(cm.g):
+                return float(cm.shared[j, occupancy])
+            return float(cm.coeff[j] * cm.g_at(occupancy))
+
+        def fixed(provider_id: int, node: int) -> float:
+            return float(
+                cm.fixed[cm.provider_index[provider_id], cm.cloudlet_index[node]]
+            )
+
+        def demand(provider_id: int, node: int) -> np.ndarray:
+            return cm.demand[cm.provider_index[provider_id]].copy()
+
+        def capacity(node: int) -> np.ndarray:
+            return cm.capacity[cm.cloudlet_index[node]].copy()
+
+        super().__init__(
+            players=list(players),
+            resources=list(cm.cloudlet_nodes),
+            shared_cost=shared,
+            fixed_cost=fixed,
+            demand=demand,
+            capacity=capacity,
+        )
+        self._cm = cm
+
+    def compile(self) -> CompiledGame:
+        """The game's tables, sliced once from the compiled market and
+        cached (see :meth:`CompiledGame.from_market`)."""
+        if self._compiled_cache is None:
+            self._compiled_cache = CompiledGame.from_market(self._cm, self)
+        return self._compiled_cache
+
+    def _gather(self, profile: Mapping[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+        cm = self._cm
+        rows = np.fromiter(
+            (cm.provider_index[p] for p in profile),
+            dtype=np.int64,
+            count=len(profile),
+        )
+        cols = np.fromiter(
+            (cm.cloudlet_index[r] for r in profile.values()),
+            dtype=np.int64,
+            count=len(profile),
+        )
+        return rows, cols
+
+    def loads(self, profile: Mapping[int, int]) -> Dict[int, np.ndarray]:
+        """Per-cloudlet demand sums, keyed in order of first appearance.
+
+        ``np.add.at`` applies repeated indices in profile order — the
+        same addition order, and hence the same floats, as the generic
+        loop."""
+        if not profile:
+            return {}
+        cm = self._cm
+        rows, cols = self._gather(profile)
+        acc = np.zeros_like(cm.capacity)
+        np.add.at(acc, cols, cm.demand[rows])
+        return {cm.cloudlet_nodes[j]: acc[j].copy() for j in _first_appearance(cols)}
+
+    def potential(self, profile: Mapping[int, int]) -> float:
+        """Rosenthal's potential, added in the generic order: one builtin
+        ``sum`` of shared terms per cloudlet in order of first appearance,
+        then the fixed terms in profile order. Occupancy never exceeds the
+        player count, which the congestion table always covers."""
+        if not profile:
+            return 0.0
+        cm = self._cm
+        rows, cols = self._gather(profile)
+        occ = np.bincount(cols, minlength=cm.n_cloudlets)
+        phi = 0.0
+        for j in _first_appearance(cols):
+            phi += sum(cm.shared[j, 1 : occ[j] + 1].tolist())
+        for t in cm.fixed[rows, cols].tolist():
+            phi += t
+        return phi
+
+
+def game_from_compiled(
+    cm: "CompiledMarket", players: Optional[Sequence[int]] = None
+) -> MarketGame:
+    """The market congestion game on compiled tables (default players:
+    every live provider of ``cm``, in id order)."""
+    if players is None:
+        # ``provider_ids`` is the live id list (tombstoned rows removed).
+        players = list(cm.provider_ids)
+    return MarketGame(cm, players)
+
+
+def market_game(
+    market: "ServiceMarket", players: Optional[Sequence[int]] = None
+) -> MarketGame:
+    """The service-caching congestion game of ``market``.
+
+    ``players`` restricts the game to a subset of provider ids (used when
+    some providers were rejected and stay out of the market); the default
+    is the full population ``N`` in market order, which is the round-robin
+    order of best response.
+    """
+    if players is None:
+        players = [p.provider_id for p in market.providers]
+    return game_from_compiled(market.compile(), players)
+
+
 __all__ = [
     "CompiledGame",
     "IMPROVEMENT_EPS",
+    "MarketGame",
+    "game_from_compiled",
+    "market_game",
 ]

@@ -4,7 +4,8 @@ The driver consumes the sharding layer of :mod:`repro.market.shard` and
 runs the paper's best-response dynamics as a two-level fixed point:
 
 1. **Interior phase** — each shard settles its interior providers on its
-   own :class:`~repro.market.compiled.CompiledMarket` sub-view with the
+   own :class:`~repro.market.compiled.CompiledMarket` sub-view (played as
+   the :class:`~repro.game.engine.MarketGame` read off it) with the
    batch kernel, boundary providers currently cached on the shard pinned
    in place. Congestion is per-cloudlet, so a shard's occupancies are
    *exact* — the only coupling across shards is boundary providers
@@ -62,7 +63,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.game.batch import _BatchState, batch_best_response
 from repro.game.congestion import Profile, SingletonCongestionGame
-from repro.game.engine import IMPROVEMENT_EPS, CompiledGame
+from repro.game.engine import IMPROVEMENT_EPS, game_from_compiled
 from repro.market.compiled import CompiledMarket
 from repro.market.shard import (
     MarketPartition,
@@ -93,113 +94,10 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard
 BOUNDARY_TOLERANCE: Final[float] = 0.01
 
 
-class _TableGame(SingletonCongestionGame):
-    """A market game whose aggregate queries read compiled tables.
-
-    The per-pair cost closures are the usual single-entry gathers of the
-    :class:`CompiledMarket` tables (bit-equal to the market-bridged
-    game's cost-model values — ``CompiledMarket.verify_against`` pins the
-    tables). On top of that, the O(n) aggregate queries the batch kernel
-    issues once per call — ``loads``, ``validate_profile``,
-    ``potential`` — are overridden with vectorised table reads: the
-    closure loops are what dominated the sharded wall clock (a
-    partitioned run makes 10-20 kernel calls where the global engine
-    makes one). ``loads`` accumulates with ``np.add.at``, which applies
-    repeated indices in order of appearance — the same addition order,
-    and hence the same floats, as the inherited profile-order loop.
-    """
-
-    def __init__(self, cm: CompiledMarket, players: Sequence[int]) -> None:
-        g_top = len(cm.g) - 1
-
-        def shared(node: int, occupancy: int) -> float:
-            return float(
-                cm.shared[cm.cloudlet_index[node], min(occupancy, g_top)]
-            )
-
-        def fixed(provider_id: int, node: int) -> float:
-            return float(
-                cm.fixed[cm.provider_index[provider_id], cm.cloudlet_index[node]]
-            )
-
-        def demand(provider_id: int, node: int) -> np.ndarray:
-            return cm.demand[cm.provider_index[provider_id]].copy()
-
-        def capacity(node: int) -> np.ndarray:
-            return cm.capacity[cm.cloudlet_index[node]].copy()
-
-        super().__init__(
-            players=list(players),
-            resources=list(cm.cloudlet_nodes),
-            shared_cost=shared,
-            fixed_cost=fixed,
-            demand=demand,
-            capacity=capacity,
-        )
-        self._cm = cm
-        self.compiled_factory = lambda g: CompiledGame.from_market(cm, g)
-
-    def _gather(self, profile: Mapping[int, int]) -> Tuple[np.ndarray, np.ndarray]:
-        cm = self._cm
-        rows = np.fromiter(
-            (cm.provider_index[p] for p in profile),
-            dtype=np.int64,
-            count=len(profile),
-        )
-        cols = np.fromiter(
-            (cm.cloudlet_index[r] for r in profile.values()),
-            dtype=np.int64,
-            count=len(profile),
-        )
-        return rows, cols
-
-    def loads(self, profile: Mapping[int, int]) -> Dict[int, np.ndarray]:
-        if not profile:
-            return {}
-        cm = self._cm
-        rows, cols = self._gather(profile)
-        acc = np.zeros_like(cm.capacity)
-        np.add.at(acc, cols, cm.demand[rows])
-        occupied = np.unique(cols)
-        return {cm.cloudlet_nodes[j]: acc[j].copy() for j in occupied.tolist()}
-
-    def potential(self, profile: Mapping[int, int]) -> float:
-        cm = self._cm
-        if not profile:
-            return 0.0
-        rows, cols = self._gather(profile)
-        occ = np.bincount(cols, minlength=cm.n_cloudlets)
-        phi = 0.0
-        for j in np.flatnonzero(occ).tolist():
-            phi += float(np.sum(cm.shared[j, 1 : occ[j] + 1]))
-        phi += float(np.sum(cm.fixed[rows, cols]))
-        return phi
-
-
-def game_from_compiled(
-    cm: CompiledMarket, players: Optional[Sequence[int]] = None
-) -> SingletonCongestionGame:
-    """The market congestion game read directly off compiled tables.
-
-    Cost values are bit-equal to :func:`repro.core.bridge.market_game`'s
-    (same memoised table floats), the installed ``compiled_factory``
-    slices the tables wholesale, and the O(n) aggregate queries are
-    vectorised (see :class:`_TableGame`). It is how a worker process
-    turns a shipped shard sub-view back into a playable game without
-    holding the :class:`ServiceMarket` (whose cost-model closures do not
-    pickle).
-    """
-    if players is None:
-        # ``provider_ids`` is the live id list (tombstoned rows removed).
-        players = list(cm.provider_ids)
-    return _TableGame(cm, players)
-
-
 def certify_equilibrium(
     game: SingletonCongestionGame,
     profile: Mapping[int, int],
     movable: Optional[Iterable[int]] = None,
-    compiled: Optional[CompiledGame] = None,
 ) -> bool:
     """One vectorised Jacobi propose: can any movable player strictly
     improve?  ``False`` means the profile is not a Nash equilibrium of
@@ -208,8 +106,7 @@ def certify_equilibrium(
     move_order = [p for p in game.players if p in movable_set]
     if not move_order:
         return True
-    c = compiled if compiled is not None else game.compile()
-    state = _BatchState(c, dict(profile), move_order)
+    state = _BatchState(game.compile(), dict(profile), move_order)
     _targets, best, cur_cost = state.propose(0)
     return not bool(np.any(best < cur_cost - IMPROVEMENT_EPS))
 
@@ -227,7 +124,6 @@ def _settle_shard(
         sub_profile,
         movable=movable,
         max_rounds=max_rounds,
-        compiled=game.compile(),
     )
     return profile, moves
 
@@ -357,9 +253,8 @@ def _reconcile(
     # game is the identical object.
     gkey = ("global", blob_seq, tuple(sorted(profile)))
     if gkey not in cache:
-        game = game_from_compiled(cm, players=sorted(profile))
-        cache[gkey] = (game, game.compile())
-    global_game, global_compiled = cache[gkey]
+        cache[gkey] = game_from_compiled(cm, players=sorted(profile))
+    global_game = cache[gkey]
 
     interior_moves = 0
     boundary_moves = 0
@@ -447,7 +342,6 @@ def _reconcile(
                 profile,
                 movable=boundary_movable,
                 max_rounds=max_rounds,
-                compiled=global_compiled,
                 record_moves=True,
             )
             profile = profile_b
@@ -465,7 +359,6 @@ def _reconcile(
         global_game,
         profile,
         movable=sorted(movable_set & set(profile)),
-        compiled=global_compiled,
     )
     return PartitionedResult(
         profile=dict(profile),
@@ -564,6 +457,5 @@ __all__ = [
     "BOUNDARY_TOLERANCE",
     "PartitionedResult",
     "certify_equilibrium",
-    "game_from_compiled",
     "partitioned_best_response",
 ]

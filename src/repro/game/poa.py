@@ -66,7 +66,7 @@ def worst_equilibrium_cost(
     """
     # One compilation serves every trial: the social-cost evaluations below
     # are table gathers (bit-equal to game.social_cost) and the dynamics
-    # reuse the same tables instead of rebuilding them per start.
+    # read the same cached tables instead of rebuilding them per start.
     compiled = game.compile()
     if exact:
         worst_cost = -np.inf
@@ -91,7 +91,7 @@ def worst_equilibrium_cost(
             start = greedy_feasible_profile(game, order=order, players=order)
         except InfeasibleError:
             continue
-        result = best_response_dynamics(game, start, movable=move_set, compiled=compiled)
+        result = best_response_dynamics(game, start, movable=move_set)
         if not result.converged:
             continue
         if not is_nash_equilibrium(game, result.profile, movable=move_set):

@@ -386,6 +386,8 @@ class PoolTransport(Transport):
             return [fn(task) for task in tasks]
 
     def recycle(self) -> None:
+        # The crash/timeout path: never wait, a wedged worker must not
+        # block the caller.
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
@@ -393,7 +395,12 @@ class PoolTransport(Transport):
     def close(self) -> None:
         if self._closed:
             return
-        self.recycle()
+        # An orderly close waits for the pool's manager thread to finish:
+        # left running, it races the interpreter's exit hook over the
+        # pool's wakeup pipe ("Bad file descriptor" at exit).
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
         super().close()
 
 

@@ -1,9 +1,9 @@
-"""Tests for the market -> congestion game bridge."""
+"""Tests for the market congestion game built by ``market_game``."""
 
 import numpy as np
 import pytest
 
-from repro.core.bridge import market_game
+from repro.core import market_game
 
 
 class TestMarketGame:

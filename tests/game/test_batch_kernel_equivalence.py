@@ -24,12 +24,13 @@ import contextlib
 import numpy as np
 import pytest
 
-from repro.core.bridge import market_game
+from repro.core import market_game
 from repro.core.lcf import lcf
 from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.game.batch import SPARSE_REPROPOSE_BUDGET, batch_best_response
 from repro.game.best_response import best_response_dynamics, greedy_feasible_profile
 from repro.game.congestion import SingletonCongestionGame
+from repro.game.partitioned import certify_equilibrium
 from repro.market.costs import LinearCongestion, MM1Congestion, QuadraticCongestion
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
@@ -234,15 +235,24 @@ class TestMarketMatrix:
 
 class TestDirectKernelContract:
     def test_prebuilt_compiled_tables_are_honoured(self):
+        # Every entry point reads the game's own cached tables; a hand-in
+        # of prebuilt ones is no longer accepted anywhere.
         game = random_game(as_rng(23))
         start = greedy_feasible_profile(game)
         c = game.compile()
+        with pytest.raises(TypeError):
+            batch_best_response(game, start, compiled=c)
+        with pytest.raises(TypeError):
+            best_response_dynamics(game, start, compiled=c)
+        with pytest.raises(TypeError):
+            certify_equilibrium(game, start, compiled=c)
         p1, conv1, r1, m1, t1, log1 = batch_best_response(
-            game, start, compiled=c, record_moves=True
+            game, start, record_moves=True
         )
         p2, conv2, r2, m2, t2, log2 = batch_best_response(
             game, start, record_moves=True
         )
+        assert game.compile() is c
         assert (p1, conv1, r1, m1, t1, log1) == (p2, conv2, r2, m2, t2, log2)
 
     def test_validates_start_profile(self):

@@ -19,7 +19,7 @@ import numpy as np
 from repro.utils.rng import as_rng
 import pytest
 
-from repro.core.bridge import market_game
+from repro.core import market_game
 from repro.core.lcf import lcf
 from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.experiments.harness import default_algorithms, sweep

@@ -19,10 +19,10 @@ import pytest
 
 from repro.exceptions import ConfigurationError, InvariantViolation
 from repro.game.batch import batch_best_response
+from repro.game.engine import game_from_compiled
 from repro.game.partitioned import (
     BOUNDARY_TOLERANCE,
     certify_equilibrium,
-    game_from_compiled,
     partitioned_best_response,
 )
 from repro.market.shard import classify_providers, partition_market
@@ -66,7 +66,7 @@ def make_instance(seed=SEED, n_nodes=150, n_providers=120,
 def global_equilibrium(cm, start):
     game = game_from_compiled(cm, players=sorted(start))
     profile, converged, _r, moves, _t, _l = batch_best_response(
-        game, dict(start), max_rounds=1000, compiled=game.compile()
+        game, dict(start), max_rounds=1000
     )
     assert converged
     return profile, moves
@@ -158,16 +158,15 @@ class TestCertification:
     def test_greedy_start_with_improving_moves_not_certified(self):
         market, cm, start = make_instance()
         game = game_from_compiled(cm, players=sorted(start))
-        compiled = game.compile()
         _profile, moves = global_equilibrium(cm, start)
         assert moves > 0  # the fixture leaves room to improve
-        assert not certify_equilibrium(game, start, compiled=compiled)
+        assert not certify_equilibrium(game, start)
 
     def test_settled_profile_certified(self):
         market, cm, start = make_instance()
         profile, _ = global_equilibrium(cm, start)
         game = game_from_compiled(cm, players=sorted(profile))
-        assert certify_equilibrium(game, profile, compiled=game.compile())
+        assert certify_equilibrium(game, profile)
 
 
 class TestExecutorEquivalence:

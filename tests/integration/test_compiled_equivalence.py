@@ -19,10 +19,11 @@ import pytest
 
 from repro.core.appro import appro
 from repro.core.baselines import jo_offload_cache, offload_cache
-from repro.core.bridge import market_game
+from repro.core import market_game
 from repro.core.lcf import lcf
 from repro.core.optimal import optimal_caching
 from repro.experiments.harness import default_algorithms, sweep
+from repro.game.congestion import SingletonCongestionGame
 from repro.game.engine import CompiledGame
 from repro.game.poa import worst_equilibrium_cost
 from repro.market.costs import LinearCongestion, MM1Congestion, QuadraticCongestion
@@ -171,7 +172,7 @@ class TestCompiledGameView:
         market = make_market(120)
         game = market_game(market)
         generic = CompiledGame(game)
-        view = game.compile()  # factory-installed slice of the CompiledMarket
+        view = game.compile()  # MarketGame slices the CompiledMarket
         assert view is game.compile()  # cached
         assert np.array_equal(generic.fixed, view.fixed)
         assert np.array_equal(generic.shared, view.shared)
@@ -289,7 +290,8 @@ class TestUncompiledGameBridge:
         with pytest.raises(TypeError):
             market_game(market, use_compiled=False)
         plain_game = object_market_game(market)
-        assert plain_game.compiled_factory is None
+        # The oracle is the generic game: its compile() is the per-pair build.
+        assert type(plain_game) is SingletonCongestionGame
         slow = plain_game.compile()
         assert np.array_equal(fast.fixed, slow.fixed)
         assert np.array_equal(fast.shared, slow.shared)

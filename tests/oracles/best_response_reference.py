@@ -36,7 +36,7 @@ import numpy as np
 from repro.exceptions import InfeasibleError
 from repro.game.best_response import BestResponseResult, best_response_dynamics
 from repro.game.congestion import Profile, SingletonCongestionGame
-from repro.game.engine import IMPROVEMENT_EPS, CompiledGame
+from repro.game.engine import IMPROVEMENT_EPS
 from repro.utils.contracts import (
     check_potential_accumulator,
     invariant_capacity_feasible,
@@ -80,11 +80,10 @@ def naive_best_response_dynamics(
     initial_profile: Mapping[Hashable, Hashable],
     movable: Optional[Iterable[Hashable]] = None,
     max_rounds: int = 1000,
-    compiled: Optional[CompiledGame] = None,
     record_moves: bool = False,
 ) -> BestResponseResult:
     """Round-robin best response with per-resource scans and a from-scratch
-    potential every round (``compiled`` is accepted and ignored)."""
+    potential every round."""
     game.validate_profile(initial_profile)
     profile: Profile = dict(initial_profile)
     movable_set: Set[Hashable] = set(movable) if movable is not None else set(game.players)
@@ -146,7 +145,6 @@ def incremental_best_response(
     initial_profile: Mapping[Hashable, Hashable],
     movable: Optional[Iterable[Hashable]] = None,
     max_rounds: int = 1000,
-    compiled: Optional[CompiledGame] = None,
     record_moves: bool = False,
 ) -> Tuple[Profile, bool, int, int, List[float], List[Tuple[Hashable, Hashable, Hashable, float]]]:
     """Round-robin best-response dynamics on compiled tables.
@@ -174,7 +172,7 @@ def incremental_best_response(
     move_log: List[Tuple[Hashable, Hashable, Hashable, float]] = []
 
     if move_order:
-        c = compiled if compiled is not None else game.compile()
+        c = game.compile()
         occ = c.occupancy_vector(profile)
         loads = c.load_matrix(profile)
         strat = {p: c.resource_index[profile[p]] for p in move_order}
@@ -226,7 +224,6 @@ def incremental_best_response_dynamics(
     initial_profile: Mapping[Hashable, Hashable],
     movable: Optional[Iterable[Hashable]] = None,
     max_rounds: int = 1000,
-    compiled: Optional[CompiledGame] = None,
     record_moves: bool = False,
 ) -> BestResponseResult:
     """:func:`incremental_best_response` with the result wrapped like
@@ -237,7 +234,6 @@ def incremental_best_response_dynamics(
         initial_profile,
         movable=movable,
         max_rounds=max_rounds,
-        compiled=compiled,
         record_moves=record_moves,
     )
     return BestResponseResult(

@@ -12,8 +12,12 @@ oracles the differential suites compare it against:
 * :func:`object_repair_capacities` (with :func:`_loads` / :func:`_fits`)
   and :func:`object_enter_newcomers` — Appro's capacity repair and warm
   newcomer scan over per-cloudlet load lists;
-* :func:`object_market_game` — the congestion game that evaluates its
-  tables from the cost callables (no ``compiled_factory``);
+* :func:`object_market_game` — the market congestion game as a plain
+  :class:`~repro.game.congestion.SingletonCongestionGame` over
+  :class:`~repro.market.costs.CostModel` closures, whose ``compile()``
+  evaluates the tables pair by pair (the library's
+  :class:`~repro.game.engine.MarketGame` reads them off the compiled
+  market);
 * :func:`object_jo_offload_cache` / :func:`object_offload_cache` — the two
   baselines' sequential admission with per-cloudlet cost-model queries;
 * :class:`ObjectRebuildSimulation` — the dynamic simulation that rebuilds
@@ -39,7 +43,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from repro.core.assignment import CachingAssignment, Stopwatch
-from repro.core.bridge import market_game
 from repro.core.virtual_cloudlets import VirtualCloudletSplit
 from repro.dynamics.simulation import DynamicMarketSimulation, EpochRecord
 from repro.exceptions import InfeasibleError
@@ -305,12 +308,39 @@ def object_enter_newcomers(
 def object_market_game(
     market: ServiceMarket, players: Optional[Sequence[int]] = None
 ) -> SingletonCongestionGame:
-    """:func:`repro.core.bridge.market_game` without its
-    ``compiled_factory``: ``game.compile()`` evaluates the tables from the
-    cost callables pair by pair."""
-    game = market_game(market, players=players)
-    game.compiled_factory = None
-    return game
+    """The congestion game of Section II.E over the market's cost-model
+    callables: players are provider ids, resources are cloudlet node ids,
+    the shared cost is ``(alpha_i + beta_i) * g(k)``, the fixed cost
+    ``c_l^ins + c_i^bdw``, and capacities are the two-dimensional
+    (compute, bandwidth) cloudlet limits. ``game.compile()`` is the
+    generic per-pair table build."""
+    model = market.cost_model
+    net = market.network
+
+    def shared(node: int, occupancy: int) -> float:
+        return model.congestion_cost(net.cloudlet_at(node), occupancy)
+
+    def fixed(provider_id: int, node: int) -> float:
+        return model.fixed_cost(market.provider(provider_id), net.cloudlet_at(node))
+
+    def demand(provider_id: int, node: int) -> np.ndarray:
+        p = market.provider(provider_id)
+        return np.array([p.compute_demand, p.bandwidth_demand])
+
+    def capacity(node: int) -> np.ndarray:
+        cl = net.cloudlet_at(node)
+        return np.array([cl.compute_capacity, cl.bandwidth_capacity])
+
+    if players is None:
+        players = [p.provider_id for p in market.providers]
+    return SingletonCongestionGame(
+        players=list(players),
+        resources=[cl.node_id for cl in net.cloudlets],
+        shared_cost=shared,
+        fixed_cost=fixed,
+        demand=demand,
+        capacity=capacity,
+    )
 
 
 # --------------------------------------------------------------------- #

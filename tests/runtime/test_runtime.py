@@ -74,6 +74,25 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="closed"):
             transport.publish("k", 1)
 
+    def test_close_joins_the_pool_manager_thread(self):
+        # A manager thread left running at close races the interpreter's
+        # exit hook over the pool's wakeup pipe ("Bad file descriptor").
+        from concurrent.futures.process import _ExecutorManagerThread
+
+        def managers():
+            return {
+                t for t in threading.enumerate()
+                if isinstance(t, _ExecutorManagerThread)
+            }
+
+        before = managers()
+        rt = Runtime(workers=2)
+        assert rt.map(_square, [1, 2, 3]) == [1, 4, 9]
+        started = managers() - before
+        assert started  # the pool really ran
+        rt.close()
+        assert not [t for t in started if t.is_alive()]
+
     def test_dispatch_after_close_rejected(self):
         rt = Runtime()
         rt.close()
