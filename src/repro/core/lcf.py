@@ -224,7 +224,7 @@ def lcf(
         # With the remote option open, "not to cache" competes with every
         # cloudlet at the provider's remote-serving cost.
         entry_threshold = (
-            (lambda pid: market.cost_model.remote_cost(market.provider(pid)))
+            market.compile().remote_cost
             if allow_remote
             else (lambda pid: float("inf"))
         )

@@ -2,28 +2,36 @@
 
 The exact solver (:mod:`repro.core.optimal`) is limited to ~14 providers.
 For full-scale instances this module bounds the optimum from below with a
-linear program over *slotted* fractional placements:
+linear program over fractional placements, read off the market's
+:class:`~repro.market.compiled.CompiledMarket`:
 
-* variables ``x[l, i, k]`` — provider ``l`` fractionally occupying slot
-  ``k`` of cloudlet ``i``;
-* slot ``k`` carries the marginal congestion charge
-  ``(alpha_i + beta_i) * (k*g(k) - (k-1)*g(k-1))`` plus the provider's
-  fixed cost, so filling the first ``k_i`` slots bills exactly the social
-  cost ``(alpha_i + beta_i) * k_i * g(k_i) + fixed`` of an integral
-  placement (the telescoping identity of the marginal-priced reduction);
-* each slot holds at most one (fractional) service and the true compute /
-  bandwidth capacities constrain the cloudlet total.
+* ``x[l, i]`` — provider ``l`` fractionally cached on cloudlet ``i``, one
+  column per pair with a finite fixed cost (latency-budget violations get
+  no column), priced at that fixed cost;
+* ``y[i, k] in [0, 1]`` — how full slot ``k`` of cloudlet ``i`` is, for
+  ``k <= K_i = min(n, floor(C_i / a_min), floor(B_i / b_min))``, priced at
+  the marginal congestion charge
+  ``(alpha_i + beta_i) * (k*g(k) - (k-1)*g(k-1))``;
+* ``r[l]`` — provider ``l`` served remotely (only with ``allow_remote``);
+* rows ``sum_i x[l, i] + r[l] = 1``, ``sum_l x[l, i] = sum_k y[i, k]``, and
+  the true compute / bandwidth capacities on ``sum_l x[l, i]``.
 
-Every integral feasible placement induces a feasible LP point of equal
-objective (occupants of a cloudlet fill its cheapest slots first — any
-other slot choice costs weakly more), hence ``LP* <= OPT``. The bound is
-what the benchmarks report as the *optimality gap* of Appro/LCF at scale.
+Filling the first ``k_i`` slots bills exactly the social cost
+``(alpha_i + beta_i) * k_i * g(k_i) + fixed`` of an integral placement
+(the telescoping identity of the marginal-priced reduction), so every
+integral feasible placement induces a feasible LP point of equal objective
+(occupants of a cloudlet fill its cheapest slots first — any other slot
+choice costs weakly more), hence ``LP* <= OPT``.
+
+This is the slotted LP with one column per (provider, cloudlet, slot)
+aggregated over the slots: any ``(x, y)`` with equal per-cloudlet totals
+splits back into a slotted ``x[l, i, k]`` (a transportation problem with
+equal totals), so both have the same optimum. The slotted form is kept as
+the test oracle. The bound is what the benchmarks report as the
+*optimality gap* of Appro/LCF at scale.
 """
 
 from __future__ import annotations
-
-import math
-from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -33,102 +41,73 @@ from repro.exceptions import InfeasibleError, SolverError
 from repro.market.market import ServiceMarket
 
 
-def _slots_per_cloudlet(market: ServiceMarket) -> Dict[int, int]:
-    """Max services a cloudlet could conceivably host: bounded by provider
-    count and by capacity over the smallest demand."""
-    n = market.num_providers
-    a_min = market.min_compute_demand()
-    b_min = market.min_bandwidth_demand()
-    slots: Dict[int, int] = {}
-    for cl in market.network.cloudlets:
-        by_cpu = math.floor(cl.compute_capacity / a_min) if a_min > 0 else n
-        by_bw = math.floor(cl.bandwidth_capacity / b_min) if b_min > 0 else n
-        slots[cl.node_id] = max(0, min(n, by_cpu, by_bw))
-    return slots
-
-
 def social_cost_lower_bound(
     market: ServiceMarket,
     allow_remote: bool = False,
 ) -> float:
-    """Solve the slotted LP relaxation (see module docstring).
+    """Solve the aggregated slot LP relaxation (see module docstring).
 
     ``allow_remote`` adds each provider's remote-serving option, matching
     algorithms run with their remote fallback enabled. Raises
     :class:`InfeasibleError` when not even the relaxation can place
     everyone (and remote is off).
     """
-    model = market.cost_model
-    net = market.network
-    providers = market.providers
-    n = len(providers)
-    slots = _slots_per_cloudlet(market)
+    cm = market.compile()
+    rows = cm.active_rows
+    fixed = cm.fixed[rows]
+    demand = cm.demand[rows]
+    n, m = fixed.shape
 
-    # Column construction: (provider_index, cloudlet_node, slot) + optional
-    # remote columns (provider_index, None, 0).
-    columns: List[Tuple[int, Optional[int], int]] = []
-    costs: List[float] = []
-    g = model.congestion
-    for j, provider in enumerate(providers):
-        for cl in net.cloudlets:
-            fixed = model.fixed_cost(provider, cl)
-            coeff = cl.alpha + cl.beta
-            for k in range(1, slots[cl.node_id] + 1):
-                marginal = coeff * (k * g(k) - (k - 1) * g(k - 1))
-                columns.append((j, cl.node_id, k))
-                costs.append(fixed + marginal)
-        if allow_remote:
-            columns.append((j, None, 0))
-            costs.append(model.remote_cost(provider))
-    if not columns:
-        raise InfeasibleError("no placement columns (zero slots everywhere)")
+    # Slots per cloudlet: bounded by the provider count and by capacity
+    # over the smallest demand (a zero demand leaves that axis unbounded).
+    smallest = demand.min(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        by_cap = np.where(smallest > 0, np.floor(cm.capacity / smallest), n)
+    slots = np.maximum(0, np.minimum(n, by_cap.min(axis=1))).astype(np.int64)
 
-    n_cols = len(columns)
-    c = np.asarray(costs)
+    pair_l, pair_i = np.nonzero(np.isfinite(fixed) & (slots > 0))
+    placeable = np.bincount(pair_l, minlength=n) > 0
+    if not allow_remote and not placeable.all():
+        raise InfeasibleError(
+            f"{int((~placeable).sum())} provider(s) have no finite placement "
+            "and no remote option"
+        )
 
-    rows_eq, cols_eq, data_eq = [], [], []
-    for idx, (j, _node, _k) in enumerate(columns):
-        rows_eq.append(j)
-        cols_eq.append(idx)
-        data_eq.append(1.0)
-    a_eq = csr_matrix((data_eq, (rows_eq, cols_eq)), shape=(n, n_cols))
-    b_eq = np.ones(n)
+    # Slot k of cloudlet i, cloudlet-major: k runs 1..K_i within each block.
+    slot_i = np.repeat(np.arange(m), slots)
+    slot_k = np.arange(slot_i.size) - np.repeat(np.cumsum(slots) - slots, slots) + 1
+    g = np.array([cm.g_at(k) for k in range(int(slots.max(initial=0)) + 1)])
+    marginal = cm.coeff[slot_i] * (slot_k * g[slot_k] - (slot_k - 1) * g[slot_k - 1])
 
-    # Inequalities: per (cloudlet, slot) occupancy <= 1; per cloudlet the
-    # two capacity constraints.
-    slot_row: Dict[Tuple[int, int], int] = {}
-    cap_row: Dict[Tuple[int, str], int] = {}
-    next_row = 0
-    for cl in net.cloudlets:
-        for k in range(1, slots[cl.node_id] + 1):
-            slot_row[(cl.node_id, k)] = next_row
-            next_row += 1
-        cap_row[(cl.node_id, "cpu")] = next_row
-        cap_row[(cl.node_id, "bw")] = next_row + 1
-        next_row += 2
+    remote = cm.remote[rows] if allow_remote else np.empty(0)
+    n_x, n_y, n_r = pair_l.size, slot_i.size, remote.size
+    x_cols = np.arange(n_x)
+    y_cols = n_x + np.arange(n_y)
+    r_cols = n_x + n_y + np.arange(n_r)
+    c = np.concatenate([fixed[pair_l, pair_i], marginal, remote])
 
-    rows_ub, cols_ub, data_ub = [], [], []
-    b_ub = np.zeros(next_row)
-    for (node, k), r in slot_row.items():
-        b_ub[r] = 1.0
-    for cl in net.cloudlets:
-        b_ub[cap_row[(cl.node_id, "cpu")]] = cl.compute_capacity
-        b_ub[cap_row[(cl.node_id, "bw")]] = cl.bandwidth_capacity
-
-    for idx, (j, node, k) in enumerate(columns):
-        if node is None:
-            continue
-        provider = providers[j]
-        rows_ub.append(slot_row[(node, k)])
-        cols_ub.append(idx)
-        data_ub.append(1.0)
-        rows_ub.append(cap_row[(node, "cpu")])
-        cols_ub.append(idx)
-        data_ub.append(provider.compute_demand)
-        rows_ub.append(cap_row[(node, "bw")])
-        cols_ub.append(idx)
-        data_ub.append(provider.bandwidth_demand)
-    a_ub = csr_matrix((data_ub, (rows_ub, cols_ub)), shape=(next_row, n_cols))
+    # Equalities: one assignment row per provider, then one balance row per
+    # cloudlet (placed mass equals filled slot mass).
+    a_eq = csr_matrix(
+        (
+            np.concatenate([np.ones(2 * n_x), -np.ones(n_y), np.ones(n_r)]),
+            (
+                np.concatenate([pair_l, n + pair_i, n + slot_i, np.arange(n_r)]),
+                np.concatenate([x_cols, x_cols, y_cols, r_cols]),
+            ),
+        ),
+        shape=(n + m, c.size),
+    )
+    b_eq = np.concatenate([np.ones(n), np.zeros(m)])
+    # Inequalities: the compute rows, then the bandwidth rows.
+    a_ub = csr_matrix(
+        (
+            np.concatenate([demand[pair_l, 0], demand[pair_l, 1]]),
+            (np.concatenate([pair_i, m + pair_i]), np.concatenate([x_cols, x_cols])),
+        ),
+        shape=(2 * m, c.size),
+    )
+    b_ub = cm.capacity.T.ravel()
 
     result = linprog(
         c,

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.core.assignment import CachingAssignment, Stopwatch
 from repro.exceptions import ConfigurationError, InfeasibleError
-from repro.market.compiled import CompiledMarket
 from repro.market.market import ServiceMarket
 from repro.utils.validation import CAPACITY_EPS
 
@@ -35,7 +34,6 @@ _PRUNE_EPS = 1e-12
 def optimal_caching(
     market: ServiceMarket,
     max_providers: int = _MAX_PROVIDERS,
-    compiled: Optional[CompiledMarket] = None,
 ) -> CachingAssignment:
     """The socially optimal placement by exhaustive branch-and-bound.
 
@@ -56,7 +54,7 @@ def optimal_caching(
         )
     cloudlets = market.network.cloudlets
     m = len(cloudlets)
-    cm = compiled if compiled is not None else market.compile()
+    cm = market.compile()
 
     # Gather the provider-indexed tables into id order (identity on a
     # dense compile; required after delta patches tombstone/append rows).

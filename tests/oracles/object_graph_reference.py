@@ -20,6 +20,10 @@ oracles the differential suites compare it against:
   market);
 * :func:`object_jo_offload_cache` / :func:`object_offload_cache` — the two
   baselines' sequential admission with per-cloudlet cost-model queries;
+* :func:`object_social_cost_lower_bound` (with
+  :func:`_slots_per_cloudlet`) — the slotted LP lower bound on the social
+  optimum, one column per (provider, cloudlet, slot) triple (the library's
+  bound aggregates the slots and reads the compiled tables);
 * :class:`ObjectRebuildSimulation` — the dynamic simulation that rebuilds
   the market object graph every epoch instead of delta-patching one.
 
@@ -40,12 +44,13 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 from unittest import mock
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 from repro.core.assignment import CachingAssignment, Stopwatch
 from repro.core.virtual_cloudlets import VirtualCloudletSplit
 from repro.dynamics.simulation import DynamicMarketSimulation, EpochRecord
-from repro.exceptions import InfeasibleError
+from repro.exceptions import InfeasibleError, SolverError
 from repro.game.congestion import SingletonCongestionGame
 from repro.gap.instance import GAPInstance
 from repro.market.compiled import CompiledMarket
@@ -434,6 +439,127 @@ def object_offload_cache(market: ServiceMarket) -> CachingAssignment:
         algorithm="OffloadCache",
         runtime_s=watch.elapsed,
     )
+
+
+# --------------------------------------------------------------------- #
+# The LP lower bound (whole-function oracle)
+# --------------------------------------------------------------------- #
+def _slots_per_cloudlet(market: ServiceMarket) -> Dict[int, int]:
+    """Max services a cloudlet could conceivably host: bounded by provider
+    count and by capacity over the smallest demand."""
+    n = market.num_providers
+    a_min = market.min_compute_demand()
+    b_min = market.min_bandwidth_demand()
+    slots: Dict[int, int] = {}
+    for cl in market.network.cloudlets:
+        by_cpu = math.floor(cl.compute_capacity / a_min) if a_min > 0 else n
+        by_bw = math.floor(cl.bandwidth_capacity / b_min) if b_min > 0 else n
+        slots[cl.node_id] = max(0, min(n, by_cpu, by_bw))
+    return slots
+
+
+def object_social_cost_lower_bound(
+    market: ServiceMarket,
+    allow_remote: bool = False,
+) -> float:
+    """:func:`repro.core.lower_bound.social_cost_lower_bound` as the slotted
+    LP over the cost model: one column ``x[l, i, k]`` per (provider,
+    cloudlet, slot), slot ``k`` priced at the provider's fixed cost plus
+    the marginal congestion charge ``(alpha_i + beta_i) * (k*g(k) -
+    (k-1)*g(k-1))``, each slot holding at most one (fractional) service
+    and the compute / bandwidth capacities bounding the cloudlet total.
+
+    ``allow_remote`` adds each provider's remote-serving option, matching
+    algorithms run with their remote fallback enabled. Raises
+    :class:`InfeasibleError` when not even the relaxation can place
+    everyone (and remote is off).
+    """
+    model = market.cost_model
+    net = market.network
+    providers = market.providers
+    n = len(providers)
+    slots = _slots_per_cloudlet(market)
+
+    # Column construction: (provider_index, cloudlet_node, slot) + optional
+    # remote columns (provider_index, None, 0).
+    columns: List[Tuple[int, Optional[int], int]] = []
+    costs: List[float] = []
+    g = model.congestion
+    for j, provider in enumerate(providers):
+        for cl in net.cloudlets:
+            fixed = model.fixed_cost(provider, cl)
+            coeff = cl.alpha + cl.beta
+            for k in range(1, slots[cl.node_id] + 1):
+                marginal = coeff * (k * g(k) - (k - 1) * g(k - 1))
+                columns.append((j, cl.node_id, k))
+                costs.append(fixed + marginal)
+        if allow_remote:
+            columns.append((j, None, 0))
+            costs.append(model.remote_cost(provider))
+    if not columns:
+        raise InfeasibleError("no placement columns (zero slots everywhere)")
+
+    n_cols = len(columns)
+    c = np.asarray(costs)
+
+    rows_eq, cols_eq, data_eq = [], [], []
+    for idx, (j, _node, _k) in enumerate(columns):
+        rows_eq.append(j)
+        cols_eq.append(idx)
+        data_eq.append(1.0)
+    a_eq = csr_matrix((data_eq, (rows_eq, cols_eq)), shape=(n, n_cols))
+    b_eq = np.ones(n)
+
+    # Inequalities: per (cloudlet, slot) occupancy <= 1; per cloudlet the
+    # two capacity constraints.
+    slot_row: Dict[Tuple[int, int], int] = {}
+    cap_row: Dict[Tuple[int, str], int] = {}
+    next_row = 0
+    for cl in net.cloudlets:
+        for k in range(1, slots[cl.node_id] + 1):
+            slot_row[(cl.node_id, k)] = next_row
+            next_row += 1
+        cap_row[(cl.node_id, "cpu")] = next_row
+        cap_row[(cl.node_id, "bw")] = next_row + 1
+        next_row += 2
+
+    rows_ub, cols_ub, data_ub = [], [], []
+    b_ub = np.zeros(next_row)
+    for (node, k), r in slot_row.items():
+        b_ub[r] = 1.0
+    for cl in net.cloudlets:
+        b_ub[cap_row[(cl.node_id, "cpu")]] = cl.compute_capacity
+        b_ub[cap_row[(cl.node_id, "bw")]] = cl.bandwidth_capacity
+
+    for idx, (j, node, k) in enumerate(columns):
+        if node is None:
+            continue
+        provider = providers[j]
+        rows_ub.append(slot_row[(node, k)])
+        cols_ub.append(idx)
+        data_ub.append(1.0)
+        rows_ub.append(cap_row[(node, "cpu")])
+        cols_ub.append(idx)
+        data_ub.append(provider.compute_demand)
+        rows_ub.append(cap_row[(node, "bw")])
+        cols_ub.append(idx)
+        data_ub.append(provider.bandwidth_demand)
+    a_ub = csr_matrix((data_ub, (rows_ub, cols_ub)), shape=(next_row, n_cols))
+
+    result = linprog(
+        c,
+        A_eq=a_eq,
+        b_eq=b_eq,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        bounds=(0.0, 1.0),
+        method="highs",
+    )
+    if result.status == 2:
+        raise InfeasibleError("the LP relaxation itself is infeasible")
+    if not result.success:
+        raise SolverError(f"linprog failed: {result.message}")
+    return float(result.fun)
 
 
 # --------------------------------------------------------------------- #

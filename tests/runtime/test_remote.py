@@ -48,6 +48,13 @@ def _double(x):
     return 2 * x
 
 
+def _slow_double(x):
+    # Long enough that a SIGKILL sent once the claim shows always lands
+    # while the task is still running.
+    time.sleep(5.0)
+    return 2 * x
+
+
 def _boom(x):
     raise ValueError(f"cell {x} is poisoned")
 
@@ -270,23 +277,18 @@ class TestFailureDetection:
             agent = _start_agent(spool, host_id="doomed", lease_s=60.0)
             try:
                 transport.wait_for_hosts(1, timeout_s=10.0)
-                fut = transport.submit(_double, 1)
-                # Wait for the agent to claim, then kill it mid-lease.
+                fut = transport.submit(_slow_double, 1)
+                # Wait for the agent to claim, then kill it mid-task.
                 deadline = time.monotonic() + 10.0
                 claim_dir = os.path.join(dirs["claimed"], "doomed")
                 while time.monotonic() < deadline:
-                    if fut.done() or (
-                        os.path.isdir(claim_dir) and os.listdir(claim_dir)
-                    ):
+                    if os.path.isdir(claim_dir) and os.listdir(claim_dir):
                         break
                     time.sleep(0.01)
                 agent.kill()
                 agent.join(timeout=5.0)
-                if fut.done():  # the reply raced the kill: still a pass
-                    assert fut.result() == 2
-                else:
-                    with pytest.raises(HostLost, match="doomed"):
-                        fut.result(timeout=10)
+                with pytest.raises(HostLost, match="doomed"):
+                    fut.result(timeout=10)
             finally:
                 _stop(agent)
 
