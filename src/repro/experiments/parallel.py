@@ -250,9 +250,12 @@ class ParallelSweepRunner:
         if runtime is None:
             runtime = Runtime(workers=self.workers)
         try:
-            parallel = (
-                runtime.workers > 1 or not runtime.transport.colocated
-            ) and len(tasks) > 1
+            # A non-colocated transport dispatches every non-empty grid; a
+            # local one only when parallelism can help.
+            parallel = bool(tasks) and (
+                not runtime.transport.colocated
+                or (runtime.workers > 1 and len(tasks) > 1)
+            )
             if precompile:
                 prebuilt = []
                 for task in tasks:

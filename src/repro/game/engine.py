@@ -139,23 +139,33 @@ class CompiledGame:
     def n_resources(self) -> int:
         return len(self.resources)
 
+    def _columns(self, profile: Mapping[Hashable, Hashable]) -> np.ndarray:
+        """Resource column of every placed player, in profile order."""
+        return np.fromiter(
+            (self.resource_index[r] for r in profile.values()),
+            dtype=np.int64, count=len(profile),
+        )
+
+    def _gather(self, profile: Mapping[Hashable, Hashable]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(player rows, resource columns)`` of a profile, in profile order."""
+        rows = np.fromiter(
+            (self.player_index[p] for p in profile), dtype=np.int64, count=len(profile)
+        )
+        return rows, self._columns(profile)
+
     def occupancy_vector(self, profile: Mapping[Hashable, Hashable]) -> np.ndarray:
         """Integer occupancy per resource index."""
-        occ = np.zeros(self.n_resources, dtype=np.int64)
-        for r in profile.values():
-            occ[self.resource_index[r]] += 1
-        return occ
+        return np.bincount(self._columns(profile), minlength=self.n_resources)
 
     def load_matrix(self, profile: Mapping[Hashable, Hashable]) -> Optional[np.ndarray]:
-        """Per-resource load vectors, accumulated in profile order (the
-        same addition order as ``game.loads``, so values are bit-equal)."""
+        """Per-resource load vectors, accumulated in profile order:
+        ``np.add.at`` applies repeated indices in order, the same addition
+        order as ``game.loads``, so values are bit-equal."""
         if self.demand is None:
             return None
+        rows, cols = self._gather(profile)
         loads = np.zeros_like(self.capacity)
-        for p, r in profile.items():
-            loads[self.resource_index[r]] += self.demand[
-                self.player_index[p], self.resource_index[r]
-            ]
+        np.add.at(loads, cols, self.demand[rows, cols])
         return loads
 
     # ------------------------------------------------------------------ #
@@ -203,15 +213,8 @@ class CompiledGame:
         """
         if not profile:
             return 0.0
-        rows = np.fromiter(
-            (self.player_index[p] for p in profile), dtype=np.int64, count=len(profile)
-        )
-        cols = np.fromiter(
-            (self.resource_index[r] for r in profile.values()),
-            dtype=np.int64, count=len(profile),
-        )
-        occ = np.zeros(self.n_resources, dtype=np.int64)
-        np.add.at(occ, cols, 1)
+        rows, cols = self._gather(profile)
+        occ = np.bincount(cols, minlength=self.n_resources)
         terms = self.shared[cols, occ[cols]] + self.fixed[rows, cols]
         total = 0.0
         for t in terms.tolist():
@@ -281,20 +284,6 @@ class MarketGame(SingletonCongestionGame):
             self._compiled_cache = CompiledGame.from_market(self._cm, self)
         return self._compiled_cache
 
-    def _gather(self, profile: Mapping[int, int]) -> Tuple[np.ndarray, np.ndarray]:
-        cm = self._cm
-        rows = np.fromiter(
-            (cm.provider_index[p] for p in profile),
-            dtype=np.int64,
-            count=len(profile),
-        )
-        cols = np.fromiter(
-            (cm.cloudlet_index[r] for r in profile.values()),
-            dtype=np.int64,
-            count=len(profile),
-        )
-        return rows, cols
-
     def loads(self, profile: Mapping[int, int]) -> Dict[int, np.ndarray]:
         """Per-cloudlet demand sums, keyed in order of first appearance.
 
@@ -304,7 +293,7 @@ class MarketGame(SingletonCongestionGame):
         if not profile:
             return {}
         cm = self._cm
-        rows, cols = self._gather(profile)
+        rows, cols = cm.gather(profile)
         acc = np.zeros_like(cm.capacity)
         np.add.at(acc, cols, cm.demand[rows])
         return {cm.cloudlet_nodes[j]: acc[j].copy() for j in _first_appearance(cols)}
@@ -317,7 +306,7 @@ class MarketGame(SingletonCongestionGame):
         if not profile:
             return 0.0
         cm = self._cm
-        rows, cols = self._gather(profile)
+        rows, cols = cm.gather(profile)
         occ = np.bincount(cols, minlength=cm.n_cloudlets)
         phi = 0.0
         for j in _first_appearance(cols):

@@ -12,23 +12,35 @@ runs the paper's best-response dynamics as a two-level fixed point:
    wanting to move between them. A sub-view carries only the rows its
    shard can price (interior providers plus the boundary providers that
    reach it), and a placed provider outside them is rejected with
-   :class:`~repro.exceptions.InfeasibleError`. Shards are independent
-   and run either serially (deterministic reference) or concurrently on
-   a :class:`~repro.runtime.Runtime`: each sub-view is published once
-   per table state, and the shard tasks of one phase travel as one chunk
+   :class:`~repro.exceptions.InfeasibleError`. The phase is *screened*
+   first: one Jacobi propose over the global tables prices every dirty
+   shard's interior movers exactly as round 1 of their own shard's
+   settle would (an interior provider's finite costs all lie in its
+   shard's columns, and the sub-view's tables and occupancies are
+   bit-equal there), and a shard none of whose movers can improve —
+   whose settle would commit nothing — is skipped: its view is neither
+   built nor shipped. The remaining shards are independent and run
+   either serially (deterministic reference) or concurrently on a
+   :class:`~repro.runtime.Runtime`: each sub-view is published once per
+   table state, and the shard tasks of one phase travel as one chunk
    per worker (balanced by sub-profile size, settled in shard-id order
    inside a chunk), so a phase is a single ``Runtime.map`` call of at
-   most ``runtime.workers`` tasks. The merge is bit-identical to the
-   serial path.
+   most ``runtime.workers`` tasks. A local transport settles a phase of
+   one shard in-process; a non-colocated one dispatches every non-empty
+   phase. The merge is bit-identical to the serial path.
 2. **Boundary phase** — one batch best-response pass over the *global*
    tables with only the boundary providers movable, re-pricing their
    cross-shard options against the frozen interiors.
 
 The loop repeats until a full iteration commits no move (or the
-``boundary_rounds`` cap is hit), then the result is *certified*: one
-vectorised Jacobi propose over the movable population confirms that no
-player can strictly improve — a certified profile is a global Nash
-equilibrium of the market game, not merely a fixed point of the loop.
+``boundary_rounds`` cap is hit), then the result is *certified*: the
+same propose over the movable population confirms that no player can
+strictly improve — a certified profile is a global Nash equilibrium of
+the market game, not merely a fixed point of the loop. The boundary
+phase's kernel validates the placement's capacities; a call without
+boundary movers validates it once up front instead, so a skipped
+shard's overload is still reported as a
+:class:`~repro.exceptions.CapacityError`.
 
 Tolerance semantics
 -------------------
@@ -94,21 +106,32 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard
 BOUNDARY_TOLERANCE: Final[float] = 0.01
 
 
+def _improving(
+    game: SingletonCongestionGame,
+    profile: Profile,
+    move_order: List[int],
+) -> np.ndarray:
+    """One vectorised Jacobi propose at ``profile``: which players of
+    ``move_order`` (a subsequence of ``game.players``) can strictly
+    improve by a unilateral move."""
+    if not move_order:
+        return np.zeros(0, dtype=bool)
+    state = _BatchState(game.compile(), profile, move_order)
+    _targets, best, cur_cost = state.propose(0)
+    return best < cur_cost - IMPROVEMENT_EPS
+
+
 def certify_equilibrium(
     game: SingletonCongestionGame,
     profile: Mapping[int, int],
     movable: Optional[Iterable[int]] = None,
 ) -> bool:
-    """One vectorised Jacobi propose: can any movable player strictly
-    improve?  ``False`` means the profile is not a Nash equilibrium of
-    ``game`` (restricted to the movable population)."""
+    """Can no movable player strictly improve?  ``False`` means the
+    profile is not a Nash equilibrium of ``game`` (restricted to the
+    movable population)."""
     movable_set = set(movable) if movable is not None else set(game.players)
     move_order = [p for p in game.players if p in movable_set]
-    if not move_order:
-        return True
-    state = _BatchState(game.compile(), dict(profile), move_order)
-    _targets, best, cur_cost = state.propose(0)
-    return not bool(np.any(best < cur_cost - IMPROVEMENT_EPS))
+    return not bool(np.any(_improving(game, dict(profile), move_order)))
 
 
 def _settle_shard(
@@ -264,14 +287,15 @@ def _reconcile(
     # Shards whose occupancies may have changed since their last interior
     # settle. Congestion is per-cloudlet, so only a boundary move into or
     # out of a shard can disturb an already-settled interior — iteration 1
-    # settles everything, later iterations only the shards the boundary
+    # screens every shard, later iterations only the shards the boundary
     # phase's move log actually touched.
     dirty = set(partition.shard_ids)
     interior_shard = classification.interior_shard
     reach = {s: set(pids) for s, pids in classification.boundary_reach.items()}
-    dispatch = runtime is not None and (
-        runtime.workers > 1 or not runtime.transport.colocated
-    )
+    if not boundary_movable:
+        # No boundary phase validates the placement, and the screen below
+        # may skip every interior settle that would have.
+        global_game.validate_profile(profile)
     for rounds in range(1, boundary_rounds + 1):
         it_moves = 0
 
@@ -302,7 +326,26 @@ def _reconcile(
                 continue
             tasks.append((s, sub_profile, mv))
 
-        if dispatch and runtime is not None and len(tasks) > 1:
+        # Screen: an interior provider's finite costs all lie in its own
+        # shard's columns, and a sub-view's tables and occupancies are
+        # bit-equal to the global ones there, so one global propose gives
+        # every mover the same best and current cost as round 1 of its
+        # shard's settle. A shard none of whose movers improves would
+        # settle in that round with zero moves, returning its input: it
+        # is skipped, without building, publishing or shipping its view.
+        if tasks:
+            shard_of_mover = {p: s for s, _sub, mv in tasks for p in mv}
+            order = [p for p in global_game.players if p in shard_of_mover]
+            fires = _improving(global_game, profile, order).tolist()
+            live = {shard_of_mover[p] for p, f in zip(order, fires) if f}
+            tasks = [task for task in tasks if task[0] in live]
+
+        # A local transport settles a lone shard in-process; a
+        # non-colocated one runs every non-empty phase on its hosts.
+        if runtime is not None and tasks and (
+            not runtime.transport.colocated
+            or (runtime.workers > 1 and len(tasks) > 1)
+        ):
             payloads = [
                 (
                     tuple(
@@ -356,9 +399,7 @@ def _reconcile(
             break
 
     certified = certify_equilibrium(
-        global_game,
-        profile,
-        movable=sorted(movable_set & set(profile)),
+        global_game, profile, movable=movable_set & set(profile)
     )
     return PartitionedResult(
         profile=dict(profile),
@@ -406,8 +447,8 @@ def partitioned_best_response(
         interiors (sub-views published once per ``blob_seq``, an
         interior phase's shards settled in one
         :meth:`~repro.runtime.Runtime.map` call of one chunk per
-        worker); ``None`` (or one worker) settles serially with
-        bit-identical results.
+        worker); ``None`` (or a local runtime of one worker) settles
+        serially with bit-identical results.
     classification:
         A precomputed :class:`ShardClassification` for the market's
         compiled tables at their current state (recompute after every

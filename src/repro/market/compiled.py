@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import bisect
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, TYPE_CHECKING
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -596,21 +596,34 @@ class CompiledMarket:
     # ------------------------------------------------------------------ #
     # Placement state
     # ------------------------------------------------------------------ #
+    def gather(self, placement: Mapping[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(provider rows, cloudlet columns)`` of a placement, in
+        placement order."""
+        rows = np.fromiter(
+            (self.provider_index[pid] for pid in placement), dtype=np.int64,
+            count=len(placement),
+        )
+        return rows, self._columns(placement)
+
+    def _columns(self, placement: Mapping[int, int]) -> np.ndarray:
+        return np.fromiter(
+            (self.cloudlet_index[node] for node in placement.values()),
+            dtype=np.int64, count=len(placement),
+        )
+
     def occupancy_vector(self, placement: Mapping[int, int]) -> np.ndarray:
         """``|sigma_i|`` per cloudlet column for a placement
         (``provider_id -> cloudlet node_id``)."""
-        occ = np.zeros(self.n_cloudlets, dtype=np.int64)
-        for node in placement.values():
-            occ[self.cloudlet_index[node]] += 1
-        return occ
+        return np.bincount(self._columns(placement), minlength=self.n_cloudlets)
 
     def load_matrix(self, placement: Mapping[int, int]) -> np.ndarray:
         """Per-cloudlet ``(compute, bandwidth)`` loads, accumulated in
-        placement order (the same addition order as the object-graph
-        aggregators, so values are bit-equal)."""
+        placement order: ``np.add.at`` applies repeated columns in order,
+        the same addition order as the object-graph aggregators, so values
+        are bit-equal."""
+        rows, cols = self.gather(placement)
         loads = np.zeros((self.n_cloudlets, 2), dtype=float)
-        for pid, node in placement.items():
-            loads[self.cloudlet_index[node]] += self.demand[self.provider_index[pid]]
+        np.add.at(loads, cols, self.demand[rows])
         return loads
 
     def fits_mask(self, provider_row: int, loads: np.ndarray) -> np.ndarray:
@@ -639,14 +652,7 @@ class CompiledMarket:
         """Every placed provider's Eq. (5) cost, in placement order: the
         occupancy is counted once and the congestion and fixed terms come
         from one vectorised gather."""
-        rows = np.fromiter(
-            (self.provider_index[pid] for pid in placement), dtype=np.int64,
-            count=len(placement),
-        )
-        cols = np.fromiter(
-            (self.cloudlet_index[node] for node in placement.values()),
-            dtype=np.int64, count=len(placement),
-        )
+        rows, cols = self.gather(placement)
         occ = np.bincount(cols, minlength=self.n_cloudlets)
         return self.shared[cols, occ[cols]] + self.fixed[rows, cols]
 

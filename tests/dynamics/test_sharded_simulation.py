@@ -28,9 +28,30 @@ def make_sim(network, seed=11, **kwargs):
     )
 
 
+def make_busy_sim(network, **kwargs):
+    """A larger, faster-churning population under a 3 ms latency budget on
+    the default region partition: its epochs leave two or more shards
+    with an interior that can still move, so the settle has work to
+    dispatch (the small :func:`make_sim` markets settle every interior
+    in-process)."""
+    population = PopulationProcess(
+        network, arrival_rate=20.0, mean_lifetime=5.0,
+        rng=11, initial_population=150,
+    )
+    return DynamicMarketSimulation(
+        network, population, policy="incremental", sharding="region",
+        latency_budget_ms=3.0, **kwargs
+    )
+
+
 @pytest.fixture(scope="module")
 def network():
     return random_mec_network(100, rng=5)
+
+
+@pytest.fixture(scope="module")
+def busy_network():
+    return random_mec_network(300, rng=5)
 
 
 @contextmanager
@@ -109,30 +130,22 @@ class TestShardedRun:
             assert ea.migration_cost == eb.migration_cost
             assert ea.settle_moves == eb.settle_moves
 
-    def test_parallel_workers_match_serial(self, network):
+    def test_parallel_workers_match_serial(self, busy_network):
         # The latency budget gives the shards interiors to dispatch;
         # without one every provider is boundary and the pool idles.
-        ss = make_sim(
-            network, sharding="region", n_shards=3, latency_budget_ms=3.0
-        ).run(3)
+        ss = make_busy_sim(busy_network).run(3)
         with Runtime(workers=2) as runtime, counting_map() as batches:
-            sp = make_sim(
-                network, sharding="region", n_shards=3,
-                latency_budget_ms=3.0, shard_runtime=runtime,
-            ).run(3)
+            sp = make_busy_sim(busy_network, shard_runtime=runtime).run(3)
         assert_pool_dispatched(batches)
         for a, b in zip(ss.epochs, sp.epochs):
             assert a.social_cost == b.social_cost
             assert a.settle_moves == b.settle_moves
 
-    def test_close_is_idempotent(self, network):
+    def test_close_is_idempotent(self, busy_network):
         """The caller owns the runtime: the simulation only borrows it,
         and closing it (twice) after the run is safe."""
         runtime = Runtime(workers=2)
-        sim = make_sim(
-            network, sharding="region", n_shards=2, latency_budget_ms=3.0,
-            shard_runtime=runtime,
-        )
+        sim = make_busy_sim(busy_network, shard_runtime=runtime)
         with counting_map() as batches:
             sim.run(1)
         runtime.close()

@@ -8,8 +8,8 @@ tell them apart: profile, moves, rounds, certificate and social cost are
 compared bit for bit, serially and on a two-worker pool.
 
 Also pinned here: a placement no view can price is rejected, and pool
-dispatch really happens — one ``Runtime.map`` call per interior phase,
-one task per worker.
+dispatch really happens — one ``Runtime.map`` call per interior phase
+with two or more shards whose interior can move, one task per worker.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import pytest
 
 from repro.exceptions import InfeasibleError
 from repro.game import partitioned
+from repro.game.batch import batch_best_response
+from repro.game.engine import game_from_compiled
 from repro.game.partitioned import partitioned_best_response
 from repro.market.shard import classify_providers, partition_market, shard_view
 from repro.runtime import Runtime
@@ -169,6 +171,30 @@ class TestUnpriceablePlacement:
             )
 
 
+def improving_shards(cm, partition, cls, profile, candidates):
+    """The candidate shards whose interior moves when settled alone on its
+    own view: each one's settle is run serially, independently of the
+    global screen the settle loop uses to pick them."""
+    moving = set()
+    for s in candidates:
+        sub = {
+            p: n for p, n in profile.items()
+            if partition.shard_of_cloudlet[n] == s
+        }
+        movers = sorted(set(cls.interior.get(s, ())) & set(sub))
+        if not movers:
+            continue
+        game = game_from_compiled(
+            shard_view(cm, partition, s, cls), players=sorted(sub)
+        )
+        _profile, _conv, _rounds, moves, _trace, _log = batch_best_response(
+            game, sub, movable=movers
+        )
+        if moves:
+            moving.add(s)
+    return moving
+
+
 class TestPoolDispatch:
     def test_one_map_call_per_interior_phase_one_task_per_worker(
         self, monkeypatch
@@ -181,8 +207,9 @@ class TestPoolDispatch:
         )
 
         # The event log: ("map", shard ids per task) for each Runtime.map
-        # call, ("boundary", shards its moves touched) for each boundary
-        # phase — the only kernel call that records its move log.
+        # call, ("boundary", shards its moves touched, placement after it)
+        # for each boundary phase — the only kernel call that records its
+        # move log.
         events = []
         kernel = partitioned.batch_best_response
 
@@ -193,7 +220,7 @@ class TestPoolDispatch:
                 for _p, old, new, _d in out[-1]:
                     touched.add(partition.shard_of_cloudlet[old])
                     touched.add(partition.shard_of_cloudlet[new])
-                events.append(("boundary", touched))
+                events.append(("boundary", touched, dict(out[0])))
             return out
 
         monkeypatch.setattr(partitioned, "batch_best_response", spy_kernel)
@@ -214,15 +241,14 @@ class TestPoolDispatch:
             )
         assert_same_result(pooled, serial)
 
-        # Interior providers never leave their shard, so the shards with a
-        # movable interior are fixed; a phase dispatches the dirty ones.
-        movable_shards = {cls.interior_shard[p] for p in start
-                          if p in cls.interior_shard}
+        # A phase dispatches the dirty shards whose interior can still
+        # move; a lone such shard settles in-process.
         dirty = set(partition.shard_ids)
+        profile = dict(start)
         phases = 0
         i = 0
         while i < len(events):
-            expected = dirty & movable_shards
+            expected = improving_shards(cm, partition, cls, profile, dirty)
             if len(expected) > 1:
                 kind, tasks = events[i]
                 assert kind == "map"
@@ -234,7 +260,7 @@ class TestPoolDispatch:
                 i += 1
             if i == len(events):
                 break
-            kind, dirty = events[i]
+            kind, dirty, profile = events[i]
             assert kind == "boundary"
             i += 1
         assert phases >= 1

@@ -43,6 +43,7 @@ from repro.utils.contracts import (
     invariant_potential_descends,
     invariants_active,
 )
+from tests.oracles.state_reference import loop_loads, loop_occupancy
 
 #: The naive engine's name for the strict-improvement threshold.
 _IMPROVEMENT_EPS = IMPROVEMENT_EPS
@@ -173,8 +174,8 @@ def incremental_best_response(
 
     if move_order:
         c = game.compile()
-        occ = c.occupancy_vector(profile)
-        loads = c.load_matrix(profile)
+        occ = loop_occupancy(c, profile)
+        loads = loop_loads(c, profile)
         strat = {p: c.resource_index[profile[p]] for p in move_order}
         mover_idx = [c.player_index[p] for p in move_order]
     else:

@@ -149,6 +149,31 @@ def test_precompiled_parallel_sweep_publishes_not_inlines():
         }
 
 
+def test_non_colocated_transport_publishes_a_single_cell_sweep():
+    """A transport whose work does not belong in the caller's process
+    dispatches even a one-cell grid, so the cell's market is published
+    like any other, not inlined for an in-process shortcut."""
+    from repro.runtime import Runtime
+    from repro.runtime.transport import SerialTransport
+
+    class RemoteLike(SerialTransport):
+        colocated = False
+
+    with Runtime(transport=RemoteLike()) as rt:
+        result = ParallelSweepRunner().run(
+            name="lone",
+            x_label="size",
+            x_values=[24],
+            make_market=make_tiny_market,
+            make_algorithms=jo_table,
+            repetitions=1,
+            precompile=True,
+            runtime=rt,
+        )
+        assert result.failures == []
+        assert set(rt.transport._published) == {("sweep-cell", "lone", 0, 0)}
+
+
 def test_caller_owned_runtime_is_reused_and_left_open():
     from repro.runtime import Runtime
 

@@ -303,20 +303,22 @@ class TestJournaledSweepAcrossHostLoss:
 # --------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def network():
-    return random_mec_network(100, rng=5)
+    return random_mec_network(300, rng=5)
 
 
 def _make_sim(network, seed=11, **kwargs):
     population = PopulationProcess(
-        network, arrival_rate=6.0, mean_lifetime=5.0,
-        rng=seed, initial_population=40,
+        network, arrival_rate=20.0, mean_lifetime=5.0,
+        rng=seed, initial_population=150,
     )
     # The tight latency budget is what gives the region shards
     # non-trivial interiors — without it every provider is boundary and
-    # the settle would never dispatch to the host agents at all.
+    # the settle would never dispatch to the host agents at all. The
+    # population is large and churns fast enough that shard interiors
+    # still have moves to make in the later epochs.
     return DynamicMarketSimulation(
         network, population, policy="incremental",
-        sharding="region", n_shards=3, latency_budget_ms=3.0, **kwargs
+        sharding="region", latency_budget_ms=3.0, **kwargs
     )
 
 
