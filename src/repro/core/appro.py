@@ -10,9 +10,8 @@ Steps (Section III.B):
 4. move every service assigned to a virtual cloudlet of ``CL_i`` onto the
    real ``CL_i``.
 
-Step 4 can overload a real cloudlet (Shmoys–Tardos rounding of a fractional
-relaxation may exceed a virtual cloudlet's capacity by one item, and the
-split floors may not tile the capacity exactly), so we finish with the *adjustment procedure* the
+Step 4 can overload a real cloudlet (the split floors may not tile the
+capacity exactly), so we finish with the *adjustment procedure* the
 paper's Fig. 7 discussion refers to: overflow services are moved to the
 cheapest cloudlet with residual room, and rejected (left in the remote
 cloud) when no cloudlet fits them. Under the paper's standing assumption
@@ -31,7 +30,6 @@ from repro.exceptions import ConfigurationError
 from repro.gap.greedy import greedy_gap
 from repro.gap.instance import GAPInstance, GAPSolution
 from repro.gap.shmoys_tardos import shmoys_tardos
-from repro.gap.exact import exact_gap
 from repro.market.compiled import CompiledMarket
 from repro.market.market import ServiceMarket
 from repro.utils.contracts import invariant_capacity_feasible
@@ -40,7 +38,6 @@ from repro.utils.validation import CAPACITY_EPS
 _GAP_SOLVERS: Dict[str, Callable[[GAPInstance], GAPSolution]] = {
     "shmoys_tardos": shmoys_tardos,
     "greedy": greedy_gap,
-    "exact": exact_gap,
 }
 
 
@@ -208,8 +205,8 @@ def appro(
     Parameters
     ----------
     gap_solver:
-        ``"shmoys_tardos"`` (the paper's choice), ``"greedy"`` or
-        ``"exact"`` — the latter two support ablation A4.
+        ``"shmoys_tardos"`` (the paper's choice, exact on the unit-slot
+        reduction) or ``"greedy"`` — the comparator of ablation A4.
     allow_remote:
         Give the GAP a remote ("do not cache") bin: services for which
         remote serving is genuinely cheaper — or that no virtual cloudlet
@@ -239,9 +236,9 @@ def appro(
     ``gap_lower_bound``, ``delta``/``kappa``, the Lemma 2 ratio bound, and
     repair stats. ``gap_lower_bound`` is the optimum of Appro's own
     slotted GAP (flat Eq. 9 or marginal slot costs, per ``slot_pricing``;
-    the Shmoys–Tardos relaxation is exact on this unit-slot instance, and
-    ``"exact"`` reports its integral optimum, ``"greedy"`` ``None``). It
-    bounds that GAP, not the Eq. 6 social optimum.
+    the Shmoys–Tardos relaxation is exact on this unit-slot instance;
+    ``"greedy"`` reports ``None``). It bounds that GAP, not the Eq. 6
+    social optimum.
     """
     try:
         solve = _GAP_SOLVERS[gap_solver]

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Seque
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CapacityError, ConfigurationError
 from repro.game.congestion import SingletonCongestionGame
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (market.compiled is upstream)
@@ -276,6 +276,7 @@ class MarketGame(SingletonCongestionGame):
             capacity=capacity,
         )
         self._cm = cm
+        self._player_set = frozenset(self.players)
 
     def compile(self) -> CompiledGame:
         """The game's tables, sliced once from the compiled market and
@@ -297,6 +298,28 @@ class MarketGame(SingletonCongestionGame):
         acc = np.zeros_like(cm.capacity)
         np.add.at(acc, cols, cm.demand[rows])
         return {cm.cloudlet_nodes[j]: acc[j].copy() for j in _first_appearance(cols)}
+
+    def validate_profile(self, profile: Mapping[int, int]) -> None:
+        """The generic completeness and capacity check on the tables.
+
+        A profile whose players differ from the game's gets the generic
+        check's :class:`ConfigurationError`. Otherwise the loads add in
+        profile order (the same floats as :meth:`loads`) and the first
+        overloaded cloudlet in order of first appearance raises the
+        generic :class:`CapacityError`."""
+        if profile.keys() != self._player_set:
+            # Raises: some player is missing or unknown.
+            SingletonCongestionGame.validate_profile(self, profile)
+        cm = self._cm
+        loads = cm.load_matrix(profile)
+        overloaded = (loads > cm.capacity + CAPACITY_EPS).any(axis=1)
+        if overloaded.any():
+            _rows, cols = cm.gather(profile)
+            j = next(j for j in _first_appearance(cols) if overloaded[j])
+            raise CapacityError(
+                f"resource {cm.cloudlet_nodes[j]!r} overloaded: "
+                f"load {loads[j]} > capacity {cm.capacity[j]}"
+            )
 
     def potential(self, profile: Mapping[int, int]) -> float:
         """Rosenthal's potential, added in the generic order: one builtin

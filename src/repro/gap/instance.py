@@ -8,8 +8,8 @@ item must be assigned; total cost is minimised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
@@ -73,27 +73,13 @@ class GAPInstance:
     def n_bins(self) -> int:
         return self.costs.shape[1]
 
-    def allowed(self, item: int, bin_: int) -> bool:
-        """Whether (item, bin) is assignable: finite cost and weight fits."""
-        return bool(
-            np.isfinite(self.costs[item, bin_])
-            and self.weights[item, bin_] <= self.capacities[bin_] + CAPACITY_EPS
-        )
-
     def allowed_mask(self) -> np.ndarray:
-        """The full ``(n_items, n_bins)`` boolean table of :meth:`allowed` —
-        the same finite-cost and weight-fits test, evaluated in bulk."""
+        """Which (item, bin) pairs are assignable — finite cost and the
+        weight fits the bin's capacity — as one ``(n_items, n_bins)``
+        boolean table."""
         return np.isfinite(self.costs) & (
             self.weights <= self.capacities[None, :] + CAPACITY_EPS
         )
-
-    def allowed_bins(self, item: int) -> List[int]:
-        return [i for i in range(self.n_bins) if self.allowed(item, i)]
-
-    def trivially_infeasible(self) -> bool:
-        """True when some item has no admissible bin at all (a cheap
-        necessary check; full feasibility is decided by the LP)."""
-        return any(not self.allowed_bins(j) for j in range(self.n_items))
 
     def __repr__(self) -> str:
         return f"GAPInstance(items={self.n_items}, bins={self.n_bins})"
@@ -126,25 +112,6 @@ class GAPSolution:
         return float(
             sum(self.instance.costs[j, i] for j, i in enumerate(self.assignment))
         )
-
-    def bin_loads(self) -> np.ndarray:
-        """Per-bin accumulated weight."""
-        loads = np.zeros(self.instance.n_bins)
-        for j, i in enumerate(self.assignment):
-            loads[i] += self.instance.weights[j, i]
-        return loads
-
-    def max_load_ratio(self) -> float:
-        """Max over bins of load/capacity — <= 1 means strictly feasible,
-        <= 2 is the Shmoys–Tardos guarantee when all weights fit alone."""
-        return float(np.max(self.bin_loads() / self.instance.capacities))
-
-    def is_feasible(self, slack: float = CAPACITY_EPS) -> bool:
-        """Strict feasibility: every bin within its capacity."""
-        return bool(np.all(self.bin_loads() <= self.instance.capacities + slack))
-
-    def items_in_bin(self, bin_: int) -> List[int]:
-        return [j for j, i in enumerate(self.assignment) if i == bin_]
 
 
 __all__ = ["GAPInstance", "GAPSolution"]

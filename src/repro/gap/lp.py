@@ -1,4 +1,4 @@
-"""LP relaxation of min-cost GAP.
+"""LP relaxation of min-cost GAP, solved exactly on unit-slot instances.
 
 Variables ``x[j, i] >= 0`` for each *allowed* (item, bin) pair:
 
@@ -6,35 +6,30 @@ Variables ``x[j, i] >= 0`` for each *allowed* (item, bin) pair:
 * capacity constraints    ``sum_j w[j, i] * x[j, i] <= cap[i]``;
 * objective               ``min sum c[j, i] * x[j, i]``.
 
-Two solvers share this entry point.
+The instances this module solves are *unit-slot*: every item weighs the
+same ``w_i`` in bin ``i`` and each ``cap_i / w_i`` is an integer (or at
+least the item count). The paper's virtual-cloudlet reduction is one
+(Eq. 7: every item weighs one slot's capacity; the remote bin holds all
+``n`` items), and it is the only GAP the library builds. Their capacity
+rows read ``sum_j x[j, i] <= k_i``, so the LP is a bipartite
+transportation problem whose constraint matrix is totally unimodular: the
+LP optimum is integral. Expanding bin ``i`` into ``k_i = min(n, cap_i /
+w_i)`` identical columns turns it into a rectangular assignment problem,
+solved exactly by :func:`scipy.optimize.linear_sum_assignment`; the result
+is a 0/1 relaxation whose value is the LP optimum.
 
-*Unit-slot instances* — every item weighs the same ``w_i`` in bin ``i``
-and each ``cap_i / w_i`` is an integer (or at least the item count) — are
-the paper's virtual-cloudlet reduction (Eq. 7: every item weighs one slot's
-capacity; the remote bin holds all ``n`` items). Their capacity rows read
-``sum_j x[j, i] <= k_i``, so the LP is a bipartite transportation problem
-whose constraint matrix is totally unimodular: the LP optimum is integral.
-Expanding bin ``i`` into ``k_i = min(n, cap_i / w_i)`` identical columns
-turns it into a rectangular assignment problem, solved exactly by
-:func:`scipy.optimize.linear_sum_assignment`; the result is a 0/1
-relaxation whose value is the LP optimum.
-
-*Every other instance* goes to HiGHS through :func:`scipy.optimize.linprog`.
-Only allowed pairs get a column, which keeps the LP small for sparse
-instances. The constraint matrices are assembled from the instance arrays
-in bulk, one column per allowed pair in row-major (item, bin) order.
+Any other instance is refused with :class:`ConfigurationError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import csr_matrix
+from scipy.optimize import linear_sum_assignment
 
-from repro.exceptions import InfeasibleError, SolverError
+from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.gap.instance import GAPInstance
 
 
@@ -47,37 +42,6 @@ class LPRelaxationResult:
     fractions: np.ndarray
     #: Optimal LP objective — a lower bound on the integral optimum.
     value: float
-
-    def support(self, item: int, atol: float = 1e-9) -> List[int]:
-        """Bins with positive fraction for ``item``."""
-        return np.flatnonzero(self.fractions[item] > atol).tolist()
-
-
-def _assemble(
-    instance: GAPInstance,
-) -> Tuple[np.ndarray, np.ndarray, csr_matrix, csr_matrix, np.ndarray, np.ndarray]:
-    """Build the constraint matrices from the instance arrays in bulk.
-
-    ``np.nonzero`` walks the allowed-mask in row-major order, so column
-    ``k`` is the ``k``-th allowed (item, bin) pair in (item, bin) order.
-    """
-    mask = instance.allowed_mask()
-    if not bool(mask.any(axis=1).all()):
-        raise InfeasibleError("some item has no admissible bin")
-
-    rows, cols = np.nonzero(mask)
-    n_cols = rows.shape[0]
-    arange = np.arange(n_cols)
-
-    c = instance.costs[rows, cols]
-    a_eq = csr_matrix(
-        (np.ones(n_cols), (rows, arange)), shape=(instance.n_items, n_cols)
-    )
-    a_ub = csr_matrix(
-        (instance.weights[rows, cols], (cols, arange)),
-        shape=(instance.n_bins, n_cols),
-    )
-    return rows, cols, a_eq, a_ub, c, np.ones(instance.n_items)
 
 
 #: Relative tolerance for reading ``cap_i / w_i`` as an integer.
@@ -139,48 +103,21 @@ def _assignment_relaxation(
     )
 
 
-def _highs_relaxation(instance: GAPInstance) -> LPRelaxationResult:
-    """Solve the LP with HiGHS."""
-    rows, cols, a_eq, a_ub, c, b_eq = _assemble(instance)
-    b_ub = instance.capacities
-
-    result = linprog(
-        c,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=(0.0, 1.0),
-        method="highs",
-    )
-    if result.status == 2:
-        raise InfeasibleError("GAP LP relaxation is infeasible")
-    if not result.success:
-        raise SolverError(f"linprog failed: {result.message}")
-
-    fractions = np.zeros((instance.n_items, instance.n_bins))
-    fractions[rows, cols] = np.maximum(0.0, result.x)
-    # Normalise tiny numerical drift so each row sums to exactly 1.
-    row_sums = fractions.sum(axis=1, keepdims=True)
-    fractions = fractions / row_sums
-
-    return LPRelaxationResult(
-        instance=instance, fractions=fractions, value=float(result.fun)
-    )
-
-
 def solve_lp_relaxation(instance: GAPInstance) -> LPRelaxationResult:
-    """Solve the GAP LP relaxation; raises :class:`InfeasibleError` when the
-    relaxation (hence the GAP) has no solution, and :class:`SolverError`
-    when HiGHS stops for any other reason (an iteration limit included).
+    """Solve the LP relaxation of a unit-slot GAP instance exactly, as an
+    assignment problem (see the module docstring).
 
-    A unit-slot instance (see the module docstring) is solved exactly as an
-    assignment problem; every other instance goes to HiGHS.
+    Raises :class:`ConfigurationError` when the instance is not unit-slot
+    and :class:`InfeasibleError` when the relaxation (hence the GAP) has
+    no solution.
     """
     multiplicities = _slot_multiplicities(instance)
-    if multiplicities is not None:
-        return _assignment_relaxation(instance, multiplicities)
-    return _highs_relaxation(instance)
+    if multiplicities is None:
+        raise ConfigurationError(
+            f"{instance!r} is not unit-slot: each bin needs one item weight "
+            "and an integral capacity-to-weight ratio"
+        )
+    return _assignment_relaxation(instance, multiplicities)
 
 
 __all__ = ["LPRelaxationResult", "solve_lp_relaxation"]

@@ -1,5 +1,7 @@
 """Tests for Algorithm 1 (Appro)."""
 
+import re
+
 import pytest
 
 from repro.core.appro import appro
@@ -86,8 +88,12 @@ class TestQuality:
             result.check_capacities()
 
     def test_unknown_solver_rejected(self, small_market):
-        with pytest.raises(ValueError):
-            appro(small_market, gap_solver="nope")
+        # "exact" is gone too: on the unit-slot reduction the default
+        # already returns the GAP optimum.
+        choices = re.escape("choose from ['greedy', 'shmoys_tardos']")
+        for solver in ("nope", "exact"):
+            with pytest.raises(ValueError, match=choices):
+                appro(small_market, gap_solver=solver)
 
     def test_runtime_recorded(self, small_market):
         assert appro(small_market).runtime_s > 0.0
@@ -119,7 +125,8 @@ class TestOptionValidation:
             appro(market, lp_time_limit_s=-1.0, warm_start=previous)
 
     @pytest.mark.parametrize(
-        "gap_solver,limit", [("greedy", -1.0), ("greedy", 5.0), ("exact", 0.0)]
+        "gap_solver,limit",
+        [("greedy", -1.0), ("greedy", 5.0), ("shmoys_tardos", 0.0)],
     )
     def test_lp_time_limit_needs_the_lp_solver(self, gap_solver, limit):
         market = make_market()

@@ -31,8 +31,9 @@ class TestPolicies:
 
     @pytest.mark.parametrize("policy", ["replan", "incremental", "hysteresis"])
     def test_unknown_gap_solver_rejected(self, network, policy):
-        with pytest.raises(ConfigurationError):
-            make_sim(network, policy=policy, gap_solver="bogus")
+        for gap_solver in ("bogus", "exact"):
+            with pytest.raises(ConfigurationError):
+                make_sim(network, policy=policy, gap_solver=gap_solver)
 
     def test_replan_runs_and_bills(self, network):
         summary = make_sim(network, "replan").run(5)

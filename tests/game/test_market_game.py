@@ -10,8 +10,8 @@ best-response run and every LCF outcome must agree with ``==``.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Dict, List, Optional
+from functools import lru_cache, partial
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 import pytest
@@ -108,12 +108,27 @@ def _assert_loads_equal(a: Dict[int, np.ndarray], b: Dict[int, np.ndarray]) -> N
         assert np.array_equal(a[r], b[r])
 
 
-def _verdict(game: SingletonCongestionGame, profile: Dict[int, int]) -> object:
+def _verdict(
+    validate: Callable[[Dict[int, int]], None], profile: Dict[int, int]
+) -> object:
     try:
-        game.validate_profile(profile)
+        validate(profile)
     except (CapacityError, ConfigurationError) as exc:
         return type(exc), str(exc)
     return None
+
+
+def _assert_verdicts_agree(
+    game: MarketGame, oracle: SingletonCongestionGame, profile: Dict[int, int]
+) -> object:
+    """The market game's table check against the oracle game's and against
+    the generic ``SingletonCongestionGame.validate_profile`` run on the
+    market game itself; returns the shared verdict."""
+    verdict = _verdict(game.validate_profile, profile)
+    assert verdict == _verdict(oracle.validate_profile, profile)
+    generic = partial(SingletonCongestionGame.validate_profile, game)
+    assert verdict == _verdict(generic, profile)
+    return verdict
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -162,15 +177,20 @@ class TestQueries:
         oracle = object_market_game(market, players=placed)
         missing = dict(list(start.items())[1:])
         stranger = {**start, -1: game.resources[0]}
-        assert _verdict(game, start) is None
-        for profile in (start, missing, stranger):
-            assert _verdict(game, profile) == _verdict(oracle, profile)
+        # Missing and unknown players at once: the missing ones are named.
+        both = {**missing, -1: game.resources[0]}
+        assert _assert_verdicts_agree(game, oracle, start) is None
+        for profile in (missing, stranger, both):
+            assert _assert_verdicts_agree(game, oracle, profile)[0] is ConfigurationError
         # Everyone on the smallest cloudlet overloads it.
         game, oracle = market_game(market), object_market_game(market)
-        smallest = min(game.resources, key=lambda r: game.capacity_of(r)[0])
-        crowded = {p: smallest for p in game.players}
-        assert _verdict(game, crowded) == _verdict(oracle, crowded)
-        assert _verdict(game, crowded)[0] is CapacityError
+        by_cpu = sorted(game.resources, key=lambda r: game.capacity_of(r)[0])
+        crowded = {p: by_cpu[0] for p in game.players}
+        assert _assert_verdicts_agree(game, oracle, crowded)[0] is CapacityError
+        # Two crowds, the larger cloudlet first in profile order: the
+        # first overloaded cloudlet in that order is named.
+        halves = {p: by_cpu[(k + 1) % 2] for k, p in enumerate(game.players)}
+        assert _assert_verdicts_agree(game, oracle, halves)[0] is CapacityError
 
     def test_compile_tables(self, case):
         market = _market(case)

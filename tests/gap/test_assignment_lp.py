@@ -1,9 +1,11 @@
 """The unit-slot GAP relaxation solved as an assignment problem.
 
 ``repro.gap.lp`` solves a unit-slot instance (every item weighs the same in
-a bin, integral capacity ratio) with ``linear_sum_assignment`` and every
-other instance with HiGHS. These tests hold the assignment path to the
-HiGHS LP it replaces, and check that each path fires where it should.
+a bin, integral capacity ratio) with ``linear_sum_assignment`` and refuses
+every other instance. The general-GAP reference
+(``tests/oracles/gap_reference.py``) sends those to HiGHS. These tests hold
+the assignment path to the HiGHS LP and slot-matching rounding it
+replaces, and check that each path fires where it should.
 """
 
 import functools
@@ -19,16 +21,23 @@ from repro.core.virtual_cloudlets import VirtualCloudletSplit
 from repro.dynamics.population import PopulationProcess
 from repro.exceptions import InfeasibleError, SolverError
 from repro.gap import lp
-from repro.gap.exact import exact_gap
 from repro.gap.instance import GAPInstance
-from repro.gap.lp import _highs_relaxation, _slot_multiplicities, solve_lp_relaxation
-from repro.gap.shmoys_tardos import _build_slots, _match_slots, shmoys_tardos
+from repro.gap.lp import _slot_multiplicities, solve_lp_relaxation
+from repro.gap.shmoys_tardos import shmoys_tardos
 from repro.market.delta import MarketDelta
 from repro.market.market import ServiceMarket
 from repro.market.pricing import Pricing
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
 from repro.utils.rng import as_rng
+
+from tests.oracles import gap_reference
+from tests.oracles.gap_reference import (
+    _build_slots,
+    _highs_relaxation,
+    _match_slots,
+    exact_gap,
+)
 
 _EPS = 1e-9
 
@@ -47,9 +56,9 @@ def unit_slot_instance(seed, n_items=12, n_slots=8, remote=True, p_forbid=0.2):
     return GAPInstance(costs=costs, weights=weights, capacities=capacities)
 
 
-def count_calls(target):
-    """Patch ``repro.gap.lp.<target>`` with a call-counting passthrough."""
-    original = getattr(lp, target)
+def count_calls(module, target):
+    """Patch ``module.<target>`` with a call-counting passthrough."""
+    original = getattr(module, target)
     calls = []
 
     @functools.wraps(original)
@@ -57,12 +66,12 @@ def count_calls(target):
         calls.append(1)
         return original(*args, **kwargs)
 
-    return mock.patch.object(lp, target, counted), calls
+    return mock.patch.object(module, target, counted), calls
 
 
 def assert_exact_relaxation(instance):
     """The assignment path fires, is 0/1, and matches the HiGHS value."""
-    lsa_patch, lsa_calls = count_calls("linear_sum_assignment")
+    lsa_patch, lsa_calls = count_calls(lp, "linear_sum_assignment")
     with lsa_patch:
         fast = solve_lp_relaxation(instance)
     assert lsa_calls
@@ -197,10 +206,10 @@ def test_paper_markets_place_as_highs_rounding(size):
 # --------------------------------------------------------------------- #
 class TestPathGuards:
     def fractional_reaches_highs(self, inst):
-        lp_patch, lp_calls = count_calls("linprog")
-        lsa_patch, lsa_calls = count_calls("linear_sum_assignment")
+        lp_patch, lp_calls = count_calls(gap_reference, "linprog")
+        lsa_patch, lsa_calls = count_calls(lp, "linear_sum_assignment")
         with lp_patch, lsa_patch:
-            result = solve_lp_relaxation(inst)
+            result = gap_reference.solve_lp_relaxation(inst)
         assert lp_calls and not lsa_calls
         return result
 
@@ -233,21 +242,22 @@ class TestPathGuards:
         stopped = OptimizeResult(
             status=1, success=False, message="Iteration limit reached."
         )
-        with mock.patch.object(lp, "linprog", return_value=stopped):
+        with mock.patch.object(gap_reference, "linprog", return_value=stopped):
             with pytest.raises(SolverError, match="Iteration limit"):
-                solve_lp_relaxation(inst)
+                gap_reference.solve_lp_relaxation(inst)
 
     def guarded_solves(self, market, solve):
         """Run ``solve(market, slot_pricing=, allow_remote=)`` on every
         option pair; each run must take the assignment path exactly once
-        and never reach HiGHS. Returns the number of feasible runs."""
+        and never reach HiGHS, which the library's LP module does not
+        import. Returns the number of feasible runs."""
+        assert not hasattr(lp, "linprog")
         solved = 0
         for pricing in ("flat", "marginal"):
             for allow_remote in (False, True):
-                relax_patch, relax_calls = count_calls("_assignment_relaxation")
-                lsa_patch, lsa_calls = count_calls("linear_sum_assignment")
-                lp_patch, lp_calls = count_calls("linprog")
-                with relax_patch, lsa_patch, lp_patch:
+                relax_patch, relax_calls = count_calls(lp, "_assignment_relaxation")
+                lsa_patch, lsa_calls = count_calls(lp, "linear_sum_assignment")
+                with relax_patch, lsa_patch:
                     try:
                         solve(market, slot_pricing=pricing, allow_remote=allow_remote)
                     except InfeasibleError:
@@ -259,7 +269,6 @@ class TestPathGuards:
                         assert len(lsa_calls) == 1
                         solved += 1
                 assert len(relax_calls) == 1
-                assert not lp_calls
         return solved
 
     @staticmethod
@@ -274,7 +283,7 @@ class TestPathGuards:
     def test_appro_on_paper_market_uses_the_assignment(self):
         # The invariant that makes a solve-time budget pointless: on every
         # paper market and option, Appro's GAP is a unit-slot instance
-        # solved by one assignment, and linprog is never called.
+        # solved by one assignment.
         solved = sum(self.guarded_solves(m, appro) for m in self.guard_markets())
         assert solved >= 18 * 2  # every allow_remote run at least
 
@@ -310,17 +319,22 @@ class TestPathGuards:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_integral_relaxation_skips_an_equal_matching(self, seed):
+        # The reference reads an integral relaxation off without matching;
+        # the library always reads it off. Both equal the full matching.
         inst = unit_slot_instance(seed)
         relaxation = solve_lp_relaxation(inst)
-        with mock.patch("repro.gap.shmoys_tardos._match_slots") as matching:
-            solution = shmoys_tardos(inst)
+        with mock.patch.object(gap_reference, "_match_slots") as matching:
+            reference = gap_reference.shmoys_tardos(inst)
         matching.assert_not_called()
+        solution = shmoys_tardos(inst)
+        assert solution.assignment == reference.assignment
         assert solution.assignment == _match_slots(relaxation)
         assert solution.lower_bound == relaxation.value
 
 
 # --------------------------------------------------------------------- #
-# The vectorised slot builder against the per-item loop it replaced.
+# The reference's vectorised slot builder against the per-item loop it
+# replaced.
 # --------------------------------------------------------------------- #
 def reference_build_slots(relaxation):
     inst = relaxation.instance
@@ -361,6 +375,6 @@ def test_build_slots_matches_the_item_loop(seed):
         weights=weights,
         capacities=np.full(n_bins, 2.0),
     )
-    relaxation = solve_lp_relaxation(inst)
+    relaxation = gap_reference.solve_lp_relaxation(inst)
     assert not np.all((relaxation.fractions == 0.0) | (relaxation.fractions == 1.0))
     assert _build_slots(relaxation) == reference_build_slots(relaxation)

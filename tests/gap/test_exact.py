@@ -1,4 +1,5 @@
-"""Tests for the exact GAP branch-and-bound."""
+"""Tests for the exact GAP branch-and-bound of the general-GAP reference
+(``tests/oracles/gap_reference.py``)."""
 
 import itertools
 
@@ -8,16 +9,17 @@ from repro.utils.rng import as_rng
 import pytest
 
 from repro.exceptions import ConfigurationError, InfeasibleError
-from repro.gap.exact import exact_gap
 from repro.gap.instance import GAPInstance, GAPSolution
+
+from tests.oracles.gap_reference import allowed, exact_gap, is_feasible
 
 
 def brute_force(inst: GAPInstance) -> float:
     best = np.inf
     for combo in itertools.product(range(inst.n_bins), repeat=inst.n_items):
         sol = GAPSolution(inst, list(combo))
-        ok = all(inst.allowed(j, i) for j, i in enumerate(combo))
-        if ok and sol.is_feasible():
+        ok = all(allowed(inst, j, i) for j, i in enumerate(combo))
+        if ok and is_feasible(sol):
             best = min(best, sol.cost)
     return best
 
@@ -37,7 +39,7 @@ class TestExactGAP:
                 assert brute_force(inst) == np.inf
                 continue
             assert sol.cost == pytest.approx(brute_force(inst))
-            assert sol.is_feasible()
+            assert is_feasible(sol)
 
     def test_respects_forbidden_pairs(self):
         inst = GAPInstance(

@@ -9,6 +9,8 @@ from repro.exceptions import InfeasibleError
 from repro.gap.greedy import greedy_gap
 from repro.gap.instance import GAPInstance
 
+from tests.oracles.gap_reference import bin_loads, is_feasible
+
 
 class TestGreedyGAP:
     def test_assigns_all_items(self):
@@ -20,7 +22,7 @@ class TestGreedyGAP:
         )
         sol = greedy_gap(inst)
         assert len(sol.assignment) == 6
-        assert sol.is_feasible()
+        assert is_feasible(sol)
         assert sol.method == "greedy"
 
     def test_respects_capacities_strictly(self):
@@ -30,8 +32,8 @@ class TestGreedyGAP:
             capacities=np.array([2.0, 2.0]),
         )
         sol = greedy_gap(inst)
-        assert sol.is_feasible()
-        loads = sol.bin_loads()
+        assert is_feasible(sol)
+        loads = bin_loads(sol)
         assert loads[0] <= 2.0 and loads[1] <= 2.0
 
     def test_picks_cheapest_when_unconstrained(self):
@@ -53,7 +55,7 @@ class TestGreedyGAP:
         sol = greedy_gap(inst)
         assert sol.assignment[1] == 0
         assert sol.assignment[0] == 1
-        assert sol.is_feasible()
+        assert is_feasible(sol)
 
     def test_infeasible_raises(self):
         inst = GAPInstance(

@@ -6,6 +6,16 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.gap.instance import GAPInstance, GAPSolution
 
+from tests.oracles.gap_reference import (
+    allowed,
+    allowed_bins,
+    bin_loads,
+    is_feasible,
+    items_in_bin,
+    max_load_ratio,
+    trivially_infeasible,
+)
+
 
 def small_instance() -> GAPInstance:
     costs = np.array([[1.0, 2.0], [3.0, 1.0], [2.0, 2.0]])
@@ -48,10 +58,11 @@ class TestGAPInstance:
         costs = np.array([[np.inf, 1.0]])
         weights = np.array([[0.5, 5.0]])
         inst = GAPInstance(costs, weights, np.array([1.0, 1.0]))
-        assert not inst.allowed(0, 0)  # inf cost
-        assert not inst.allowed(0, 1)  # weight over capacity
-        assert inst.allowed_bins(0) == []
-        assert inst.trivially_infeasible()
+        assert not allowed(inst, 0, 0)  # inf cost
+        assert not allowed(inst, 0, 1)  # weight over capacity
+        assert allowed_bins(inst, 0) == []
+        assert trivially_infeasible(inst)
+        assert not inst.allowed_mask().any()
 
     def test_1d_costs_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -63,15 +74,15 @@ class TestGAPSolution:
         inst = small_instance()
         sol = GAPSolution(inst, [0, 1, 0])
         assert sol.cost == pytest.approx(1.0 + 1.0 + 2.0)
-        assert sol.bin_loads().tolist() == [2.0, 1.0]
-        assert sol.is_feasible()
-        assert sol.items_in_bin(0) == [0, 2]
+        assert bin_loads(sol).tolist() == [2.0, 1.0]
+        assert is_feasible(sol)
+        assert items_in_bin(sol, 0) == [0, 2]
 
     def test_infeasible_load_detected(self):
         inst = small_instance()
         sol = GAPSolution(inst, [0, 0, 0])
-        assert not sol.is_feasible()
-        assert sol.max_load_ratio() == pytest.approx(1.5)
+        assert not is_feasible(sol)
+        assert max_load_ratio(sol) == pytest.approx(1.5)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ConfigurationError):

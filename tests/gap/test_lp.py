@@ -1,4 +1,5 @@
-"""Tests for the GAP LP relaxation."""
+"""Tests for the general-GAP LP relaxation of the reference
+(``tests/oracles/gap_reference.py``)."""
 
 import numpy as np
 
@@ -7,7 +8,8 @@ import pytest
 
 from repro.exceptions import InfeasibleError
 from repro.gap.instance import GAPInstance
-from repro.gap.lp import solve_lp_relaxation
+
+from tests.oracles.gap_reference import exact_gap, solve_lp_relaxation, support
 
 
 class TestLPRelaxation:
@@ -38,8 +40,6 @@ class TestLPRelaxation:
             capacities=np.full(3, 2.0),
         )
         result = solve_lp_relaxation(inst)
-        from repro.gap.exact import exact_gap
-
         optimum = exact_gap(inst)
         assert result.value <= optimum.cost + 1e-8
 
@@ -79,8 +79,8 @@ class TestLPRelaxation:
             capacities=np.ones(2),
         )
         result = solve_lp_relaxation(inst)
-        support = result.support(0)
-        assert support and all(b in (0, 1) for b in support)
+        support_ = support(result, 0)
+        assert support_ and all(b in (0, 1) for b in support_)
 
     def test_forbidden_pairs_get_zero_fraction(self):
         inst = GAPInstance(

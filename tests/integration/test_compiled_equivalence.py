@@ -30,6 +30,7 @@ from repro.market.costs import LinearCongestion, MM1Congestion, QuadraticCongest
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
 
+from tests.oracles import gap_reference
 from tests.oracles.object_graph_reference import (
     _assemble_scalar,
     _greedy_scalar,
@@ -207,7 +208,8 @@ class TestCompiledGameView:
 
 
 class TestLPAssemblyEquivalence:
-    """The library's bulk LP assembly must reproduce the per-pair scalar
+    """The general-GAP reference's bulk LP assembly
+    (``tests/oracles/gap_reference.py``) must reproduce the per-pair scalar
     oracle bit-for-bit: same allowed-pair enumeration, same matrices, same
     relaxation."""
 
@@ -215,14 +217,26 @@ class TestLPAssemblyEquivalence:
     @pytest.mark.parametrize("allow_remote", [False, True])
     def test_relaxations_bit_identical(self, seed, allow_remote):
         from repro.core.virtual_cloudlets import VirtualCloudletSplit
-        from repro.gap.lp import solve_lp_relaxation
+        from repro.gap.instance import GAPInstance
+        from repro.gap.lp import _slot_multiplicities
+        from repro.utils.rng import as_rng
 
+        # The Eq. 7 instance is unit-slot and assembles no LP; per-pair
+        # weights on its costs and capacities make it a general one.
         market = make_market(180 + seed)
         split = VirtualCloudletSplit(market, allow_remote=allow_remote)
-        instance = split.build_gap_instance()
-        with mock.patch("repro.gap.lp._assemble", _assemble_scalar):
-            scalar = solve_lp_relaxation(instance)
-        vector = solve_lp_relaxation(instance)
+        unit = split.build_gap_instance()
+        scale = as_rng(seed).uniform(0.5, 1.0, size=unit.weights.shape)
+        instance = GAPInstance(unit.costs, unit.weights * scale, unit.capacities)
+        assert _slot_multiplicities(instance) is None
+        relaxations = []
+        for assemble in (gap_reference._assemble, _assemble_scalar):
+            with mock.patch.object(
+                gap_reference, "_assemble", wraps=assemble
+            ) as assembly:
+                relaxations.append(gap_reference.solve_lp_relaxation(instance))
+            assembly.assert_called_once_with(instance)
+        vector, scalar = relaxations
         assert vector.value == scalar.value
         assert np.array_equal(vector.fractions, scalar.fractions)
 
@@ -234,7 +248,7 @@ class TestLPAssemblyEquivalence:
         mask = instance.allowed_mask()
         for j in range(instance.n_items):
             for i in range(instance.n_bins):
-                assert bool(mask[j, i]) == instance.allowed(j, i)
+                assert bool(mask[j, i]) == gap_reference.allowed(instance, j, i)
 
     def test_unknown_assembly_rejected(self):
         # One assembly path: the assemble= option left every solver.

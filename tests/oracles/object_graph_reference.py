@@ -5,7 +5,8 @@ array-backed :class:`~repro.market.compiled.CompiledMarket`. The
 object-graph and scalar paths it replaced are kept here verbatim as the
 oracles the differential suites compare it against:
 
-* :func:`_assemble_scalar` — the per-pair GAP LP assembly;
+* :func:`_assemble_scalar` — the per-pair GAP LP assembly (the oracle of
+  the bulk one in :mod:`tests.oracles.gap_reference`);
 * :func:`_greedy_scalar` — the per-item greedy regret loop;
 * :func:`object_build_gap_instance` — the Eq. (7)–(9) GAP build that
   queries the cost model per (provider, slot) pair;
@@ -61,22 +62,24 @@ from repro.network.elements import Cloudlet
 from repro.utils.contracts import invariant_capacity_feasible
 from repro.utils.validation import CAPACITY_EPS
 
+from tests.oracles.gap_reference import allowed, trivially_infeasible
+
 
 # --------------------------------------------------------------------- #
-# GAP solvers (replace repro.gap.lp._assemble / greedy._greedy_assignment)
+# GAP solvers (replace gap_reference._assemble / greedy._greedy_assignment)
 # --------------------------------------------------------------------- #
 def _assemble_scalar(
     instance: GAPInstance,
 ) -> Tuple[np.ndarray, np.ndarray, csr_matrix, csr_matrix, np.ndarray, np.ndarray]:
     """Reference per-pair assembly (kept as the differential oracle)."""
-    if instance.trivially_infeasible():
+    if trivially_infeasible(instance):
         raise InfeasibleError("some item has no admissible bin")
 
     pairs: List[Tuple[int, int]] = [
         (j, i)
         for j in range(instance.n_items)
         for i in range(instance.n_bins)
-        if instance.allowed(j, i)
+        if allowed(instance, j, i)
     ]
     col_of: Dict[Tuple[int, int], int] = {p: k for k, p in enumerate(pairs)}
     n_cols = len(pairs)
@@ -568,7 +571,6 @@ def object_social_cost_lower_bound(
 #: ``(patch target, oracle)`` for every module-level seam the library's
 #: compiled path is reached through.
 _SEAMS = (
-    ("repro.gap.lp._assemble", _assemble_scalar),
     ("repro.gap.greedy._greedy_assignment", _greedy_scalar),
     (
         "repro.core.virtual_cloudlets.VirtualCloudletSplit.build_gap_instance",
@@ -583,10 +585,9 @@ _SEAMS = (
 @contextmanager
 def use_object_graph() -> Iterator[None]:
     """Run the library on the object-graph oracles while the context is
-    open: the LP assembles per pair, greedy GAP loops per item, Appro builds
-    its GAP instance, repairs capacities and places warm newcomers through
-    the cost model, and LCF's games evaluate their tables from the cost
-    callables."""
+    open: greedy GAP loops per item, Appro builds its GAP instance, repairs
+    capacities and places warm newcomers through the cost model, and LCF's
+    games evaluate their tables from the cost callables."""
     with ExitStack() as stack:
         for target, oracle in _SEAMS:
             stack.enter_context(mock.patch(target, oracle))
