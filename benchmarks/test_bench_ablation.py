@@ -2,14 +2,14 @@
 
 A2: the Largest-Cost-First coordination rule vs smallest-cost vs random.
 A3: the paper's linear congestion model vs quadratic vs M/M/1.
-A4: the GAP engine inside Appro (Shmoys–Tardos vs greedy), plus the
-    simulated-annealing upper-baseline.
+A4: the GAP engine inside Appro (Shmoys–Tardos vs greedy), plus Appro
+    against the exact social optimum.
 """
 
 import numpy as np
 
-from repro.core.annealing import annealed_caching
 from repro.core.appro import appro
+from repro.core.optimal import optimal_caching
 from repro.experiments.figures import (
     ablation_congestion_models,
     ablation_gap_solvers,
@@ -49,9 +49,9 @@ def test_bench_ablation_topologies(benchmark, config, emit):
         assert point["LCF"].social_cost < point["JoOffloadCache"].social_cost
 
 
-def test_bench_ablation_annealing(benchmark, config, emit):
-    """How much headroom does Appro leave? Compare against a long
-    simulated-annealing chain on the same (fully cacheable) markets."""
+def test_bench_ablation_optimum(benchmark, config, emit):
+    """How much headroom does Appro leave? Compare against the exact
+    social optimum on the same (fully cacheable) markets."""
 
     def run():
         rows = []
@@ -59,18 +59,18 @@ def test_bench_ablation_annealing(benchmark, config, emit):
             network = random_mec_network(config.default_size, rng=seed)
             market = generate_market(network, config.n_providers, rng=seed + 50)
             ap = appro(market, allow_remote=False)
-            an = annealed_caching(market, iterations=30_000, rng=seed)
-            rows.append((seed, ap.social_cost, an.social_cost))
+            opt = optimal_caching(market)
+            rows.append((seed, ap.social_cost, opt.social_cost))
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = Table(["seed", "Appro", "Annealed", "ratio"])
-    for seed, ap_cost, an_cost in rows:
-        table.add_row([seed, ap_cost, an_cost, ap_cost / an_cost])
-    emit(table.render(title="[A4+] Appro vs simulated annealing"))
+    table = Table(["seed", "Appro", "Optimal", "ratio"])
+    for seed, ap_cost, opt_cost in rows:
+        table.add_row([seed, ap_cost, opt_cost, ap_cost / opt_cost])
+    emit(table.render(title="[A4+] Appro vs the exact optimum"))
     # Appro's marginal pricing should stay within a few percent of the
-    # annealed solution (which approaches the social optimum).
-    mean_ratio = np.mean([ap / an for _, ap, an in rows])
+    # social optimum.
+    mean_ratio = np.mean([ap / opt for _, ap, opt in rows])
     assert mean_ratio < 1.10
 
 

@@ -1,9 +1,10 @@
 """Ablation A1 — empirical approximation ratio and Price of Anarchy.
 
-Small markets where the exact optimum is computable: verifies Lemma 2
-(Appro with the literal Eq. 9 costs stays within 2*delta*kappa of the
-optimum) and Theorem 1 (the worst sampled equilibrium stays within the PoA
-bound), and reports how loose the closed forms are in practice.
+On the default 8-provider markets (EXPERIMENTS.md also reports 60-provider
+ones), against the exact optimum: verifies Lemma 2 (Appro with the literal
+Eq. 9 costs stays within 2*delta*kappa of the optimum) and Theorem 1 (the
+worst sampled equilibrium stays within the PoA bound), and reports how
+loose the closed forms are in practice.
 """
 
 from repro.experiments.figures import poa_study

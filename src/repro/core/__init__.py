@@ -7,8 +7,10 @@
   approximation-restricted Stackelberg strategy.
 * :mod:`~repro.core.baselines` — ``JoOffloadCache`` [23] and
   ``OffloadCache`` [20].
-* :func:`~repro.core.optimal.optimal_caching` — exact optimum for small
-  instances (empirical ratio / PoA studies).
+* :func:`~repro.core.optimal.optimal_caching` and
+  :func:`~repro.core.lower_bound.social_cost_lower_bound` — one Eq. (6)
+  program on the compiled tables, solved integral for the exact optimum
+  and relaxed for the LP lower bound (empirical ratio / PoA studies).
 * :mod:`~repro.core.bounds` — Lemma 2 and Theorem 1 closed forms.
 """
 
@@ -24,7 +26,6 @@ from repro.core.multicache import (
     MultiCacheAssignment,
     greedy_multicache,
 )
-from repro.core.annealing import annealed_caching
 from repro.core.tolls import optimize_toll_level, tolled_selfish_market
 from repro.core.lower_bound import social_cost_lower_bound
 from repro.core.vcg import VCGOutcome, vcg_payments
@@ -45,7 +46,6 @@ __all__ = [
     "stackelberg_poa_bound",
     "MultiCacheAssignment",
     "greedy_multicache",
-    "annealed_caching",
     "optimize_toll_level",
     "tolled_selfish_market",
     "social_cost_lower_bound",

@@ -1,58 +1,68 @@
-"""A rigorous LP lower bound on the optimal social cost.
+"""The Eq. (6) program on the compiled tables, and its LP lower bound.
 
-The exact solver (:mod:`repro.core.optimal`) is limited to ~14 providers.
-For full-scale instances this module bounds the optimum from below with a
-linear program over fractional placements, read off the market's
-:class:`~repro.market.compiled.CompiledMarket`:
+One program, read off the market's
+:class:`~repro.market.compiled.CompiledMarket`, serves both the bound and
+the exact optimum: :func:`social_cost_lower_bound` solves it relaxed, and
+:func:`repro.core.optimal.optimal_caching` solves it with every variable
+binary. Its columns and rows (:func:`solve_eq6_program`):
 
-* ``x[l, i]`` — provider ``l`` fractionally cached on cloudlet ``i``, one
-  column per pair with a finite fixed cost (latency-budget violations get
-  no column), priced at that fixed cost;
+* ``x[l, i]`` — provider ``l`` cached on cloudlet ``i``, one column per
+  pair with a finite fixed cost (latency-budget violations get no column),
+  priced at that fixed cost;
 * ``y[i, k] in [0, 1]`` — how full slot ``k`` of cloudlet ``i`` is, for
   ``k <= K_i = min(n, floor(C_i / a_min), floor(B_i / b_min))``, priced at
   the marginal congestion charge
   ``(alpha_i + beta_i) * (k*g(k) - (k-1)*g(k-1))``;
 * ``r[l]`` — provider ``l`` served remotely (only with ``allow_remote``);
-* rows ``sum_i x[l, i] + r[l] = 1``, ``sum_l x[l, i] = sum_k y[i, k]``, and
-  the true compute / bandwidth capacities on ``sum_l x[l, i]``.
+* rows ``sum_i x[l, i] + r[l] = 1``, ``sum_l x[l, i] = sum_k y[i, k]``,
+  the true compute / bandwidth capacities on ``sum_l x[l, i]``, and the
+  ordering ``y[i, k+1] <= y[i, k]``.
 
 Filling the first ``k_i`` slots bills exactly the social cost
 ``(alpha_i + beta_i) * k_i * g(k_i) + fixed`` of an integral placement
-(the telescoping identity of the marginal-priced reduction), so every
-integral feasible placement induces a feasible LP point of equal objective
-(occupants of a cloudlet fill its cheapest slots first — any other slot
-choice costs weakly more), hence ``LP* <= OPT``.
+(the telescoping identity of the marginal-priced reduction), and the
+ordering rows force every integral point to fill a prefix, so the integral
+program is Eq. (6) exactly, for any congestion function. Every integral
+feasible placement is thus a feasible LP point of equal objective, hence
+``LP* <= OPT``.
 
-This is the slotted LP with one column per (provider, cloudlet, slot)
-aggregated over the slots: any ``(x, y)`` with equal per-cloudlet totals
-splits back into a slotted ``x[l, i, k]`` (a transportation problem with
-equal totals), so both have the same optimum. The slotted form is kept as
-the test oracle. The bound is what the benchmarks report as the
+Where the marginals rise (the paper's linear ``g``, and every convex
+``k*g(k)``) the relaxation fills the cheapest slots first anyway, so the
+ordering rows are slack and the relaxation is the slotted LP with one
+column per (provider, cloudlet, slot) aggregated over the slots: any
+``(x, y)`` with equal per-cloudlet totals splits back into a slotted
+``x[l, i, k]`` (a transportation problem with equal totals), so both have
+the same optimum. The slotted form is kept as the test oracle. The bound is what the benchmarks report as the
 *optimality gap* of Appro/LCF at scale.
 """
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
 from scipy.sparse import csr_matrix
 
 from repro.exceptions import InfeasibleError, SolverError
+from repro.market.compiled import CompiledMarket
 from repro.market.market import ServiceMarket
 
 
-def social_cost_lower_bound(
-    market: ServiceMarket,
-    allow_remote: bool = False,
-) -> float:
-    """Solve the aggregated slot LP relaxation (see module docstring).
+def solve_eq6_program(
+    cm: CompiledMarket,
+    allow_remote: bool,
+    integral: bool,
+) -> Tuple[OptimizeResult, np.ndarray, np.ndarray]:
+    """Assemble and solve the Eq. (6) program (see module docstring).
 
-    ``allow_remote`` adds each provider's remote-serving option, matching
-    algorithms run with their remote fallback enabled. Raises
-    :class:`InfeasibleError` when not even the relaxation can place
-    everyone (and remote is off).
+    Returns the HiGHS result and the ``(provider, cloudlet)`` position of
+    each ``x`` column (in ``active_rows`` order); the ``x`` columns come
+    first in ``result.x``. ``integral`` makes every variable binary and
+    closes the MIP gap to zero. Raises :class:`InfeasibleError` when a
+    provider has no finite pair and no remote option, or when the program
+    itself is infeasible.
     """
-    cm = market.compile()
     rows = cm.active_rows
     fixed = cm.fixed[rows]
     demand = cm.demand[rows]
@@ -99,30 +109,55 @@ def social_cost_lower_bound(
         shape=(n + m, c.size),
     )
     b_eq = np.concatenate([np.ones(n), np.zeros(m)])
-    # Inequalities: the compute rows, then the bandwidth rows.
+    # Inequalities: the compute rows, then the bandwidth rows, then one
+    # ordering row y[i, k] - y[i, k-1] <= 0 per slot past each first.
+    later = y_cols[slot_k > 1]
+    order_rows = 2 * m + np.arange(later.size)
     a_ub = csr_matrix(
         (
-            np.concatenate([demand[pair_l, 0], demand[pair_l, 1]]),
-            (np.concatenate([pair_i, m + pair_i]), np.concatenate([x_cols, x_cols])),
+            np.concatenate([
+                demand[pair_l, 0], demand[pair_l, 1],
+                np.ones(later.size), -np.ones(later.size),
+            ]),
+            (
+                np.concatenate([pair_i, m + pair_i, order_rows, order_rows]),
+                np.concatenate([x_cols, x_cols, later, later - 1]),
+            ),
         ),
-        shape=(2 * m, c.size),
+        shape=(2 * m + later.size, c.size),
     )
-    b_ub = cm.capacity.T.ravel()
+    b_ub = np.concatenate([cm.capacity.T.ravel(), np.zeros(later.size)])
 
-    result = linprog(
+    result = milp(
         c,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=(0.0, 1.0),
-        method="highs",
+        integrality=np.full(c.size, int(integral)),
+        bounds=Bounds(0.0, 1.0),
+        constraints=[
+            LinearConstraint(a_eq, b_eq, b_eq),
+            LinearConstraint(a_ub, -np.inf, b_ub),
+        ],
+        options={"mip_rel_gap": 0.0} if integral else {},
     )
     if result.status == 2:
-        raise InfeasibleError("the LP relaxation itself is infeasible")
+        raise InfeasibleError("the Eq. 6 program is infeasible")
     if not result.success:
-        raise SolverError(f"linprog failed: {result.message}")
+        raise SolverError(f"milp failed: {result.message}")
+    return result, pair_l, pair_i
+
+
+def social_cost_lower_bound(
+    market: ServiceMarket,
+    allow_remote: bool = False,
+) -> float:
+    """Solve the Eq. (6) program relaxed (see module docstring).
+
+    ``allow_remote`` adds each provider's remote-serving option, matching
+    algorithms run with their remote fallback enabled. Raises
+    :class:`InfeasibleError` when not even the relaxation can place
+    everyone (and remote is off).
+    """
+    result, _, _ = solve_eq6_program(market.compile(), allow_remote, integral=False)
     return float(result.fun)
 
 
-__all__ = ["social_cost_lower_bound"]
+__all__ = ["social_cost_lower_bound", "solve_eq6_program"]

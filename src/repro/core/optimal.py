@@ -1,145 +1,77 @@
-"""Exact optimal service caching for small instances.
+"""Exact optimal service caching: the Eq. (6) program solved integral.
 
-Branch-and-bound over full placements under the true congestion-aware cost
-(Eq. 3). The bound at a partial placement is
-
-``cost committed so far (at current occupancies)  +
-  sum over free providers of their cheapest occupancy-1 cost``
-
-which is admissible because congestion costs are non-decreasing: adding
-providers never cheapens anyone. Practical to roughly 12 providers on 8
-cloudlets — enough for the empirical approximation-ratio and PoA studies
-(ablation A1); the social optimum is NP-hard in general, which is the whole
-reason Algorithm 1 exists.
+:func:`optimal_caching` solves the program of
+:mod:`repro.core.lower_bound` with every variable binary, as one HiGHS
+MILP closed to a zero gap. The ordering rows make the integral program
+Eq. (6) exactly for any congestion function, so its optimum is the social
+optimum the empirical approximation-ratio and PoA studies (ablation A1)
+measure against. The social optimum is NP-hard in general (the whole
+reason Algorithm 1 exists), but HiGHS solves paper-scale markets in
+seconds. The branch-and-bound search this replaced is the test oracle
+``tests/oracles/optimal_reference.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import math
 
 import numpy as np
 
 from repro.core.assignment import CachingAssignment, Stopwatch
-from repro.exceptions import ConfigurationError, InfeasibleError
+from repro.core.lower_bound import solve_eq6_program
+from repro.exceptions import ConfigurationError, SolverError
 from repro.market.market import ServiceMarket
 from repro.utils.validation import CAPACITY_EPS
 
-_MAX_PROVIDERS = 14
+_MAX_PROVIDERS = 300
 
-#: Slack subtracted from the incumbent before pruning a branch: keeps
-#: float-accumulation noise from discarding placements that tie the optimum.
-_PRUNE_EPS = 1e-12
+#: Relative disagreement tolerated between the MILP objective and the
+#: placement's social cost recomputed from the tables.
+_OBJECTIVE_RTOL = 1e-9
 
 
 def optimal_caching(
     market: ServiceMarket,
     max_providers: int = _MAX_PROVIDERS,
 ) -> CachingAssignment:
-    """The socially optimal placement by exhaustive branch-and-bound.
+    """The socially optimal placement, every provider cached.
 
-    The search tables (fixed costs, congestion coefficients and factors,
-    demands and capacities) come from the market's compiled view — the
-    entries are exactly the cost-model evaluations this function used to
-    tabulate itself, so results are unchanged.
-
-    Raises :class:`ConfigurationError` for markets larger than
-    ``max_providers`` and :class:`InfeasibleError` when no complete feasible
-    placement exists.
+    The placement is read off ``x > 0.5``, re-checked against the
+    capacities at ``CAPACITY_EPS`` (HiGHS has its own primal tolerance) and
+    re-costed with the compiled tables; ``info["optimal_cost"]`` is that
+    recomputed cost. Raises :class:`ConfigurationError` for markets larger
+    than ``max_providers``, :class:`InfeasibleError` when no complete
+    feasible placement exists, and :class:`SolverError` when the read-off
+    placement overloads a cloudlet or its cost differs from the MILP
+    objective by more than ``1e-9`` relative.
     """
-    providers = market.providers
-    n = len(providers)
+    n = market.num_providers
     if n > max_providers:
         raise ConfigurationError(
             f"optimal_caching is limited to {max_providers} providers, got {n}"
         )
-    cloudlets = market.network.cloudlets
-    m = len(cloudlets)
     cm = market.compile()
-
-    # Gather the provider-indexed tables into id order (identity on a
-    # dense compile; required after delta patches tombstone/append rows).
-    fixed = cm.fixed[cm.active_rows]
-    shared = cm.coeff
-    # congestion factors g(0..n) are shared across players and cloudlets.
-    g = cm.g
-
-    # Admissible per-provider floor: cheapest fixed cost + the cheapest
-    # possible congestion charge (occupancy 1 on the least congested
-    # cloudlet); suffix-summed for O(1) bound lookups during the search.
-    per_provider_floor = fixed.min(axis=1) + shared.min() * g[1]
-    suffix = np.zeros(n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + per_provider_floor[j]
-
-    caps = cm.capacity
-    demands = cm.demand[cm.active_rows]
-
-    best_cost = np.inf
-    best_assign: Optional[List[int]] = None
-    assign = [-1] * n
-    counts = np.zeros(m, dtype=int)
-    loads = np.zeros((m, 2))
-
-    def placement_cost(counts_arr: np.ndarray, assign_list: List[int]) -> float:
-        total = 0.0
-        for j, i in enumerate(assign_list):
-            total += fixed[j, i]
-        for i in range(m):
-            k = counts_arr[i]
-            if k:
-                total += k * shared[i] * g[k]
-        return total
-
-    def partial_cost() -> float:
-        # Cost of committed providers at *current* occupancies (a lower
-        # bound on their final cost, since occupancies only grow).
-        total = 0.0
-        for i in range(m):
-            k = counts[i]
-            if k:
-                total += k * shared[i] * g[k]
-        for j in range(n):
-            if assign[j] >= 0:
-                total += fixed[j, assign[j]]
-        return total
-
-    def dfs(j: int) -> None:
-        nonlocal best_cost, best_assign
-        if partial_cost() + suffix[j] >= best_cost - _PRUNE_EPS:
-            return
-        if j == n:
-            cost = placement_cost(counts, assign)
-            if cost < best_cost:
-                best_cost = cost
-                best_assign = assign.copy()
-            return
-        order = np.argsort(fixed[j])
-        for i in order:
-            if np.any(loads[i] + demands[j] > caps[i] + CAPACITY_EPS):
-                continue
-            assign[j] = int(i)
-            counts[i] += 1
-            loads[i] += demands[j]
-            dfs(j + 1)
-            loads[i] -= demands[j]
-            counts[i] -= 1
-            assign[j] = -1
-
     with Stopwatch() as watch:
-        dfs(0)
-
-    if best_assign is None:
-        raise InfeasibleError("no feasible complete placement exists")
-    placement: Dict[int, int] = {
-        providers[j].provider_id: cloudlets[i].node_id
-        for j, i in enumerate(best_assign)
+        result, pair_l, pair_i = solve_eq6_program(cm, allow_remote=False, integral=True)
+    chosen = result.x[: pair_l.size] > 0.5
+    placement = {
+        cm.provider_ids[row]: cm.cloudlet_nodes[col]
+        for row, col in zip(pair_l[chosen].tolist(), pair_i[chosen].tolist())
     }
+    if np.any(cm.load_matrix(placement) > cm.capacity + CAPACITY_EPS):
+        raise SolverError("the MILP placement overloads a cloudlet")
+    cost = cm.social_cost(placement)
+    if not math.isclose(cost, result.fun, rel_tol=_OBJECTIVE_RTOL):
+        raise SolverError(
+            f"the MILP objective {result.fun!r} is not the placement's "
+            f"social cost {cost!r}"
+        )
     return CachingAssignment(
         market=market,
         placement=placement,
         algorithm="Optimal",
         runtime_s=watch.elapsed,
-        info={"optimal_cost": best_cost},
+        info={"optimal_cost": cost},
     )
 
 

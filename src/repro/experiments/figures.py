@@ -482,10 +482,9 @@ def poa_study(
 ) -> Dict[str, float]:
     """A1: empirical approximation ratio and PoA against the closed forms.
 
-    Small instances only — the exact optimum is branch-and-bound. Returns
-    the measured worst ratios plus the Lemma 2 / Theorem 1 bounds, and the
-    worst certified gap of marginal-priced Appro against the LP lower
-    bound (valid at any scale, reported here on the same instances).
+    Returns the measured worst ratios against the exact optimum (the
+    Eq. 6 MILP) plus the Lemma 2 / Theorem 1 bounds, and the worst
+    certified gap of marginal-priced Appro against the LP lower bound.
     """
     from repro.core.lower_bound import social_cost_lower_bound
 

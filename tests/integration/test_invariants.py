@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import appro, jo_offload_cache, lcf, offload_cache
-from repro.core.annealing import annealed_caching
+from repro.core.optimal import optimal_caching
 from repro.exceptions import InfeasibleError
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
@@ -65,10 +65,13 @@ class TestAlgorithmInvariants:
 
     @given(market=markets())
     @settings(**COMMON)
-    def test_annealing_feasible_when_market_cacheable(self, market):
+    def test_optimal_feasible_when_market_cacheable(self, market):
         try:
-            result = annealed_caching(market, iterations=500, rng=0)
+            result = optimal_caching(market)
         except InfeasibleError:
             return
         result.check_capacities()
         assert len(result.placement) == market.num_providers
+        opt = result.social_cost
+        for heuristic in (appro, jo_offload_cache, offload_cache):
+            assert opt <= heuristic(market).social_cost * (1 + 1e-9)
