@@ -485,6 +485,10 @@ def poa_study(
     Returns the measured worst ratios against the exact optimum (the
     Eq. 6 MILP) plus the Lemma 2 / Theorem 1 bounds, and the worst
     certified gap of marginal-priced Appro against the LP lower bound.
+    Appro runs without a remote fallback, so a market whose Eq. 7 split
+    has fewer virtual slots than providers has no Appro placement: it is
+    left out of both Appro ratios and counted in
+    ``appro_infeasible_reps``.
     """
     from repro.core.lower_bound import social_cost_lower_bound
 
@@ -493,6 +497,7 @@ def poa_study(
     bound_ratio = 0.0
     bound_poa = 0.0
     certified_gap_worst = 0.0
+    appro_infeasible = 0
     xi = 0.5
     for rep in range(repetitions):
         network = random_mec_network(n_nodes, rng=seed + rep)
@@ -500,14 +505,16 @@ def poa_study(
         optimum = optimal_caching(market)
         opt_cost = optimum.social_cost
 
-        approx = appro(market, slot_pricing="flat")
-        ratio_worst = max(ratio_worst, approx.social_cost / opt_cost)
-
-        marginal = appro(market, slot_pricing="marginal")
-        lb = social_cost_lower_bound(market)
-        certified_gap_worst = max(certified_gap_worst, marginal.social_cost / lb)
-
         split = VirtualCloudletSplit(market)
+        if len(split.virtual_cloudlets) < n_providers:
+            appro_infeasible += 1
+        else:
+            approx = appro(market, slot_pricing="flat")
+            ratio_worst = max(ratio_worst, approx.social_cost / opt_cost)
+            marginal = appro(market, slot_pricing="marginal")
+            lb = social_cost_lower_bound(market)
+            certified_gap_worst = max(certified_gap_worst, marginal.social_cost / lb)
+
         bound_ratio = max(bound_ratio, appro_ratio_bound(split.delta, split.kappa))
         bound_poa = max(
             bound_poa, stackelberg_poa_bound(split.delta, split.kappa, xi)
@@ -524,6 +531,7 @@ def poa_study(
         "theorem1_bound": bound_poa,
         "optimal_v": optimal_v(xi),
         "appro_marginal_certified_gap": certified_gap_worst,
+        "appro_infeasible_reps": appro_infeasible,
     }
 
 

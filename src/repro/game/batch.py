@@ -70,6 +70,16 @@ Commit = Tuple[Hashable, Hashable, Hashable, float]
 SPARSE_REPROPOSE_BUDGET: Final[int] = 2048
 
 
+def _fits(loads: np.ndarray, demand: np.ndarray, cap_eps: np.ndarray) -> np.ndarray:
+    """``np.all(loads + demand <= cap_eps, axis=-1)``, one capacity
+    dimension at a time: the same IEEE sums and comparisons, and-ed
+    together, without materialising the ``(..., dims)`` load block."""
+    ok = loads[..., 0] + demand[..., 0] <= cap_eps[..., 0]
+    for d in range(1, demand.shape[-1]):
+        ok &= loads[..., d] + demand[..., d] <= cap_eps[..., d]
+    return ok
+
+
 class _BatchState:
     """Live array state of one dynamics run (movers in priority order)."""
 
@@ -88,12 +98,15 @@ class _BatchState:
         )
         #: Mover-major slices of the compiled tables (row ``t`` is the
         #: ``t``-th player in priority order).
-        self.fixed = c.fixed[rows] if len(move_order) else np.empty((0, c.n_resources))
-        self.demand = (
-            c.demand[rows]
-            if c.demand is not None and len(move_order)
-            else (np.empty((0, c.n_resources, 1)) if c.demand is not None else None)
-        )
+        self.fixed = c.fixed[rows]
+        self.demand: Optional[np.ndarray] = None
+        if c.demand is not None:
+            # The market game broadcasts each provider's demand across the
+            # cloudlets (stride 0): gather only the movers' ``(1, dims)``
+            # rows and keep the cloudlet axis a view, never materialised.
+            cols = slice(0, 1) if c.demand.strides[1] == 0 else slice(None)
+            shape = (len(rows), *c.demand.shape[1:])
+            self.demand = np.broadcast_to(c.demand[rows, cols], shape)
         self.occ = c.occupancy_vector(profile)
         self.loads = c.load_matrix(profile)
         #: ``capacity + CAPACITY_EPS``, precomputed once — the same sum the
@@ -125,8 +138,7 @@ class _BatchState:
         as ``CompiledGame.feasible_mask``, batched over the mover block."""
         if self.demand is None or self.loads is None or self.cap_eps is None:
             return None
-        new_load = self.loads[None, :, :] + self.demand[lo:]
-        return np.all(new_load <= self.cap_eps[None, :, :], axis=2)
+        return _fits(self.loads, self.demand[lo:], self.cap_eps)
 
     def propose(self, lo: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Jacobi phase over pending movers ``[lo:]`` at the live state.
@@ -208,10 +220,8 @@ def _dense_scan(
                     and state.demand is not None
                     and state.cap_eps is not None
                 ):
-                    fits = np.all(
-                        state.loads[col][None, :] + state.demand[t + 1 :, col, :]
-                        <= state.cap_eps[col][None, :],
-                        axis=1,
+                    fits = _fits(
+                        state.loads[col], state.demand[t + 1 :, col], state.cap_eps[col]
                     )
                     colvals = np.where(fits, colvals, np.inf)
                 em[rel:, col] = colvals

@@ -45,9 +45,10 @@ return the same float, not merely the same value within tolerance.
 
 from __future__ import annotations
 
-import bisect
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple, TYPE_CHECKING
+from typing import (
+    TYPE_CHECKING, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -65,100 +66,114 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (market imports us)
 #: (beyond one full active population's worth).
 COMPACTION_SLACK = 16
 
-class _ProviderRow(NamedTuple):
-    """One provider's worth of compiled table entries."""
+class _RowBlock(NamedTuple):
+    """A block of providers' rows of the per-provider tables (the fields
+    are named after the :class:`CompiledMarket` tables they fill)."""
 
-    instantiation: float
-    remote: float
-    demand: np.ndarray  # (2,)
-    access: np.ndarray  # (m,)
-    update: np.ndarray  # (m,)
-    user_delay: np.ndarray  # (m,)
-    access_delay: Optional[np.ndarray]  # (m,) or None without a budget
+    instantiation: np.ndarray  # (k,)
+    remote: np.ndarray  # (k,)
+    demand: np.ndarray  # (k, 2)
+    access: np.ndarray  # (k, m)
+    update: np.ndarray  # (k, m)
+    user_delay: np.ndarray  # (k, m)
+    fixed: np.ndarray  # (k, m)
 
 
 class _ProviderRowBuilder:
-    """Evaluates one provider's table rows from the market's cost model.
+    """Evaluates a block of providers' table rows from the market's cost model.
 
-    Shared by :meth:`CompiledMarket.from_market` (all rows at build time)
-    and :meth:`CompiledMarket.apply_delta` (arrival rows only), so a
+    Shared by :meth:`CompiledMarket.from_market` (every provider at build
+    time) and :meth:`CompiledMarket.apply_delta` (a delta's arrivals), so a
     delta-patched row is bit-equal to the row a fresh compile would have
     produced — same operand order, same memoised routing rows.
+
+    Hop counts come from one ``(nodes, cloudlets)`` block whose column
+    ``j`` is cloudlet ``j``'s hop row: hop counts are integers and network
+    graphs are undirected, so ``hops(u → c) == hop_row(c)[u]`` exactly, and
+    one row per cloudlet serves every endpoint. Delays are float sums whose
+    last bit depends on the direction they are summed in, so they stay
+    source-side: one delay row per distinct cluster or user node.
+
+    Multi-cluster services fold rank by rank: rank ``r`` adds every
+    provider's ``r``-th cluster term with the same elementwise operations,
+    in the same order, as the per-cluster loop of the scalar cost model.
     """
 
     def __init__(self, market: "ServiceMarket") -> None:
-        model = market.cost_model
-        net = market.network
-        self.model = model
-        self.routing = net.routing
-        self.cl_nodes = [cl.node_id for cl in net.cloudlets]
+        model = self.model = market.cost_model
+        self.routing = market.network.routing
+        cloudlets = market.network.cloudlets
         self.transmit = model.pricing.transmit_per_gb
         self.surcharge = model.pricing.hop_surcharge
         self.budget = model.latency_budget_ms
-        self.bdw_units = np.array(
-            [cl.bdw_unit_cost for cl in net.cloudlets], dtype=float
+        self.bdw_units = np.array([cl.bdw_unit_cost for cl in cloudlets], dtype=float)
+        self._cl_idx = self.routing.index_of(cl.node_id for cl in cloudlets)
+        self._hops = np.stack(
+            [self.routing.hop_row(cl.node_id) for cl in cloudlets], axis=1
         )
-        # One single-source row per distinct endpoint (user nodes, home
-        # DCs), gathered over the cloudlet columns by node position. Values
-        # are the routing table's memoised shortest-path rows, the same ones
-        # the per-pair queries return.
-        self._cl_idx = self.routing.index_of(self.cl_nodes)
-        self._hop_cache: Dict[int, np.ndarray] = {}
-        self._delay_cache: Dict[int, np.ndarray] = {}
 
-    def hops_to_cloudlets(self, u: int) -> np.ndarray:
-        arr = self._hop_cache.get(u)
-        if arr is None:
-            arr = self._hop_cache[u] = self.routing.hop_row(u)[self._cl_idx]
-        return arr
+    def _delays(self, nodes: List[int]) -> np.ndarray:
+        """``(len(nodes), m)`` delays to the cloudlets, one memoised
+        source-side row per distinct node."""
+        slot = {u: i for i, u in enumerate(dict.fromkeys(nodes))}
+        block = np.array(
+            [self.routing.delay_row(u)[self._cl_idx] for u in slot], dtype=float
+        ).reshape(len(slot), len(self._cl_idx))
+        return block[[slot[u] for u in nodes]]
 
-    def delays_to_cloudlets(self, u: int) -> np.ndarray:
-        arr = self._delay_cache.get(u)
-        if arr is None:
-            arr = self._delay_cache[u] = self.routing.delay_row(u)[self._cl_idx]
-        return arr
+    def build(self, providers: Sequence["ServiceProvider"]) -> _RowBlock:
+        k, m = len(providers), len(self._cl_idx)
+        services = [p.service for p in providers]
+        clusters = [svc.clusters for svc in services]
+        # Remote pricing asks hops(cluster → home DC): solve each home DC's
+        # row here, so the cost model's lookups read a memoised row.
+        for dc in dict.fromkeys(svc.home_dc for svc in services):
+            self.routing.hop_row(dc)
+        instantiation = np.array(
+            [self.model.instantiation_cost(p) for p in providers], dtype=float
+        )
+        remote = np.array([self.model.remote_cost(p) for p in providers], dtype=float)
+        demand = np.array(
+            [(p.compute_demand, p.bandwidth_demand) for p in providers], dtype=float
+        ).reshape(k, 2)
 
-    def build(self, p: "ServiceProvider") -> _ProviderRow:
-        svc = p.service
-        m = len(self.cl_nodes)
-        # access_cost: per-cluster transmission charges, folded in
-        # cluster order — volume * price * (1 + surcharge * hops).
-        acc = np.zeros(m, dtype=float)
-        for node, weight in svc.clusters:
-            volume_price = (svc.request_traffic_gb * weight) * self.transmit
-            acc = acc + volume_price * (
-                1.0 + self.surcharge * self.hops_to_cloudlets(node)
+        # access_cost: per-cluster transmission charges, folded in cluster
+        # order — volume * price * (1 + surcharge * hops).
+        traffic = np.array([svc.request_traffic_gb for svc in services], dtype=float)
+        access = np.zeros((k, m), dtype=float)
+        access_delay = np.zeros((k, m), dtype=float) if self.budget is not None else None
+        for rank in range(max(map(len, clusters), default=0)):
+            live = [i for i, cs in enumerate(clusters) if len(cs) > rank]
+            nodes = [clusters[i][rank][0] for i in live]
+            weight = np.array([clusters[i][rank][1] for i in live], dtype=float)
+            volume_price = (traffic[live] * weight) * self.transmit
+            hops = self._hops[self.routing.index_of(nodes)]
+            access[live] = access[live] + volume_price[:, None] * (
+                1.0 + self.surcharge * hops
             )
+            if access_delay is not None:
+                dly = weight[:, None] * self._delays(nodes)
+                access_delay[live] = access_delay[live] + dly
+
         # update_cost: cloudlet bandwidth charge plus the hop-scaled
         # consistency-update transit back to the home data center.
-        vol = svc.update_volume_gb
-        upd = self.bdw_units * vol + (vol * self.transmit) * (
-            1.0 + self.surcharge * self.hops_to_cloudlets(svc.home_dc)
-        )
-        access_delay: Optional[np.ndarray] = None
-        if self.budget is not None:
-            dly = np.zeros(m, dtype=float)
-            for node, weight in svc.clusters:
-                dly = dly + weight * self.delays_to_cloudlets(node)
-            access_delay = dly
-        return _ProviderRow(
-            instantiation=self.model.instantiation_cost(p),
-            remote=self.model.remote_cost(p),
-            demand=np.array([p.compute_demand, p.bandwidth_demand], dtype=float),
-            access=acc,
-            update=upd,
-            user_delay=self.delays_to_cloudlets(svc.user_node),
-            access_delay=access_delay,
-        )
+        vol = np.array([svc.update_volume_gb for svc in services], dtype=float)
+        dc_hops = self._hops[self.routing.index_of([svc.home_dc for svc in services])]
+        transit = (vol * self.transmit)[:, None] * (1.0 + self.surcharge * dc_hops)
+        update = self.bdw_units[None, :] * vol[:, None] + transit
 
-    def fixed_row(self, row: _ProviderRow) -> np.ndarray:
-        """Eq. (3)'s congestion-free cost with the latency-budget mask —
-        elementwise the same ``inst + access + update`` fold (and the same
-        ``np.where`` mask) as the 2-D build in :meth:`from_market`."""
-        fixed = row.instantiation + row.access + row.update
-        if row.access_delay is not None:
-            fixed = np.where(row.access_delay > self.budget, np.inf, fixed)
-        return fixed
+        fixed = instantiation[:, None] + access + update
+        if access_delay is not None:
+            fixed = np.where(access_delay > self.budget, np.inf, fixed)
+        return _RowBlock(
+            instantiation=instantiation,
+            remote=remote,
+            demand=demand,
+            access=access,
+            update=update,
+            user_delay=self._delays([svc.user_node for svc in services]),
+            fixed=fixed,
+        )
 
 
 class CompiledMarket:
@@ -245,19 +260,7 @@ class CompiledMarket:
     # Write sanitizer
     # ------------------------------------------------------------------ #
     #: The numpy tables the sanitizer freezes/thaws as one unit.
-    _TABLE_FIELDS = (
-        "fixed",
-        "instantiation",
-        "access",
-        "update",
-        "coeff",
-        "g",
-        "shared",
-        "demand",
-        "capacity",
-        "remote",
-        "user_delay",
-    )
+    _TABLE_FIELDS = _RowBlock._fields + ("coeff", "g", "shared", "capacity")
 
     def _set_tables_writeable(self, writeable: bool) -> None:
         for name in self._TABLE_FIELDS:
@@ -274,7 +277,7 @@ class CompiledMarket:
         Reentrant (``apply_delta`` calls ``_grow_rows``/``compact`` inside
         its own context): a depth counter thaws on first entry and
         re-freezes on last exit. The exit freeze iterates the *current*
-        attribute values, so paths that rebind a table (``np.vstack``
+        attribute values, so paths that rebind a table (``np.concatenate``
         growth, compaction gathers) leave the new arrays frozen too.
         """
         if not self._sanitize:
@@ -309,9 +312,10 @@ class CompiledMarket:
     def from_market(cls, market: "ServiceMarket") -> "CompiledMarket":
         """Evaluate the market's cost model once into dense tables.
 
-        The per-pair tables are assembled row-wise from the routing
-        table's single-source distance rows, applying the cost model's
-        arithmetic (Section II.C / IV.A pricing) in the exact operand and
+        The per-pair tables are assembled as one block by
+        :class:`_ProviderRowBuilder` from cloudlet-side hop rows and
+        source-side delay rows, applying the cost model's arithmetic
+        (Section II.C / IV.A pricing) in the exact operand and
         association order of the scalar methods — every entry is bit-equal
         to the per-pair ``CostModel`` evaluation, which
         :meth:`verify_against` re-checks whenever runtime invariants are
@@ -325,31 +329,7 @@ class CompiledMarket:
         if m == 0:
             raise ConfigurationError("market network has no cloudlets to compile")
 
-        builder = _ProviderRowBuilder(market)
-        budget = model.latency_budget_ms
-
-        instantiation = np.empty(n, dtype=float)
-        access = np.empty((n, m), dtype=float)
-        update = np.empty((n, m), dtype=float)
-        user_delay = np.empty((n, m), dtype=float)
-        access_delay = np.empty((n, m), dtype=float) if budget is not None else None
-        remote = np.empty(n, dtype=float)
-        demand = np.empty((n, 2), dtype=float)
-        for i, p in enumerate(providers):
-            row = builder.build(p)
-            instantiation[i] = row.instantiation
-            remote[i] = row.remote
-            demand[i] = row.demand
-            access[i] = row.access
-            update[i] = row.update
-            user_delay[i] = row.user_delay
-            if access_delay is not None:
-                access_delay[i] = row.access_delay
-
-        fixed = instantiation[:, None] + access + update
-        if access_delay is not None:
-            fixed = np.where(access_delay > budget, np.inf, fixed)
-
+        block = _ProviderRowBuilder(market).build(providers)
         coeff = np.array([cl.alpha + cl.beta for cl in cloudlets], dtype=float)
         g = np.array([model.congestion(k) for k in range(n + 1)], dtype=float)
         capacity = np.array(
@@ -360,16 +340,16 @@ class CompiledMarket:
         compiled = cls(
             provider_ids=[p.provider_id for p in providers],
             cloudlet_nodes=[cl.node_id for cl in cloudlets],
-            fixed=fixed,
-            instantiation=instantiation,
-            access=access,
-            update=update,
+            fixed=block.fixed,
+            instantiation=block.instantiation,
+            access=block.access,
+            update=block.update,
             coeff=coeff,
             g=g,
-            demand=demand,
+            demand=block.demand,
             capacity=capacity,
-            remote=remote,
-            user_delay=user_delay,
+            remote=block.remote,
+            user_delay=block.user_delay,
             congestion=model.congestion,
         )
         if invariants_active():
@@ -387,20 +367,24 @@ class CompiledMarket:
         * price changes rewrite one ``coeff`` entry and one ``shared`` row
           (the same ``coeff * g`` products a fresh compile computes);
         * capacity changes store into the ``(m, 2)`` capacity vector;
-        * departures *tombstone* their physical row (``fixed``/``remote``
-          scrubbed to ``+inf`` so a stale gather can never look feasible)
-          and recycle it through a free list;
-        * arrivals reuse tombstoned rows — appending fresh ones only when
-          the free list runs dry — with rows built by the same
+        * departures *tombstone* their physical rows in one fancy-indexed
+          write (``fixed``/``remote`` scrubbed to ``+inf`` so a stale
+          gather can never look feasible), recycle them through a free list
+          and drop their ids in one filtered pass over ``provider_ids``;
+        * arrivals reuse tombstoned rows, built as one block by the same
           :class:`_ProviderRowBuilder` as :meth:`from_market`, so every
-          entry is bit-equal to a from-scratch compile;
+          entry is bit-equal to a from-scratch compile, and are merged into
+          ``provider_ids`` in one sort. A dry free list grows the tables
+          geometrically (by half the population, or the shortfall if
+          larger), so a growing population reallocates only now and then;
         * the congestion prefix ``g`` (and the ``shared`` table) grow to
           the new maximum occupancy when the population expands.
 
         ``market`` must already reflect the delta (call through
         :meth:`ServiceMarket.apply`, which orders the two). After
         :data:`COMPACTION_SLACK` plus one population's worth of tombstones
-        accumulate, :meth:`compact` rewrites the tables dense.
+        accumulate, :meth:`compact` rewrites the tables dense; the growth
+        reserve alone (at most half the population) never trips it.
 
         Physical row order is *not* id order after a delta — consumers
         must gather through ``provider_index`` / :attr:`active_rows`
@@ -428,6 +412,8 @@ class CompiledMarket:
         ]
         if dup:
             raise ConfigurationError(f"arriving provider ids {dup} already present")
+        arrivals = sorted(delta.arrivals, key=lambda p: p.provider_id)
+        block = _ProviderRowBuilder(market).build(arrivals) if arrivals else None
 
         with self._writable_tables():
             for node, (alpha, beta) in delta.price_changes.items():
@@ -448,32 +434,29 @@ class CompiledMarket:
                 self.capacity[j, 0] = cl.compute_capacity
                 self.capacity[j, 1] = cl.bandwidth_capacity
 
-            for pid in delta.departures:
-                row = self.provider_index.pop(pid)
-                self.provider_ids.remove(pid)
-                self._free_rows.append(row)
-                self.fixed[row, :] = np.inf
-                self.remote[row] = np.inf
-                self.demand[row, :] = 0.0
+            if delta.departures:
+                gone = [self.provider_index.pop(pid) for pid in delta.departures]
+                self.provider_ids[:] = [
+                    pid for pid in self.provider_ids if pid not in departing
+                ]
+                self._free_rows.extend(gone)
+                self.fixed[gone] = np.inf
+                self.remote[gone] = np.inf
+                self.demand[gone] = 0.0
 
-            arrivals = sorted(delta.arrivals, key=lambda p: p.provider_id)
-            if arrivals:
-                grow = len(arrivals) - len(self._free_rows)
-                if grow > 0:
-                    self._grow_rows(grow)
-                builder = _ProviderRowBuilder(market)
-                for p in arrivals:
-                    row = self._free_rows.pop()
-                    built = builder.build(p)
-                    self.instantiation[row] = built.instantiation
-                    self.remote[row] = built.remote
-                    self.demand[row] = built.demand
-                    self.access[row] = built.access
-                    self.update[row] = built.update
-                    self.user_delay[row] = built.user_delay
-                    self.fixed[row] = builder.fixed_row(built)
-                    bisect.insort(self.provider_ids, p.provider_id)
-                    self.provider_index[p.provider_id] = row
+            if block is not None:
+                k = len(arrivals)
+                shortfall = k - len(self._free_rows)
+                if shortfall > 0:
+                    self._grow_rows(max(shortfall, (len(self.provider_ids) + k) // 2))
+                rows = self._free_rows[-k:]
+                del self._free_rows[-k:]
+                for name, values in zip(_RowBlock._fields, block):
+                    getattr(self, name)[rows] = values
+                ids = [p.provider_id for p in arrivals]
+                self.provider_index.update(zip(ids, rows))
+                self.provider_ids.extend(ids)
+                self.provider_ids.sort()
 
             self._active_rows = None
 
@@ -497,14 +480,12 @@ class CompiledMarket:
         """Append ``k`` blank physical rows (pushed onto the free list)."""
         with self._writable_tables():
             old = self.fixed.shape[0]
-            m = self.n_cloudlets
-            self.fixed = np.vstack([self.fixed, np.full((k, m), np.inf)])
-            self.access = np.vstack([self.access, np.zeros((k, m))])
-            self.update = np.vstack([self.update, np.zeros((k, m))])
-            self.user_delay = np.vstack([self.user_delay, np.zeros((k, m))])
-            self.instantiation = np.concatenate([self.instantiation, np.zeros(k)])
-            self.remote = np.concatenate([self.remote, np.full(k, np.inf)])
-            self.demand = np.vstack([self.demand, np.zeros((k, 2))])
+            for name in _RowBlock._fields:
+                table = getattr(self, name)
+                blank = np.inf if name in ("fixed", "remote") else 0.0
+                setattr(self, name, np.concatenate(
+                    [table, np.full((k, *table.shape[1:]), blank)]
+                ))
             self._free_rows.extend(range(old, old + k))
 
     def compact(self) -> None:
@@ -513,13 +494,8 @@ class CompiledMarket:
         congestion prefix back to the active occupancy range."""
         with self._writable_tables():
             rows = self.active_rows
-            self.fixed = self.fixed[rows]
-            self.access = self.access[rows]
-            self.update = self.update[rows]
-            self.user_delay = self.user_delay[rows]
-            self.instantiation = self.instantiation[rows]
-            self.remote = self.remote[rows]
-            self.demand = self.demand[rows]
+            for name in _RowBlock._fields:
+                setattr(self, name, getattr(self, name)[rows])
             self.provider_index = {pid: i for i, pid in enumerate(self.provider_ids)}
             self._free_rows = []
             self._active_rows = None

@@ -19,9 +19,15 @@ the networkx result. Undirected graphs additionally answer ``(u, v)`` from
 a cached row of either endpoint (distances are symmetric), which keeps the
 row set small when the query pattern is many-sources-to-few-destinations.
 
-There is deliberately no batch entry point: a row is solved where it is
-first asked for, so the time spent routing stays with the ``delay_row`` /
-``hop_row`` calls that cause it.
+The market compiler leans on that symmetry for hops: it stacks the hop rows
+of the cloudlet nodes into one ``(nodes, cloudlets)`` block and reads every
+endpoint's hops to the cloudlets off it, so new users cost no hop solve, and
+remote pricing's hop lookups resolve from the home data centers' rows. Hop
+counts are integers, so the cloudlet-side read is exact. Delay rows stay
+source-side, one per user endpoint: a float sum taken from the other end
+can differ in the last bit. Each row is solved inside the ``delay_row`` /
+``hop_row`` call that first asks for it, with no multi-source solve, so the
+time spent routing stays with the calls that cause it.
 """
 
 from __future__ import annotations

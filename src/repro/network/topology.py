@@ -137,7 +137,7 @@ class MECNetwork:
         return self._routing
 
     def hop_count(self, u: int, v: int) -> int:
-        """Number of hops on the shortest (delay-weighted) path ``u → v``."""
+        """Hop count of the unweighted (fewest-links) shortest path ``u → v``."""
         return self.routing.hop_count(u, v)
 
     def path_delay(self, u: int, v: int) -> float:

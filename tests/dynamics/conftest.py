@@ -46,9 +46,9 @@ class ScriptedPopulation:
         )
 
 
-def draw_providers(network, count, start_id, seed):
+def draw_providers(network, count, start_id, seed, params=None):
     """New providers with ids ``start_id..start_id+count-1``."""
-    drawn = generate_providers(network, count, rng=as_rng(seed))
+    drawn = generate_providers(network, count, params=params, rng=as_rng(seed))
     renumbered = []
     for offset, provider in enumerate(drawn):
         service = provider.service

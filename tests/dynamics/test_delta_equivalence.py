@@ -10,11 +10,14 @@ Three contracts, in increasing scope:
    bit-identical epoch records to the ``ObjectRebuildSimulation`` oracle
    (market object graph rebuilt from scratch every epoch).
 3. **Churn edge cases**, run invariant-armed (``REPRO_DEBUG_INVARIANTS=1``
-   makes every ``apply_delta`` self-verify against the object graph).
+   makes every ``apply_delta`` self-verify against the object graph),
+   including multi-cluster churn through the row builder's rank-by-rank
+   fold, table growth and compaction.
 """
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -23,7 +26,8 @@ from repro.dynamics.population import PopulationProcess
 from repro.dynamics.simulation import DynamicMarketSimulation
 from repro.market.compiled import COMPACTION_SLACK, CompiledMarket
 from repro.market.delta import MarketDelta
-from repro.market.workload import generate_market
+from repro.market.market import ServiceMarket
+from repro.market.workload import WorkloadParams, generate_market
 from repro.network.generators import random_mec_network
 
 from tests.dynamics.conftest import ScriptedPopulation, draw_providers
@@ -47,15 +51,19 @@ def make_sim(network, seed, simulation=DynamicMarketSimulation, **kwargs):
     )
 
 
+#: Every per-provider table the row builder writes.
+ROW_TABLES = (
+    "fixed", "access", "update", "user_delay", "instantiation", "remote", "demand",
+)
+
+
 def assert_tables_equivalent(cm, market):
-    """Patched view == fresh compile, entry by entry, via the id maps."""
+    """Patched view == fresh compile, entry by entry, gathered in id order."""
     fresh = CompiledMarket.from_market(market)
     assert cm.provider_ids == fresh.provider_ids
-    for pid in fresh.provider_ids:
-        i, k = cm.provider_index[pid], fresh.provider_index[pid]
-        np.testing.assert_array_equal(cm.fixed[i], fresh.fixed[k])
-        np.testing.assert_array_equal(cm.demand[i], fresh.demand[k])
-        assert cm.remote[i] == fresh.remote[k]
+    rows = cm.active_rows
+    for name in ROW_TABLES:
+        np.testing.assert_array_equal(getattr(cm, name)[rows], getattr(fresh, name))
     n = len(fresh.provider_ids)
     np.testing.assert_array_equal(cm.g[: n + 1], fresh.g)
     np.testing.assert_array_equal(cm.shared[:, : n + 1], fresh.shared)
@@ -224,4 +232,65 @@ class TestChurnEdgeCases:
         assert cm.n_rows < rows_at_start
         newcomers = draw_providers(network, 4, start_id=5000, seed=103)
         market.apply(MarketDelta(arrivals=tuple(newcomers)))
+        assert_tables_equivalent(cm, market)
+
+
+# --------------------------------------------------------------------- #
+# 5. Multi-cluster churn: the rank-by-rank row fold, invariant-armed
+# --------------------------------------------------------------------- #
+class TestMultiClusterChurn:
+    PARAMS = WorkloadParams(user_clusters_range=(1, 4))
+
+    @pytest.fixture(autouse=True)
+    def _arm(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DEBUG_INVARIANTS", "1")
+
+    @pytest.mark.parametrize("budget", [None, 3.0])
+    def test_churn_trace_with_growth_and_compaction(self, budget):
+        network = random_mec_network(40, rng=111)
+        population = PopulationProcess(
+            network, arrival_rate=5.0, mean_lifetime=4.0, params=self.PARAMS,
+            initial_population=12, rng=112,
+        )
+        market = ServiceMarket(network, population.present, latency_budget_ms=budget)
+        cm = market.compile()
+        depths = {len(p.service.clusters) for p in market.providers}
+        for _ in range(20):
+            event = population.step()
+            by_id = {p.provider_id: p for p in population.present}
+            arrivals = tuple(by_id[pid] for pid in sorted(event.arrived))
+            depths |= {len(p.service.clusters) for p in arrivals}
+            market.apply(MarketDelta(arrivals=arrivals, departures=event.departed))
+            assert_tables_equivalent(cm, market)
+        assert {1, 2, 3, 4} <= depths, "trace must mix cluster depths"
+        # Delays stay source-side: every user_delay entry is networkx's sum
+        # from the user node (summed from the cloudlet end, about a third
+        # of the entries differ in the last bit on this network).
+        for p in market.providers:
+            row = cm.user_delay[cm.provider_index[p.provider_id]]
+            dist = nx.single_source_dijkstra_path_length(
+                network.graph, p.service.user_node
+            )
+            assert row.tolist() == [dist[node] for node in cm.cloudlet_nodes]
+        if budget is not None:
+            assert np.isinf(cm.fixed[cm.active_rows]).any()
+
+        # Growth: more arrivals than free rows. The tables grow by a
+        # reserve, and the reserve alone does not trip compaction.
+        newcomers = draw_providers(
+            network, len(cm._free_rows) + 10, start_id=10_000, seed=113,
+            params=self.PARAMS,
+        )
+        rows_before = cm.n_rows
+        market.apply(MarketDelta(arrivals=tuple(newcomers)))
+        assert cm.n_rows > rows_before
+        assert cm._free_rows, "growth keeps a reserve of free rows"
+        assert_tables_equivalent(cm, market)
+
+        # Compaction: departing most of the population leaves more
+        # tombstones than COMPACTION_SLACK plus the survivors.
+        ids = cm.provider_ids
+        doomed = tuple(ids[: len(ids) - COMPACTION_SLACK // 2])
+        market.apply(MarketDelta(departures=doomed))
+        assert cm.n_rows == cm.n_providers
         assert_tables_equivalent(cm, market)

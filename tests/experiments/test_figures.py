@@ -102,3 +102,13 @@ class TestPoAStudy:
         assert 1.0 <= out["empirical_appro_ratio"] <= out["lemma2_bound"]
         assert 1.0 - 1e-9 <= out["empirical_poa"] <= out["theorem1_bound"]
         assert 0 < out["optimal_v"] < 1
+        assert out["appro_infeasible_reps"] == 0
+
+    def test_markets_with_too_few_slots_leave_the_appro_ratios(self):
+        # Rep 1's Eq. 7 split has fewer virtual slots than the 60 providers,
+        # so Appro (no remote fallback) has no placement there; rep 0's does.
+        out = poa_study(n_providers=60, n_nodes=50, repetitions=2, seed=11)
+        assert out["appro_infeasible_reps"] == 1
+        assert 1.0 <= out["empirical_appro_ratio"] <= out["lemma2_bound"]
+        assert out["appro_marginal_certified_gap"] >= 1.0 - 1e-9
+        assert 1.0 - 1e-9 <= out["empirical_poa"] <= out["theorem1_bound"]

@@ -27,7 +27,7 @@ import pytest
 from repro.core import market_game
 from repro.core.lcf import lcf
 from repro.exceptions import ConfigurationError, InfeasibleError
-from repro.game.batch import SPARSE_REPROPOSE_BUDGET, batch_best_response
+from repro.game.batch import SPARSE_REPROPOSE_BUDGET, _BatchState, batch_best_response
 from repro.game.best_response import best_response_dynamics, greedy_feasible_profile
 from repro.game.congestion import SingletonCongestionGame
 from repro.game.partitioned import certify_equilibrium
@@ -259,3 +259,35 @@ class TestDirectKernelContract:
         game = random_game(as_rng(29))
         with pytest.raises(ConfigurationError):
             batch_best_response(game, {"nobody": "nowhere"})
+
+
+class TestMoverDemandView:
+    """The kernel keeps the market game's broadcast demand unmaterialised."""
+
+    def test_market_game_demand_is_a_stride_zero_view(self):
+        network = random_mec_network(36, rng=SEEDS[0])
+        market = generate_market(network, n_providers=16, rng=SEEDS[0] + 1000)
+        game = market_game(market)
+        c = game.compile()
+        profile = greedy_feasible_profile(game)
+        order = list(reversed(game.players))
+        state = _BatchState(c, profile, order)
+        assert state.demand.shape == (len(order), c.n_resources, 2)
+        assert state.demand.strides[1] == 0
+        assert not state.demand.flags.writeable  # a view, not a copy
+        rows = [c.player_index[p] for p in order]
+        assert np.array_equal(state.demand, c.demand[rows])
+        # The per-dimension mask equals the materialised all-reduce.
+        want = np.all(
+            state.loads[None, :, :] + c.demand[rows] <= state.cap_eps[None, :, :],
+            axis=2,
+        )
+        assert np.array_equal(state.feasible_block(0), want)
+
+    def test_generic_game_demand_is_gathered(self):
+        game = random_game(as_rng(31))
+        c = game.compile()
+        profile = greedy_feasible_profile(game)
+        state = _BatchState(c, profile, list(game.players))
+        assert state.demand.strides[1] != 0
+        assert np.array_equal(state.demand, c.demand)

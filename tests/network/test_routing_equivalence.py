@@ -225,16 +225,18 @@ def step_delta(population):
     )
 
 
-def routed_endpoints(providers):
+def routed_endpoints(network, providers):
     """(hop sources, delay sources) the compiler asks rows for under a
-    latency budget: every cluster node and home DC for hops, every cluster
-    node and user node for delays."""
-    hop, delay = set(), set()
+    latency budget: hops are read off one row per cloudlet (hop counts are
+    symmetric integers) plus the home DC rows that remote pricing asks
+    about; delays stay source-side, one row per cluster node and user
+    node."""
+    hop = {cl.node_id for cl in network.cloudlets}
+    delay = set()
     for p in providers:
         svc = p.service
-        clusters = {node for node, _ in svc.clusters}
-        hop |= clusters | {svc.home_dc}
-        delay |= clusters | {svc.user_node}
+        hop.add(svc.home_dc)
+        delay |= {node for node, _ in svc.clusters} | {svc.user_node}
     return hop, delay
 
 
@@ -256,21 +258,39 @@ class TestMemoAndVacuity:
     def test_one_solve_per_distinct_endpoint(self):
         market, population = budget_market(300, seed=4, n_providers=60)
         solved = []
+        inside = []  # the public row calls under way (the timed seam)
         real = repro.network.routing.dijkstra
 
         def counting(csgraph, *, indices, unweighted=False, **kwargs):
+            assert inside, "a row was solved outside hop_row/delay_row"
             solved.append((int(indices), unweighted))
             return real(csgraph, indices=indices, unweighted=unweighted, **kwargs)
 
+        def public(name):
+            method = getattr(RoutingTable, name)
+
+            def call(table, u):
+                inside.append(name)
+                try:
+                    return method(table, u)
+                finally:
+                    inside.pop()
+
+            return call
+
         seen = list(market.providers)
-        with mock.patch.object(repro.network.routing, "dijkstra", counting):
+        with mock.patch.object(
+            repro.network.routing, "dijkstra", counting
+        ), mock.patch.object(
+            RoutingTable, "hop_row", public("hop_row")
+        ), mock.patch.object(RoutingTable, "delay_row", public("delay_row")):
             market.compile()
             for _ in range(3):
                 delta = step_delta(population)
                 seen.extend(delta.arrivals)
                 market.apply(delta)
                 market.compile()  # the cached, patched blob: no new rows
-        hop, delay = routed_endpoints(seen)
+        hop, delay = routed_endpoints(market.network, seen)
         assert len(solved) == len(set(solved)), "a row was solved twice"
         assert len(solved) == len(hop) + len(delay)
         pos = market.network.routing.index_of
