@@ -9,6 +9,7 @@ much the outcome costs under the market's congestion-aware model.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set
 
@@ -70,8 +71,8 @@ class CachingAssignment:
     # Costs
     # ------------------------------------------------------------------ #
     def occupancy(self) -> Dict[int, int]:
-        """``|sigma_i|`` per cloudlet node."""
-        return self.market.cost_model.occupancy(self.placement)
+        """``|sigma_i|`` per cloudlet node, in first-appearance order."""
+        return dict(Counter(self.placement.values()))
 
     def provider_cost(self, provider_id: int) -> float:
         """The provider's cost: Eq. (3) if cached, remote cost if rejected.

@@ -33,7 +33,7 @@ Step 4 supports two information models:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from repro.game.best_response import best_response_dynamics
 from repro.game.congestion import SingletonCongestionGame
 from repro.game.engine import market_game
 from repro.game.equilibrium import is_nash_equilibrium
+from repro.market.compiled import CompiledMarket
 from repro.market.market import ServiceMarket
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import check_fraction
@@ -116,6 +117,32 @@ def _selfish_entry(
         if load_mat is not None:
             load_mat[j] += compiled.demand[pi, j]
         placed_selfish.append(pid)
+
+
+def posted_price_entry(
+    cm: CompiledMarket, placement: Dict[int, int], rejected: Set[int],
+    entrants: Iterable[int], tolls: Optional[np.ndarray] = None,
+) -> None:
+    """Posted-price sequential entry: each entrant, in order, takes the
+    first cheapest cloudlet with room at its posted price ``shared[:, 1] +
+    fixed[row]`` (congestion at face value plus the fixed cost, as
+    ``CostModel.cost(provider, cl, 1)``), plus ``tolls`` per cloudlet
+    column when given, unless that does not beat its remote cost; then it
+    is rejected. Updates ``placement`` and ``rejected`` in place."""
+    loads = cm.load_matrix(placement)
+    posted = cm.shared[:, 1]
+    for pid in entrants:
+        row = cm.provider_row(pid)
+        costs = posted + cm.fixed[row]
+        if tolls is not None:
+            costs = costs + tolls
+        costs = np.where(cm.fits_mask(row, loads), costs, np.inf)
+        j = int(np.argmin(costs))
+        if not costs[j] < cm.remote[row]:
+            rejected.add(pid)
+            continue
+        placement[pid] = cm.cloudlet_nodes[j]
+        loads[j] += cm.demand[row]
 
 
 @dataclass
@@ -279,4 +306,4 @@ def lcf(
     )
 
 
-__all__ = ["lcf", "LCFResult", "select_coordinated_lcf"]
+__all__ = ["lcf", "LCFResult", "posted_price_entry", "select_coordinated_lcf"]

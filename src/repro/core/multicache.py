@@ -13,6 +13,10 @@ replica with the largest social-cost reduction while capacity admits it.
 Adding replicas trades extra instantiation + update traffic against shorter
 access paths, so it only pays for providers with a dispersed user base —
 the quantity `examples/multi_replica.py` sweeps.
+
+It is the one module outside ``market/`` that prices through the
+:class:`~repro.market.costs.CostModel`: a replica set's access cost routes each
+user cluster to its nearest replica, which no (provider, cloudlet) table holds.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ alternative from the congestion-pricing literature is for the leader to
 publish **tolls** on top of each cloudlet's price sheet: selfish providers
 then minimise ``posted cost + toll`` when choosing, but tolls are transfers
 back to the infrastructure provider — they steer behaviour without being a
-social cost (Eq. 6 is evaluated without them).
+social cost (Eq. 6 is evaluated without them). The tolled market is the
+dynamic simulation's posted-price entry on the compiled tables
+(:func:`~repro.core.lcf.posted_price_entry`) with the tolls added.
 
 With the paper's linear congestion model the marginal externality of one
 more instance at ``CL_i`` with ``k`` residents is ``(alpha_i + beta_i) * k``
@@ -21,15 +23,27 @@ needs no bulk-lease contracts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.appro import appro
 from repro.core.assignment import CachingAssignment, Stopwatch
+from repro.core.lcf import posted_price_entry
 from repro.exceptions import ConfigurationError
+from repro.market.compiled import CompiledMarket
 from repro.market.market import ServiceMarket
-from repro.utils.validation import CAPACITY_EPS, check_non_negative
+from repro.utils.validation import check_non_negative
+
+
+def _scaled_tolls(cm: CompiledMarket, occupancy: np.ndarray, level: float) -> Dict[int, float]:
+    """``level * (alpha_i + beta_i) * load_i`` per cloudlet node."""
+    return dict(zip(cm.cloudlet_nodes, (level * cm.coeff * occupancy).tolist()))
+
+
+def _reference_occupancy(market: ServiceMarket) -> np.ndarray:
+    """Per-column load of the social optimum (Appro with marginal pricing)."""
+    return market.compile().occupancy_vector(appro(market, allow_remote=True).placement)
 
 
 def anticipatory_tolls(market: ServiceMarket, level: float) -> Dict[int, float]:
@@ -37,59 +51,29 @@ def anticipatory_tolls(market: ServiceMarket, level: float) -> Dict[int, float]:
     ``load_i`` is the load the social optimum (Appro with marginal pricing)
     would put there — the leader's anticipation of a healthy allocation."""
     check_non_negative(level, "level")
-    reference = appro(market, allow_remote=True)
-    occupancy = reference.occupancy()
-    tolls: Dict[int, float] = {}
-    for cl in market.network.cloudlets:
-        load = occupancy.get(cl.node_id, 0)
-        tolls[cl.node_id] = level * (cl.alpha + cl.beta) * load
-    return tolls
+    return _scaled_tolls(market.compile(), _reference_occupancy(market), level)
 
 
 def tolled_selfish_market(
-    market: ServiceMarket,
-    tolls: Optional[Dict[int, float]] = None,
+    market: ServiceMarket, tolls: Optional[Dict[int, float]] = None
 ) -> CachingAssignment:
     """Run the fully selfish posted-price market under the given tolls.
 
-    Every provider (no coordination at all) picks the cloudlet minimising
-    ``posted cost + toll``, sequentially with capacity admission and the
-    remote option. Tolls are excluded from the reported social cost.
+    Every provider (no coordination at all), in provider-id order, enters
+    through :func:`~repro.core.lcf.posted_price_entry` with the tolls added
+    to the posted prices. Tolls are excluded from the reported social cost.
     """
     tolls = tolls or {}
-    unknown = set(tolls) - {cl.node_id for cl in market.network.cloudlets}
+    cm = market.compile()
+    unknown = set(tolls) - set(cm.cloudlet_index)
     if unknown:
         raise ConfigurationError(f"tolls reference unknown cloudlets {sorted(unknown)}")
-    model = market.cost_model
 
     with Stopwatch() as watch:
-        loads: Dict[int, List[float]] = {
-            cl.node_id: [0.0, 0.0] for cl in market.network.cloudlets
-        }
+        toll_vector = np.array([tolls.get(node, 0.0) for node in cm.cloudlet_nodes])
         placement: Dict[int, int] = {}
         rejected: Set[int] = set()
-        for provider in market.providers:
-            best_node = None
-            best_price = model.remote_cost(provider)
-            for cl in market.network.cloudlets:
-                node = cl.node_id
-                if (
-                    loads[node][0] + provider.compute_demand
-                    > cl.compute_capacity + CAPACITY_EPS
-                    or loads[node][1] + provider.bandwidth_demand
-                    > cl.bandwidth_capacity + CAPACITY_EPS
-                ):
-                    continue
-                price = model.cost(provider, cl, 1) + tolls.get(node, 0.0)
-                if price < best_price:
-                    best_price = price
-                    best_node = node
-            if best_node is None:
-                rejected.add(provider.provider_id)
-                continue
-            placement[provider.provider_id] = best_node
-            loads[best_node][0] += provider.compute_demand
-            loads[best_node][1] += provider.bandwidth_demand
+        posted_price_entry(cm, placement, rejected, cm.provider_ids, toll_vector)
 
     return CachingAssignment(
         market=market,
@@ -124,10 +108,11 @@ def optimize_toll_level(
     cost of the fully selfish market."""
     if not levels:
         raise ConfigurationError("need at least one candidate toll level")
+    occupancy = _reference_occupancy(market)
     sweep: Dict[float, float] = {}
     best: Optional[Tuple[float, CachingAssignment]] = None
     for level in levels:
-        tolls = anticipatory_tolls(market, level)
+        tolls = _scaled_tolls(market.compile(), occupancy, check_non_negative(level, "level"))
         assignment = tolled_selfish_market(market, tolls)
         cost = assignment.social_cost
         sweep[float(level)] = cost

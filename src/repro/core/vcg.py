@@ -24,14 +24,12 @@ Properties that do hold exactly and are tested:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.core.appro import appro
 from repro.core.assignment import CachingAssignment, Stopwatch
 from repro.exceptions import ConfigurationError
 from repro.market.market import ServiceMarket
-from repro.market.pricing import Pricing
-from repro.market.service import ServiceProvider
 
 
 @dataclass
@@ -60,17 +58,18 @@ class VCGOutcome:
 
 
 def _submarket(market: ServiceMarket, exclude: int) -> ServiceMarket:
-    """The market without one provider (same network, pricing, congestion)."""
-    providers: List[ServiceProvider] = [
-        p for p in market.providers if p.provider_id != exclude
-    ]
+    """The market without one provider (same network and all four settings)."""
+    providers = [p for p in market.providers if p.provider_id != exclude]
     if not providers:
         raise ConfigurationError("cannot build a submarket with zero providers")
+    model = market.cost_model
     return ServiceMarket(
         market.network,
         providers,
-        pricing=market.cost_model.pricing,
-        congestion=market.cost_model.congestion,
+        pricing=model.pricing,
+        congestion=model.congestion,
+        latency_budget_ms=model.latency_budget_ms,
+        remote_premium=model.remote_premium,
     )
 
 

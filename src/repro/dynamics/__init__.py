@@ -12,7 +12,8 @@ that temporal dimension on top of the static mechanism:
   caching mechanism over many epochs under the ``replan`` policy
   (recompute every epoch, paying migration costs for instances that move),
   the ``incremental`` policy (surviving placements are sticky; only
-  arrivals choose, via the same posted-price entry as LCF's selfish step),
+  arrivals choose, via the posted-price entry the toll extension shares,
+  :func:`~repro.core.lcf.posted_price_entry`),
   or the ``hysteresis`` policy (sticky until the social cost drifts past a
   threshold, then replan once — stability with bounded regret);
 * migration accounting: moving a cached instance re-ships its data volume

@@ -7,10 +7,10 @@ volume over the network and re-instantiating its VM. Three policies:
 
 * ``"replan"`` — rerun the full LCF mechanism on the new population every
   epoch. Near-optimal per epoch but migrates aggressively.
-* ``"incremental"`` — survivors keep their cloudlets; only arrivals choose
-  (posted-price cheapest feasible, like LCF's selfish entry). Zero
-  migrations, but the placement drifts away from optimal as the population
-  turns over.
+* ``"incremental"`` — survivors keep their cloudlets; only arrivals choose,
+  through :func:`~repro.core.lcf.posted_price_entry` (the posted-price
+  entry the toll extension runs with tolls added). Zero migrations, but
+  the placement drifts away from optimal as the population turns over.
 * ``"hysteresis"`` — hold the incremental placement until its social cost
   drifts more than ``hysteresis_threshold`` (relative) away from the cost
   recorded at the last replan, then replan once and re-anchor. The
@@ -28,8 +28,8 @@ the provider churn. Providers cached on a failed cloudlet are *displaced*
 — their instances are destroyed (re-instantiated from the data center,
 so no migration is billed) and they re-enter under a ``recovery`` policy:
 
-* ``"failover"`` — displaced providers re-enter greedily at posted
-  prices, everyone else stays put (the cheap, warm path);
+* ``"failover"`` — displaced providers re-enter through the same
+  posted-price entry, everyone else stays put (the cheap, warm path);
 * ``"replan"`` — a full (warm-started) LCF replan absorbs the outage;
 * ``"hysteresis"`` — failover until the social cost drifts past
   ``hysteresis_threshold``, then one replan.
@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.appro import _GAP_SOLVERS
-from repro.core.lcf import LCFResult, lcf
+from repro.core.lcf import LCFResult, lcf, posted_price_entry
 from repro.dynamics.outages import OutageEvent, OutageTrace
 from repro.game.partitioned import partitioned_best_response
 from repro.dynamics.population import PopulationEvent, PopulationProcess
@@ -472,28 +472,14 @@ class DynamicMarketSimulation:
     def _incremental(
         self, market: ServiceMarket, arrivals: Set[int]
     ) -> Tuple[Dict[int, int], Set[int]]:
-        """Keep survivors in place; arrivals enter posted-price greedily."""
+        """Keep survivors in place; arrivals enter through
+        :func:`~repro.core.lcf.posted_price_entry` in id order."""
         present = {p.provider_id for p in market.providers}
         placement = {
             pid: node for pid, node in self.placement.items() if pid in present
         }
         rejected = {pid for pid in self.rejected if pid in present}
-
-        cm = market.compile()
-        loads = cm.load_matrix(placement)
-        for pid in sorted(arrivals):
-            row = cm.provider_row(pid)
-            # Posted price sheet: congestion at its face value of one
-            # occupant plus the fixed cost — the same two terms, in the
-            # same order, as `model.cost(provider, cl, 1)`.
-            costs = cm.shared[:, 1] + cm.fixed[row]
-            costs = np.where(cm.fits_mask(row, loads), costs, np.inf)
-            j = int(np.argmin(costs))
-            if not costs[j] < cm.remote[row]:
-                rejected.add(pid)
-                continue
-            placement[pid] = cm.cloudlet_nodes[j]
-            loads[j] += cm.demand[row]
+        posted_price_entry(market.compile(), placement, rejected, sorted(arrivals))
         return placement, rejected
 
     def _hysteresis(
@@ -596,30 +582,18 @@ class DynamicMarketSimulation:
             if p.provider_id not in self.placement
             and p.provider_id not in self.rejected
         }
-        if displaced:
-            # An outage epoch: the recovery policy decides how the market
-            # absorbs the displacement.
-            if self.recovery == "replan":
-                new_placement, new_rejected = self._replan(market)
-                replanned = True
-                self._anchor_cost = self._social(
-                    market, new_placement, new_rejected
-                )
-            elif self.recovery == "failover":
-                new_placement, new_rejected = self._incremental(market, unplaced)
-            else:
-                new_placement, new_rejected, replanned = self._hysteresis(
-                    market, unplaced
-                )
-        elif self.policy == "replan":
+        # On an outage epoch the recovery policy decides how the market
+        # absorbs the displacement; "failover" is the incremental entry.
+        mode = self.recovery if displaced else self.policy
+        if mode == "replan":
             new_placement, new_rejected = self._replan(market)
             replanned = True
-        elif self.policy == "incremental":
+            if displaced:
+                self._anchor_cost = self._social(market, new_placement, new_rejected)
+        elif mode in ("incremental", "failover"):
             new_placement, new_rejected = self._incremental(market, unplaced)
         else:
-            new_placement, new_rejected, replanned = self._hysteresis(
-                market, unplaced
-            )
+            new_placement, new_rejected, replanned = self._hysteresis(market, unplaced)
 
         settle_moves = 0
         certified: Optional[bool] = None

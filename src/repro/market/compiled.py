@@ -298,10 +298,18 @@ class CompiledMarket:
         # Pickles cross process boundaries (the sweep harness ships
         # compiled blobs to workers) and may predate the sanitizer fields:
         # re-evaluate the flag in the receiving process and normalise the
-        # writeable flags, which numpy does not reliably round-trip.
+        # writeable flags, which numpy does not reliably round-trip. A
+        # protocol-4 pickle can hand a table back as a read-only view on
+        # immutable ``bytes``; only such a table gets an owned copy.
         self._sanitize = sanitize_active()
         self._writable_depth = 0
-        self._set_tables_writeable(not self._sanitize)
+        for name in self._TABLE_FIELDS:
+            table = getattr(self, name)
+            try:
+                table.flags.writeable = True
+            except ValueError:
+                setattr(self, name, table.copy())
+        self._freeze_tables()
         if self._active_rows is not None:
             self._active_rows.flags.writeable = False
 

@@ -1,7 +1,10 @@
 """Tests for the congestion-toll extension."""
 
+from unittest import mock
+
 import pytest
 
+import repro.core.tolls
 from repro.core.appro import appro
 from repro.core.tolls import (
     anticipatory_tolls,
@@ -98,3 +101,19 @@ class TestOptimizeTolls:
     def test_empty_levels_rejected(self, market):
         with pytest.raises(ConfigurationError):
             optimize_toll_level(market, levels=())
+
+    def test_reference_appro_runs_once_per_search(self, market):
+        """The Appro reference does not depend on the level: one run
+        serves the whole grid, and every level's tolls equal
+        :func:`anticipatory_tolls` at that level."""
+        levels = (0.0, 0.5, 1.0, 3.0)
+        with mock.patch.object(repro.core.tolls, "appro", wraps=appro) as spy:
+            optimum = optimize_toll_level(market, levels=levels)
+        assert spy.call_count == 1
+        for level in levels:
+            tolled = tolled_selfish_market(market, anticipatory_tolls(market, level))
+            assert optimum.sweep[level] == tolled.social_cost
+
+    def test_negative_level_rejected(self, market):
+        with pytest.raises(ConfigurationError):
+            optimize_toll_level(market, levels=(0.5, -1.0))

@@ -1,7 +1,9 @@
 """Tests for VCG/Clarke payments."""
 
+import numpy as np
 import pytest
 
+from repro.core.appro import appro
 from repro.core.vcg import _submarket, vcg_payments
 from repro.exceptions import ConfigurationError
 from repro.market.market import ServiceMarket
@@ -93,3 +95,56 @@ class TestVCGPayments:
             outcome.payment(10**9)
         assert outcome.truthful is False
         assert outcome.runtime_s > 0
+
+
+def _settings(market):
+    model = market.cost_model
+    return dict(
+        pricing=model.pricing,
+        congestion=model.congestion,
+        latency_budget_ms=model.latency_budget_ms,
+        remote_premium=model.remote_premium,
+    )
+
+
+def _reference_payments(market):
+    """Clarke payments with every counterfactual built from scratch with
+    all four market settings."""
+    allocation = appro(market, allow_remote=True)
+    own = allocation.provider_costs()
+    payments = {}
+    for provider in market.providers:
+        pid = provider.provider_id
+        others = [p for p in market.providers if p.provider_id != pid]
+        without = ServiceMarket(market.network, others, **_settings(market))
+        without_l = appro(without, allow_remote=True).social_cost
+        payments[pid] = max(0.0, allocation.social_cost - own[pid] - without_l)
+    return payments
+
+
+class TestCounterfactualSettings:
+    """Each counterfactual market keeps the parent's latency budget and
+    remote premium, not only its pricing and congestion."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[{"latency_budget_ms": 4.0}, {"remote_premium": 5.0}],
+        ids=["budget-4ms", "premium-5"],
+    )
+    def settled_market(self, request):
+        return generate_market(
+            random_mec_network(100, rng=1), 30, rng=2, **request.param
+        )
+
+    def test_submarket_carries_every_setting(self, settled_market):
+        pid = settled_market.providers[0].provider_id
+        sub = _submarket(settled_market, exclude=pid)
+        assert _settings(sub) == _settings(settled_market)
+        parent, child = settled_market.compile(), sub.compile()
+        keep = [settled_market.compile().provider_row(p) for p in child.provider_ids]
+        np.testing.assert_array_equal(child.fixed, parent.fixed[keep])
+        np.testing.assert_array_equal(child.remote, parent.remote[keep])
+
+    def test_payments_match_full_setting_counterfactuals(self, settled_market):
+        outcome = vcg_payments(settled_market)
+        assert outcome.payments == _reference_payments(settled_market)

@@ -273,7 +273,7 @@ class TestOutagesUnderLatencyBudget:
 # 4. Availability metrics
 # --------------------------------------------------------------------- #
 class TestAvailabilityMetrics:
-    def make_scripted_sim(self, recovery="failover"):
+    def make_scripted_sim(self, recovery="failover", policy="incremental"):
         network = outage_network(seed=71)
         nodes = tuple(sorted(cl.node_id for cl in network.cloudlets))
         population = PopulationProcess(
@@ -293,7 +293,7 @@ class TestAvailabilityMetrics:
         return DynamicMarketSimulation(
             network,
             population,
-            policy="incremental",
+            policy=policy,
             gap_solver="greedy",
             outages=trace,
             recovery=recovery,
@@ -320,6 +320,16 @@ class TestAvailabilityMetrics:
             # "replan" must replan on the displacement epoch; plain
             # failover never does (the policy is "incremental").
             assert by_epoch[3].replanned == (recovery != "failover")
+
+    def test_only_recovery_replans_set_the_hysteresis_anchor(self):
+        """Replans of ``policy="replan"`` leave the hysteresis anchor
+        alone; a recovery replan on an outage epoch re-anchors it."""
+        sim = self.make_scripted_sim(recovery="replan", policy="replan")
+        assert [sim.step().replanned for _ in range(2)] == [True, True]
+        assert sim._anchor_cost is None
+        record = sim.step()
+        assert record.displaced and record.replanned
+        assert sim._anchor_cost == record.social_cost
 
     def test_open_incident_not_counted(self):
         network = outage_network(seed=71)

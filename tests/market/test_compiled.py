@@ -29,6 +29,7 @@ from repro.market.compiled import CompiledMarket
 from repro.market.costs import LinearCongestion, MM1Congestion, QuadraticCongestion
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
+from repro.utils.contracts import sanitize_active
 from repro.utils.rng import as_rng
 from repro.utils.validation import CAPACITY_EPS
 
@@ -196,11 +197,27 @@ class TestSocialCostEquivalence:
             assert got == pytest.approx(want, abs=CAPACITY_EPS)
             assert got == want  # bit-equal, not merely close
 
-    @pytest.mark.parametrize("name", sorted(CONGESTIONS))
-    def test_pickle_round_trip_preserves_costs(self, name):
-        market = make_market(29, congestion=CONGESTIONS[name])
+    @pytest.mark.parametrize(
+        "name, size, protocol",
+        [
+            pytest.param(name, (30, 14), pickle.DEFAULT_PROTOCOL, id=name)
+            for name in sorted(CONGESTIONS)
+        ]
+        + [
+            # Tables of 1 KB or more: a protocol-4 pickle hands them back
+            # as read-only views on bytes.
+            pytest.param(name, (150, 60), protocol, id=f"{name}-150x60-p{protocol}")
+            for name in sorted(CONGESTIONS)
+            for protocol in (4, pickle.HIGHEST_PROTOCOL)
+        ],
+    )
+    def test_pickle_round_trip_preserves_costs(self, name, size, protocol):
+        n_nodes, n_providers = size
+        market = make_market(
+            29, congestion=CONGESTIONS[name], n_providers=n_providers, n_nodes=n_nodes
+        )
         cm = market.compile()
-        clone = pickle.loads(pickle.dumps(cm))
+        clone = pickle.loads(pickle.dumps(cm, protocol=protocol))
         assert isinstance(clone, CompiledMarket)
         assert clone.provider_ids == cm.provider_ids
         assert clone.cloudlet_nodes == cm.cloudlet_nodes
@@ -211,6 +228,9 @@ class TestSocialCostEquivalence:
         assert clone.social_cost(placement) == cm.social_cost(placement)
         # The round-tripped congestion callable still extends g past n.
         assert clone.g_at(cm.n_providers + 3) == cm.g_at(cm.n_providers + 3)
+        # Writable unless REPRO_SANITIZE freezes them in this process.
+        for table in cm._TABLE_FIELDS:
+            assert getattr(clone, table).flags.writeable != sanitize_active(), table
 
     def test_provider_cost_matches_model(self, small_market):
         cm = small_market.compile()

@@ -164,3 +164,30 @@ class TestPickling:
         j = clone.cloudlet_col(node)
         assert clone.capacity[j, 0] == 3.0
         assert not clone.capacity.flags.writeable
+
+    @pytest.mark.parametrize("protocol", [4, pickle.HIGHEST_PROTOCOL])
+    def test_round_trip_at_scale(self, sanitized, monkeypatch, protocol):
+        """Tables of 1 KB or more may unpickle as read-only views on
+        bytes: the clone still freezes, thaws for a delta, and unpickles
+        writable without the flag."""
+        market = make_market(n_providers=60, n_nodes=150)
+        blob = pickle.dumps(market.compile(), protocol=protocol)
+        clone = pickle.loads(blob)
+        for name in clone._TABLE_FIELDS:
+            assert not getattr(clone, name).flags.writeable, name
+        node = market.network.cloudlets[0].node_id
+        delta = MarketDelta(
+            capacity_changes={node: (3.0, 4.0)},
+            arrivals=tuple(fresh_providers(market, 2, 10_000, seed=3)),
+        )
+        market.apply(delta)
+        clone.apply_delta(delta, market)
+        for name in ("fixed", "remote", "capacity"):
+            np.testing.assert_array_equal(
+                getattr(clone, name), getattr(market.compile(), name)
+            )
+        assert not clone.fixed.flags.writeable
+        monkeypatch.delenv(SANITIZE_ENV_FLAG)
+        thawed = pickle.loads(blob)
+        for name in thawed._TABLE_FIELDS:
+            assert getattr(thawed, name).flags.writeable, name

@@ -25,6 +25,11 @@ oracles the differential suites compare it against:
   :func:`_slots_per_cloudlet`) — the slotted LP lower bound on the social
   optimum, one column per (provider, cloudlet, slot) triple (the library's
   bound aggregates the slots and reads the compiled tables);
+* :func:`object_anticipatory_tolls` / :func:`object_tolled_selfish_market`
+  — the congestion-toll extension pricing every (provider, cloudlet) pair
+  through the cost model in a double loop (the library's tolled market is
+  the simulation's posted-price entry on the compiled tables with tolls
+  added);
 * :class:`ObjectRebuildSimulation` — the dynamic simulation that rebuilds
   the market object graph every epoch instead of delta-patching one.
 
@@ -48,10 +53,11 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
+from repro.core.appro import appro
 from repro.core.assignment import CachingAssignment, Stopwatch
 from repro.core.virtual_cloudlets import VirtualCloudletSplit
 from repro.dynamics.simulation import DynamicMarketSimulation, EpochRecord
-from repro.exceptions import InfeasibleError, SolverError
+from repro.exceptions import ConfigurationError, InfeasibleError, SolverError
 from repro.game.congestion import SingletonCongestionGame
 from repro.gap.instance import GAPInstance
 from repro.market.compiled import CompiledMarket
@@ -60,7 +66,7 @@ from repro.market.market import ServiceMarket
 from repro.market.service import ServiceProvider
 from repro.network.elements import Cloudlet
 from repro.utils.contracts import invariant_capacity_feasible
-from repro.utils.validation import CAPACITY_EPS
+from repro.utils.validation import CAPACITY_EPS, check_non_negative
 
 from tests.oracles.gap_reference import allowed, trivially_infeasible
 
@@ -563,6 +569,78 @@ def object_social_cost_lower_bound(
     if not result.success:
         raise SolverError(f"linprog failed: {result.message}")
     return float(result.fun)
+
+
+# --------------------------------------------------------------------- #
+# Congestion tolls
+# --------------------------------------------------------------------- #
+def object_anticipatory_tolls(market: ServiceMarket, level: float) -> Dict[int, float]:
+    """Per-cloudlet tolls ``level * (alpha_i + beta_i) * load_i`` where
+    ``load_i`` is the load the social optimum (Appro with marginal pricing)
+    would put there — the leader's anticipation of a healthy allocation."""
+    check_non_negative(level, "level")
+    reference = appro(market, allow_remote=True)
+    occupancy = reference.occupancy()
+    tolls: Dict[int, float] = {}
+    for cl in market.network.cloudlets:
+        load = occupancy.get(cl.node_id, 0)
+        tolls[cl.node_id] = level * (cl.alpha + cl.beta) * load
+    return tolls
+
+
+def object_tolled_selfish_market(
+    market: ServiceMarket,
+    tolls: Optional[Dict[int, float]] = None,
+) -> CachingAssignment:
+    """Run the fully selfish posted-price market under the given tolls.
+
+    Every provider (no coordination at all) picks the cloudlet minimising
+    ``posted cost + toll``, sequentially with capacity admission and the
+    remote option. Tolls are excluded from the reported social cost.
+    """
+    tolls = tolls or {}
+    unknown = set(tolls) - {cl.node_id for cl in market.network.cloudlets}
+    if unknown:
+        raise ConfigurationError(f"tolls reference unknown cloudlets {sorted(unknown)}")
+    model = market.cost_model
+
+    with Stopwatch() as watch:
+        loads: Dict[int, List[float]] = {
+            cl.node_id: [0.0, 0.0] for cl in market.network.cloudlets
+        }
+        placement: Dict[int, int] = {}
+        rejected: Set[int] = set()
+        for provider in market.providers:
+            best_node = None
+            best_price = model.remote_cost(provider)
+            for cl in market.network.cloudlets:
+                node = cl.node_id
+                if (
+                    loads[node][0] + provider.compute_demand
+                    > cl.compute_capacity + CAPACITY_EPS
+                    or loads[node][1] + provider.bandwidth_demand
+                    > cl.bandwidth_capacity + CAPACITY_EPS
+                ):
+                    continue
+                price = model.cost(provider, cl, 1) + tolls.get(node, 0.0)
+                if price < best_price:
+                    best_price = price
+                    best_node = node
+            if best_node is None:
+                rejected.add(provider.provider_id)
+                continue
+            placement[provider.provider_id] = best_node
+            loads[best_node][0] += provider.compute_demand
+            loads[best_node][1] += provider.bandwidth_demand
+
+    return CachingAssignment(
+        market=market,
+        placement=placement,
+        rejected=frozenset(rejected),
+        algorithm="TolledSelfish",
+        runtime_s=watch.elapsed,
+        info={"toll_revenue": sum(tolls.get(n, 0.0) for n in placement.values())},
+    )
 
 
 # --------------------------------------------------------------------- #
