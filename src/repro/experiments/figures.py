@@ -167,8 +167,11 @@ def _run_testbed_task(
 ) -> Dict[str, Tuple[AssignmentRecord, float, Dict[str, float]]]:
     """Build the task's seeded testbed + market and run every algorithm.
 
-    Ships back ``(record, controller_runtime_s, flow_metrics)`` per
-    algorithm — the slim summary both serial and parallel sweeps aggregate.
+    One :meth:`Testbed.run_all` call: the algorithms run as controller
+    apps in turn, and their epochs' traffic is emulated in one flow event
+    loop, each flow set on its own clock. Ships back
+    ``(record, controller_runtime_s, flow_metrics)`` per algorithm — the
+    slim summary both serial and parallel sweeps aggregate.
     """
     testbed = Testbed(rng=task.seed)
     n_providers, workload = task.market_params(task.x)
@@ -183,15 +186,14 @@ def _run_testbed_task(
     algorithms = default_algorithms(omx, task.config.allow_remote)
     for alg_name, alg in algorithms.items():
         testbed.register_algorithm(alg_name, alg)
-    out: Dict[str, Tuple[AssignmentRecord, float, Dict[str, float]]] = {}
-    for alg_name in algorithms:
-        run = testbed.run(alg_name, market)
-        out[alg_name] = (
+    return {
+        alg_name: (
             AssignmentRecord.from_assignment(run.assignment),
             float(run.runtime_s),
             dict(run.flow_metrics),
         )
-    return out
+        for alg_name, run in testbed.run_all(list(algorithms), market).items()
+    }
 
 
 def _testbed_sweep(

@@ -192,9 +192,11 @@ class CompiledMarket:
     ``coeff``
         ``(m,)`` — ``alpha_i + beta_i`` per cloudlet (Eq. 1–2).
     ``g``
-        ``(n + 1,)`` — the congestion function at occupancies ``0..n``.
+        ``(n + 1,)`` — the congestion function at occupancies ``0..n``
+        (longer after a growing delta, which reserves occupancies past
+        ``n``; :meth:`compact` trims the reserve).
     ``shared``
-        ``(m, n + 1)`` — ``shared[i, k] = coeff[i] * g[k]``, the anonymous
+        ``(m, len(g))`` — ``shared[i, k] = coeff[i] * g[k]``, the anonymous
         congestion charge of Eq. (3) at every occupancy any profile can
         reach; works for any :class:`CongestionFunction`.
     ``demand``
@@ -385,8 +387,11 @@ class CompiledMarket:
           ``provider_ids`` in one sort. A dry free list grows the tables
           geometrically (by half the population, or the shortfall if
           larger), so a growing population reallocates only now and then;
-        * the congestion prefix ``g`` (and the ``shared`` table) grow to
-          the new maximum occupancy when the population expands.
+        * the congestion prefix ``g`` (and the ``shared`` table) grow past
+          the new maximum occupancy when the population expands, by half
+          the population like the rows, so ``g[:n + 1]`` and
+          ``shared[:, :n + 1]`` match a fresh compile and the reserve
+          holds the congestion values of the occupancies beyond.
 
         ``market`` must already reflect the delta (call through
         :meth:`ServiceMarket.apply`, which orders the two). After
@@ -470,8 +475,11 @@ class CompiledMarket:
 
             n = len(self.provider_ids)
             if n + 1 > len(self.g):
+                # Reserve half the population beyond the new occupancy
+                # range, as _grow_rows reserves rows, so a growing
+                # population reallocates g/shared only now and then.
                 new_g = np.array(
-                    [self.congestion(k) for k in range(len(self.g), n + 1)],
+                    [self.congestion(k) for k in range(len(self.g), n + 1 + n // 2)],
                     dtype=float,
                 )
                 self.g = np.concatenate([self.g, new_g])

@@ -2,16 +2,20 @@
 
 :class:`Testbed` assembles the paper's Fig. 4 setup — the five hardware
 switches, five servers, an AS1755 OVS/VXLAN overlay — and exposes
-:meth:`Testbed.run` which (1) runs a caching algorithm as a controller app,
-(2) installs its placement, (3) emulates the resulting access and update
-traffic at flow level, and (4) reports social cost, wall-clock runtime and
-transfer metrics. The Fig. 5–7 experiments are thin loops over this class.
+:meth:`Testbed.run_all` which, for each of a list of caching algorithms,
+(1) runs it as a controller app, (2) installs its placement and provisions
+its VMs, (3) emulates the resulting access and update traffic at flow
+level, and (4) reports social cost, wall-clock runtime and transfer
+metrics. Step (3) runs every algorithm's flow set in one event loop, each
+set on its own clock (see :mod:`repro.testbed.flows`), so the metrics
+equal those of one emulation per algorithm. :meth:`Testbed.run` is the
+one-algorithm call. Each Fig. 5–7 cell is one ``run_all`` over this class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -134,14 +138,21 @@ class Testbed:
         )
         return list(dict.fromkeys(resources))
 
-    def build_flow_simulator(self, assignment: CachingAssignment) -> FlowSimulator:
+    def build_flow_simulator(
+        self,
+        assignment: CachingAssignment,
+        capacities: Optional[Dict[Hashable, float]] = None,
+    ) -> FlowSimulator:
         """The flow set one epoch of the assignment's traffic generates.
 
         Cached providers generate an access flow (users -> cache) and an
         update flow (cache -> home DC); rejected providers backhaul their
-        request traffic to the remote cloud.
+        request traffic to the remote cloud. ``capacities`` defaults to the
+        testbed's current resource capacities.
         """
-        simulator = FlowSimulator(self._capacities())
+        simulator = FlowSimulator(
+            capacities if capacities is not None else self._capacities()
+        )
         market = assignment.market
         for pid, node in sorted(assignment.placement.items()):
             svc = market.provider(pid).service
@@ -169,36 +180,67 @@ class Testbed:
         return self.build_flow_simulator(assignment).run()
 
     # ------------------------------------------------------------------ #
-    # One full run
+    # Full runs
     # ------------------------------------------------------------------ #
     def run(self, algorithm: str, market: ServiceMarket) -> TestbedRun:
         """Run a registered algorithm on a market over this testbed."""
+        return self.run_all([algorithm], market)[algorithm]
+
+    def run_all(
+        self, algorithms: Sequence[str], market: ServiceMarket
+    ) -> Dict[str, TestbedRun]:
+        """Run registered algorithms on a market, in order, and emulate
+        their epoch traffic side by side.
+
+        Each algorithm in turn gets a fresh server pool, runs as a
+        controller app (timed as :meth:`RyuController.run_app` times it),
+        has one VM provisioned per cached instance (capacity effects on
+        the servers are reported, not enforced — the paper's servers are
+        sized to fit the experiment) and builds its flow set. The flow sets
+        then run in one :meth:`FlowSimulator.run` event loop, each on its
+        own clock, so every algorithm's flow metrics and telemetry equal a
+        run of its set alone. The testbed is left as after the last
+        algorithm: its VMs and its installed paths.
+        """
         if market.network is not self.network:
             raise ConfigurationError(
                 "market was generated over a different network than the testbed overlay"
             )
-        self.vm_manager.destroy_all()
-        assignment = self.controller.run_app(algorithm, market)
-
-        # Provision one VM per cached instance (capacity effects on the
-        # servers are reported, not enforced — the paper's servers are
-        # sized to fit the experiment).
-        for pid in sorted(assignment.placement):
-            self.vm_manager.provision(
-                cores=0.25, memory_gb=0.25, label=f"svc{pid}"
+        if len(set(algorithms)) != len(algorithms):
+            raise ConfigurationError(f"algorithms repeat a name: {list(algorithms)}")
+        capacities = self._capacities()
+        staged: List[
+            Tuple[str, CachingAssignment, float, Dict[str, float], FlowSimulator]
+        ] = []
+        for algorithm in algorithms:
+            self.vm_manager.destroy_all()
+            assignment = self.controller.run_app(algorithm, market)
+            for pid in sorted(assignment.placement):
+                self.vm_manager.provision(
+                    cores=0.25, memory_gb=0.25, label=f"svc{pid}"
+                )
+            staged.append((
+                algorithm,
+                assignment,
+                self.controller.app_runtimes[algorithm],
+                self.vm_manager.utilization(),
+                self.build_flow_simulator(assignment, capacities),
+            ))
+        if staged:
+            first, *others = [simulator for *_, simulator in staged]
+            first.run(*others)
+        return {
+            algorithm: TestbedRun(
+                algorithm=algorithm,
+                assignment=assignment,
+                social_cost=assignment.social_cost,
+                runtime_s=runtime_s,
+                flow_metrics=simulator.metrics(),
+                vm_utilization=utilization,
+                telemetry=simulator.resource_volumes(),
             )
-
-        simulator = self.build_flow_simulator(assignment)
-        flow_metrics = simulator.run()
-        return TestbedRun(
-            algorithm=algorithm,
-            assignment=assignment,
-            social_cost=assignment.social_cost,
-            runtime_s=self.controller.app_runtimes[algorithm],
-            flow_metrics=flow_metrics,
-            vm_utilization=self.vm_manager.utilization(),
-            telemetry=simulator.resource_volumes(),
-        )
+            for algorithm, assignment, runtime_s, utilization, simulator in staged
+        }
 
 
 __all__ = ["UNDERLAY_CABLE_MBPS", "Testbed", "TestbedRun"]

@@ -26,11 +26,36 @@ on arrays compiled once per run:
 * :func:`max_min_fair_rates` is the filling kernel ``run`` calls once per
   event time: ``(flow_of, resource_of, capacity, alive) -> rates``, one
   vectorised pass per bottleneck level over the pairs of the alive flows.
+
+Several flow sets share one loop: ``run(*alongside)`` runs the other
+simulators' flows with this one's (the testbed emulates every algorithm's
+epoch of a market this way). Their compiled pairs are concatenated, each
+set with its own flow and resource offsets, so no two sets share a
+resource column even where they name the same link. Each set keeps its
+own clock: a step takes every set that has a next event to *its own* next
+event time (a segmented min over its flows), drains its flows with its
+own ``dt``, admits its starts against its own time and clamps to its own
+rate cap; a set with no next event sits the step out. One kernel call per
+step fills the union of the alive flows. The filling is local to each
+set: its shares, minima, freezes and charges touch only its pairs and
+resources, and a pass that freezes nothing of a set charges its resources
+nothing. So each set performs exactly the float operations it performs
+when run alone, and ends bit-equal to a run of its own, in as many steps
+as its longest companion rather than their sum.
+
+The clocks are per simulator, not per connected component of a
+simulator's resource graph. A set alone drains every one of its flows at
+each of its event times, including flows of components the event does not
+touch; ``remaining - rate * dt`` summed over different splits of the same
+interval rounds differently. Per-component clocks would therefore break
+bit-equality with a set run alone (and with the coalesced reference the
+differential tests pin the loop to).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -264,16 +289,30 @@ class FlowSimulator:
                 volumes[resource] = volumes.get(resource, 0.0) + flow.volume_gb
         return volumes
 
-    def run(self) -> Dict[str, float]:
-        """Simulate all flows to completion; returns summary metrics.
+    def run(self, *alongside: "FlowSimulator") -> Dict[str, float]:
+        """Simulate this simulator's flows and those of every simulator in
+        ``alongside`` to completion, in one event loop; returns this
+        simulator's :meth:`metrics`.
 
-        Metrics: ``makespan`` (seconds until the last flow finishes),
-        ``mean_completion``, ``total_gb``, ``mean_rate_mbps``.
+        Each simulator keeps its own clock, rate cap and resources, so its
+        flows end exactly as when it runs alone (see the module
+        docstring). Every simulator's flows are compiled before any flow
+        moves: a flow crossing an unknown resource, or starting at a
+        negative time, raises :class:`EmulationError` with no flow touched.
         """
-        if not self.flows:
-            return {"makespan": 0.0, "mean_completion": 0.0, "total_gb": 0.0,
-                    "mean_rate_mbps": 0.0}
+        simulators = (self, *alongside)
+        if len({id(sim) for sim in simulators}) != len(simulators):
+            raise ConfigurationError("a simulator can join a run only once")
+        sets = [sim._compile() for sim in simulators]
+        loaded = [s for s in sets if s.pending]
+        if loaded:
+            _run_sets(loaded)
+        for sim in alongside:
+            sim._require_finished()
+        return self.metrics()
 
+    def _compile(self) -> "_FlowSet":
+        """The pending flows in ``(start_time, flow_id)`` order, compiled."""
         pending = sorted(
             (f for f in self.flows if not f.done), key=lambda f: (f.start_time, f.flow_id)
         )
@@ -281,54 +320,27 @@ class FlowSimulator:
             raise EmulationError(
                 f"flow {pending[0].flow_id} starts at negative time {pending[0].start_time}"
             )
-        flow_of, resource_of, capacity = compile_flows(pending, self.capacities)
-        n = len(pending)
-        starts = [f.start_time for f in pending]
-        remaining = np.array([f.remaining_gbits for f in pending], dtype=float)
-        rate = np.zeros(n)
-        finish = np.full(n, math.nan)
-        alive = np.zeros(n, dtype=bool)
-        eta = np.empty(n)
-        now = 0.0
-        k = 0
-        while True:
-            next_start = starts[k] if k < n else math.inf
-            moving = alive & (rate > 0)
-            eta.fill(math.inf)
-            eta[moving] = now + remaining[moving] * 1000.0 / rate[moving]
-            t = min(next_start, float(eta.min()) if n else math.inf)
-            if t == math.inf:
-                break
-            dt = t - now
-            ending = eta == t
-            finish[ending] = t
-            remaining[ending] = 0.0
-            alive[ending] = False
-            if dt > 0:
-                remaining[alive] = np.maximum(
-                    0.0, remaining[alive] - rate[alive] * dt / 1000.0
-                )
-            first = k
-            while k < n and starts[k] <= t:
-                k += 1
-            alive[first:k] = True
-            now = t
-            if alive.any():
-                rates = max_min_fair_rates(flow_of, resource_of, capacity, alive)
-                rate[alive] = np.minimum(rates[alive], self.default_rate_cap)
+        return _FlowSet(self, pending, *compile_flows(pending, self.capacities))
 
-        for f, left, r, end in zip(
-            pending, remaining.tolist(), rate.tolist(), finish.tolist()
-        ):
-            f.remaining_gbits, f.rate_mbps = left, r
-            if not math.isnan(end):
-                f.finish_time = end
-
+    def _require_finished(self) -> None:
         unfinished = [f for f in self.flows if not f.done]
         if unfinished:
             raise EmulationError(
                 f"{len(unfinished)} flows never completed (zero rate?)"
             )
+
+    def metrics(self) -> Dict[str, float]:
+        """Summary metrics of the finished flows.
+
+        ``makespan`` (seconds until the last flow finishes),
+        ``mean_completion``, ``total_gb``, ``mean_rate_mbps``; all 0.0
+        without flows. Raises :class:`EmulationError` while a flow is
+        unfinished.
+        """
+        if not self.flows:
+            return {"makespan": 0.0, "mean_completion": 0.0, "total_gb": 0.0,
+                    "mean_rate_mbps": 0.0}
+        self._require_finished()
         makespan = max(f.finish_time for f in self.flows)
         completions = [f.completion_time for f in self.flows]
         total_gb = sum(f.volume_gb for f in self.flows)
@@ -346,6 +358,97 @@ class FlowSimulator:
             "total_gb": total_gb,
             "mean_rate_mbps": mean_rate,
         }
+
+
+@dataclass
+class _FlowSet:
+    """One simulator's pending flows and their :func:`compile_flows` arrays."""
+
+    simulator: FlowSimulator
+    pending: List[Flow]
+    flow_of: np.ndarray
+    resource_of: np.ndarray
+    capacity: np.ndarray
+
+
+def _run_sets(sets: Sequence[_FlowSet]) -> None:
+    """The event loop over non-empty flow sets, one clock per set.
+
+    The sets' pairs are concatenated with flow and resource offsets, so
+    one :func:`max_min_fair_rates` call per step fills every set. A step
+    takes each set with a next event to that set's own event time: its
+    first completion under the current rates (a segmented min over its
+    flows) or its next start. Drains use the set's own ``dt`` and starts
+    are admitted against the set's own time.
+    """
+    sizes = [len(s.pending) for s in sets]
+    heads = np.cumsum([0, *sizes[:-1]])
+    ends = (heads + sizes).tolist()
+    resource_heads = np.cumsum([0, *(s.capacity.size for s in sets[:-1])])
+    flow_of = np.concatenate([s.flow_of + h for s, h in zip(sets, heads)])
+    resource_of = np.concatenate(
+        [s.resource_of + h for s, h in zip(sets, resource_heads)]
+    )
+    capacity = np.concatenate([s.capacity for s in sets])
+    set_of = np.repeat(np.arange(len(sets)), sizes)
+    cap = np.repeat([s.simulator.default_rate_cap for s in sets], sizes)
+    starts = [f.start_time for s in sets for f in s.pending]
+    remaining = np.array(
+        [f.remaining_gbits for s in sets for f in s.pending], dtype=float
+    )
+    n = len(starts)
+    rate = np.zeros(n)
+    finish = np.full(n, math.nan)
+    alive = np.zeros(n, dtype=bool)
+    now = np.zeros(len(sets))
+    now_of = np.zeros(n)
+    k = heads.tolist()
+    next_start = np.array([starts[i] for i in k])
+    # Masked lanes divide by a zero rate or drain a finished set; np.where
+    # discards those values, and every kept lane performs the same float
+    # operations as the one-set loop.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            moving = alive & (rate > 0)
+            eta = np.where(moving, now_of + remaining * 1000.0 / rate, math.inf)
+            t = np.minimum(next_start, np.minimum.reduceat(eta, heads))
+            live = t < math.inf
+            if not live.any():
+                break
+            # A set with no next event is idle: NaN matches no completion
+            # and drains nothing.
+            t[~live] = math.nan
+            t_of = t[set_of]
+            ending = eta == t_of
+            finish = np.where(ending, t_of, finish)
+            alive &= ~ending
+            dt_of = t_of - now_of
+            drained = np.maximum(0.0, remaining - rate * dt_of / 1000.0)
+            remaining = np.where(
+                ending, 0.0, np.where(alive & (dt_of > 0), drained, remaining)
+            )
+            for j, when in enumerate(t.tolist()):
+                if not math.isnan(when):
+                    first = k[j]
+                    k[j] = bisect_right(starts, when, first, ends[j])
+                    alive[first:k[j]] = True
+                    next_start[j] = starts[k[j]] if k[j] < ends[j] else math.inf
+            now = np.where(live, t, now)
+            now_of = now[set_of]
+            if alive.any():
+                rates = max_min_fair_rates(flow_of, resource_of, capacity, alive)
+                rate = np.where(alive, np.minimum(rates, cap), rate)
+
+    for s, head, end in zip(sets, heads.tolist(), ends):
+        for f, left, r, done_at in zip(
+            s.pending,
+            remaining[head:end].tolist(),
+            rate[head:end].tolist(),
+            finish[head:end].tolist(),
+        ):
+            f.remaining_gbits, f.rate_mbps = left, r
+            if not math.isnan(done_at):
+                f.finish_time = done_at
 
 
 __all__ = ["GBITS_PER_GB", "Flow", "compile_flows", "max_min_fair_rates", "FlowSimulator"]

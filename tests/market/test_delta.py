@@ -270,6 +270,24 @@ class TestApplyDelta:
         assert cm.shared.shape[1] == cm.g.shape[0]
         assert_equivalent(cm, market)
 
+    def test_growing_deltas_reallocate_g_logarithmically(self):
+        """One arrival per delta: g and shared are reserved geometrically,
+        so 120 growing deltas reallocate them O(log n) times."""
+        market = make_market(15, n_providers=4)
+        cm = market.compile()
+        newcomers = fresh_providers(market, 120, start_id=900, seed=5)
+        reallocations = 0
+        for newcomer in newcomers:
+            g, shared = cm.g, cm.shared
+            market.apply(MarketDelta(arrivals=(newcomer,)))
+            assert (cm.g is g) == (cm.shared is shared)
+            reallocations += cm.g is not g
+        n = cm.n_providers
+        assert n == 124
+        assert 1 < reallocations <= math.ceil(math.log(n / 4, 1.5))
+        assert cm.g.shape[0] > n + 1
+        assert_equivalent(cm, market)
+
     def test_compaction_after_mass_departure(self):
         n = COMPACTION_SLACK + 8
         market = make_market(12, n_providers=n + 4, n_nodes=40)
