@@ -78,7 +78,7 @@ def _scale_instance(n_nodes: int, n_providers: int):
     loads = c.load_matrix(profile)
     for pid in game_all.players:
         pi = c.player_index[pid]
-        costs = c.entry_costs(pi, occ, loads, posted=False)
+        costs = c.entry_costs(pi, occ, loads)
         j = int(np.argmin(costs))
         if not np.isfinite(costs[j]):
             continue

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.assignment import CachingAssignment, Stopwatch
+from repro.core.assignment import CachingAssignment, Stopwatch, sequential_admission
 from repro.core.virtual_cloudlets import VirtualCloudletSplit
 from repro.exceptions import ConfigurationError
 from repro.gap.greedy import greedy_gap
@@ -56,12 +56,10 @@ def _repair_capacities(
 
     The per-cloudlet loads of ``market`` live in one ``(m, 2)`` array of
     its compiled tables ``cm``, built once and maintained incrementally
-    through both the eviction and the re-placement phase; candidate
-    filtering and the cheapest-cloudlet pick are vectorised over the
-    gap-cost table.
+    through both the eviction and the re-placement phase; the
+    re-placement is :func:`sequential_admission` at the gap prices.
     """
     loads = cm.load_matrix(placement)
-    gap = cm.gap_costs()
     evicted: List[int] = []
     for col, node in enumerate(cm.cloudlet_nodes):
         members = sorted(
@@ -83,18 +81,11 @@ def _repair_capacities(
             evicted.append(pid)
 
     rejected: Set[int] = set()
-    moves = 0
-    for pid in evicted:
-        row = cm.provider_index[pid]
-        candidates = np.flatnonzero(cm.fits_mask(row, loads) & np.isfinite(gap[row]))
-        if candidates.size == 0:
-            rejected.add(pid)
-            continue
-        # First minimum among the candidates in cloudlet order.
-        best = int(candidates[np.argmin(gap[row, candidates])])
-        placement[pid] = cm.cloudlet_nodes[best]
-        loads[best] += cm.demand[row]
-        moves += 1
+    # Re-place on the loads the eviction phase kept current: a fresh
+    # load_matrix would sum in another order and can differ in the last bit.
+    moves = sequential_admission(
+        cm, loads, placement, rejected, evicted, cm.gap_costs().__getitem__
+    )
     return placement, rejected, moves
 
 
@@ -108,28 +99,19 @@ def _enter_newcomers(
 ) -> int:
     """Place each newcomer, in order, at its cheapest feasible Eq. (9) cost.
 
-    Same candidate filter, cost and first-minimum tie-break as the repair's
+    :func:`sequential_admission` at the gap prices, as the repair's
     re-placement phase; with ``allow_remote`` a newcomer whose remote cost
-    beats that cloudlet stays remote. Updates ``placement`` and
-    ``rejected`` of ``market`` in place and returns the number placed.
+    is strictly below that cloudlet's stays remote (on a tie it caches).
+    Updates ``placement`` and ``rejected`` of ``market`` in place and
+    returns the number placed.
     """
-    loads = cm.load_matrix(placement)
-    gap = cm.gap_costs()
-    entered = 0
-    for pid in newcomers:
-        row = cm.provider_row(pid)
-        candidates = np.flatnonzero(cm.fits_mask(row, loads) & np.isfinite(gap[row]))
-        if candidates.size == 0:
-            rejected.add(pid)
-            continue
-        best = int(candidates[np.argmin(gap[row, candidates])])
-        if allow_remote and cm.remote[row] < gap[row, best]:
-            rejected.add(pid)
-            continue
-        placement[pid] = cm.cloudlet_nodes[best]
-        loads[best] += cm.demand[row]
-        entered += 1
-    return entered
+    # The kernel admits iff price < threshold; one ulp above the remote
+    # cost turns that into price <= remote.
+    threshold = np.nextafter(cm.remote, np.inf) if allow_remote else None
+    return sequential_admission(
+        cm, cm.load_matrix(placement), placement, rejected, newcomers,
+        cm.gap_costs().__getitem__, threshold,
+    )
 
 
 def _warm_appro(

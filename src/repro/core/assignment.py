@@ -4,6 +4,10 @@ A :class:`CachingAssignment` is the common output type of every algorithm in
 :mod:`repro.core`: which cloudlet hosts each provider's cached instance,
 which providers were rejected (left serving from the remote cloud), and how
 much the outcome costs under the market's congestion-aware model.
+
+:func:`sequential_admission` is the step every algorithm ends with:
+providers, in a fixed order, take the cheapest cloudlet that still has room,
+or stay in the remote cloud.
 """
 
 from __future__ import annotations
@@ -11,9 +15,12 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set
+
+import numpy as np
 
 from repro.exceptions import CapacityError, ConfigurationError
+from repro.market.compiled import CompiledMarket
 from repro.market.market import ServiceMarket
 from repro.utils.validation import CAPACITY_EPS
 
@@ -160,6 +167,40 @@ class CachingAssignment:
         )
 
 
+def sequential_admission(
+    cm: CompiledMarket,
+    loads: np.ndarray,
+    placement: Dict[int, int],
+    rejected: Set[int],
+    entrants: Iterable[int],
+    price: Callable[[int], np.ndarray],
+    threshold: Optional[np.ndarray] = None,
+) -> int:
+    """Admit ``entrants``, in order, each at its cheapest cloudlet with room.
+
+    ``price(row)`` is the entrant's cost row over the cloudlet columns (by
+    physical row of ``cm``). Candidates fit the residual capacity
+    (:meth:`CompiledMarket.fits_mask`) and have a finite fixed cost; the
+    first minimum wins iff it is strictly below ``threshold[row]`` (none:
+    ``inf``), else the entrant is rejected. Updates the ``(m, 2)``
+    ``loads``, ``placement`` and ``rejected`` in place; returns the number
+    admitted.
+    """
+    admitted = 0
+    for pid in entrants:
+        row = cm.provider_row(pid)
+        mask = cm.fits_mask(row, loads) & np.isfinite(cm.fixed[row])
+        costs = np.where(mask, price(row), np.inf)
+        j = int(np.argmin(costs))
+        if not costs[j] < (np.inf if threshold is None else threshold[row]):
+            rejected.add(pid)
+            continue
+        placement[pid] = cm.cloudlet_nodes[j]
+        loads[j] += cm.demand[row]
+        admitted += 1
+    return admitted
+
+
 class Stopwatch:
     """Tiny context manager measuring wall-clock runtime of algorithms."""
 
@@ -172,4 +213,4 @@ class Stopwatch:
         self.elapsed = time.perf_counter() - self._start
 
 
-__all__ = ["CachingAssignment", "Stopwatch"]
+__all__ = ["CachingAssignment", "Stopwatch", "sequential_admission"]

@@ -17,9 +17,10 @@ then instantiates the service "with its requests". It ignores prices,
 congestion and updates alike, making it the worst of the three, as in
 Figs. 2–3.
 
-Both run sequential admission: when the preferred cloudlet lacks capacity
-the provider takes its next-best feasible choice, and is rejected (service
-stays remote) only when no cloudlet fits it.
+Both run the library's one sequential-admission rule
+(:func:`~repro.core.assignment.sequential_admission`): when the preferred
+cloudlet lacks capacity the provider takes its next-best feasible choice,
+and is rejected (service stays remote) only when no cloudlet fits it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Dict, Set, Tuple
 
 import numpy as np
 
-from repro.core.assignment import CachingAssignment, Stopwatch
+from repro.core.assignment import CachingAssignment, Stopwatch, sequential_admission
 from repro.market.compiled import CompiledMarket
 from repro.market.market import ServiceMarket
 
@@ -37,34 +38,19 @@ def _admit_in_id_order(
     cm: CompiledMarket, preference: np.ndarray
 ) -> Tuple[Dict[int, int], Set[int]]:
     """Admit providers in id order; each takes its cheapest feasible
-    cloudlet under ``preference``.
+    cloudlet under ``preference`` (:func:`sequential_admission` from empty
+    cloudlets, no remote threshold).
 
-    ``preference`` is a precomputed ``(n, m)`` cost table — both baselines'
-    preferences are occupancy-independent, which is what makes them
-    tabulable up front. A cloudlet is feasible when the provider fits its
-    residual capacity and the pair is admissible (finite fixed cost).
+    ``preference`` is a precomputed ``(n, m)`` cost table indexed by
+    *physical* row — both baselines' preferences are
+    occupancy-independent, which is what makes them tabulable up front.
     """
-    loads = np.zeros((cm.n_cloudlets, 2))
     placement: Dict[int, int] = {}
     rejected: Set[int] = set()
-
-    # `preference` is indexed by *physical* row: admission walks providers
-    # in id order but gathers each one's row through the active-row map,
-    # so delta-patched (non-dense) tables admit identically.
-    for i, pid in zip(cm.active_rows, cm.provider_ids):
-        mask = cm.fits_mask(i, loads) & np.isfinite(cm.fixed[i])
-        candidates = np.flatnonzero(mask)
-        if candidates.size == 0:
-            rejected.add(pid)
-            continue
-        # np.argmin returns the first minimum: ties go to the lowest
-        # cloudlet column.
-        best = int(candidates[np.argmin(preference[i, candidates])])
-        if not preference[i, best] < np.inf:
-            rejected.add(pid)
-            continue
-        placement[pid] = cm.cloudlet_nodes[best]
-        loads[best] += cm.demand[i]
+    sequential_admission(
+        cm, np.zeros((cm.n_cloudlets, 2)), placement, rejected,
+        cm.provider_ids, preference.__getitem__,
+    )
     return placement, rejected
 
 

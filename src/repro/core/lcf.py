@@ -25,9 +25,12 @@ Step 4 supports two information models:
 * ``"full"`` — selfish providers observe live congestion and play
   best-response dynamics to a pure Nash equilibrium of the capacitated
   congestion game (Lemma 3 guarantees existence and convergence). This is
-  the theoretically-stable variant used by the PoA study; with fully
-  informed players the equilibrium is close to the coordinated optimum, so
-  the ``1 - xi`` trend flattens (see EXPERIMENTS.md).
+  the theoretically-stable variant; with fully informed players the
+  equilibrium is close to the coordinated optimum, so the ``1 - xi`` trend
+  flattens (see EXPERIMENTS.md). (The PoA study does not run LCF: it
+  bounds the worst equilibrium of ``market_game`` directly.)
+
+Posted-price entry is :func:`~repro.core.assignment.sequential_admission`.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set
 import numpy as np
 
 from repro.core.appro import appro
-from repro.core.assignment import CachingAssignment, Stopwatch
+from repro.core.assignment import CachingAssignment, Stopwatch, sequential_admission
 from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.game.best_response import best_response_dynamics
 from repro.game.congestion import SingletonCongestionGame
@@ -90,23 +93,23 @@ def _selfish_entry(
     selfish_ids: List[int],
     rejected: Set[int],
     placed_selfish: List[int],
-    posted: bool,
     entry_threshold: Callable[[int], float],
 ) -> None:
-    """Sequential selfish entry with rejection of unplaceable providers.
+    """Full-information sequential selfish entry with rejection of
+    unplaceable providers.
 
     Each selfish provider, in order, takes its cheapest feasible cloudlet
-    from the compiled entry-cost row (occupancy term at face value under
-    ``posted``, else the live occupancy it would join) unless that cost
-    does not beat ``entry_threshold``; then it is rejected. Updates
-    ``profile``, ``rejected`` and ``placed_selfish`` in place.
+    from the compiled entry-cost row (the live occupancy it would join)
+    unless that cost does not beat ``entry_threshold``; then it is
+    rejected. Updates ``profile``, ``rejected`` and ``placed_selfish`` in
+    place.
     """
     compiled = game_all.compile()
     occ_vec = compiled.occupancy_vector(profile)
     load_mat = compiled.load_matrix(profile)
     for pid in selfish_ids:
         pi = compiled.player_index[pid]
-        costs = compiled.entry_costs(pi, occ_vec, load_mat, posted=posted)
+        costs = compiled.entry_costs(pi, occ_vec, load_mat)
         j = int(np.argmin(costs))
         if not costs[j] < entry_threshold(pid):
             rejected.add(pid)
@@ -119,30 +122,43 @@ def _selfish_entry(
         placed_selfish.append(pid)
 
 
+def _posted_prices(
+    cm: CompiledMarket, tolls: Optional[np.ndarray] = None
+) -> Callable[[int], np.ndarray]:
+    """Posted price rows ``shared[:, 1] + fixed[row]`` (as
+    ``CostModel.cost(provider, cl, 1)``), plus ``tolls`` per column."""
+    posted = cm.shared[:, 1]
+    if tolls is None:
+        return lambda row: posted + cm.fixed[row]
+    return lambda row: (posted + cm.fixed[row]) + tolls
+
+
 def posted_price_entry(
     cm: CompiledMarket, placement: Dict[int, int], rejected: Set[int],
     entrants: Iterable[int], tolls: Optional[np.ndarray] = None,
 ) -> None:
     """Posted-price sequential entry: each entrant, in order, takes the
-    first cheapest cloudlet with room at its posted price ``shared[:, 1] +
-    fixed[row]`` (congestion at face value plus the fixed cost, as
-    ``CostModel.cost(provider, cl, 1)``), plus ``tolls`` per cloudlet
-    column when given, unless that does not beat its remote cost; then it
-    is rejected. Updates ``placement`` and ``rejected`` in place."""
-    loads = cm.load_matrix(placement)
-    posted = cm.shared[:, 1]
-    for pid in entrants:
-        row = cm.provider_row(pid)
-        costs = posted + cm.fixed[row]
-        if tolls is not None:
-            costs = costs + tolls
-        costs = np.where(cm.fits_mask(row, loads), costs, np.inf)
-        j = int(np.argmin(costs))
-        if not costs[j] < cm.remote[row]:
-            rejected.add(pid)
-            continue
-        placement[pid] = cm.cloudlet_nodes[j]
-        loads[j] += cm.demand[row]
+    first cheapest cloudlet with room at its posted price (plus ``tolls``
+    per cloudlet column when given) unless that does not beat its remote
+    cost; then it is rejected. Updates ``placement`` and ``rejected`` in
+    place."""
+    sequential_admission(
+        cm, cm.load_matrix(placement), placement, rejected, entrants,
+        _posted_prices(cm, tolls), cm.remote,
+    )
+
+
+def _posted_entry(
+    market: ServiceMarket, cm: CompiledMarket, profile: Dict[int, int],
+    selfish_ids: List[int], rejected: Set[int], allow_remote: bool,
+) -> None:
+    """LCF's posted-price selfish entry: :func:`posted_price_entry` with
+    the remote threshold only when ``allow_remote``. Updates ``profile``
+    and ``rejected`` of ``market`` in place."""
+    sequential_admission(
+        cm, cm.load_matrix(profile), profile, rejected, selfish_ids,
+        _posted_prices(cm), cm.remote if allow_remote else None,
+    )
 
 
 @dataclass
@@ -243,23 +259,27 @@ def lcf(
         # Sequential selfish entry with rejection of unplaceable providers.
         # Under "posted_price" each provider evaluates the published price
         # sheet only (occupancy term at its face value of one unit); under
-        # "full" it sees the live occupancy it would join.
+        # "full" it sees the live occupancy it would join. With the remote
+        # option open, "not to cache" competes with every cloudlet at the
+        # provider's remote-serving cost.
         rejected: Set[int] = set(pinned_remote)
-        game_all = market_game(market)
         placed_selfish: List[int] = []
         posted = information == "posted_price"
-        # With the remote option open, "not to cache" competes with every
-        # cloudlet at the provider's remote-serving cost.
-        entry_threshold = (
-            market.compile().remote_cost
-            if allow_remote
-            else (lambda pid: float("inf"))
-        )
-
-        _selfish_entry(
-            game_all, profile, selfish_ids, rejected, placed_selfish,
-            posted, entry_threshold,
-        )
+        if posted:
+            _posted_entry(
+                market, market.compile(), profile, selfish_ids, rejected,
+                allow_remote,
+            )
+        else:
+            entry_threshold = (
+                market.compile().remote_cost
+                if allow_remote
+                else (lambda pid: float("inf"))
+            )
+            _selfish_entry(
+                market_game(market), profile, selfish_ids, rejected,
+                placed_selfish, entry_threshold,
+            )
 
         game = market_game(market, players=list(profile))
         if posted:

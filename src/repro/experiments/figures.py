@@ -35,7 +35,6 @@ from repro.experiments.harness import (
     AssignmentRecord,
     SweepResult,
     default_algorithms,
-    evaluate_algorithms,
     sweep,
 )
 from repro.experiments.parallel import map_tasks
@@ -371,46 +370,37 @@ def ablation_selection_strategies(config: ExperimentConfig = PAPER) -> SweepResu
     )
 
 
+#: A3's congestion models, by sweep x value.
+_CONGESTION_MODELS = {
+    "linear": LinearCongestion(),
+    "quadratic": QuadraticCongestion(scale=8.0),
+    "mm1": MM1Congestion(capacity=64),
+}
+
+
+def _congestion_market(config: ExperimentConfig, model: object, seed: int) -> ServiceMarket:
+    """``make_market`` for A3: one of :data:`_CONGESTION_MODELS`."""
+    network = random_mec_network(config.default_size, rng=seed)
+    return generate_market(
+        network,
+        config.n_providers,
+        params=config.workload,
+        rng=seed + 1,
+        congestion=_CONGESTION_MODELS[str(model)],
+    )
+
+
 def ablation_congestion_models(config: ExperimentConfig = PAPER) -> SweepResult:
     """A3: the paper's linear congestion vs quadratic vs M/M/1."""
-    models = {
-        "linear": LinearCongestion(),
-        "quadratic": QuadraticCongestion(scale=8.0),
-        "mm1": MM1Congestion(capacity=64),
-    }
-
-    def make_market_for(model_name: str, seed: int) -> ServiceMarket:
-        network = random_mec_network(config.default_size, rng=seed)
-        return generate_market(
-            network,
-            config.n_providers,
-            params=config.workload,
-            rng=seed + 1,
-            congestion=models[model_name],
-        )
-
-    points: List[Dict[str, AlgorithmMetrics]] = []
-    for model_name in models:
-        collected: Dict[str, List[CachingAssignment]] = {}
-        for rep in range(config.repetitions):
-            seed = config.point_seed(list(models).index(model_name), rep)
-            market = make_market_for(model_name, seed)
-            algorithms = default_algorithms(
-                config.one_minus_xi, config.allow_remote
-            )
-            for alg, assignment in evaluate_algorithms(market, algorithms).items():
-                collected.setdefault(alg, []).append(assignment)
-        points.append(
-            {
-                alg: AlgorithmMetrics.from_assignments(assignments)
-                for alg, assignments in collected.items()
-            }
-        )
-    return SweepResult(
+    return sweep(
         name="ablation-congestion",
         x_label="congestion model",
-        x_values=list(models),
-        points=points,
+        x_values=list(_CONGESTION_MODELS),
+        make_market=partial(_congestion_market, config),
+        make_algorithms=partial(_fixed_xi_algorithms, config),
+        repetitions=config.repetitions,
+        workers=config.workers,
+        seed_fn=config.point_seed,
     )
 
 
@@ -440,39 +430,28 @@ def ablation_gap_solvers(config: ExperimentConfig = PAPER) -> SweepResult:
     )
 
 
+def _topology_market(config: ExperimentConfig, model: object, seed: int) -> ServiceMarket:
+    """``make_market`` for A5: one topology family."""
+    network = random_mec_network(config.default_size, rng=seed, model=str(model))
+    return generate_market(
+        network, config.n_providers, params=config.workload, rng=seed + 1
+    )
+
+
 def ablation_topologies(config: ExperimentConfig = PAPER) -> SweepResult:
     """A5: the Fig. 2 ordering across topology families.
 
     GT-ITM transit-stub (the paper's), Waxman flat-random and
     Barabási–Albert scale-free — the algorithms should keep their ordering
     regardless of where the cloudlets live."""
-    models = ("transit_stub", "waxman", "scale_free")
-
-    points: List[Dict[str, AlgorithmMetrics]] = []
-    for model in models:
-        collected: Dict[str, List[CachingAssignment]] = {}
-        for rep in range(config.repetitions):
-            seed = 7_919 * rep + 13
-            network = random_mec_network(config.default_size, rng=seed, model=model)
-            market = generate_market(
-                network, config.n_providers, params=config.workload, rng=seed + 1
-            )
-            algorithms = default_algorithms(
-                config.one_minus_xi, config.allow_remote
-            )
-            for alg, assignment in evaluate_algorithms(market, algorithms).items():
-                collected.setdefault(alg, []).append(assignment)
-        points.append(
-            {
-                alg: AlgorithmMetrics.from_assignments(assignments)
-                for alg, assignments in collected.items()
-            }
-        )
-    return SweepResult(
+    return sweep(
         name="ablation-topology",
         x_label="topology model",
-        x_values=list(models),
-        points=points,
+        x_values=["transit_stub", "waxman", "scale_free"],
+        make_market=partial(_topology_market, config),
+        make_algorithms=partial(_fixed_xi_algorithms, config),
+        repetitions=config.repetitions,
+        workers=config.workers,
     )
 
 

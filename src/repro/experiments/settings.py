@@ -33,7 +33,12 @@ class ExperimentConfig:
     xi_sweep: Tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
     #: Independent repetitions per sweep point (paper averages several runs).
     repetitions: int = 5
-    #: Base RNG seed; repetition ``k`` at point ``x`` derives its own seed.
+    #: Base RNG seed. Only some sweeps read it: the testbed figures (Figs.
+    #: 5-7) seed repetition ``k`` with ``point_seed(0, k)`` at every point,
+    #: ablation A3 with ``point_seed(x_index, k)``, and A2 uses it as the
+    #: random-selection rng. Figs. 2-3, A4 and A5 seed repetition ``k``
+    #: with :func:`~repro.experiments.harness.legacy_point_seed` and
+    #: ignore it.
     seed: int = 20200707
     #: Workload distributions (Section IV.A).
     workload: WorkloadParams = field(default_factory=WorkloadParams)

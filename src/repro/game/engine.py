@@ -188,19 +188,11 @@ class CompiledGame:
         player_idx: int,
         occ: np.ndarray,
         loads: Optional[np.ndarray],
-        posted: bool = False,
     ) -> np.ndarray:
-        """Cost of joining each resource (infeasible ones are ``+inf``).
-
-        ``posted=True`` evaluates the congestion term at its face value of
-        one occupant (the posted-price information model); otherwise the
-        player faces the live occupancy plus itself.
-        """
-        if posted:
-            shared = self.shared[:, 1]
-        else:
-            kcol = np.minimum(occ + 1, self.n_players)
-            shared = self.shared[np.arange(self.n_resources), kcol]
+        """Cost of joining each resource (infeasible ones are ``+inf``):
+        the player faces the live occupancy plus itself."""
+        kcol = np.minimum(occ + 1, self.n_players)
+        shared = self.shared[np.arange(self.n_resources), kcol]
         costs = shared + self.fixed[player_idx]
         costs[~self.feasible_mask(player_idx, loads)] = np.inf
         return costs

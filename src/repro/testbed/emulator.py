@@ -121,23 +121,6 @@ class Testbed:
             caps[("underlay", cable)] = UNDERLAY_CABLE_MBPS
         return caps
 
-    def _flow_resources(self, src: int, dst: int) -> List[Hashable]:
-        """Overlay links + underlay cables a transfer crosses (dedup).
-
-        One walk of the overlay path; each hop's cables are read from its
-        live tunnel, so a flow built after a cable cut crosses the
-        re-pinned cables.
-        """
-        path = self.overlay.overlay_path(src, dst)
-        hops = list(zip(path, path[1:]))
-        resources: List[Hashable] = [("overlay", frozenset(hop)) for hop in hops]
-        resources.extend(
-            ("underlay", frozenset(cable))
-            for u, v in hops
-            for cable in self.overlay.tunnel(u, v).underlay_path
-        )
-        return list(dict.fromkeys(resources))
-
     def build_flow_simulator(
         self,
         assignment: CachingAssignment,
@@ -159,19 +142,19 @@ class Testbed:
             if svc.user_node != node and svc.request_traffic_gb > 0:
                 simulator.add_flow(
                     svc.user_node, node, svc.request_traffic_gb,
-                    self._flow_resources(svc.user_node, node),
+                    self.overlay.transfer_resources(svc.user_node, node),
                 )
             if node != svc.home_dc and svc.update_volume_gb > 0:
                 simulator.add_flow(
                     node, svc.home_dc, svc.update_volume_gb,
-                    self._flow_resources(node, svc.home_dc),
+                    self.overlay.transfer_resources(node, svc.home_dc),
                 )
         for pid in sorted(assignment.rejected):
             svc = market.provider(pid).service
             if svc.user_node != svc.home_dc and svc.request_traffic_gb > 0:
                 simulator.add_flow(
                     svc.user_node, svc.home_dc, svc.request_traffic_gb,
-                    self._flow_resources(svc.user_node, svc.home_dc),
+                    self.overlay.transfer_resources(svc.user_node, svc.home_dc),
                 )
         return simulator
 

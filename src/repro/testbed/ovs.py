@@ -11,8 +11,8 @@ from the pure simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Hashable, List, Sequence, Tuple
 
 import networkx as nx
 
@@ -96,38 +96,44 @@ class OverlayNetwork:
             server = self.servers[k % len(self.servers)]
             self.bridges[node] = OVSBridge(bridge_id=node, server=server)
 
-        # Build tunnels; underlay path = switch route between the servers.
-        self.tunnels: Dict[FrozenSet[int], VXLANTunnel] = {}
-        vni = 1
-        for u, v in sorted(graph.edges):
-            su = self._attached_switch(self.bridges[u].server)
-            sv = self._attached_switch(self.bridges[v].server)
-            if su == sv:
-                path: Tuple[Tuple[int, int], ...] = ()
-            else:
-                nodes = nx.shortest_path(self._switch_graph, su, sv)
-                path = tuple(zip(nodes, nodes[1:]))
-            self.tunnels[frozenset((u, v))] = VXLANTunnel(
-                u=u, v=v, vni=vni, underlay_path=path
-            )
-            vni += 1
-
-        # Populate switch forwarding tables along shortest paths.
+        self._switch_by_id = {sw.switch_id: sw for sw in self.switches}
+        # Populate switch forwarding tables along shortest paths, then pin
+        # every tunnel onto the route those tables forward it on.
         self._install_underlay_routes()
+        self.tunnels: Dict[FrozenSet[int], VXLANTunnel] = {}
+        for vni, (u, v) in enumerate(sorted(graph.edges), start=1):
+            self.tunnels[frozenset((u, v))] = VXLANTunnel(
+                u=u, v=v, vni=vni, underlay_path=self._underlay_route(u, v)
+            )
 
         #: Memoised :meth:`overlay_path` per ``(src, dst)``. The overlay
         #: graph and its tunnel set are fixed at construction; a cable cut
         #: re-pins tunnels onto the underlay only.
         self._paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        #: Memoised :meth:`transfer_resources` per ``(src, dst)``; they read
+        #: the live tunnels, so :meth:`fail_cable` clears them.
+        self._resources: Dict[Tuple[int, int], Tuple[Hashable, ...]] = {}
 
     def _attached_switch(self, server: Server) -> int:
         return self.switches[server.server_id % len(self.switches)].switch_id
 
+    def _underlay_route(self, u: int, v: int) -> Tuple[Tuple[int, int], ...]:
+        """Cables of tunnel ``u -> v``: the walk the switches' forwarding
+        tables take from ``u``'s server switch to ``v``'s (empty when both
+        bridges attach to one switch)."""
+        here = self._attached_switch(self.bridges[u].server)
+        there = self._attached_switch(self.bridges[v].server)
+        cables: List[Tuple[int, int]] = []
+        while here != there:  # each hop is one BFS step closer to ``there``
+            hop = self._switch_by_id[here].next_hop(there)
+            cables.append((here, hop))
+            here = hop
+        return tuple(cables)
+
     def _install_underlay_routes(self) -> None:
-        by_id = {sw.switch_id: sw for sw in self.switches}
         for src in self._switch_graph.nodes:
             paths = nx.single_source_shortest_path(self._switch_graph, src)
-            sw = by_id[src]
+            sw = self._switch_by_id[src]
             for dst, nodes in paths.items():
                 if dst == src or len(nodes) < 2:
                     continue
@@ -152,7 +158,7 @@ class OverlayNetwork:
         if one switch is down": the underlay must stay connected, otherwise
         the failure is rejected. Switch forwarding tables are recomputed
         and every VXLAN tunnel that crossed the cable is re-pinned onto the
-        new shortest path. Returns the re-pinned tunnels.
+        route the new tables forward it on. Returns the re-pinned tunnels.
         """
         if not self._switch_graph.has_edge(a, b):
             raise TopologyError(f"no cable between switches {a} and {b}")
@@ -163,29 +169,23 @@ class OverlayNetwork:
                 f"cutting cable {a}-{b} would partition the underlay"
             )
         # Physically unplug both ends.
-        by_id = {sw.switch_id: sw for sw in self.switches}
         for near, far in ((a, b), (b, a)):
-            sw = by_id[near]
+            sw = self._switch_by_id[near]
             for port in range(sw.model.ports):
                 if sw.peer_on(port) == far:
                     sw.disconnect(port)
                     break
         self._install_underlay_routes()
+        self._resources.clear()
 
         cable = frozenset((a, b))
         repinned: List[VXLANTunnel] = []
         for key, tunnel in list(self.tunnels.items()):
             if cable not in {frozenset(c) for c in tunnel.underlay_path}:
                 continue
-            su = self._attached_switch(self.bridges[tunnel.u].server)
-            sv = self._attached_switch(self.bridges[tunnel.v].server)
-            if su == sv:
-                path: Tuple[Tuple[int, int], ...] = ()
-            else:
-                nodes = nx.shortest_path(self._switch_graph, su, sv)
-                path = tuple(zip(nodes, nodes[1:]))
             new_tunnel = VXLANTunnel(
-                u=tunnel.u, v=tunnel.v, vni=tunnel.vni, underlay_path=path
+                u=tunnel.u, v=tunnel.v, vni=tunnel.vni,
+                underlay_path=self._underlay_route(tunnel.u, tunnel.v),
             )
             self.tunnels[key] = new_tunnel
             repinned.append(new_tunnel)
@@ -212,14 +212,24 @@ class OverlayNetwork:
             self._paths[(src, dst)] = path
         return list(path)
 
-    def underlay_cables(self, src: int, dst: int) -> List[Tuple[int, int]]:
-        """All underlay cables a transfer ``src -> dst`` crosses (with
-        multiplicity), concatenating each hop tunnel's underlay path."""
-        cables: List[Tuple[int, int]] = []
-        path = self.overlay_path(src, dst)
-        for u, v in zip(path, path[1:]):
-            cables.extend(self.tunnel(u, v).underlay_path)
-        return cables
+    def transfer_resources(self, src: int, dst: int) -> Tuple[Hashable, ...]:
+        """Resources a transfer ``src -> dst`` crosses, each once: the
+        overlay links of :meth:`overlay_path` as ``("overlay",
+        frozenset(hop))``, then the cables of each hop's live tunnel as
+        ``("underlay", frozenset(cable))``. Memoised per ``(src, dst)``
+        until the next :meth:`fail_cable`, so a transfer built after a cut
+        crosses the re-pinned cables."""
+        resources = self._resources.get((src, dst))
+        if resources is None:
+            path = self.overlay_path(src, dst)
+            hops = list(zip(path, path[1:]))
+            resources = tuple(dict.fromkeys([
+                *(("overlay", frozenset(hop)) for hop in hops),
+                *(("underlay", frozenset(cable)) for u, v in hops
+                  for cable in self.tunnel(u, v).underlay_path),
+            ]))
+            self._resources[(src, dst)] = resources
+        return resources
 
     def __repr__(self) -> str:
         return (

@@ -10,8 +10,10 @@ compare it against:
 * :func:`incremental_best_response` — compiled cost tables, one vectorised
   argmin per player turn and a delta-maintained potential.
 
-:func:`naive_selfish_entry` is LCF's matching per-resource selfish-entry
-scan, the naive twin of :func:`repro.core.lcf._selfish_entry`.
+:func:`naive_selfish_entry` is LCF's matching per-resource full-information
+entry scan, the naive twin of :func:`repro.core.lcf._selfish_entry` (the
+posted-price entry's twin is
+:func:`tests.oracles.object_graph_reference.object_posted_entry`).
 
 All three engines visit players in the same order with the same strict
 improvement threshold and the same first-minimum tie-break, so they
@@ -263,12 +265,11 @@ def naive_selfish_entry(
     selfish_ids: List[int],
     rejected: Set[int],
     placed_selfish: List[int],
-    posted: bool,
     entry_threshold: Callable[[int], float],
 ) -> None:
-    """LCF's sequential selfish entry with per-resource scans over the
-    game's cost callables; same arguments and in-place updates as
-    :func:`repro.core.lcf._selfish_entry`."""
+    """LCF's full-information sequential selfish entry with per-resource
+    scans over the game's cost callables; same arguments and in-place
+    updates as :func:`repro.core.lcf._selfish_entry`."""
     occ: Dict[int, int] = game_all.occupancy(profile)
     loads = game_all.loads(profile)
     for pid in selfish_ids:
@@ -277,8 +278,7 @@ def naive_selfish_entry(
         for node in game_all.resources:
             if not game_all.move_is_feasible(pid, node, profile, loads):
                 continue
-            evaluated_occ = 1 if posted else occ.get(node, 0) + 1
-            c = game_all.cost(pid, node, evaluated_occ)
+            c = game_all.cost(pid, node, occ.get(node, 0) + 1)
             if c < best_cost:
                 best_cost = c
                 best_node = node
@@ -307,8 +307,9 @@ def use_kernel(name: str) -> Iterator[None]:
 
     ``"incremental"`` swaps :func:`incremental_best_response` in for the
     batch kernel. ``"naive"`` swaps in :func:`naive_best_response_dynamics`
-    for ``lcf``'s dynamics and :func:`naive_selfish_entry` for its entry
-    scan — the whole naive LCF pipeline. ``"batch"`` changes nothing.
+    for ``lcf``'s dynamics and :func:`naive_selfish_entry` for its
+    full-information entry scan — the whole naive full-information LCF
+    pipeline. ``"batch"`` changes nothing.
     """
     if name == "batch":
         yield

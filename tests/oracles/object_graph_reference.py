@@ -19,6 +19,9 @@ oracles the differential suites compare it against:
   evaluates the tables pair by pair (the library's
   :class:`~repro.game.engine.MarketGame` reads them off the compiled
   market);
+* :func:`object_posted_entry` — LCF's posted-price selfish entry, one
+  cost-model query per (provider, cloudlet) pair; the tolled market and
+  the rebuild simulation's arrivals enter through it too;
 * :func:`object_jo_offload_cache` / :func:`object_offload_cache` — the two
   baselines' sequential admission with per-cloudlet cost-model queries;
 * :func:`object_social_cost_lower_bound` (with
@@ -26,10 +29,9 @@ oracles the differential suites compare it against:
   optimum, one column per (provider, cloudlet, slot) triple (the library's
   bound aggregates the slots and reads the compiled tables);
 * :func:`object_anticipatory_tolls` / :func:`object_tolled_selfish_market`
-  — the congestion-toll extension pricing every (provider, cloudlet) pair
-  through the cost model in a double loop (the library's tolled market is
-  the simulation's posted-price entry on the compiled tables with tolls
-  added);
+  — the congestion-toll extension, :func:`object_posted_entry` with tolls
+  added (the library's tolled market is the simulation's posted-price
+  entry on the compiled tables with tolls added);
 * :class:`ObjectRebuildSimulation` — the dynamic simulation that rebuilds
   the market object graph every epoch instead of delta-patching one.
 
@@ -357,6 +359,45 @@ def object_market_game(
     )
 
 
+def object_posted_entry(
+    market: ServiceMarket,
+    cm: Optional[CompiledMarket],
+    profile: Dict[int, int],
+    selfish_ids: Sequence[int],
+    rejected: Set[int],
+    allow_remote: bool,
+    tolls: Optional[Dict[int, float]] = None,
+) -> None:
+    """:func:`repro.core.lcf._posted_entry` over cost-model queries: each
+    entrant, in order, takes the first cloudlet with room whose posted
+    price ``cost(provider, cl, 1)`` (plus its toll) is strictly below the
+    best so far, starting from the remote cost when ``allow_remote`` and
+    from ``inf`` otherwise; with none, it is rejected. ``cm`` is ignored.
+    The tolled market and the rebuild simulation's arrivals enter through
+    the same loop."""
+    tolls = tolls or {}
+    model = market.cost_model
+    loads = _loads(market, profile)
+    for pid in selfish_ids:
+        provider = market.provider(pid)
+        best_node = None
+        best_price = model.remote_cost(provider) if allow_remote else math.inf
+        for cl in market.network.cloudlets:
+            node = cl.node_id
+            if not _fits(market, node, loads[node], pid):
+                continue
+            price = model.cost(provider, cl, 1) + tolls.get(node, 0.0)
+            if price < best_price:
+                best_price = price
+                best_node = node
+        if best_node is None:
+            rejected.add(pid)
+            continue
+        profile[pid] = best_node
+        loads[best_node][0] += provider.compute_demand
+        loads[best_node][1] += provider.bandwidth_demand
+
+
 # --------------------------------------------------------------------- #
 # Baselines (whole-function oracles)
 # --------------------------------------------------------------------- #
@@ -602,36 +643,15 @@ def object_tolled_selfish_market(
     unknown = set(tolls) - {cl.node_id for cl in market.network.cloudlets}
     if unknown:
         raise ConfigurationError(f"tolls reference unknown cloudlets {sorted(unknown)}")
-    model = market.cost_model
 
     with Stopwatch() as watch:
-        loads: Dict[int, List[float]] = {
-            cl.node_id: [0.0, 0.0] for cl in market.network.cloudlets
-        }
         placement: Dict[int, int] = {}
         rejected: Set[int] = set()
-        for provider in market.providers:
-            best_node = None
-            best_price = model.remote_cost(provider)
-            for cl in market.network.cloudlets:
-                node = cl.node_id
-                if (
-                    loads[node][0] + provider.compute_demand
-                    > cl.compute_capacity + CAPACITY_EPS
-                    or loads[node][1] + provider.bandwidth_demand
-                    > cl.bandwidth_capacity + CAPACITY_EPS
-                ):
-                    continue
-                price = model.cost(provider, cl, 1) + tolls.get(node, 0.0)
-                if price < best_price:
-                    best_price = price
-                    best_node = node
-            if best_node is None:
-                rejected.add(provider.provider_id)
-                continue
-            placement[provider.provider_id] = best_node
-            loads[best_node][0] += provider.compute_demand
-            loads[best_node][1] += provider.bandwidth_demand
+        object_posted_entry(
+            market, None, placement,
+            [p.provider_id for p in market.providers], rejected,
+            allow_remote=True, tolls=tolls,
+        )
 
     return CachingAssignment(
         market=market,
@@ -657,6 +677,7 @@ _SEAMS = (
     ("repro.core.appro._repair_capacities", object_repair_capacities),
     ("repro.core.appro._enter_newcomers", object_enter_newcomers),
     ("repro.core.lcf.market_game", object_market_game),
+    ("repro.core.lcf._posted_entry", object_posted_entry),
 )
 
 
@@ -664,8 +685,9 @@ _SEAMS = (
 def use_object_graph() -> Iterator[None]:
     """Run the library on the object-graph oracles while the context is
     open: greedy GAP loops per item, Appro builds its GAP instance, repairs
-    capacities and places warm newcomers through the cost model, and LCF's
-    games evaluate their tables from the cost callables."""
+    capacities and places warm newcomers through the cost model, LCF's
+    posted-price entry queries the cost model per pair, and LCF's games
+    evaluate their tables from the cost callables."""
     with ExitStack() as stack:
         for target, oracle in _SEAMS:
             stack.enter_context(mock.patch(target, oracle))
@@ -720,38 +742,10 @@ class ObjectRebuildSimulation(DynamicMarketSimulation):
         }
         rejected = {pid for pid in self.rejected if pid in present}
 
-        model = market.cost_model
-        obj_loads: Dict[int, List[float]] = {
-            cl.node_id: [0.0, 0.0] for cl in self.network.cloudlets
-        }
-        for pid, node in placement.items():
-            provider = market.provider(pid)
-            obj_loads[node][0] += provider.compute_demand
-            obj_loads[node][1] += provider.bandwidth_demand
-
-        for pid in sorted(arrivals):
-            provider = market.provider(pid)
-            best_node = None
-            best_cost = model.remote_cost(provider)
-            for cl in self.network.cloudlets:
-                node = cl.node_id
-                if (
-                    obj_loads[node][0] + provider.compute_demand
-                    > cl.compute_capacity + CAPACITY_EPS
-                    or obj_loads[node][1] + provider.bandwidth_demand
-                    > cl.bandwidth_capacity + CAPACITY_EPS
-                ):
-                    continue
-                cost = model.cost(provider, cl, 1)  # posted price sheet
-                if cost < best_cost:
-                    best_cost = cost
-                    best_node = node
-            if best_node is None:
-                rejected.add(pid)
-                continue
-            placement[pid] = best_node
-            obj_loads[best_node][0] += provider.compute_demand
-            obj_loads[best_node][1] += provider.bandwidth_demand
+        object_posted_entry(
+            market, None, placement, sorted(arrivals), rejected,
+            allow_remote=True,
+        )
         return placement, rejected
 
     def step(self) -> EpochRecord:
@@ -773,6 +767,7 @@ __all__ = [
     "object_jo_offload_cache",
     "object_market_game",
     "object_offload_cache",
+    "object_posted_entry",
     "object_repair_capacities",
     "use_object_graph",
 ]

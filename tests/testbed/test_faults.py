@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.exceptions import EmulationError, TopologyError
+from repro.testbed.emulator import Testbed
 from repro.testbed.ovs import OverlayNetwork
 from repro.testbed.switch import default_underlay
 from repro.testbed.vm import Server
@@ -77,3 +78,57 @@ class TestFailCable:
         overlay.fail_cable(0, 1)
         after = {key: t.vni for key, t in overlay.tunnels.items()}
         assert before == after
+
+
+def forwarding_walk(overlay, tunnel):
+    """The cables the switches' tables forward tunnel ``u -> v`` over."""
+    switches = overlay.switches
+    here = switches[overlay.bridges[tunnel.u].server.server_id % len(switches)]
+    there = switches[overlay.bridges[tunnel.v].server.server_id % len(switches)]
+    walk = []
+    while here is not there:
+        hop = here.next_hop(there.switch_id)
+        walk.append((here.switch_id, hop))
+        here = switches[hop]
+    return tuple(walk)
+
+
+#: The seven cables of ``default_underlay``: a ring plus two chords.
+CABLES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3)]
+
+
+class TestTunnelsFollowForwarding:
+    def test_uncut_tunnels_follow_tables(self):
+        overlay = Testbed(rng=1).overlay
+        for tunnel in overlay.tunnels.values():
+            assert tunnel.underlay_path == forwarding_walk(overlay, tunnel)
+
+    @pytest.mark.parametrize("cable", CABLES)
+    def test_repinned_tunnels_follow_tables(self, cable):
+        overlay = Testbed(rng=1).overlay
+        cut = frozenset(cable)
+        crossing = {
+            key for key, t in overlay.tunnels.items()
+            if cut in {frozenset(c) for c in t.underlay_path}
+        }
+        repinned = overlay.fail_cable(*cable)
+        assert {t.endpoints for t in repinned} == crossing
+        for tunnel in overlay.tunnels.values():
+            assert tunnel.underlay_path == forwarding_walk(overlay, tunnel)
+            assert cut not in {frozenset(c) for c in tunnel.underlay_path}
+
+    def test_transfer_resources_follow_the_cut(self):
+        overlay = Testbed(rng=1).overlay
+        key, tunnel = next(
+            (key, t) for key, t in overlay.tunnels.items()
+            if frozenset((1, 3)) in {frozenset(c) for c in t.underlay_path}
+        )
+        before = overlay.transfer_resources(tunnel.u, tunnel.v)
+        assert ("underlay", frozenset((1, 3))) in before
+        overlay.fail_cable(1, 3)
+        after = overlay.transfer_resources(tunnel.u, tunnel.v)
+        assert ("underlay", frozenset((1, 3))) not in after
+        assert after == (("overlay", key),) + tuple(
+            ("underlay", frozenset(c))
+            for c in dict.fromkeys(overlay.tunnels[key].underlay_path)
+        )

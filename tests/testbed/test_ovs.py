@@ -76,7 +76,7 @@ class TestOverlayQueries:
         first = overlay.overlay_path(0, 3)
         first.append("scribble")  # callers get a copy, not the memo
         assert overlay.overlay_path(0, 3) == first[:-1]
-        overlay.underlay_cables(0, 3)
+        overlay.transfer_resources(0, 3)
         overlay.overlay_path(3, 0)
         assert searches == [(0, 3), (3, 0)]
 
@@ -84,8 +84,19 @@ class TestOverlayQueries:
         overlay, _ = small_overlay()
         # nodes 0 and 1 are on servers 0 and 1 -> switches 0 and 1 -> at
         # least one underlay cable.
-        cables = overlay.underlay_cables(0, 1)
+        resources = overlay.transfer_resources(0, 1)
+        cables = [r for kind, r in resources if kind == "underlay"]
         assert cables  # adjacent overlay nodes on different servers
+        assert resources[0] == ("overlay", frozenset((0, 1)))
+
+    def test_transfer_resources_memoised_and_deduplicated(self):
+        overlay, _ = small_overlay()
+        resources = overlay.transfer_resources(0, 3)
+        assert overlay.transfer_resources(0, 3) is resources
+        assert len(set(resources)) == len(resources)
+        path = overlay.overlay_path(0, 3)
+        hops = [("overlay", frozenset(hop)) for hop in zip(path, path[1:])]
+        assert list(resources[: len(hops)]) == hops
 
     def test_same_server_tunnel_has_no_cables(self):
         overlay, _ = small_overlay(10)
