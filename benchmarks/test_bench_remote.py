@@ -58,16 +58,16 @@ def test_bench_remote_dispatch_overhead(emit):
             remote_results = transport.map(_noop, tasks)
             remote_s = time.perf_counter() - t0
 
-            # Publish-once: the second publish of identical bytes is a
-            # content-addressed cache hit, not a second blob. The payload
+            # Content addressing: the second publish of identical bytes
+            # names the same blob and writes no second file. The payload
             # must exceed the spill threshold to exercise the shared
             # store (smaller payloads ride inline in the BlobRef).
             payload = list(range(100_000))
             t0 = time.perf_counter()
-            ref_a = transport.publish(("bench", 0), payload)
+            ref_a = transport.publish(payload)
             first_publish_s = time.perf_counter() - t0
             t0 = time.perf_counter()
-            ref_b = transport.publish(("bench", 0), payload)
+            ref_b = transport.publish(payload)
             republish_s = time.perf_counter() - t0
             blobs = os.listdir(os.path.join(spool, "blobs"))
         finally:
@@ -87,7 +87,7 @@ def test_bench_remote_dispatch_overhead(emit):
         serial.close()
 
     assert remote_results == serial_results == tasks
-    assert ref_a.token == ref_b.token
+    assert ref_a.digest == ref_b.digest
     assert len(blobs) == 1
 
     per_task_s = remote_s / N_TASKS

@@ -118,14 +118,13 @@ def test_bench_shard_tier(n_nodes, n_providers, emit):
     for k in SHARD_COUNTS:
         partition = partition_market(market, n_shards=k)
         classification = classify_providers(cm, partition)
-        cache = {}
         result = None
 
         def run():
             nonlocal result
             result = partitioned_best_response(
                 market, start, partition=partition,
-                classification=classification, cache=cache,
+                classification=classification,
             )
 
         t_shard = _best_of(run)
@@ -201,26 +200,20 @@ def test_bench_shard_parallel_dispatch(emit):
     partition = partition_market(market, n_shards=8)
     classification = classify_providers(cm, partition)
 
-    serial_cache = {}
     t_serial = _best_of(lambda: partitioned_best_response(
-        market, start, partition=partition,
-        classification=classification, cache=serial_cache,
+        market, start, partition=partition, classification=classification,
     ))
     with Runtime(workers=2) as runtime:
-        parallel_cache = {}
         serial_result = partitioned_best_response(
-            market, start, partition=partition,
-            classification=classification, cache=serial_cache,
+            market, start, partition=partition, classification=classification,
         )
         parallel_result = partitioned_best_response(
-            market, start, partition=partition,
-            classification=classification, cache=parallel_cache,
+            market, start, partition=partition, classification=classification,
             runtime=runtime,
         )
         assert parallel_result.profile == serial_result.profile
         t_parallel = _best_of(lambda: partitioned_best_response(
-            market, start, partition=partition,
-            classification=classification, cache=parallel_cache,
+            market, start, partition=partition, classification=classification,
             runtime=runtime,
         ))
 

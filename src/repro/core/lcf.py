@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.core.appro import appro
 from repro.core.assignment import CachingAssignment, Stopwatch, sequential_admission
-from repro.exceptions import ConfigurationError, InfeasibleError
+from repro.exceptions import CapacityError, ConfigurationError, InfeasibleError
 from repro.game.best_response import best_response_dynamics
 from repro.game.congestion import SingletonCongestionGame
 from repro.game.engine import market_game
@@ -50,7 +50,7 @@ from repro.game.equilibrium import is_nash_equilibrium
 from repro.market.compiled import CompiledMarket
 from repro.market.market import ServiceMarket
 from repro.utils.rng import RandomSource, as_rng
-from repro.utils.validation import check_fraction
+from repro.utils.validation import CAPACITY_EPS, check_fraction
 
 _SELECTION_STRATEGIES = ("largest_cost", "smallest_cost", "random")
 
@@ -149,12 +149,13 @@ def posted_price_entry(
 
 
 def _posted_entry(
-    market: ServiceMarket, cm: CompiledMarket, profile: Dict[int, int],
-    selfish_ids: List[int], rejected: Set[int], allow_remote: bool,
+    market: ServiceMarket, profile: Dict[int, int], selfish_ids: List[int],
+    rejected: Set[int], allow_remote: bool,
 ) -> None:
     """LCF's posted-price selfish entry: :func:`posted_price_entry` with
     the remote threshold only when ``allow_remote``. Updates ``profile``
     and ``rejected`` of ``market`` in place."""
+    cm = market.compile()
     sequential_admission(
         cm, cm.load_matrix(profile), profile, rejected, selfish_ids,
         _posted_prices(cm), cm.remote if allow_remote else None,
@@ -264,44 +265,42 @@ def lcf(
         # provider's remote-serving cost.
         rejected: Set[int] = set(pinned_remote)
         placed_selfish: List[int] = []
-        posted = information == "posted_price"
-        if posted:
-            _posted_entry(
-                market, market.compile(), profile, selfish_ids, rejected,
-                allow_remote,
-            )
+        cm = market.compile()
+        if information == "posted_price":
+            _posted_entry(market, profile, selfish_ids, rejected, allow_remote)
+            # Posted-price choices are dominant strategies (no player's
+            # evaluated cost depends on others), so the profile is already
+            # a stable outcome and no best-response round can move anyone;
+            # only capacity-driven compromises deviate from each player's
+            # unconstrained optimum.
+            if np.any(cm.load_matrix(profile) > cm.capacity + CAPACITY_EPS):
+                raise CapacityError(
+                    "posted-price entry left a cloudlet over capacity"
+                )
+            placement = dict(profile)
+            br_rounds = br_moves = 0
+            equilibrium = True
         else:
             entry_threshold = (
-                market.compile().remote_cost
-                if allow_remote
-                else (lambda pid: float("inf"))
+                cm.remote_cost if allow_remote else (lambda pid: float("inf"))
             )
             _selfish_entry(
                 market_game(market), profile, selfish_ids, rejected,
                 placed_selfish, entry_threshold,
             )
-
-        game = market_game(market, players=list(profile))
-        if posted:
-            # Posted-price choices are dominant strategies (no player's
-            # evaluated cost depends on others), so the profile is already
-            # a stable outcome; only capacity-driven compromises deviate
-            # from each player's unconstrained optimum.
-            result = best_response_dynamics(
-                game, profile, movable=[], max_rounds=1
-            )
-            equilibrium = True
-        else:
+            game = market_game(market, players=list(profile))
             result = best_response_dynamics(
                 game, profile, movable=placed_selfish, max_rounds=max_rounds
             )
             equilibrium = is_nash_equilibrium(
                 game, result.profile, movable=placed_selfish
             )
+            placement = dict(result.profile)
+            br_rounds, br_moves = result.rounds, result.moves
 
     assignment = CachingAssignment(
         market=market,
-        placement=dict(result.profile),
+        placement=placement,
         rejected=frozenset(rejected),
         algorithm=f"LCF[xi={xi:.2f}]",
         runtime_s=watch.elapsed,
@@ -309,8 +308,8 @@ def lcf(
             "xi": xi,
             "selection": selection,
             "coordinated": len(coordinated_ids),
-            "br_rounds": result.rounds,
-            "br_moves": result.moves,
+            "br_rounds": br_rounds,
+            "br_moves": br_moves,
             "appro_social_cost": zeta.social_cost,
             "is_equilibrium": equilibrium,
             "warm_start": warm_start is not None,
@@ -320,8 +319,8 @@ def lcf(
         assignment=assignment,
         appro_assignment=zeta,
         coordinated_ids=coordinated_ids,
-        br_rounds=result.rounds,
-        br_moves=result.moves,
+        br_rounds=br_rounds,
+        br_moves=br_moves,
         is_equilibrium=equilibrium,
     )
 

@@ -355,10 +355,6 @@ class DynamicMarketSimulation:
         #: persistent market (``sharding="region"`` only).
         self._partition: Optional[MarketPartition] = None
         self._shard_log: Optional[ShardLog] = None
-        #: Settle-layer cache (shard sub-views, global boundary game),
-        #: keyed by the log's sequence number — cleared whenever a delta
-        #: advances the tables, so entries never go stale.
-        self._shard_cache: Dict[object, object] = {}
 
     # ------------------------------------------------------------------ #
     # Cost helpers
@@ -429,13 +425,11 @@ class DynamicMarketSimulation:
 
     def _apply_delta(self, delta: MarketDelta) -> None:
         """Patch the persistent market and, when sharding, append the
-        delta to the replication log (advancing its sequence number and
-        invalidating the settle-layer cache)."""
+        delta to the replication log (advancing its sequence number)."""
         assert self.market is not None
         self.market.apply(delta)
         if self._shard_log is not None:
             self._shard_log.append(delta)
-            self._shard_cache.clear()
 
     def _advance_market(
         self, delta: MarketDelta, providers: List[ServiceProvider]
@@ -631,21 +625,16 @@ class DynamicMarketSimulation:
     ) -> Tuple[Dict[int, int], int, bool]:
         """Settle the policy's placement to a partitioned equilibrium.
 
-        The log's sequence number keys the settle-layer cache and the
-        worker blob publications. It is one global counter that every
-        delta advances (and :meth:`_apply_delta` clears the cache), so
-        after a delta every shard's view is sliced and published again;
-        only repeated settles at the same sequence number reuse them.
+        Each settle slices the shard views it needs from the current
+        tables and, on a runtime, publishes them by content; nothing is
+        carried from one epoch to the next.
         """
-        assert self._shard_log is not None
         result = partitioned_best_response(
             market,
             placement,
             partition=self._partition,
             boundary_rounds=self.boundary_rounds,
             runtime=self.shard_runtime,
-            blob_seq=self._shard_log.seq,
-            cache=self._shard_cache,
         )
         return dict(result.profile), result.moves, result.certified
 

@@ -19,12 +19,13 @@ to a serial run:
   order regardless of completion order, and workers return slim
   :class:`~repro.experiments.harness.AssignmentRecord` summaries whose
   floats are extracted identically in both modes.
-* **Publish-once payloads.** With ``precompile=True`` each cell's
-  compiled market is *published* on the runtime's blob store — pickled
-  once per cell, fetched and memoized inside the persistent workers —
-  instead of being re-pickled into every task payload (and again on
-  every retry).  Task payloads stay a few id-sized fields; this is what
-  retired the old ``parallel_sweep.speedup = 0.70`` entry.
+* **Published payloads.** With ``precompile=True`` each cell's
+  compiled market is *published* on the runtime's content-addressed
+  blob store — pickled once per cell, fetched and memoized inside the
+  persistent workers — instead of being re-pickled into every task
+  payload (and again on every retry).  Task payloads stay a few
+  id-sized fields; this is what retired the old
+  ``parallel_sweep.speedup = 0.70`` entry.
 
 Builders crossing the pool boundary must be picklable — module-level
 functions or ``functools.partial`` over them (closures and lambdas are
@@ -250,11 +251,8 @@ class ParallelSweepRunner:
         if runtime is None:
             runtime = Runtime(workers=self.workers)
         try:
-            # A non-colocated transport dispatches every non-empty grid; a
-            # local one only when parallelism can help.
-            parallel = bool(tasks) and (
-                not runtime.transport.colocated
-                or (runtime.workers > 1 and len(tasks) > 1)
+            parallel = bool(tasks) and not runtime.transport.runs_in_process(
+                len(tasks)
             )
             if precompile:
                 prebuilt = []
@@ -262,9 +260,7 @@ class ParallelSweepRunner:
                     market = make_market(task.x, task.seed)
                     market.compile()
                     if parallel:
-                        ref = runtime.publish(
-                            ("sweep-cell", name, task.x_index, task.rep), market
-                        )
+                        ref = runtime.publish(market)
                         prebuilt.append(replace(task, market_ref=ref))
                     else:
                         prebuilt.append(replace(task, market=market))

@@ -20,14 +20,14 @@ runs the paper's best-response dynamics as a two-level fixed point:
    bit-equal there), and a shard none of whose movers can improve —
    whose settle would commit nothing — is skipped: its view is neither
    built nor shipped. The remaining shards are independent and run
-   either serially (deterministic reference) or concurrently on a
-   :class:`~repro.runtime.Runtime`: each sub-view is published once per
-   table state, and the shard tasks of one phase travel as one chunk
-   per worker (balanced by sub-profile size, settled in shard-id order
-   inside a chunk), so a phase is a single ``Runtime.map`` call of at
-   most ``runtime.workers`` tasks. A local transport settles a phase of
-   one shard in-process; a non-colocated one dispatches every non-empty
-   phase. The merge is bit-identical to the serial path.
+   either serially (deterministic reference) or on a
+   :class:`~repro.runtime.Runtime`: each sub-view is published on its
+   content-addressed blob store, and the shard tasks of one phase travel
+   as one chunk per worker (balanced by sub-profile size, settled in
+   shard-id order inside a chunk), so a phase is a single
+   ``Runtime.map`` call of at most ``runtime.workers`` tasks — which a
+   local transport runs in-process when it holds one chunk. The merge
+   is bit-identical to the serial path.
 2. **Boundary phase** — one batch best-response pass over the *global*
    tables with only the boundary providers movable, re-pricing their
    cross-shard options against the frozen interiors.
@@ -235,8 +235,6 @@ def _reconcile(
     max_rounds: int,
     boundary_rounds: int,
     runtime: Optional["Runtime"],
-    blob_seq: int,
-    cache: Optional[Dict[object, object]],
 ) -> PartitionedResult:
     """The bounded interior/boundary fixed-point loop (see module doc).
 
@@ -259,25 +257,19 @@ def _reconcile(
             classification=classification,
         )
 
-    if cache is None:
-        cache = {}
+    # The tables do not change inside one call, so each shard's view is
+    # sliced at most once, and the global boundary game is built once:
+    # the placed population never changes inside the loop, only
+    # positions do.
+    views: Dict[int, CompiledMarket] = {}
 
     def view_of(s: int) -> CompiledMarket:
-        key = ("view", s, blob_seq)
-        if key not in cache:
-            cache[key] = shard_view(cm, partition, s, classification)
-        return cache[key]
+        if s not in views:
+            views[s] = shard_view(cm, partition, s, classification)
+        return views[s]
 
     boundary_movable = sorted(set(classification.boundary) & movable_set)
-    # The global boundary game is built once per (table state, placed
-    # population): the population never changes inside the loop, only
-    # positions do — and across calls at the same delta sequence number
-    # (e.g. repeated settles of an undisturbed epoch window) the cached
-    # game is the identical object.
-    gkey = ("global", blob_seq, tuple(sorted(profile)))
-    if gkey not in cache:
-        cache[gkey] = game_from_compiled(cm, players=sorted(profile))
-    global_game = cache[gkey]
+    global_game = game_from_compiled(cm, players=sorted(profile))
 
     interior_moves = 0
     boundary_moves = 0
@@ -340,17 +332,12 @@ def _reconcile(
             live = {shard_of_mover[p] for p, f in zip(order, fires) if f}
             tasks = [task for task in tasks if task[0] in live]
 
-        # A local transport settles a lone shard in-process; a
-        # non-colocated one runs every non-empty phase on its hosts.
-        if runtime is not None and tasks and (
-            not runtime.transport.colocated
-            or (runtime.workers > 1 and len(tasks) > 1)
-        ):
+        if runtime is not None and tasks:
             payloads = [
                 (
                     tuple(
                         (
-                            runtime.publish(("shard", s, blob_seq), view_of(s)),
+                            runtime.publish(view_of(s)),
                             s,
                             tuple(sorted(sub_profile.items())),
                             tuple(mv),
@@ -367,6 +354,7 @@ def _reconcile(
                     interior_moves += moves
                     it_moves += moves
         else:
+            # The serial reference settles the views themselves, unpickled.
             for s, sub_profile, mv in tasks:
                 settled, moves = _settle_shard(
                     view_of(s), sub_profile, mv, max_rounds
@@ -425,8 +413,6 @@ def partitioned_best_response(
     max_rounds: int = 1000,
     boundary_rounds: int = 8,
     runtime: Optional["Runtime"] = None,
-    blob_seq: int = 0,
-    cache: Optional[Dict[object, object]] = None,
 ) -> PartitionedResult:
     """Settle a placement to equilibrium shard by shard.
 
@@ -444,28 +430,19 @@ def partitioned_best_response(
         earlier — at the first iteration committing zero moves.
     runtime:
         Optional :class:`~repro.runtime.Runtime` for concurrent
-        interiors (sub-views published once per ``blob_seq``, an
-        interior phase's shards settled in one
-        :meth:`~repro.runtime.Runtime.map` call of one chunk per
-        worker); ``None`` (or a local runtime of one worker) settles
-        serially with bit-identical results.
+        interiors: each interior phase publishes its shards' sub-views
+        by content and settles them in one
+        :meth:`~repro.runtime.Runtime.map` call of one chunk per worker,
+        so a runtime may be shared by any number of markets and table
+        states. ``None`` settles serially, without pickling, with
+        bit-identical results.
     classification:
         A precomputed :class:`ShardClassification` for the market's
         compiled tables at their current state (recompute after every
         applied delta).
-    blob_seq:
-        The delta-log sequence number identifying the compiled tables'
-        state — the blob-publication cache key, so a shard's view is
-        pickled to the workers once per table state, however many
-        boundary iterations re-settle it.
-    cache:
-        Optional caller-owned dict reused across calls: shard sub-views
-        are cached under ``("view", shard_id, blob_seq)`` and the global
-        boundary game under ``("global", blob_seq, placed population)``,
-        so repeated settles against unchanged tables skip the rebuild
-        entirely. The caller is responsible for dropping entries when
-        ``blob_seq`` advances (the keys make stale entries inert, but
-        they hold memory).
+
+    Nothing is kept between calls: sub-views and the global boundary
+    game live for one call.
     """
     if boundary_rounds < 1:
         raise ConfigurationError(
@@ -489,8 +466,6 @@ def partitioned_best_response(
         max_rounds,
         boundary_rounds,
         runtime,
-        blob_seq,
-        cache,
     )
 
 

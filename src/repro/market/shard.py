@@ -525,7 +525,6 @@ class ShardLog:
             for p in providers
         }
         self._seq = 0
-        self.entries: List[ShardDelta] = []
 
     @property
     def seq(self) -> int:
@@ -549,7 +548,6 @@ class ShardLog:
             self.journal.record(
                 (self._seq,), [sd.to_payload() for sd in routed]
             )
-        self.entries.extend(routed)
         return routed
 
     @staticmethod

@@ -7,7 +7,7 @@ replans.  Four pieces, composed rather than welded:
 * :mod:`repro.runtime.transport` — *where* work executes.
   :class:`SerialTransport` (deterministic in-process reference),
   :class:`PoolTransport` (persistent local workers with the
-  publish-once blob store), and :class:`RemoteTransport`
+  content-addressed blob store), and :class:`RemoteTransport`
   (:mod:`repro.runtime.remote`): multi-host dispatch over a
   shared-filesystem spool served by ``repro host`` agents, with
   lease-based failure detection and a structured degradation path.

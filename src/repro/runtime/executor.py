@@ -11,7 +11,7 @@ Sweep grids (:mod:`repro.experiments.parallel`), shard interior settles
 
 * a :class:`~repro.runtime.transport.Transport` (where work executes —
   serial, persistent local pool, or a remote spool) with its
-  publish-once blob store,
+  content-addressed blob store,
 * the supervision policy of :func:`repro.runtime.supervisor.supervise`
   (per-task timeout, bounded deterministic retry, crash quarantine with
   bystander refunds, structured :class:`~repro.runtime.supervisor.
@@ -113,8 +113,9 @@ class Runtime:
         dispatch against already-running ``repro host`` agents.
     spill_dir / spill_threshold:
         Blob-store knobs forwarded to the constructed transport: where
-        oversized publications spill, and the inline-vs-spill cutoff in
-        bytes.
+        oversized publications spill (local transports only; a spool
+        spills into its ``blobs/`` directory, and ``spill_dir`` with
+        ``spool`` raises), and the inline-vs-spill cutoff in bytes.
 
     The runtime owns a transport it constructed (closing the runtime
     closes it) but only borrows an explicit one.
@@ -132,6 +133,11 @@ class Runtime:
         if sum(arg is not None for arg in (workers, transport, spool)) > 1:
             raise ConfigurationError(
                 "pass at most one of workers=, transport= or spool="
+            )
+        if spool is not None and spill_dir is not None:
+            raise ConfigurationError(
+                "spill_dir= does not apply with spool=: a spool's blobs "
+                "spill into its own blobs/ directory"
             )
         self._owns_transport = transport is None
         if spool is not None:
@@ -166,10 +172,10 @@ class Runtime:
     # ------------------------------------------------------------------ #
     # Blob store
     # ------------------------------------------------------------------ #
-    def publish(self, key: object, obj: object) -> BlobRef:
-        """Publish ``obj`` once under ``key``; see
+    def publish(self, obj: object) -> BlobRef:
+        """Publish ``obj`` by content; see
         :meth:`repro.runtime.transport.Transport.publish`."""
-        return self.transport.publish(key, obj)
+        return self.transport.publish(obj)
 
     # ------------------------------------------------------------------ #
     # Dispatch
@@ -180,16 +186,12 @@ class Runtime:
 
         The thin fast path for callers that own their failure handling
         (the shard settle loop); grids that want retries, timeouts and
-        checkpoints use :meth:`run`.
+        checkpoints use :meth:`run`.  A batch the transport
+        :meth:`~repro.runtime.transport.Transport.runs_in_process` is a
+        plain loop in the caller's process.
         """
         if self._closed:
             raise ConfigurationError("Runtime is closed")
-        tasks = list(tasks)
-        # Local transports shortcut in-process when parallelism cannot
-        # help; a non-colocated transport (RemoteTransport) always
-        # dispatches — the work belongs on the hosts, not here.
-        if self.transport.colocated and (self.workers <= 1 or len(tasks) <= 1):
-            return [fn(task) for task in tasks]
         return self.transport.map(fn, tasks)
 
     def run(
@@ -219,9 +221,10 @@ class Runtime:
 
         blobs:
             Heavy shared payloads, ``key -> object``.  Each is published
-            once on the transport; ``fn`` is then called as ``fn(task,
-            blobs)`` where ``blobs`` is a lazy :class:`BlobMap` — the
-            task payload carries refs, workers fetch-and-memoize.
+            by content on the transport; ``fn`` is then called as
+            ``fn(task, blobs)`` where ``blobs`` is a lazy
+            :class:`BlobMap` — the task payload carries refs, workers
+            fetch-and-memoize.
         timeout:
             Per-attempt seconds; shorthand for ``retry`` with
             ``timeout_s`` set (overrides the policy's own value).
@@ -246,7 +249,7 @@ class Runtime:
             journal.clear()
         task_fn: Callable[[T], R] = fn
         if blobs is not None:
-            refs = {key: self.publish(key, obj) for key, obj in blobs.items()}
+            refs = {key: self.publish(obj) for key, obj in blobs.items()}
             task_fn = _WithBlobs(fn, refs)
         return supervise(
             task_fn,

@@ -49,11 +49,10 @@ The robustness core is the failure machinery, not the happy path:
   :attr:`RemoteTransport.degradation_events`.  ``degrade="fail"`` turns
   the floor into a hard error instead.
 
-``publish`` ships each blob once into the content-addressed shared
-store; the ``(shard id, delta seq)`` keying of the shard layer means an
-epoch ships only its deltas' worth of bytes, and per-blob SHA-256
-checksums are verified by ``fetch_blob`` on every host before
-unpickling.
+``publish`` spills into the spool's ``blobs/`` directory through the
+one content-addressed writer of :class:`~repro.runtime.transport.
+Transport`: a payload is written once whoever publishes it, and its
+SHA-256 is verified by ``fetch_blob`` on every host before unpickling.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ from typing import (
     Dict,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
     TypeVar,
@@ -86,11 +84,10 @@ from repro.runtime.transport import (
     HostLost,
     PoolTransport,
     Transport,
-    WorkerCrash,
+    _write_atomic,
     check_picklable,
 )
 
-T = TypeVar("T")
 R = TypeVar("R")
 
 #: Frame header for task and reply files: magic, payload length, CRC32.
@@ -115,17 +112,6 @@ def _unframe(raw: bytes) -> bytes:
     if zlib.crc32(payload) != crc:
         raise ValueError("frame payload failed its CRC32")
     return payload
-
-
-def _write_atomic(path: str, data: bytes, *, fsync: bool = True) -> None:
-    """Write ``data`` so readers only ever observe a complete file."""
-    tmp = f"{path}.tmp-{os.getpid()}-{threading.get_ident():x}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        if fsync:
-            fh.flush()
-            os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 def _spool_dirs(spool: str) -> Dict[str, str]:
@@ -225,7 +211,6 @@ class RemoteTransport(Transport):
         degrade: str = "pool",
         fallback_workers: Optional[int] = None,
         claim_timeout_s: Optional[float] = None,
-        spill_dir: Optional[Union[str, os.PathLike]] = None,
         spill_threshold: Optional[int] = None,
     ) -> None:
         if lease_s <= 0:
@@ -238,7 +223,9 @@ class RemoteTransport(Transport):
             )
         self.spool = os.fspath(spool)
         self._dirs = _ensure_spool(self.spool)
-        super().__init__(spill_dir=spill_dir, spill_threshold=spill_threshold)
+        super().__init__(
+            spill_dir=self._dirs["blobs"], spill_threshold=spill_threshold
+        )
         self.lease_s = lease_s
         self.poll_interval_s = poll_interval_s
         self.min_hosts = min_hosts
@@ -303,22 +290,6 @@ class RemoteTransport(Transport):
             time.sleep(min(self.poll_interval_s, 0.05))
 
     # ------------------------------------------------------------------ #
-    # Blob store: content-addressed shared spill
-    # ------------------------------------------------------------------ #
-    def _spill_blob(self, serial: int, digest: str, payload: bytes) -> str:
-        """Ship one oversized publication into the shared store.
-
-        Content-addressed by SHA-256, so identical payloads (however
-        many transports publish them) are written once; the write is
-        atomic so an agent never reads a torn blob, and ``fetch_blob``
-        re-verifies the digest end to end.
-        """
-        path = os.path.join(self._dirs["blobs"], f"sha256-{digest}.pkl")
-        if not os.path.exists(path):
-            _write_atomic(path, payload)
-        return path
-
-    # ------------------------------------------------------------------ #
     # Dispatch
     # ------------------------------------------------------------------ #
     def submit(self, fn: Callable[..., R], *args: object) -> "Future[R]":
@@ -349,21 +320,6 @@ class RemoteTransport(Transport):
             os.path.join(self._dirs["new"], f"{task_id}.task"), _frame(payload)
         )
         return fut
-
-    def map(self, fn: Callable[[T], R], tasks: Sequence[T]) -> List[R]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        if self._degraded is not None:
-            return self._degraded.map(fn, tasks)
-        try:
-            futures = [self.submit(fn, task) for task in tasks]
-            return [fut.result() for fut in futures]
-        except WorkerCrash:
-            self.recycle()
-            # Deterministic fallback: the whole batch re-runs in-process
-            # (the same contract PoolTransport.map keeps).
-            return [fn(task) for task in tasks]
 
     # ------------------------------------------------------------------ #
     # Failure machinery

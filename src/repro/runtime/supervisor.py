@@ -235,9 +235,11 @@ def supervise(
     Parameters
     ----------
     transport:
-        Where attempts execute.  A :class:`~repro.runtime.transport.
-        SerialTransport` (or a single-task grid) takes the in-process
-        path; anything wider drives the transport's ``submit`` futures.
+        Where attempts execute.  A grid the transport
+        :meth:`~repro.runtime.transport.Transport.runs_in_process` (any
+        grid on a :class:`~repro.runtime.transport.SerialTransport`, one
+        task on a local pool) takes the in-process path; anything else
+        drives the transport's ``submit`` futures.
     keys:
         One JSON-serialisable key per task (defaults to ``(index,)``);
         identifies cells in the journal and in failures.
@@ -287,10 +289,7 @@ def supervise(
     attempts = [0] * len(tasks)
     n_workers = transport.workers
 
-    # Local transports shortcut to the in-process path when parallelism
-    # cannot help; a non-colocated transport (RemoteTransport) always
-    # dispatches, because running the work *there* is the point.
-    if transport.colocated and (n_workers <= 1 or len(remaining) <= 1):
+    if transport.runs_in_process(len(remaining)):
         while remaining:
             i = remaining.popleft()
             attempts[i] += 1

@@ -6,7 +6,7 @@ decides *where*: in-process (:class:`SerialTransport`, the deterministic
 reference), on a persistent local process pool (:class:`PoolTransport`),
 or on host agents over a shared-filesystem spool
 (:class:`~repro.runtime.remote.RemoteTransport`).
-Every transport carries the same publish-once blob store, so a
+Every transport carries the same content-addressed blob store, so a
 consumer written against the :class:`~repro.runtime.executor.Runtime`
 facade is transport-agnostic by construction.
 
@@ -15,12 +15,14 @@ Published blobs
 Pickling a multi-megabyte :class:`~repro.market.compiled.CompiledMarket`
 into every task payload is what drove the old sweep pool's
 ``parallel_sweep.speedup`` to 0.70x.  :meth:`Transport.publish` instead
-pickles each heavy object **once** per key (e.g. ``(shard id, delta
-sequence number)``): small payloads ride inline in the returned
-:class:`BlobRef`, payloads over ``spill_threshold`` bytes spill to a
-file and travel by path.  Workers resolve refs with :func:`fetch_blob`,
-which memoizes per process — a given publication is deserialised at most
-once per worker, however many tasks reference it.
+pickles a heavy object once and names the :class:`BlobRef` by the
+SHA-256 of those bytes: small payloads ride inline in the ref, payloads
+over ``spill_threshold`` bytes spill to ``sha256-<digest>.pkl`` and
+travel by path.  Equal bytes get equal refs, and different bytes never
+share one, so a ref can never name stale content.  Workers resolve refs
+with :func:`fetch_blob`, which verifies the digest and memoizes per
+process — a given content is deserialised at most once per worker,
+however many tasks reference it.
 
 The crash hierarchy
 -------------------
@@ -44,6 +46,7 @@ import os
 import pickle
 import shutil
 import tempfile
+import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -107,6 +110,7 @@ def _translating_future(inner: "Future[R]") -> "Future[R]":
     inner.add_done_callback(_done)
     return outer
 
+
 #: Published payloads at most this many bytes ride inline in the
 #: :class:`BlobRef`; larger ones spill to a file and travel by path.
 DEFAULT_SPILL_THRESHOLD = 64 * 1024
@@ -139,29 +143,25 @@ def check_picklable(obj: object, role: str) -> None:
 
 @dataclass(frozen=True)
 class BlobRef:
-    """A picklable handle to one published blob.
+    """A picklable handle to one published blob, named by its content.
 
-    ``token`` uniquely identifies the publication (for spilled blobs it
-    is the spill path).  Exactly one of ``data`` (inline pickle bytes)
-    and ``path`` (spill file) is set.
+    ``digest`` is the hex SHA-256 of the pickled payload: the worker
+    memo's key, and the checksum :func:`fetch_blob` verifies before
+    unpickling, so a torn or bit-rotted blob on a shared filesystem
+    fails loudly instead of deserialising garbage.  Exactly one of
+    ``data`` (inline pickle bytes) and ``path`` (spill file) is set.
     """
 
-    token: str
+    digest: str
     path: Optional[str] = None
     data: Optional[bytes] = field(default=None, repr=False)
     #: Pickled payload size in bytes (spilled or inline).
     size: int = 0
-    #: Hex SHA-256 of the pickled payload.  ``None`` for refs published
-    #: before checksums existed; set, it is
-    #: verified by :func:`fetch_blob` before unpickling, so a torn or
-    #: bit-rotted blob on a shared filesystem fails loudly instead of
-    #: deserialising garbage.
-    checksum: Optional[str] = None
 
 
-#: Worker-side memo of published blobs, keyed by token. Each process
-#: deserialises a given publication at most once; FIFO-bounded so long
-#: runs cannot accumulate stale shard views.
+#: Per-process memo of fetched blobs, keyed by digest. Each process
+#: deserialises a given content at most once; FIFO-bounded so long runs
+#: cannot accumulate old shard views.
 _BLOB_CACHE: Dict[str, object] = {}
 _BLOB_CACHE_ORDER: List[str] = []
 _BLOB_CACHE_LIMIT = 8
@@ -170,44 +170,56 @@ _BLOB_CACHE_LIMIT = 8
 def fetch_blob(ref: BlobRef) -> object:
     """Resolve a published blob, memoized per process.
 
-    The first fetch in a process unpickles the payload; later fetches of
-    the same token are dictionary hits.
+    The first fetch of a digest in a process reads the payload, checks
+    its SHA-256 and unpickles it; later fetches are dictionary hits.
     """
-    token = ref.token
-    if token in _BLOB_CACHE:
-        return _BLOB_CACHE[token]
+    digest = ref.digest
+    if digest in _BLOB_CACHE:
+        return _BLOB_CACHE[digest]
     if ref.data is not None:
         payload = ref.data
     else:
         if ref.path is None:  # pragma: no cover - BlobRef invariant
-            raise ConfigurationError(f"blob {token!r} has neither data nor path")
+            raise ConfigurationError(
+                f"blob sha256-{digest[:12]}… has neither data nor path"
+            )
         with open(ref.path, "rb") as fh:
             payload = fh.read()
-    if ref.checksum is not None:
-        digest = sha256(payload).hexdigest()
-        if digest != ref.checksum:
-            raise ConfigurationError(
-                f"blob {token!r} failed its checksum (expected "
-                f"{ref.checksum[:12]}…, read {digest[:12]}…): the shared "
-                f"store copy is torn or corrupt"
-            )
+    read = sha256(payload).hexdigest()
+    if read != digest:
+        raise ConfigurationError(
+            f"blob sha256-{digest[:12]}… failed its checksum (read "
+            f"{read[:12]}…): the stored copy is torn or corrupt"
+        )
     blob = pickle.loads(payload)
-    _BLOB_CACHE[token] = blob
-    _BLOB_CACHE_ORDER.append(token)
+    _BLOB_CACHE[digest] = blob
+    _BLOB_CACHE_ORDER.append(digest)
     while len(_BLOB_CACHE_ORDER) > _BLOB_CACHE_LIMIT:
         _BLOB_CACHE.pop(_BLOB_CACHE_ORDER.pop(0), None)
     return blob
+
+
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` durably so readers only ever observe a complete
+    file: a fsynced temp file renamed into place."""
+    tmp = f"{path}.tmp-{os.getpid()}-{threading.get_ident():x}"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 class Transport:
     """Base execution substrate: blob store plus the dispatch surface.
 
     Subclasses implement :meth:`submit` (one task → future; the
-    supervisor's building block), :meth:`map` (an ordered unsupervised
-    batch with deterministic crash fallback) and :meth:`recycle`
-    (discard dead workers after a :data:`WorkerCrash`).  The blob store
-    — :meth:`publish` / :func:`fetch_blob` — is shared: pickle once per
-    key, inline under :attr:`spill_threshold` bytes, spill file above.
+    supervisor's building block) and :meth:`recycle` (discard dead
+    workers after a :data:`WorkerCrash`).  :meth:`map` (an ordered
+    unsupervised batch with deterministic crash fallback) and the blob
+    store — :meth:`publish` / :func:`fetch_blob` — are shared: content
+    addressed by SHA-256, inline under :attr:`spill_threshold` bytes,
+    spill file above.
     """
 
     #: Degree of parallelism this transport offers (1 = in-process).
@@ -231,69 +243,62 @@ class Transport:
         self.spill_threshold = (
             DEFAULT_SPILL_THRESHOLD if spill_threshold is None else spill_threshold
         )
-        self._published: Dict[object, BlobRef] = {}
-        self._n_published = 0
         self._closed = False
 
     # ------------------------------------------------------------------ #
-    # Publish-once blob store
+    # Content-addressed blob store
     # ------------------------------------------------------------------ #
-    def _ensure_spill_dir(self) -> str:
-        if self._spill_dir is None:
-            self._spill_dir = tempfile.mkdtemp(prefix="repro-runtime-")
-        return self._spill_dir
+    def publish(self, obj: object) -> BlobRef:
+        """Pickle ``obj`` once and return the :class:`BlobRef` named by
+        the payload's SHA-256.
 
-    def publish(self, key: object, obj: object) -> BlobRef:
-        """Publish ``obj`` under ``key``; returns its :class:`BlobRef`.
-
-        Re-publishing an already-published key is a no-op returning the
-        existing ref — the caller can publish unconditionally per epoch
-        and still pickle each ``(shard, seq)`` view once.
+        Nothing is remembered between calls: equal bytes always yield
+        an equal ref, and a spilled payload is written only if its
+        ``sha256-<digest>.pkl`` file is not already in the store.
         """
         if self._closed:
             raise ConfigurationError(f"{type(self).__name__} is closed")
-        ref = self._published.get(key)
-        if ref is not None:
-            return ref
         payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         digest = sha256(payload).hexdigest()
-        serial = self._n_published
-        self._n_published += 1
         if len(payload) <= self.spill_threshold:  # reprolint: ok[R2] exact byte count against an integer threshold, not a cost/capacity value
-            ref = BlobRef(
-                token=f"inline:{id(self):x}:{serial}",
-                data=payload,
-                size=len(payload),
-                checksum=digest,
-            )
-        else:
-            path = self._spill_blob(serial, digest, payload)
-            ref = BlobRef(
-                token=path, path=path, size=len(payload), checksum=digest
-            )
-        self._published[key] = ref
-        return ref
-
-    def _spill_blob(self, serial: int, digest: str, payload: bytes) -> str:
-        """Write one spilled payload; returns its path.  Overridden by
-        the remote transport to content-address into the shared store."""
-        path = os.path.join(self._ensure_spill_dir(), f"blob-{serial}.pkl")
-        with open(path, "wb") as fh:
-            fh.write(payload)
-        return path
+            return BlobRef(digest=digest, data=payload, size=len(payload))
+        if self._spill_dir is None:
+            self._spill_dir = tempfile.mkdtemp(prefix="repro-runtime-")
+        path = os.path.join(self._spill_dir, f"sha256-{digest}.pkl")
+        if not os.path.exists(path):
+            _write_atomic(path, payload)
+        return BlobRef(digest=digest, path=path, size=len(payload))
 
     # ------------------------------------------------------------------ #
-    # Dispatch surface (subclass responsibility)
+    # Dispatch surface
     # ------------------------------------------------------------------ #
     def submit(self, fn: Callable[..., R], *args: object) -> "Future[R]":
         """Dispatch one call; the returned future may raise
         :data:`WorkerCrash` if the executing worker dies."""
         raise NotImplementedError
 
+    def runs_in_process(self, n_tasks: int) -> bool:
+        """Whether a batch of ``n_tasks`` runs in the caller's process:
+        on a colocated transport when parallelism cannot help (one
+        worker or one task); never on a non-colocated one."""
+        return self.colocated and (self.workers <= 1 or n_tasks <= 1)
+
     def map(self, fn: Callable[[T], R], tasks: Sequence[T]) -> List[R]:
-        """Apply ``fn`` to every task, preserving task order, with a
-        deterministic in-process fallback if the workers die."""
-        raise NotImplementedError
+        """Apply ``fn`` to every task, preserving task order.
+
+        A batch :meth:`runs_in_process` is a plain loop; otherwise every
+        task is submitted and gathered, and if a worker dies the whole
+        batch deterministically re-runs in-process.
+        """
+        tasks = list(tasks)
+        if self.runs_in_process(len(tasks)):
+            return [fn(task) for task in tasks]
+        try:
+            futures = [self.submit(fn, task) for task in tasks]
+            return [fut.result() for fut in futures]
+        except WorkerCrash:
+            self.recycle()
+            return [fn(task) for task in tasks]
 
     def recycle(self) -> None:
         """Discard dead workers so the next :meth:`submit` gets live ones
@@ -334,12 +339,9 @@ class SerialTransport(Transport):
             fut.set_exception(exc)
         return fut
 
-    def map(self, fn: Callable[[T], R], tasks: Sequence[T]) -> List[R]:
-        return [fn(task) for task in tasks]
-
 
 class PoolTransport(Transport):
-    """A persistent local process pool with publish-once blob shipping.
+    """A persistent local process pool shipping blobs by reference.
 
     The pool is created lazily on first dispatch and survives across
     batches (and across supervised runs sharing the transport), so blob
@@ -372,18 +374,6 @@ class PoolTransport(Transport):
         except BrokenProcessPool as exc:
             raise translate_crash(exc) from exc
         return _translating_future(inner)
-
-    def map(self, fn: Callable[[T], R], tasks: Sequence[T]) -> List[R]:
-        tasks = list(tasks)
-        if self.workers <= 1 or len(tasks) <= 1:
-            return [fn(task) for task in tasks]
-        try:
-            futures = [self.submit(fn, task) for task in tasks]
-            return [fut.result() for fut in futures]
-        except WorkerCrash:
-            self.recycle()
-            # Deterministic fallback: the whole batch re-runs in-process.
-            return [fn(task) for task in tasks]
 
     def recycle(self) -> None:
         # The crash/timeout path: never wait, a wedged worker must not

@@ -175,15 +175,15 @@ class TestCallersMatchOracles:
         placement, entrants = survivors(market)
         got_p, got_r, want_p, want_r = dict(placement), set(), dict(placement), set()
         posted_price_entry(market.compile(), got_p, got_r, entrants)
-        object_posted_entry(market, None, want_p, entrants, want_r, allow_remote=True)
+        object_posted_entry(market, want_p, entrants, want_r, allow_remote=True)
         assert_same_entry((got_p, got_r, None), (want_p, want_r, None))
 
     @pytest.mark.parametrize("allow_remote", [False, True])
     def test_lcf_posted_entry(self, market, allow_remote):
         placement, entrants = survivors(market)
         got_p, got_r, want_p, want_r = dict(placement), set(), dict(placement), set()
-        _posted_entry(market, market.compile(), got_p, entrants, got_r, allow_remote)
-        object_posted_entry(market, None, want_p, entrants, want_r, allow_remote)
+        _posted_entry(market, got_p, entrants, got_r, allow_remote)
+        object_posted_entry(market, want_p, entrants, want_r, allow_remote)
         assert_same_entry((got_p, got_r, None), (want_p, want_r, None))
 
     @pytest.mark.parametrize("allow_remote", [False, True])
@@ -234,6 +234,8 @@ class TestSeamsFire:
                 rejected=frozenset(),
             )
             lcf(market, allow_remote=True, warm_start=seed)
+            # Posted-price LCF builds no game; full information does.
+            lcf(market, gap_solver="greedy", allow_remote=True, information="full")
         assert list(cold.placement.items()) == list(compiled.placement.items())
         assert cold.rejected == compiled.rejected
         assert [t for t, spy in spies.items() if not spy.called] == []
@@ -251,13 +253,13 @@ class TestSeamsFire:
         assert list(naive.placement.items()) == list(compiled.placement.items())
         assert naive.rejected == compiled.rejected
 
-    def test_posted_lcf_builds_only_the_placed_game(self):
+    def test_posted_lcf_builds_no_game(self):
         market = MARKETS["paper-60-s1"]()
         spy, patch = spied("repro.core.lcf.market_game", market_game)
         with patch:
-            lcf(market, allow_remote=True)
-        assert spy.call_count == 1
-        assert "players" in spy.call_args.kwargs
+            result = lcf(market, allow_remote=True)
+        assert spy.call_count == 0
+        assert (result.br_rounds, result.br_moves) == (0, 0)
 
 
 # --------------------------------------------------------------------- #

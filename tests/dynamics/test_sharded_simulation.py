@@ -186,11 +186,18 @@ class TestJournal:
         sim = make_sim(
             network, sharding="region", n_shards=3, shard_journal=journal
         )
-        sim.run(5)
+        routed = []
+        real_append = ShardLog.append
+
+        def append(log, delta):
+            out = real_append(log, delta)
+            routed.extend(out)
+            return out
+
+        with mock.patch.object(ShardLog, "append", autospec=True, side_effect=append):
+            sim.run(5)
         replayed = ShardLog.replay(journal)
-        live = sorted(
-            sim._shard_log.entries, key=lambda sd: (sd.seq, sd.shard_id)
-        )
+        live = sorted(routed, key=lambda sd: (sd.seq, sd.shard_id))
         assert len(replayed) == len(live)
         for a, b in zip(replayed, live):
             assert a.to_payload() == b.to_payload()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -121,10 +122,8 @@ def test_screen_skips_only_shards_that_cannot_move(
                 assert moves == 0
                 assert settled == sub
 
-    seq = GRID.index((seed, n_nodes, budget_ms, n_shards))
     pooled = partitioned_best_response(
-        market, start, partition=partition, classification=cls,
-        runtime=pool, blob_seq=seq,
+        market, start, partition=partition, classification=cls, runtime=pool,
     )
     assert pooled == serial
 
@@ -242,18 +241,13 @@ class TestDispatchGate:
         serial = partitioned_best_response(
             market, profile, partition=partition, classification=cls
         )
-        calls = []
         with Runtime(workers=2) as runtime:
-            real_map = runtime.map
-
-            def spy_map(fn, tasks):
-                calls.append(tasks)
-                return real_map(fn, tasks)
-
-            monkeypatch.setattr(runtime, "map", spy_map)
+            submit = mock.Mock(wraps=runtime.transport.submit)
+            monkeypatch.setattr(runtime.transport, "submit", submit)
             pooled = partitioned_best_response(
                 market, profile, partition=partition, classification=cls,
                 runtime=runtime,
             )
-        assert calls == []
+            assert submit.call_count == 0
+            assert runtime.transport._pool is None
         assert pooled == serial

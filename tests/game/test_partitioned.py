@@ -83,23 +83,19 @@ class TestSingleShard:
         assert result.converged
         assert result.certified
 
-    def test_precomputed_partition_and_cache_change_nothing(self):
+    def test_precomputed_partition_and_repeat_change_nothing(self):
         market, cm, start = make_instance()
         partition = partition_market(market, n_shards=1)
         classification = classify_providers(cm, partition)
-        cache = {}
         a = partitioned_best_response(market, start, n_shards=1)
         b = partitioned_best_response(
-            market, start, partition=partition,
-            classification=classification, cache=cache,
+            market, start, partition=partition, classification=classification,
         )
         c = partitioned_best_response(
-            market, start, partition=partition,
-            classification=classification, cache=cache,
+            market, start, partition=partition, classification=classification,
         )
         assert a.profile == b.profile == c.profile
         assert a.social_cost == b.social_cost == c.social_cost
-        assert cache  # the second call reused populated entries
 
 
 class TestMultiShard:

@@ -270,14 +270,16 @@ class TestRouting:
 
         journal = DictJournal()
         log = ShardLog(partition, providers=market.providers, journal=journal)
-        log.append(MarketDelta(
+        routed = log.append(MarketDelta(
             arrivals=tuple(fresh_providers(market, 4, start_id=700, seed=29))
         ))
-        log.append(MarketDelta(departures=(market.providers[1].provider_id,)))
+        routed += log.append(
+            MarketDelta(departures=(market.providers[1].provider_id,))
+        )
         assert log.seq == 2
         replayed = ShardLog.replay(journal)
         assert [(sd.seq, sd.shard_id) for sd in replayed] == sorted(
-            (sd.seq, sd.shard_id) for sd in log.entries
+            (sd.seq, sd.shard_id) for sd in routed
         )
 
     def test_append_records_once_per_global_delta(self):
@@ -390,10 +392,10 @@ def test_sharded_replay_rebuilds_global_tables(interleaving_seed):
         )
 
 
-def _assert_replay_matches_live(journal, log):
+def _assert_replay_matches_live(journal, log, live):
     replayed = ShardLog.replay(journal)
-    assert len(replayed) == len(log.entries)
-    live = sorted(log.entries, key=lambda sd: (sd.seq, sd.shard_id))
+    assert len(replayed) == len(live)
+    live = sorted(live, key=lambda sd: (sd.seq, sd.shard_id))
     for a, b in zip(replayed, live):
         assert a.to_payload() == b.to_payload()
 
@@ -415,8 +417,9 @@ def test_replayed_legacy_journal_stream_matches_live_routing(tmp_path):
 # Replay over a damaged journal (shared-filesystem crash artefacts)
 # --------------------------------------------------------------------- #
 def _journaled_churn(tmp_path, layout):
-    """A churn trace fully journaled to disk; returns the journal and the
-    live log for comparison.
+    """A churn trace fully journaled to disk; returns the journal, the
+    live log and every sub-delta it routed, in append order, for
+    comparison.
 
     ``layout="delta"`` is what :class:`ShardLog` writes: one line per
     global delta, keyed ``(seq,)``. ``layout="legacy"`` is the older
@@ -432,18 +435,17 @@ def _journaled_churn(tmp_path, layout):
         partition, providers=market.providers,
         journal=journal if layout == "delta" else None,
     )
+    live = []
     for d in deltas:
         for sd in log.append(d):
+            live.append(sd)
             if layout == "legacy":
                 journal.record((sd.seq, sd.shard_id), sd.to_payload())
-    return journal, log
+    return journal, log, live
 
 
-def _live_payloads(log):
-    return {
-        (sd.seq, sd.shard_id): sd.to_payload()
-        for sd in log.entries
-    }
+def _live_payloads(live):
+    return {(sd.seq, sd.shard_id): sd.to_payload() for sd in live}
 
 
 class TestReplayOverDamagedJournal:
@@ -456,7 +458,7 @@ class TestReplayOverDamagedJournal:
         silently replayed as garbage."""
         import json
 
-        journal, log = _journaled_churn(tmp_path, "legacy")
+        journal, log, live = _journaled_churn(tmp_path, "legacy")
         lines = open(journal.path).read().splitlines()
         victim = json.loads(lines[len(lines) // 2])
         # Mutate the payload without touching the stored crc.
@@ -468,7 +470,7 @@ class TestReplayOverDamagedJournal:
             replayed = ShardLog.replay(journal)
         assert journal.last_load_corrupt == 1
         lost = tuple(victim["key"])
-        expected = dict(_live_payloads(log))
+        expected = dict(_live_payloads(live))
         expected.pop(lost)
         assert {
             (sd.seq, sd.shard_id): sd.to_payload() for sd in replayed
@@ -480,15 +482,15 @@ class TestReplayOverDamagedJournal:
         when the global delta re-runs."""
         import warnings
 
-        journal, log = _journaled_churn(tmp_path, "legacy")
+        journal, log, live = _journaled_churn(tmp_path, "legacy")
         raw = open(journal.path).read()
         open(journal.path, "w").write(raw[: len(raw) - 15])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             replayed = ShardLog.replay(journal)
         assert journal.last_load_corrupt == 0
-        live = sorted(log.entries, key=lambda sd: (sd.seq, sd.shard_id))
-        torn = max(_live_payloads(log))  # the file tail is the max key
+        live = sorted(live, key=lambda sd: (sd.seq, sd.shard_id))
+        torn = max(_live_payloads(live))  # the file tail is the max key
         assert [(sd.seq, sd.shard_id) for sd in replayed] == [
             (sd.seq, sd.shard_id) for sd in live
             if (sd.seq, sd.shard_id) != torn
@@ -503,7 +505,7 @@ class TestReplayOverDamagedJournal:
         import json
         import warnings
 
-        journal, log = _journaled_churn(tmp_path, "legacy")
+        journal, _, routed = _journaled_churn(tmp_path, "legacy")
         lines = open(journal.path).read().splitlines()
         victim = json.loads(lines[2])
         victim["value"]["seq"] = 9999
@@ -511,7 +513,7 @@ class TestReplayOverDamagedJournal:
         lines[-1] = lines[-1][: len(lines[-1]) // 2]  # torn tail
         open(journal.path, "w").write("\n".join(lines) + "\n")
 
-        live = _live_payloads(log)
+        live = _live_payloads(routed)
         with pytest.warns(RuntimeWarning):
             survivors = {
                 (sd.seq, sd.shard_id) for sd in ShardLog.replay(journal)
@@ -533,9 +535,7 @@ class TestReplayOverDamagedJournal:
         market_resumed = make_market(29, n_providers=30)
         market_live.compile()
         market_resumed.compile()
-        for sd in sorted(
-            log.entries, key=lambda s: (s.seq, s.shard_id)
-        ):
+        for sd in sorted(routed, key=lambda s: (s.seq, s.shard_id)):
             market_live.apply(sd.delta)
         for sd in repaired:
             market_resumed.apply(sd.delta)
@@ -545,8 +545,8 @@ class TestReplayOverDamagedJournal:
         )
 
 
-def _sub_delta_keys(log, seq):
-    return [(sd.seq, sd.shard_id) for sd in log.entries if sd.seq == seq]
+def _sub_delta_keys(live, seq):
+    return [(sd.seq, sd.shard_id) for sd in live if sd.seq == seq]
 
 
 def _rewrite(journal, lines):
@@ -561,17 +561,17 @@ class TestReplayOverDamagedDeltaJournal:
     def test_corrupt_midfile_delta_drops_every_sub_delta(self, tmp_path):
         import json
 
-        journal, log = _journaled_churn(tmp_path, "delta")
+        journal, log, live = _journaled_churn(tmp_path, "delta")
         lines = open(journal.path).read().splitlines()
         assert len(lines) == log.seq
         # The widest delta, so the loss spans several shards.
         index = max(
             range(len(lines)),
-            key=lambda i: len(_sub_delta_keys(log, i + 1)),
+            key=lambda i: len(_sub_delta_keys(live, i + 1)),
         )
         victim = json.loads(lines[index])
         lost_seq = victim["key"][0]
-        assert len(victim["value"]) == len(_sub_delta_keys(log, lost_seq)) > 1
+        assert len(victim["value"]) == len(_sub_delta_keys(live, lost_seq)) > 1
         victim["value"][-1]["seq"] = 9999  # crc left stale
         lines[index] = json.dumps(victim, sort_keys=True)
         _rewrite(journal, lines)
@@ -580,7 +580,7 @@ class TestReplayOverDamagedDeltaJournal:
             replayed = ShardLog.replay(journal)
         assert journal.last_load_corrupt == 1
         expected = {
-            key: payload for key, payload in _live_payloads(log).items()
+            key: payload for key, payload in _live_payloads(live).items()
             if key[0] != lost_seq
         }
         assert {
@@ -592,11 +592,11 @@ class TestReplayOverDamagedDeltaJournal:
         none of its sub-deltas behind, and no warning."""
         import warnings
 
-        journal, log = _journaled_churn(tmp_path, "delta")
+        journal, log, live = _journaled_churn(tmp_path, "delta")
         lines = open(journal.path).read().splitlines()
         torn_seq = max(
             seq for seq in range(1, log.seq + 1)
-            if len(_sub_delta_keys(log, seq)) > 1
+            if len(_sub_delta_keys(live, seq)) > 1
         )
         torn = lines[torn_seq - 1]
         _rewrite(journal, lines[: torn_seq - 1] + [torn[: len(torn) // 2]])
@@ -604,7 +604,7 @@ class TestReplayOverDamagedDeltaJournal:
             warnings.simplefilter("error")
             replayed = ShardLog.replay(journal)
         assert journal.last_load_corrupt == 0
-        live = sorted(log.entries, key=lambda sd: (sd.seq, sd.shard_id))
+        live = sorted(live, key=lambda sd: (sd.seq, sd.shard_id))
         assert [(sd.seq, sd.shard_id) for sd in replayed] == [
             (sd.seq, sd.shard_id) for sd in live if sd.seq < torn_seq
         ]
@@ -616,7 +616,7 @@ class TestReplayOverDamagedDeltaJournal:
         import json
         import warnings
 
-        journal, log = _journaled_churn(tmp_path, "delta")
+        journal, log, routed = _journaled_churn(tmp_path, "delta")
         lines = open(journal.path).read().splitlines()
         victim = json.loads(lines[1])
         victim["value"][0]["seq"] = 9999
@@ -624,14 +624,14 @@ class TestReplayOverDamagedDeltaJournal:
         torn = lines[3]
         _rewrite(journal, lines[:3] + [torn[: len(torn) // 2]])
 
-        live = _live_payloads(log)
+        live = _live_payloads(routed)
         with pytest.warns(RuntimeWarning):
             survivors = {sd.seq for sd in ShardLog.replay(journal)}
         lost = sorted({key[0] for key in live} - survivors)
         assert lost == [2] + list(range(4, log.seq + 1))
         for seq in lost:
             journal.record(
-                (seq,), [live[key] for key in _sub_delta_keys(log, seq)]
+                (seq,), [live[key] for key in _sub_delta_keys(routed, seq)]
             )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -644,7 +644,7 @@ class TestReplayOverDamagedDeltaJournal:
         market_resumed = make_market(29, n_providers=30)
         market_live.compile()
         market_resumed.compile()
-        for sd in sorted(log.entries, key=lambda s: (s.seq, s.shard_id)):
+        for sd in sorted(routed, key=lambda s: (s.seq, s.shard_id)):
             market_live.apply(sd.delta)
         for sd in repaired:
             market_resumed.apply(sd.delta)
@@ -660,9 +660,9 @@ def test_every_crash_point_replays_a_prefix_of_whole_deltas(tmp_path):
     payload for payload, and never warns."""
     import warnings
 
-    journal, log = _journaled_churn(tmp_path, "delta")
+    journal, log, live = _journaled_churn(tmp_path, "delta")
     raw = open(journal.path, "rb").read()
-    live = sorted(log.entries, key=lambda sd: (sd.seq, sd.shard_id))
+    live = sorted(live, key=lambda sd: (sd.seq, sd.shard_id))
     prefixes = {
         m: [sd.to_payload() for sd in live if sd.seq <= m]
         for m in range(log.seq + 1)
@@ -689,8 +689,8 @@ def test_mixed_legacy_and_delta_lines_replay_each_sub_delta_once(tmp_path):
 
     (tmp_path / "legacy").mkdir()
     (tmp_path / "delta").mkdir()
-    legacy, log = _journaled_churn(tmp_path / "legacy", "legacy")
-    delta, _ = _journaled_churn(tmp_path / "delta", "delta")
+    legacy, log, live = _journaled_churn(tmp_path / "legacy", "legacy")
+    delta, _, _ = _journaled_churn(tmp_path / "delta", "delta")
     legacy_lines = open(legacy.path).read().splitlines()
     delta_lines = open(delta.path).read().splitlines()
     resumed_seq = 4
@@ -702,7 +702,7 @@ def test_mixed_legacy_and_delta_lines_replay_each_sub_delta_once(tmp_path):
     _rewrite(legacy, lines)
 
     replayed = ShardLog.replay(legacy)
-    live = sorted(log.entries, key=lambda sd: (sd.seq, sd.shard_id))
+    live = sorted(live, key=lambda sd: (sd.seq, sd.shard_id))
     assert [sd.to_payload() for sd in replayed] == [
         sd.to_payload() for sd in live
     ]

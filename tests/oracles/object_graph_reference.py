@@ -361,7 +361,6 @@ def object_market_game(
 
 def object_posted_entry(
     market: ServiceMarket,
-    cm: Optional[CompiledMarket],
     profile: Dict[int, int],
     selfish_ids: Sequence[int],
     rejected: Set[int],
@@ -372,7 +371,7 @@ def object_posted_entry(
     entrant, in order, takes the first cloudlet with room whose posted
     price ``cost(provider, cl, 1)`` (plus its toll) is strictly below the
     best so far, starting from the remote cost when ``allow_remote`` and
-    from ``inf`` otherwise; with none, it is rejected. ``cm`` is ignored.
+    from ``inf`` otherwise; with none, it is rejected.
     The tolled market and the rebuild simulation's arrivals enter through
     the same loop."""
     tolls = tolls or {}
@@ -648,9 +647,8 @@ def object_tolled_selfish_market(
         placement: Dict[int, int] = {}
         rejected: Set[int] = set()
         object_posted_entry(
-            market, None, placement,
-            [p.provider_id for p in market.providers], rejected,
-            allow_remote=True, tolls=tolls,
+            market, placement, [p.provider_id for p in market.providers],
+            rejected, allow_remote=True, tolls=tolls,
         )
 
     return CachingAssignment(
@@ -743,8 +741,7 @@ class ObjectRebuildSimulation(DynamicMarketSimulation):
         rejected = {pid for pid in self.rejected if pid in present}
 
         object_posted_entry(
-            market, None, placement, sorted(arrivals), rejected,
-            allow_remote=True,
+            market, placement, sorted(arrivals), rejected, allow_remote=True
         )
         return placement, rejected
 

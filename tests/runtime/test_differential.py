@@ -124,6 +124,19 @@ def test_runtime_sweep_bit_identical_to_serial_loop(workers, precompile):
     assert got == want
 
 
+def dispatched_tasks(rt):
+    """Record the tasks every ``rt.run`` call dispatches."""
+    seen = []
+    real_run = rt.run
+
+    def run(fn, tasks, **kwargs):
+        seen.extend(tasks)
+        return real_run(fn, tasks, **kwargs)
+
+    rt.run = run
+    return seen
+
+
 def test_precompiled_parallel_sweep_publishes_not_inlines():
     """In parallel precompile mode the task payloads carry blob refs,
     not the markets themselves — the publish-once contract."""
@@ -131,6 +144,7 @@ def test_precompiled_parallel_sweep_publishes_not_inlines():
     from repro.runtime import Runtime
 
     with Runtime(workers=2) as rt:
+        tasks = dispatched_tasks(rt)
         result = runner.run(
             name="spy",
             x_label="size",
@@ -142,11 +156,10 @@ def test_precompiled_parallel_sweep_publishes_not_inlines():
             runtime=rt,
         )
         assert result.failures == []
-        # Every precompiled cell was published on the runtime's store.
-        assert set(rt.transport._published) == {
-            ("sweep-cell", "spy", 0, 0),
-            ("sweep-cell", "spy", 0, 1),
-        }
+        # Every precompiled cell travels as a ref to its own market.
+        assert [(t.x_index, t.rep) for t in tasks] == [(0, 0), (0, 1)]
+        assert all(t.market is None and t.market_ref for t in tasks)
+        assert tasks[0].market_ref.digest != tasks[1].market_ref.digest
 
 
 def test_non_colocated_transport_publishes_a_single_cell_sweep():
@@ -160,6 +173,7 @@ def test_non_colocated_transport_publishes_a_single_cell_sweep():
         colocated = False
 
     with Runtime(transport=RemoteLike()) as rt:
+        tasks = dispatched_tasks(rt)
         result = ParallelSweepRunner().run(
             name="lone",
             x_label="size",
@@ -171,7 +185,8 @@ def test_non_colocated_transport_publishes_a_single_cell_sweep():
             runtime=rt,
         )
         assert result.failures == []
-        assert set(rt.transport._published) == {("sweep-cell", "lone", 0, 0)}
+        assert len(tasks) == 1
+        assert tasks[0].market is None and tasks[0].market_ref
 
 
 def test_caller_owned_runtime_is_reused_and_left_open():

@@ -151,13 +151,13 @@ class TestSpool:
     def test_publish_is_content_addressed_in_the_shared_store(self, spool):
         big = list(range(100_000))
         with RemoteTransport(spool, spill_threshold=0, claim_timeout_s=30.0) as t:
-            ref = t.publish(("shard", 0, 1), big)
+            ref = t.publish(big)
             assert ref.path is not None
             assert os.path.dirname(ref.path) == _spool_dirs(spool)["blobs"]
             assert os.path.basename(ref.path).startswith("sha256-")
             assert fetch_blob(ref) == big
-            # Identical payload under a different key: one blob file.
-            again = t.publish(("shard", 1, 9), big)
+            # Identical payload published again: one blob file.
+            again = t.publish(big)
             assert again.path == ref.path
             assert len(os.listdir(_spool_dirs(spool)["blobs"])) == 1
 

@@ -56,6 +56,10 @@ class TestConstruction:
             with pytest.raises(ConfigurationError, match="at most one"):
                 Runtime(transport=transport, spool=tmp_path / "spool")
 
+    def test_spool_rejects_spill_dir(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="spill_dir"):
+            Runtime(spool=tmp_path / "spool", spill_dir=tmp_path / "spill")
+
     def test_default_is_serial(self):
         with Runtime() as rt:
             assert rt.workers == 1
@@ -64,7 +68,7 @@ class TestConstruction:
         transport = SerialTransport()
         rt = Runtime(transport=transport)
         rt.close()
-        assert transport.publish("k", 1) is not None  # still open
+        assert transport.publish(1) is not None  # still open
         transport.close()
 
     def test_owned_transport_closed_with_runtime(self):
@@ -72,7 +76,7 @@ class TestConstruction:
         transport = rt.transport
         rt.close()
         with pytest.raises(ConfigurationError, match="closed"):
-            transport.publish("k", 1)
+            transport.publish(1)
 
     def test_close_joins_the_pool_manager_thread(self):
         # A manager thread left running at close races the interpreter's

@@ -1,12 +1,15 @@
-"""Transports and the publish-once blob store.
+"""Transports and the content-addressed blob store.
 
 Pins the contracts every consumer of :mod:`repro.runtime` leans on: a
-publication pickles exactly once per key, small payloads ride inline
-while large ones spill to disk, and workers memoize fetches per process.
+publication is named by the SHA-256 of its pickled bytes, small payloads
+ride inline while large ones spill to ``sha256-<digest>.pkl``, and
+workers verify and memoize fetches per process.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 import pickle
 
 import pytest
@@ -64,12 +67,12 @@ class TestHelpers:
 
 
 # --------------------------------------------------------------------- #
-# Publish-once blob store
+# Content-addressed blob store
 # --------------------------------------------------------------------- #
 class TestBlobStore:
     def test_small_payload_rides_inline(self):
         with SerialTransport() as transport:
-            ref = transport.publish("k", {"a": 1})
+            ref = transport.publish({"a": 1})
             assert isinstance(ref, BlobRef)
             assert ref.data is not None and ref.path is None
             assert ref.size == len(pickle.dumps({"a": 1}, protocol=pickle.HIGHEST_PROTOCOL))
@@ -78,29 +81,28 @@ class TestBlobStore:
     def test_large_payload_spills_to_disk(self, tmp_path):
         big = list(range(DEFAULT_SPILL_THRESHOLD))
         with SerialTransport(spill_dir=tmp_path) as transport:
-            ref = transport.publish("big", big)
+            ref = transport.publish(big)
             assert ref.path is not None and ref.data is None
             assert fetch_blob(ref) == big
 
     def test_spill_threshold_is_configurable(self, tmp_path):
         with SerialTransport(spill_dir=tmp_path, spill_threshold=0) as transport:
-            ref = transport.publish("k", 1)
+            ref = transport.publish(1)
             assert ref.path is not None
 
     def test_republish_is_a_noop(self):
         with SerialTransport() as transport:
-            first = transport.publish("k", [1, 2, 3])
-            second = transport.publish("k", [4, 5, 6])  # ignored: same key
-            assert second is first
+            first = transport.publish([1, 2, 3])
+            assert transport.publish([1, 2, 3]) == first
 
     def test_fetch_is_memoized_per_token(self):
         with SerialTransport() as transport:
-            ref = transport.publish("memo-key", {"payload": 7})
+            ref = transport.publish({"payload": 7})
             assert fetch_blob(ref) is fetch_blob(ref)
 
     def test_owned_spill_dir_removed_on_close(self):
         transport = SerialTransport(spill_threshold=0)
-        ref = transport.publish("k", list(range(100)))
+        ref = transport.publish(list(range(100)))
         spill_dir = transport._spill_dir
         assert spill_dir is not None
         transport.close()
@@ -111,14 +113,14 @@ class TestBlobStore:
 
     def test_borrowed_spill_dir_left_alone(self, tmp_path):
         with SerialTransport(spill_dir=tmp_path, spill_threshold=0) as transport:
-            transport.publish("k", 1)
+            transport.publish(1)
         assert tmp_path.exists()
 
     def test_publish_after_close_rejected(self):
         transport = SerialTransport()
         transport.close()
         with pytest.raises(ConfigurationError, match="closed"):
-            transport.publish("k", 1)
+            transport.publish(1)
 
 
 # --------------------------------------------------------------------- #
@@ -216,17 +218,16 @@ class TestCrashHierarchy:
 # --------------------------------------------------------------------- #
 class TestBlobChecksums:
     def test_published_refs_carry_sha256(self):
-        import hashlib
-
         with SerialTransport() as transport:
-            ref = transport.publish("k", {"a": 1})
+            ref = transport.publish({"a": 1})
             payload = pickle.dumps({"a": 1}, protocol=pickle.HIGHEST_PROTOCOL)
-            assert ref.checksum == hashlib.sha256(payload).hexdigest()
+            assert ref.digest == hashlib.sha256(payload).hexdigest()
 
     def test_corrupt_spilled_blob_fails_loudly(self, tmp_path):
-        big = list(range(DEFAULT_SPILL_THRESHOLD))
+        # Content no other test fetches: a memoized digest skips the read.
+        big = ["corrupt-me"] + list(range(DEFAULT_SPILL_THRESHOLD))
         with SerialTransport(spill_dir=tmp_path, spill_threshold=0) as transport:
-            ref = transport.publish("corrupt-me", big)
+            ref = transport.publish(big)
             assert ref.path is not None
             with open(ref.path, "r+b") as fh:
                 fh.seek(10)
@@ -234,11 +235,66 @@ class TestBlobChecksums:
             with pytest.raises(ConfigurationError, match="checksum"):
                 fetch_blob(ref)
 
-    def test_legacy_refs_without_checksum_still_resolve(self):
-        payload = pickle.dumps([1, 2, 3], protocol=pickle.HIGHEST_PROTOCOL)
-        ref = BlobRef(token="legacy-no-checksum", data=payload, size=len(payload))
-        assert ref.checksum is None
-        assert fetch_blob(ref) == [1, 2, 3]
+
+# --------------------------------------------------------------------- #
+# Content addressing on every transport
+# --------------------------------------------------------------------- #
+def _spilling(kind, tmp_path):
+    """A transport of ``kind`` that spills every payload."""
+    if kind == "serial":
+        return SerialTransport(spill_dir=tmp_path, spill_threshold=0)
+    if kind == "pool":
+        return PoolTransport(workers=2, spill_dir=tmp_path, spill_threshold=0)
+    return RemoteTransport(tmp_path / "spool", spill_threshold=0)
+
+
+TRANSPORTS = ("serial", "pool", "remote")
+
+
+class TestContentAddressing:
+    def test_different_content_gives_different_refs(self):
+        with SerialTransport() as transport:
+            a = transport.publish({"view": [1, 2, 3]})
+            b = transport.publish({"view": [1, 2, 4]})
+            assert a.digest != b.digest
+            assert fetch_blob(a) == {"view": [1, 2, 3]}
+            assert fetch_blob(b) == {"view": [1, 2, 4]}
+
+    def test_refs_do_not_depend_on_the_transport(self):
+        payload = ("shared", list(range(50)))
+        with SerialTransport() as one, SerialTransport() as two:
+            assert one.publish(payload).digest == two.publish(payload).digest
+
+    @pytest.mark.parametrize("kind", TRANSPORTS)
+    def test_spill_file_is_named_by_its_digest(self, kind, tmp_path):
+        obj = (kind, "named-spill", list(range(200)))
+        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        digest = hashlib.sha256(payload).hexdigest()
+        with _spilling(kind, tmp_path) as transport:
+            ref = transport.publish(obj)
+            again = transport.publish(obj)
+            assert ref.digest == digest
+            assert os.path.basename(ref.path) == f"sha256-{digest}.pkl"
+            assert again == ref
+            with open(ref.path, "rb") as fh:
+                assert fh.read() == payload
+            spills = [
+                name for name in os.listdir(os.path.dirname(ref.path))
+                if name.startswith("sha256-")
+            ]
+            assert spills == [f"sha256-{digest}.pkl"]
+            assert fetch_blob(ref) == obj
+
+    @pytest.mark.parametrize("kind", TRANSPORTS)
+    def test_corrupt_spill_fails_its_checksum(self, kind, tmp_path):
+        obj = (kind, "corrupt-spill", list(range(200)))
+        with _spilling(kind, tmp_path) as transport:
+            ref = transport.publish(obj)
+            with open(ref.path, "r+b") as fh:
+                fh.seek(20)
+                fh.write(b"\xde\xad\xbe\xef")
+            with pytest.raises(ConfigurationError, match="checksum"):
+                fetch_blob(ref)
 
 
 # --------------------------------------------------------------------- #
