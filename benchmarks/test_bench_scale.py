@@ -13,24 +13,25 @@ be at least as fast as the incremental engine, and must stay within 10%
 of the previously recorded providers/sec if ``BENCH_scale.json`` already
 holds a number for that tier (the CI regression bar).
 
-The start profile is built by vectorised compiled-table entry scans
-(``CompiledGame.entry_costs``) rather than ``greedy_feasible_profile`` —
-the object-graph greedy is itself O(providers x cloudlets) Python loops
-and would dominate the setup at this scale. Cloudlet capacity is scaled
-up (``vms_per_cloudlet``) so the market can actually absorb 10^4
-providers; the game is restricted to the placed players, exactly as the
-``lcf`` selfish phase restricts its dynamics.
+The start profile is the library's one sequential cheapest-feasible
+entry (``repro.game.best_response.sequential_entry``, the loop behind
+``greedy_feasible_profile``), which reads the compiled tables with one
+vectorised scan per provider; providers it cannot place stay out rather
+than failing the fixture. Cloudlet capacity is scaled up
+(``vms_per_cloudlet``) so the market can actually absorb 10^4 providers;
+the game is restricted to the placed players, exactly as the ``lcf``
+selfish phase restricts its dynamics.
 """
 
 import json
 import time
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import bench_path, record_bench
 
 from repro.core import market_game
+from repro.game.best_response import sequential_entry
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
 from tests.oracles.best_response_reference import DYNAMICS
@@ -66,26 +67,15 @@ def _best_of(fn, repeats: int = 3) -> float:
 
 
 def _scale_instance(n_nodes: int, n_providers: int):
-    """A large market plus a greedy start built from compiled entry scans."""
+    """A large market plus a greedy start (one sequential entry on the
+    compiled tables; a provider with no feasible cloudlet stays out)."""
     network = random_mec_network(
         n_nodes, rng=n_nodes, vms_per_cloudlet=(90, 180)
     )
     market = generate_market(network, n_providers, rng=n_nodes + 1)
     game_all = market_game(market)
-    c = game_all.compile()
     profile = {}
-    occ = c.occupancy_vector(profile)
-    loads = c.load_matrix(profile)
-    for pid in game_all.players:
-        pi = c.player_index[pid]
-        costs = c.entry_costs(pi, occ, loads)
-        j = int(np.argmin(costs))
-        if not np.isfinite(costs[j]):
-            continue
-        profile[pid] = c.resources[j]
-        occ[j] += 1
-        if loads is not None:
-            loads[j] += c.demand[pi, j]
+    sequential_entry(game_all, profile, game_all.players)
     game = market_game(market, players=list(profile))
     return game, profile
 

@@ -18,16 +18,14 @@ shards x instance-size grid. Three assertions ride along:
 import os
 import time
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import record_bench
 from repro.game.batch import batch_best_response
-from repro.game import game_from_compiled, partitioned_best_response
+from repro.game import game_from_compiled, partitioned_best_response, sequential_entry
 from repro.market.shard import classify_providers, partition_market
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
-from repro.utils.validation import CAPACITY_EPS
 
 RESULTS_NAME = "BENCH_shard.json"
 
@@ -67,7 +65,9 @@ def _prior_sharded_pps(section):
 
 
 def _shard_instance(n_nodes, n_providers):
-    """A latency-budgeted market plus a greedy compiled-table start."""
+    """A latency-budgeted market plus a greedy start (one sequential
+    entry on the compiled tables; a provider with no feasible cloudlet
+    stays out)."""
     network = random_mec_network(
         n_nodes, rng=n_nodes, vms_per_cloudlet=(90, 180)
     )
@@ -76,24 +76,8 @@ def _shard_instance(n_nodes, n_providers):
         latency_budget_ms=LATENCY_BUDGET_MS,
     )
     cm = market.compile()
-    occ = np.zeros(cm.n_cloudlets, dtype=np.int64)
-    loads = np.zeros_like(cm.capacity)
     start = {}
-    for pid in cm.provider_ids:
-        row = cm.provider_index[pid]
-        fits = np.isfinite(cm.fixed[row]) & np.all(
-            loads + cm.demand[row] <= cm.capacity + CAPACITY_EPS, axis=1
-        )
-        if not fits.any():
-            continue
-        cost = cm.shared[
-            np.arange(cm.n_cloudlets), np.minimum(occ + 1, len(cm.g) - 1)
-        ] + cm.fixed[row]
-        cost[~fits] = np.inf
-        j = int(np.argmin(cost))
-        start[pid] = cm.cloudlet_nodes[j]
-        occ[j] += 1
-        loads[j] += cm.demand[row]
+    sequential_entry(game_from_compiled(cm), start, cm.provider_ids)
     return market, cm, start
 
 

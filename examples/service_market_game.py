@@ -15,7 +15,7 @@ from repro.core import appro, lcf, market_game, optimal_caching
 from repro.core.bounds import stackelberg_poa_bound
 from repro.core.virtual_cloudlets import VirtualCloudletSplit
 from repro.game.best_response import best_response_dynamics, greedy_feasible_profile
-from repro.game.equilibrium import is_nash_equilibrium
+from repro.game.equilibrium import certify_equilibrium
 from repro.game.poa import worst_equilibrium_cost
 from repro.market import generate_market
 from repro.network import random_mec_network
@@ -38,7 +38,7 @@ def game_mechanics() -> None:
     print(f"Rosenthal potential: {result.potential_trace[0]:.2f} -> "
           f"{result.final_potential:.2f} (monotone decrease)")
     print(f"equilibrium verified: "
-          f"{is_nash_equilibrium(game, result.profile)}")
+          f"{certify_equilibrium(game, result.profile)}")
     print(f"social cost at the equilibrium: "
           f"{game.social_cost(result.profile):.2f}")
 

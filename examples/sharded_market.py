@@ -27,39 +27,21 @@ Run:  python examples/sharded_market.py
 import argparse
 import time
 
-import numpy as np
-
 from repro.dynamics import DynamicMarketSimulation, PopulationProcess
 from repro.game.batch import batch_best_response
-from repro.game import game_from_compiled, partitioned_best_response
+from repro.game import game_from_compiled, partitioned_best_response, sequential_entry
 from repro.market.shard import classify_providers, partition_market
 from repro.market.workload import generate_market
 from repro.network import random_mec_network
 from repro.runtime import Runtime
 from repro.utils.tables import Table
-from repro.utils.validation import CAPACITY_EPS
 
 
 def greedy_start(cm):
-    """Cheapest-feasible greedy over the compiled tables."""
-    occ = np.zeros(cm.n_cloudlets, dtype=np.int64)
-    loads = np.zeros_like(cm.capacity)
+    """Cheapest-feasible sequential entry over the compiled tables; a
+    provider with no feasible cloudlet stays out."""
     start = {}
-    for pid in cm.provider_ids:
-        row = cm.provider_index[pid]
-        fits = np.isfinite(cm.fixed[row]) & np.all(
-            loads + cm.demand[row] <= cm.capacity + CAPACITY_EPS, axis=1
-        )
-        if not fits.any():
-            continue
-        cost = cm.shared[
-            np.arange(cm.n_cloudlets), np.minimum(occ + 1, len(cm.g) - 1)
-        ] + cm.fixed[row]
-        cost[~fits] = np.inf
-        j = int(np.argmin(cost))
-        start[pid] = cm.cloudlet_nodes[j]
-        occ[j] += 1
-        loads[j] += cm.demand[row]
+    sequential_entry(game_from_compiled(cm), start, cm.provider_ids)
     return start
 
 

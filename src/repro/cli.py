@@ -44,7 +44,6 @@ from repro.experiments.harness import SweepResult
 from repro.experiments.report import METRIC_LABELS, render_sweep, sweep_to_csv
 from repro.experiments.settings import PAPER, QUICK, ExperimentConfig
 from repro.utils.ascii_plot import line_chart
-from repro.utils.validation import CAPACITY_EPS
 
 #: The benchmark-harness scale (mirrors benchmarks/conftest.py).
 BENCH = ExperimentConfig(
@@ -298,10 +297,9 @@ def _run_outages(args) -> int:
 def _run_shard(args) -> int:
     import time
 
-    import numpy as np
-
     from repro.dynamics import DynamicMarketSimulation, PopulationProcess
     from repro.game.batch import batch_best_response
+    from repro.game.best_response import sequential_entry
     from repro.game.engine import game_from_compiled
     from repro.game.partitioned import partitioned_best_response
     from repro.market.shard import classify_providers, partition_market
@@ -324,25 +322,10 @@ def _run_shard(args) -> int:
           f"{len(classification.boundary)} boundary, "
           f"{len(classification.unreachable)} unreachable")
 
-    # Greedy start: cheapest feasible cloudlet at posted occupancy.
-    occ = np.zeros(cm.n_cloudlets, dtype=np.int64)
-    loads = np.zeros_like(cm.capacity)
+    # Greedy start: each provider enters its cheapest feasible cloudlet at
+    # the occupancy it would create; one with no feasible cloudlet stays out.
     start: Dict[int, int] = {}
-    for pid in cm.provider_ids:
-        row = cm.provider_index[pid]
-        fits = np.isfinite(cm.fixed[row]) & np.all(
-            loads + cm.demand[row] <= cm.capacity + CAPACITY_EPS, axis=1
-        )
-        if not fits.any():
-            continue
-        cost = cm.shared[
-            np.arange(cm.n_cloudlets), np.minimum(occ + 1, len(cm.g) - 1)
-        ] + cm.fixed[row]
-        cost[~fits] = np.inf
-        j = int(np.argmin(cost))
-        start[pid] = cm.cloudlet_nodes[j]
-        occ[j] += 1
-        loads[j] += cm.demand[row]
+    sequential_entry(game_from_compiled(cm), start, cm.provider_ids)
 
     t0 = time.perf_counter()
     game = game_from_compiled(cm, players=sorted(start))

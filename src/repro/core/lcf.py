@@ -42,11 +42,11 @@ import numpy as np
 
 from repro.core.appro import appro
 from repro.core.assignment import CachingAssignment, Stopwatch, sequential_admission
-from repro.exceptions import CapacityError, ConfigurationError, InfeasibleError
-from repro.game.best_response import best_response_dynamics
+from repro.exceptions import CapacityError, ConfigurationError
+from repro.game.best_response import best_response_dynamics, sequential_entry
 from repro.game.congestion import SingletonCongestionGame
 from repro.game.engine import market_game
-from repro.game.equilibrium import is_nash_equilibrium
+from repro.game.equilibrium import certify_equilibrium
 from repro.market.compiled import CompiledMarket
 from repro.market.market import ServiceMarket
 from repro.utils.rng import RandomSource, as_rng
@@ -96,30 +96,14 @@ def _selfish_entry(
     entry_threshold: Callable[[int], float],
 ) -> None:
     """Full-information sequential selfish entry with rejection of
-    unplaceable providers.
-
-    Each selfish provider, in order, takes its cheapest feasible cloudlet
-    from the compiled entry-cost row (the live occupancy it would join)
-    unless that cost does not beat ``entry_threshold``; then it is
-    rejected. Updates ``profile``, ``rejected`` and ``placed_selfish`` in
-    place.
+    unplaceable providers: :func:`~repro.game.best_response.sequential_entry`
+    at the live occupancy each provider would join, turned away when its
+    cheapest feasible cost does not beat ``entry_threshold``. Updates
+    ``profile``, ``rejected`` and ``placed_selfish`` in place.
     """
-    compiled = game_all.compile()
-    occ_vec = compiled.occupancy_vector(profile)
-    load_mat = compiled.load_matrix(profile)
-    for pid in selfish_ids:
-        pi = compiled.player_index[pid]
-        costs = compiled.entry_costs(pi, occ_vec, load_mat)
-        j = int(np.argmin(costs))
-        if not costs[j] < entry_threshold(pid):
-            rejected.add(pid)
-            continue
-        node = compiled.resources[j]
-        profile[pid] = node
-        occ_vec[j] += 1
-        if load_mat is not None:
-            load_mat[j] += compiled.demand[pi, j]
-        placed_selfish.append(pid)
+    refused = set(sequential_entry(game_all, profile, selfish_ids, entry_threshold))
+    rejected |= refused
+    placed_selfish.extend(p for p in selfish_ids if p not in refused)
 
 
 def _posted_prices(
@@ -197,8 +181,9 @@ def lcf(
     module docstring): ``"posted_price"`` or ``"full"``.
 
     The selfish phase enters providers with a vectorised scan of the
-    compiled cost tables and settles them on the batch best-response
-    kernel (:mod:`repro.game.batch`).
+    compiled cost tables, settles them on the batch best-response kernel
+    (:mod:`repro.game.batch`) and certifies the equilibrium with the
+    kernel's own move rule.
 
     The leader phase (Appro's GAP build and repair) reads the market's
     :class:`~repro.market.compiled.CompiledMarket`, and the follower
@@ -292,7 +277,7 @@ def lcf(
             result = best_response_dynamics(
                 game, profile, movable=placed_selfish, max_rounds=max_rounds
             )
-            equilibrium = is_nash_equilibrium(
+            equilibrium = certify_equilibrium(
                 game, result.profile, movable=placed_selfish
             )
             placement = dict(result.profile)

@@ -21,9 +21,9 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.game.best_response import best_response_dynamics, greedy_feasible_profile
-from repro.game.dynamics_variants import improvement_dynamics
+from repro.game.dynamics_variants import VARIANTS, improvement_dynamics
 from repro.game.engine import market_game
-from repro.game.equilibrium import is_nash_equilibrium
+from repro.game.equilibrium import certify_equilibrium
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
 
@@ -55,6 +55,11 @@ def convergence_study(
     """
     if not populations or not variants:
         raise ConfigurationError("need at least one population and one variant")
+    unknown = [v for v in variants if v != "best" and v not in VARIANTS]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown variants {unknown}; choose from {('best',) + VARIANTS}"
+        )
     points: List[ConvergencePoint] = []
     for n in populations:
         per_variant: Dict[str, List] = {v: [] for v in variants}
@@ -72,7 +77,7 @@ def convergence_study(
                         game, dict(start), variant=variant, rng=seed
                     )
                 wall = time.perf_counter() - t0
-                equilibrium = is_nash_equilibrium(game, result.profile)
+                equilibrium = certify_equilibrium(game, result.profile)
                 per_variant[variant].append(
                     (result.rounds, result.moves, wall, result.converged, equilibrium)
                 )

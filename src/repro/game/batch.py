@@ -37,7 +37,9 @@ invariants and the delta-churn path.
 
 This is the only best-response kernel of the library: every caller
 (:func:`repro.game.best_response.best_response_dynamics`, LCF, warm
-starts, the sharded settle) reaches it.
+starts, the sharded settle) reaches it, and its Jacobi propose is also the
+equilibrium certificate
+(:func:`repro.game.equilibrium.certify_equilibrium`).
 """
 
 from __future__ import annotations
@@ -132,10 +134,9 @@ class _BatchState:
         return self.c.shared[np.arange(self.m), kcol]
 
     def feasible_block(self, lo: int) -> Optional[np.ndarray]:
-        """Capacity feasibility of every (pending mover, resource) pair.
-
-        The same ``loads + demand <= capacity + CAPACITY_EPS`` comparison
-        as ``CompiledGame.feasible_mask``, batched over the mover block."""
+        """Capacity feasibility of every (pending mover, resource) pair:
+        ``loads + demand <= capacity + CAPACITY_EPS``, batched over the
+        mover block."""
         if self.demand is None or self.loads is None or self.cap_eps is None:
             return None
         return _fits(self.loads, self.demand[lo:], self.cap_eps)
@@ -226,6 +227,23 @@ def _dense_scan(
                     colvals = np.where(fits, colvals, np.inf)
                 em[rel:, col] = colvals
     return committed
+
+
+def movable_order(
+    game: SingletonCongestionGame, movable: Optional[Iterable[Hashable]]
+) -> List[Hashable]:
+    """The movable players (default: all) in the game's round-robin order.
+
+    Raises :class:`InfeasibleError` when ``movable`` names a player the
+    game does not have: a certificate or a run over a player that is not
+    there would be vacuous."""
+    movable_set = set(movable) if movable is not None else set(game.players)
+    unknown = movable_set - set(game.players)
+    if unknown:
+        raise InfeasibleError(
+            f"movable contains unknown players {sorted(unknown, key=str)}"
+        )
+    return [p for p in game.players if p in movable_set]
 
 
 @invariant_no_conflicting_commits()
@@ -324,13 +342,7 @@ def batch_best_response(
     cached :meth:`~SingletonCongestionGame.compile` tables.
     """
     game.validate_profile(initial_profile)
-    movable_set = set(movable) if movable is not None else set(game.players)
-    unknown = movable_set - set(game.players)
-    if unknown:
-        raise InfeasibleError(
-            f"movable contains unknown players {sorted(unknown, key=str)}"
-        )
-    move_order = [p for p in game.players if p in movable_set]
+    move_order = movable_order(game, movable)
     c = game.compile() if move_order else None
     profile, converged, rounds, moves, trace, move_log, _ = _batch_rounds(
         game, initial_profile, c, move_order, max_rounds, record_moves
@@ -338,4 +350,4 @@ def batch_best_response(
     return profile, converged, rounds, moves, trace, move_log
 
 
-__all__ = ["SPARSE_REPROPOSE_BUDGET", "batch_best_response"]
+__all__ = ["SPARSE_REPROPOSE_BUDGET", "batch_best_response", "movable_order"]

@@ -7,24 +7,30 @@ potential, every improving move strictly decreases the potential, so the
 dynamics terminate at a (constrained) Nash equilibrium of the movable
 players (Lemma 3).
 
+Starts come from :func:`sequential_entry`, the one sequential
+cheapest-feasible entry (the greedy start and LCF's full-information
+selfish entry), which reads the same compiled tables as the kernel.
+
 The dynamics run on the batch-vectorized kernel of :mod:`repro.game.batch`:
 every round prices all players' candidate moves as one delta-cost matrix
 over compiled tables and commits them in round-robin priority order,
 replaying the serial move sequence bit for bit. The naive per-resource
-engine and the per-turn incremental engine it replaced live in
-``tests/oracles/best_response_reference.py`` as differential oracles.
+engine and the per-turn incremental engine it replaced, and the scalar
+greedy entry, live in ``tests/oracles/best_response_reference.py`` as
+differential oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import InfeasibleError
-from repro.game.batch import batch_best_response
+from repro.game.batch import _fits, batch_best_response
 from repro.game.congestion import Profile, SingletonCongestionGame
+from repro.utils.validation import CAPACITY_EPS
 
 
 @dataclass
@@ -48,6 +54,44 @@ class BestResponseResult:
         return self.potential_trace[-1] if self.potential_trace else float("nan")
 
 
+def sequential_entry(
+    game: SingletonCongestionGame,
+    profile: Profile,
+    entrants: Iterable[Hashable],
+    threshold: Optional[Callable[[Hashable], float]] = None,
+) -> List[Hashable]:
+    """Sequential cheapest-feasible entry on the game's compiled tables.
+
+    Each entrant, in order, joins the first resource minimising
+    ``shared[r, occ_r + 1] + fixed[p, r]`` — its cost at the occupancy it
+    would create — among those whose residual capacity admits its demand,
+    unless that cost does not beat ``threshold(p)`` (default ``inf``: only
+    an entrant with no feasible resource is turned away). ``profile`` holds
+    the players already placed and is extended in place; the entrants
+    turned away are returned in entry order.
+    """
+    c = game.compile()
+    occ = c.occupancy_vector(profile)
+    loads = c.load_matrix(profile)
+    cap_eps = None if loads is None else c.capacity + CAPACITY_EPS
+    cols = np.arange(c.n_resources)
+    rejected: List[Hashable] = []
+    for p in entrants:
+        i = c.player_index[p]
+        costs = c.shared[cols, np.minimum(occ + 1, c.n_players)] + c.fixed[i]
+        if loads is not None:
+            costs[~_fits(loads, c.demand[i], cap_eps)] = np.inf
+        j = int(np.argmin(costs))
+        if not costs[j] < (np.inf if threshold is None else threshold(p)):
+            rejected.append(p)
+            continue
+        profile[p] = c.resources[j]
+        occ[j] += 1
+        if loads is not None:
+            loads[j] += c.demand[i, j]
+    return rejected
+
+
 def greedy_feasible_profile(
     game: SingletonCongestionGame,
     players: Optional[Sequence[Hashable]] = None,
@@ -57,9 +101,11 @@ def greedy_feasible_profile(
     """Build a feasible profile by sequential cheapest-feasible placement.
 
     ``base_profile`` holds already-placed players (e.g. the coordinated set);
-    the remaining ``players`` (default: all unplaced) are inserted one at a
-    time onto the resource minimising their cost at the occupancy they would
-    create. Raises :class:`InfeasibleError` when someone cannot be placed.
+    the remaining ``players`` (default: all unplaced) enter one at a time
+    (:func:`sequential_entry`, sorted by ``order`` when given) onto the
+    resource minimising their cost at the occupancy they would create.
+    Raises :class:`InfeasibleError` naming the first player that cannot be
+    placed.
     """
     profile: Profile = dict(base_profile) if base_profile else {}
     todo = list(players) if players is not None else [
@@ -68,26 +114,9 @@ def greedy_feasible_profile(
     if order is not None:
         order_index = {p: k for k, p in enumerate(order)}
         todo.sort(key=lambda p: order_index.get(p, len(order_index)))
-
-    loads = game.loads(profile)
-    occ = game.occupancy(profile)
-    for p in todo:
-        best_r = None
-        best_cost = np.inf
-        for r in game.resources:
-            if not game.move_is_feasible(p, r, profile, loads):
-                continue
-            c = game.cost(p, r, occ.get(r, 0) + 1)
-            if c < best_cost:
-                best_cost = c
-                best_r = r
-        if best_r is None:
-            raise InfeasibleError(f"no feasible resource for player {p!r}")
-        profile[p] = best_r
-        occ[best_r] = occ.get(best_r, 0) + 1
-        if game.capacitated:
-            d = game.demand_of(p, best_r)
-            loads[best_r] = loads.get(best_r, np.zeros_like(d)) + d
+    rejected = sequential_entry(game, profile, todo)
+    if rejected:
+        raise InfeasibleError(f"no feasible resource for player {rejected[0]!r}")
     return profile
 
 
@@ -134,4 +163,5 @@ __all__ = [
     "BestResponseResult",
     "best_response_dynamics",
     "greedy_feasible_profile",
+    "sequential_entry",
 ]

@@ -20,11 +20,14 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set
 
 import numpy as np
 
-from repro.exceptions import InfeasibleError
+from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.game.best_response import BestResponseResult
 from repro.game.congestion import Profile, SingletonCongestionGame
 from repro.game.engine import IMPROVEMENT_EPS
 from repro.utils.rng import RandomSource, as_rng
+
+#: The improvement dynamics this module runs, by ``variant`` name.
+VARIANTS = ("better", "best_random_order")
 
 
 def _first_improving_response(
@@ -87,8 +90,10 @@ def improvement_dynamics(
     * ``"better"`` — first improving move, round-robin order;
     * ``"best_random_order"`` — best responses, order reshuffled per round.
     """
-    if variant not in ("better", "best_random_order"):
-        raise InfeasibleError(f"unknown variant {variant!r}")
+    if variant not in VARIANTS:
+        raise ConfigurationError(
+            f"unknown variant {variant!r}; choose from {VARIANTS}"
+        )
     game.validate_profile(initial_profile)
     profile: Profile = dict(initial_profile)
     movable_set: Set[Hashable] = (
@@ -145,4 +150,4 @@ def improvement_dynamics(
     )
 
 
-__all__ = ["improvement_dynamics"]
+__all__ = ["VARIANTS", "improvement_dynamics"]

@@ -168,35 +168,6 @@ class CompiledGame:
         np.add.at(loads, cols, self.demand[rows, cols])
         return loads
 
-    # ------------------------------------------------------------------ #
-    # Vectorised queries
-    # ------------------------------------------------------------------ #
-    def feasible_mask(self, player_idx: int, loads: Optional[np.ndarray]) -> np.ndarray:
-        """Which resources admit the player's demand on top of ``loads``.
-
-        Matches ``game.move_is_feasible`` for resources the player does not
-        currently occupy (the best-response scan never queries the current
-        one). Uncapacitated games admit everything.
-        """
-        if self.demand is None:
-            return np.ones(self.n_resources, dtype=bool)
-        new_load = loads + self.demand[player_idx]
-        return np.all(new_load <= self.capacity + CAPACITY_EPS, axis=1)
-
-    def entry_costs(
-        self,
-        player_idx: int,
-        occ: np.ndarray,
-        loads: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Cost of joining each resource (infeasible ones are ``+inf``):
-        the player faces the live occupancy plus itself."""
-        kcol = np.minimum(occ + 1, self.n_players)
-        shared = self.shared[np.arange(self.n_resources), kcol]
-        costs = shared + self.fixed[player_idx]
-        costs[~self.feasible_mask(player_idx, loads)] = np.inf
-        return costs
-
     def social_cost(self, profile: Mapping[Hashable, Hashable]) -> float:
         """Eq. (6) evaluated from the tables.
 

@@ -33,8 +33,9 @@ runs the paper's best-response dynamics as a two-level fixed point:
    cross-shard options against the frozen interiors.
 
 The loop repeats until a full iteration commits no move (or the
-``boundary_rounds`` cap is hit), then the result is *certified*: the
-same propose over the movable population confirms that no player can
+``boundary_rounds`` cap is hit), then the result is *certified*
+(:func:`repro.game.equilibrium.certify_equilibrium`): the same propose
+over the movable population confirms that no player can
 strictly improve — a certified profile is a global Nash equilibrium of
 the market game, not merely a fixed point of the loop. The boundary
 phase's kernel validates the placement's capacities; a call without
@@ -70,12 +71,11 @@ from typing import (
     TYPE_CHECKING,
 )
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError, InfeasibleError
-from repro.game.batch import _BatchState, batch_best_response
-from repro.game.congestion import Profile, SingletonCongestionGame
-from repro.game.engine import IMPROVEMENT_EPS, game_from_compiled
+from repro.game.batch import batch_best_response
+from repro.game.congestion import Profile
+from repro.game.engine import game_from_compiled
+from repro.game.equilibrium import _improving, certify_equilibrium
 from repro.market.compiled import CompiledMarket
 from repro.market.shard import (
     MarketPartition,
@@ -104,34 +104,6 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard
 #: The worst gap measured over 155 certified settles of 150- and 300-node
 #: markets (3/5/8 ms and no latency budget, 2-8 shards) was 1.3e-3.
 BOUNDARY_TOLERANCE: Final[float] = 0.01
-
-
-def _improving(
-    game: SingletonCongestionGame,
-    profile: Profile,
-    move_order: List[int],
-) -> np.ndarray:
-    """One vectorised Jacobi propose at ``profile``: which players of
-    ``move_order`` (a subsequence of ``game.players``) can strictly
-    improve by a unilateral move."""
-    if not move_order:
-        return np.zeros(0, dtype=bool)
-    state = _BatchState(game.compile(), profile, move_order)
-    _targets, best, cur_cost = state.propose(0)
-    return best < cur_cost - IMPROVEMENT_EPS
-
-
-def certify_equilibrium(
-    game: SingletonCongestionGame,
-    profile: Mapping[int, int],
-    movable: Optional[Iterable[int]] = None,
-) -> bool:
-    """Can no movable player strictly improve?  ``False`` means the
-    profile is not a Nash equilibrium of ``game`` (restricted to the
-    movable population)."""
-    movable_set = set(movable) if movable is not None else set(game.players)
-    move_order = [p for p in game.players if p in movable_set]
-    return not bool(np.any(_improving(game, dict(profile), move_order)))
 
 
 def _settle_shard(

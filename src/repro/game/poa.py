@@ -17,7 +17,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError, InfeasibleError, ReproError
 from repro.game.best_response import best_response_dynamics, greedy_feasible_profile
 from repro.game.congestion import Profile, SingletonCongestionGame
-from repro.game.equilibrium import is_nash_equilibrium
+from repro.game.equilibrium import certify_equilibrium
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import check_positive
 
@@ -47,7 +47,7 @@ def enumerate_equilibria(
             # candidates; anything outside the library hierarchy is a bug
             # and must propagate.
             continue
-        if is_nash_equilibrium(game, profile, movable=movable):
+        if certify_equilibrium(game, profile, movable=movable):
             yield profile
 
 
@@ -94,7 +94,7 @@ def worst_equilibrium_cost(
         result = best_response_dynamics(game, start, movable=move_set)
         if not result.converged:
             continue
-        if not is_nash_equilibrium(game, result.profile, movable=move_set):
+        if not certify_equilibrium(game, result.profile, movable=move_set):
             continue
         c = compiled.social_cost(result.profile)
         if c > worst_cost:

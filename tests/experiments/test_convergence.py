@@ -42,3 +42,13 @@ class TestConvergenceStudy:
             convergence_study(populations=())
         with pytest.raises(ConfigurationError):
             convergence_study(variants=())
+
+    def test_unknown_variant_rejected_before_any_market_is_built(self, monkeypatch):
+        import repro.experiments.convergence as convergence
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("a market was built before the variant check")
+
+        monkeypatch.setattr(convergence, "random_mec_network", no_network)
+        with pytest.raises(ConfigurationError, match="chaotic"):
+            convergence_study(variants=("best", "chaotic"))

@@ -9,7 +9,7 @@ from repro.game.best_response import (
     greedy_feasible_profile,
 )
 from repro.game.congestion import SingletonCongestionGame
-from repro.game.equilibrium import is_nash_equilibrium
+from tests.oracles.equilibrium_reference import is_nash_equilibrium
 
 
 def make_game(n_players=4, n_resources=3, fixed=None, cap=None):

@@ -5,10 +5,10 @@ import numpy as np
 from repro.utils.rng import as_rng
 import pytest
 
-from repro.exceptions import InfeasibleError
+from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.game.congestion import SingletonCongestionGame
 from repro.game.dynamics_variants import improvement_dynamics
-from repro.game.equilibrium import is_nash_equilibrium
+from tests.oracles.equilibrium_reference import is_nash_equilibrium
 
 
 def make_game(n_players=6, n_resources=3, seed=1):
@@ -85,8 +85,10 @@ class TestRandomOrder:
 
 class TestValidation:
     def test_unknown_variant(self):
+        # A misspelled option is a configuration error, not an infeasible
+        # instance a caller might skip.
         game = make_game()
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(ConfigurationError):
             improvement_dynamics(game, herd_profile(game), variant="chaotic")
 
     def test_unknown_movable(self):

@@ -22,7 +22,7 @@ import pytest
 from repro.exceptions import InfeasibleError
 from repro.game.best_response import greedy_feasible_profile
 from repro.game.engine import IMPROVEMENT_EPS
-from repro.game.equilibrium import is_nash_equilibrium
+from tests.oracles.equilibrium_reference import is_nash_equilibrium
 
 from tests.game.test_engine_equivalence import random_game
 from tests.oracles.best_response_reference import DYNAMICS

@@ -1,10 +1,10 @@
-"""Tests for Nash-equilibrium verification."""
+"""Tests for the scalar Nash-equilibrium check (the certificate's oracle)."""
 
 import numpy as np
 import pytest
 
 from repro.game.congestion import SingletonCongestionGame
-from repro.game.equilibrium import best_deviation, is_nash_equilibrium
+from tests.oracles.equilibrium_reference import best_deviation, is_nash_equilibrium
 
 
 def make_game(fixed=None, cap=None):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.game.best_response import best_response_dynamics, greedy_feasible_profile
 from repro.game.congestion import SingletonCongestionGame
-from repro.game.equilibrium import is_nash_equilibrium
+from tests.oracles.equilibrium_reference import is_nash_equilibrium
 
 COMMON = dict(
     deadline=None,

@@ -14,11 +14,11 @@ executors, and the armed ``invariant_shard_ownership`` contract.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, InvariantViolation
 from repro.game.batch import batch_best_response
+from repro.game.best_response import sequential_entry
 from repro.game.engine import game_from_compiled
 from repro.game.partitioned import (
     BOUNDARY_TOLERANCE,
@@ -29,7 +29,6 @@ from repro.market.shard import classify_providers, partition_market
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
 from repro.utils.contracts import ENV_FLAG, check_shard_ownership
-from repro.utils.validation import CAPACITY_EPS
 
 SEED = 41
 
@@ -42,24 +41,8 @@ def make_instance(seed=SEED, n_nodes=150, n_providers=120,
         latency_budget_ms=latency_budget_ms,
     )
     cm = market.compile()
-    occ = np.zeros(cm.n_cloudlets, dtype=np.int64)
-    loads = np.zeros_like(cm.capacity)
     start = {}
-    for pid in cm.provider_ids:
-        row = cm.provider_index[pid]
-        fits = np.isfinite(cm.fixed[row]) & np.all(
-            loads + cm.demand[row] <= cm.capacity + CAPACITY_EPS, axis=1
-        )
-        if not fits.any():
-            continue
-        cost = cm.shared[
-            np.arange(cm.n_cloudlets), np.minimum(occ + 1, len(cm.g) - 1)
-        ] + cm.fixed[row]
-        cost[~fits] = np.inf
-        j = int(np.argmin(cost))
-        start[pid] = cm.cloudlet_nodes[j]
-        occ[j] += 1
-        loads[j] += cm.demand[row]
+    sequential_entry(game_from_compiled(cm), start, cm.provider_ids)
     return market, cm, start
 
 

@@ -55,7 +55,7 @@ class TestWorstEquilibrium:
     def test_sampled_worst_is_a_real_equilibrium(self):
         game = pigou_like()
         worst, profile = worst_equilibrium_cost(game, trials=10, rng=1)
-        from repro.game.equilibrium import is_nash_equilibrium
+        from tests.oracles.equilibrium_reference import is_nash_equilibrium
 
         assert is_nash_equilibrium(game, profile)
         assert worst <= 4.0 + 1e-9

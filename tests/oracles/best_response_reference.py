@@ -10,9 +10,13 @@ compare it against:
 * :func:`incremental_best_response` — compiled cost tables, one vectorised
   argmin per player turn and a delta-maintained potential.
 
-:func:`naive_selfish_entry` is LCF's matching per-resource full-information
-entry scan, the naive twin of :func:`repro.core.lcf._selfish_entry` (the
-posted-price entry's twin is
+The library's one sequential entry,
+:func:`repro.game.best_response.sequential_entry`, has two scalar twins
+here: :func:`scalar_greedy_feasible_profile`, the per-resource greedy start
+``greedy_feasible_profile`` ran before it read the compiled tables, and
+:func:`naive_selfish_entry`, LCF's matching full-information entry scan,
+the naive twin of :func:`repro.core.lcf._selfish_entry` (the posted-price
+entry's twin is
 :func:`tests.oracles.object_graph_reference.object_posted_entry`).
 
 All three engines visit players in the same order with the same strict
@@ -30,7 +34,9 @@ on the reference engines.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 from unittest import mock
 
 import numpy as np
@@ -38,17 +44,37 @@ import numpy as np
 from repro.exceptions import InfeasibleError
 from repro.game.best_response import BestResponseResult, best_response_dynamics
 from repro.game.congestion import Profile, SingletonCongestionGame
-from repro.game.engine import IMPROVEMENT_EPS
+from repro.game.engine import IMPROVEMENT_EPS, CompiledGame
 from repro.utils.contracts import (
     check_potential_accumulator,
     invariant_capacity_feasible,
     invariant_potential_descends,
     invariants_active,
 )
+from repro.utils.validation import CAPACITY_EPS
 from tests.oracles.state_reference import loop_loads, loop_occupancy
 
 #: The naive engine's name for the strict-improvement threshold.
 _IMPROVEMENT_EPS = IMPROVEMENT_EPS
+
+
+def _entry_costs(
+    c: CompiledGame,
+    player_idx: int,
+    occ: np.ndarray,
+    loads: Optional[np.ndarray],
+) -> np.ndarray:
+    """Cost of joining each resource (infeasible ones are ``+inf``): the
+    player faces the live occupancy plus itself. Infeasible means the
+    player's demand does not fit on top of ``loads`` (uncapacitated games
+    admit everything)."""
+    kcol = np.minimum(occ + 1, c.n_players)
+    shared = c.shared[np.arange(c.n_resources), kcol]
+    costs = shared + c.fixed[player_idx]
+    if c.demand is not None:
+        new_load = loads + c.demand[player_idx]
+        costs[~np.all(new_load <= c.capacity + CAPACITY_EPS, axis=1)] = np.inf
+    return costs
 
 
 def _best_feasible_response(
@@ -188,7 +214,7 @@ def incremental_best_response(
         for p, pi in zip(move_order, mover_idx) if move_order else ():
             cur = strat[p]
             current_cost = c.shared[cur, occ[cur]] + c.fixed[pi, cur]
-            costs = c.entry_costs(pi, occ, loads)
+            costs = _entry_costs(c, pi, occ, loads)
             costs[cur] = np.inf
             j = int(np.argmin(costs))
             best = costs[j]
@@ -259,6 +285,49 @@ DYNAMICS: Dict[str, Callable[..., BestResponseResult]] = {
 }
 
 
+def scalar_greedy_feasible_profile(
+    game: SingletonCongestionGame,
+    players: Optional[Sequence[Hashable]] = None,
+    base_profile: Optional[Mapping[Hashable, Hashable]] = None,
+    order: Optional[Sequence[Hashable]] = None,
+) -> Profile:
+    """Build a feasible profile by sequential cheapest-feasible placement.
+
+    ``base_profile`` holds already-placed players (e.g. the coordinated set);
+    the remaining ``players`` (default: all unplaced) are inserted one at a
+    time onto the resource minimising their cost at the occupancy they would
+    create. Raises :class:`InfeasibleError` when someone cannot be placed.
+    """
+    profile: Profile = dict(base_profile) if base_profile else {}
+    todo = list(players) if players is not None else [
+        p for p in game.players if p not in profile
+    ]
+    if order is not None:
+        order_index = {p: k for k, p in enumerate(order)}
+        todo.sort(key=lambda p: order_index.get(p, len(order_index)))
+
+    loads = game.loads(profile)
+    occ = game.occupancy(profile)
+    for p in todo:
+        best_r = None
+        best_cost = np.inf
+        for r in game.resources:
+            if not game.move_is_feasible(p, r, profile, loads):
+                continue
+            c = game.cost(p, r, occ.get(r, 0) + 1)
+            if c < best_cost:
+                best_cost = c
+                best_r = r
+        if best_r is None:
+            raise InfeasibleError(f"no feasible resource for player {p!r}")
+        profile[p] = best_r
+        occ[best_r] = occ.get(best_r, 0) + 1
+        if game.capacitated:
+            d = game.demand_of(p, best_r)
+            loads[best_r] = loads.get(best_r, np.zeros_like(d)) + d
+    return profile
+
+
 def naive_selfish_entry(
     game_all: SingletonCongestionGame,
     profile: Dict[int, int],
@@ -287,8 +356,9 @@ def naive_selfish_entry(
             continue
         profile[pid] = best_node
         occ[best_node] = occ.get(best_node, 0) + 1
-        d = game_all.demand_of(pid, best_node)
-        loads[best_node] = loads.get(best_node, d * 0.0) + d
+        if game_all.capacitated:
+            d = game_all.demand_of(pid, best_node)
+            loads[best_node] = loads.get(best_node, d * 0.0) + d
         placed_selfish.append(pid)
 
 
@@ -333,5 +403,6 @@ __all__ = [
     "incremental_best_response_dynamics",
     "naive_best_response_dynamics",
     "naive_selfish_entry",
+    "scalar_greedy_feasible_profile",
     "use_kernel",
 ]
