@@ -179,25 +179,59 @@ def sequential_admission(
     """Admit ``entrants``, in order, each at its cheapest cloudlet with room.
 
     ``price(row)`` is the entrant's cost row over the cloudlet columns (by
-    physical row of ``cm``). Candidates fit the residual capacity
-    (:meth:`CompiledMarket.fits_mask`) and have a finite fixed cost; the
+    physical row of ``cm``); prices do not depend on who entered before.
+    Candidates fit the residual capacity (the comparison of
+    :meth:`CompiledMarket.fits_mask`) and have a finite fixed cost; the
     first minimum wins iff it is strictly below ``threshold[row]`` (none:
     ``inf``), else the entrant is rejected. Updates the ``(m, 2)``
     ``loads``, ``placement`` and ``rejected`` in place; returns the number
-    admitted.
+    admitted. An unknown entrant raises before anyone is admitted.
+
+    Each price row is ranked once by a stable sort, so ties keep column
+    order, and NaN prices are moved to the front, where ``np.argmin`` would
+    pick them. An entrant walks its ranking up to its ``+inf`` prices,
+    which never beat a bar, and takes the first column that fits the loads
+    the entrants before it left.
     """
+    pids = list(entrants)
+    if not pids:
+        return 0
+    rows = [cm.provider_row(pid) for pid in pids]
+    ranked = np.where(
+        np.isfinite(cm.fixed[rows]), np.stack([price(row) for row in rows]), np.inf
+    )
+    order = np.argsort(ranked, axis=1, kind="stable")
+    nans = np.isnan(ranked).sum(axis=1)
+    for r in np.flatnonzero(nans):
+        order[r] = np.roll(order[r], nans[r])
+    reach = ranked.shape[1] - np.isposinf(ranked).sum(axis=1)
+    cap = cm.capacity.tolist()
+    load = loads.tolist()
+    bars = [np.inf] * len(rows) if threshold is None else threshold[rows].tolist()
     admitted = 0
-    for pid in entrants:
-        row = cm.provider_row(pid)
-        mask = cm.fits_mask(row, loads) & np.isfinite(cm.fixed[row])
-        costs = np.where(mask, price(row), np.inf)
-        j = int(np.argmin(costs))
-        if not costs[j] < (np.inf if threshold is None else threshold[row]):
+    for pid, cols, prices, (cpu, bw), bar in zip(
+        pids,
+        [cols[:n] for cols, n in zip(order.tolist(), reach.tolist())],
+        ranked.tolist(),
+        cm.demand[rows].tolist(),
+        bars,
+    ):
+        j = next(
+            (
+                j for j in cols
+                if load[j][0] + cpu <= cap[j][0] + CAPACITY_EPS
+                and load[j][1] + bw <= cap[j][1] + CAPACITY_EPS
+            ),
+            None,
+        )
+        if j is None or not prices[j] < bar:
             rejected.add(pid)
             continue
         placement[pid] = cm.cloudlet_nodes[j]
-        loads[j] += cm.demand[row]
+        load[j][0] += cpu
+        load[j][1] += bw
         admitted += 1
+    loads[:] = load
     return admitted
 
 

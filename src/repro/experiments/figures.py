@@ -45,6 +45,8 @@ from repro.market.costs import LinearCongestion, MM1Congestion, QuadraticCongest
 from repro.market.market import ServiceMarket
 from repro.market.workload import WorkloadParams, generate_market
 from repro.network.generators import random_mec_network
+from repro.network.topology import MECNetwork
+from repro.network.zoo import as1755_mec_network
 from repro.testbed.emulator import Testbed
 
 
@@ -59,11 +61,43 @@ def _sized_market(config: ExperimentConfig, size: object, seed: int) -> ServiceM
     )
 
 
-def _fixed_size_market(config: ExperimentConfig, _x: object, seed: int) -> ServiceMarket:
-    """``make_market`` for sweeps at the fixed default network size."""
-    network = random_mec_network(config.default_size, rng=seed)
+class _SeededNetworks:
+    """``seed -> network``: each seed's network is built once by
+    ``build(seed)`` and shared by every cell of one sweep that draws it.
+
+    A figure makes one per sweep, so it lives as long as the sweep does.
+    Cells never mutate a network; each builds a fresh market on it, and
+    the network's memoised routing rows serve the later cells of its seed.
+    It pickles empty, so a process-pool worker builds each task's network
+    itself, exactly as if nothing were shared.
+    """
+
+    def __init__(self, build: Callable[[int], MECNetwork]) -> None:
+        self._build = build
+        self._networks: Dict[int, MECNetwork] = {}
+
+    def __call__(self, seed: int) -> MECNetwork:
+        network = self._networks.get(seed)
+        if network is None:
+            network = self._networks[seed] = self._build(seed)
+        return network
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {"_build": self._build, "_networks": {}}
+
+
+def _default_size_networks(config: ExperimentConfig) -> _SeededNetworks:
+    """The networks of the sweeps at the fixed default network size."""
+    return _SeededNetworks(partial(random_mec_network, config.default_size))
+
+
+def _fixed_size_market(
+    config: ExperimentConfig, networks: _SeededNetworks, _x: object, seed: int
+) -> ServiceMarket:
+    """``make_market`` for sweeps at the fixed default network size: the
+    seed's shared network, a fresh market on it."""
     return generate_market(
-        network, config.n_providers, params=config.workload, rng=seed + 1
+        networks(seed), config.n_providers, params=config.workload, rng=seed + 1
     )
 
 
@@ -98,7 +132,9 @@ def fig3_selfish_fraction(config: ExperimentConfig = PAPER) -> SweepResult:
         name="fig3",
         x_label="1 - xi",
         x_values=list(config.xi_sweep),
-        make_market=partial(_fixed_size_market, config),
+        make_market=partial(
+            _fixed_size_market, config, _default_size_networks(config)
+        ),
         make_algorithms=partial(_swept_xi_algorithms, config),
         repetitions=config.repetitions,
         workers=config.workers,
@@ -159,12 +195,15 @@ class _TestbedTask:
     config: ExperimentConfig
     market_params: Callable[[object], Tuple[int, WorkloadParams]]
     one_minus_xi_of: Optional[Callable[[object], float]]
+    #: The sweep's shared AS1755 overlays, by seed.
+    networks: _SeededNetworks
 
 
 def _run_testbed_task(
     task: _TestbedTask,
 ) -> Dict[str, Tuple[AssignmentRecord, float, Dict[str, float]]]:
-    """Build the task's seeded testbed + market and run every algorithm.
+    """Build the task's testbed on its seed's shared overlay, a fresh
+    market on it, and run every algorithm.
 
     One :meth:`Testbed.run_all` call: the algorithms run as controller
     apps in turn, and their epochs' traffic is emulated in one flow event
@@ -172,7 +211,7 @@ def _run_testbed_task(
     ``(record, controller_runtime_s, flow_metrics)`` per algorithm — the
     slim summary both serial and parallel sweeps aggregate.
     """
-    testbed = Testbed(rng=task.seed)
+    testbed = Testbed(network=task.networks(task.seed))
     n_providers, workload = task.market_params(task.x)
     market = generate_market(
         testbed.network, n_providers, params=workload, rng=task.seed + 1
@@ -210,6 +249,7 @@ def _testbed_sweep(
     The ``(x, repetition)`` grid runs through :func:`map_tasks`, so
     ``config.workers`` parallelises it with identical results.
     """
+    networks = _SeededNetworks(as1755_mec_network)
     tasks = [
         _TestbedTask(
             x_index=xi_idx,
@@ -220,6 +260,7 @@ def _testbed_sweep(
             config=config,
             market_params=market_params,
             one_minus_xi_of=one_minus_xi_of,
+            networks=networks,
         )
         for xi_idx, x in enumerate(x_values)
         for rep in range(config.repetitions)
@@ -363,7 +404,9 @@ def ablation_selection_strategies(config: ExperimentConfig = PAPER) -> SweepResu
         name="ablation-selection",
         x_label="1 - xi",
         x_values=[0.3, 0.5, 0.7],
-        make_market=partial(_fixed_size_market, config),
+        make_market=partial(
+            _fixed_size_market, config, _default_size_networks(config)
+        ),
         make_algorithms=partial(_selection_algorithms, config),
         repetitions=config.repetitions,
         workers=config.workers,
@@ -423,7 +466,9 @@ def ablation_gap_solvers(config: ExperimentConfig = PAPER) -> SweepResult:
         name="ablation-gap",
         x_label="variant",
         x_values=["default"],
-        make_market=partial(_fixed_size_market, config),
+        make_market=partial(
+            _fixed_size_market, config, _default_size_networks(config)
+        ),
         make_algorithms=partial(_gap_algorithms, config),
         repetitions=config.repetitions,
         workers=config.workers,

@@ -159,7 +159,9 @@ def legacy_point_seed(x_index: int, rep: int) -> int:
 
     Paired seeds: repetition ``k`` draws the same environment at every
     sweep point, so curves are compared on common random numbers and
-    monotone trends are not drowned by cross-point sampling noise.
+    monotone trends are not drowned by cross-point sampling noise. The
+    figures whose network does not vary with x build one network per
+    repetition per sweep and share it across the points.
     """
     return 7_919 * rep + 13
 

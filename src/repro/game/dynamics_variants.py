@@ -16,11 +16,12 @@ differ in *which* equilibrium is selected.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set
+from typing import Dict, Hashable, Iterable, Mapping, Optional
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, InfeasibleError
+from repro.exceptions import ConfigurationError
+from repro.game.batch import movable_order
 from repro.game.best_response import BestResponseResult
 from repro.game.congestion import Profile, SingletonCongestionGame
 from repro.game.engine import IMPROVEMENT_EPS
@@ -96,18 +97,12 @@ def improvement_dynamics(
         )
     game.validate_profile(initial_profile)
     profile: Profile = dict(initial_profile)
-    movable_set: Set[Hashable] = (
-        set(movable) if movable is not None else set(game.players)
-    )
-    unknown = movable_set - set(game.players)
-    if unknown:
-        raise InfeasibleError(f"movable contains unknown players {sorted(unknown, key=str)}")
+    base_order = movable_order(game, movable)
     rng = as_rng(rng)
     responder = (
         _first_improving_response if variant == "better" else _best_response
     )
 
-    base_order = [p for p in game.players if p in movable_set]
     loads = game.loads(profile)
     occ = game.occupancy(profile)
     trace = [game.potential(profile)]

@@ -94,6 +94,12 @@ class _ProviderRowBuilder:
     last bit depends on the direction they are summed in, so they stay
     source-side: one delay row per distinct cluster or user node.
 
+    :meth:`build` first solves every row it will read that the network's
+    routing table has not memoised yet — the cloudlet and home-DC hop rows
+    and the distinct delay endpoints — in one
+    :meth:`~repro.network.routing.RoutingTable.solve_rows` call per metric,
+    then reads them through ``hop_row`` / ``delay_row`` as memo hits.
+
     Multi-cluster services fold rank by rank: rank ``r`` adds every
     provider's ``r``-th cluster term with the same elementwise operations,
     in the same order, as the per-cluster loop of the scalar cost model.
@@ -107,10 +113,8 @@ class _ProviderRowBuilder:
         self.surcharge = model.pricing.hop_surcharge
         self.budget = model.latency_budget_ms
         self.bdw_units = np.array([cl.bdw_unit_cost for cl in cloudlets], dtype=float)
-        self._cl_idx = self.routing.index_of(cl.node_id for cl in cloudlets)
-        self._hops = np.stack(
-            [self.routing.hop_row(cl.node_id) for cl in cloudlets], axis=1
-        )
+        self._cl_nodes = [cl.node_id for cl in cloudlets]
+        self._cl_idx = self.routing.index_of(self._cl_nodes)
 
     def _delays(self, nodes: List[int]) -> np.ndarray:
         """``(len(nodes), m)`` delays to the cloudlets, one memoised
@@ -125,10 +129,19 @@ class _ProviderRowBuilder:
         k, m = len(providers), len(self._cl_idx)
         services = [p.service for p in providers]
         clusters = [svc.clusters for svc in services]
-        # Remote pricing asks hops(cluster → home DC): solve each home DC's
-        # row here, so the cost model's lookups read a memoised row.
-        for dc in dict.fromkeys(svc.home_dc for svc in services):
-            self.routing.hop_row(dc)
+        # Remote pricing asks hops(cluster → home DC), so the home DCs' hop
+        # rows are solved with the cloudlets' and the cost model's lookups
+        # read a memoised row.
+        self.routing.solve_rows(
+            self._cl_nodes + [svc.home_dc for svc in services], unweighted=True
+        )
+        delay_nodes = [svc.user_node for svc in services]
+        if self.budget is not None:
+            delay_nodes += [node for cs in clusters for node, _ in cs]
+        self.routing.solve_rows(delay_nodes, unweighted=False)
+        cl_hops = np.stack(
+            [self.routing.hop_row(node) for node in self._cl_nodes], axis=1
+        )
         instantiation = np.array(
             [self.model.instantiation_cost(p) for p in providers], dtype=float
         )
@@ -147,7 +160,7 @@ class _ProviderRowBuilder:
             nodes = [clusters[i][rank][0] for i in live]
             weight = np.array([clusters[i][rank][1] for i in live], dtype=float)
             volume_price = (traffic[live] * weight) * self.transmit
-            hops = self._hops[self.routing.index_of(nodes)]
+            hops = cl_hops[self.routing.index_of(nodes)]
             access[live] = access[live] + volume_price[:, None] * (
                 1.0 + self.surcharge * hops
             )
@@ -158,7 +171,7 @@ class _ProviderRowBuilder:
         # update_cost: cloudlet bandwidth charge plus the hop-scaled
         # consistency-update transit back to the home data center.
         vol = np.array([svc.update_volume_gb for svc in services], dtype=float)
-        dc_hops = self._hops[self.routing.index_of([svc.home_dc for svc in services])]
+        dc_hops = cl_hops[self.routing.index_of([svc.home_dc for svc in services])]
         transit = (vol * self.transmit)[:, None] * (1.0 + self.surcharge * dc_hops)
         update = self.bdw_units[None, :] * vol[:, None] + transit
 

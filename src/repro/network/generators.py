@@ -14,9 +14,8 @@ centers, per-cloudlet VM counts in [15, 30], per-VM bandwidth in
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -24,31 +23,61 @@ import numpy as np
 from repro.exceptions import TopologyError
 from repro.network.elements import Cloudlet, DataCenter
 from repro.network.topology import MECNetwork
-from repro.utils.rng import RandomSource, as_rng, uniform, uniform_int
+from repro.utils.rng import RandomSource, as_rng, gnp_edges, uniform, uniform_int
 from repro.utils.validation import check_int_at_least
 
 #: Per-VM abstract compute capacity (1 VM = 1 compute unit).
 VM_COMPUTE_UNIT = 1.0
 
 
-def _connected_gnp(n: int, p: float, rng: np.random.Generator) -> nx.Graph:
-    """An Erdos–Renyi graph patched into connectivity.
+def _connected_gnp_edges(
+    n: int, p: float, rng: np.random.Generator
+) -> List[Tuple[int, int]]:
+    """The edges of an Erdos–Renyi graph on ``0..n-1`` patched into
+    connectivity, in the order a :class:`networkx.Graph` holding them
+    lists them.
 
     GT-ITM guarantees connected domains by redrawing; redrawing whole graphs
     is wasteful for large ``n``, so we draw once and connect stranded
     components with uniformly random cross edges, which preserves the degree
-    profile asymptotically.
+    profile asymptotically. The G(n, p) draw is
+    ``nx.gnp_random_graph(n, p, seed)``'s own stream
+    (:func:`~repro.utils.rng.gnp_edges`); the components are found and
+    joined in the order ``nx.connected_components`` yields them, so the
+    graph is the one networkx would build, drawn without building it.
     """
-    g = nx.gnp_random_graph(n, p, seed=int(rng.integers(0, 2**31 - 1)))
-    components = [list(c) for c in nx.connected_components(g)]
+    adj: List[List[int]] = [[] for _ in range(n)]
+    for a, b in gnp_edges(n, p, int(rng.integers(0, 2**31 - 1))):
+        adj[a].append(b)
+        adj[b].append(a)
+    components = []
+    placed: Set[int] = set()
+    for source in range(n):
+        if source in placed:
+            continue
+        # The breadth-first set networkx builds: its iteration order is
+        # the order of the member draws below.
+        seen = {source}
+        level = [source]
+        while level:
+            nxt = []
+            for v in level:
+                for w in adj[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            level = nxt
+        placed |= seen
+        components.append(list(seen))
     while len(components) > 1:
         a = components.pop()
         b = components[-1]
         u = a[int(rng.integers(0, len(a)))]
         v = b[int(rng.integers(0, len(b)))]
-        g.add_edge(u, v)
+        adj[u].append(v)
+        adj[v].append(u)
         components[-1] = b + a
-    return g
+    return [(u, v) for u in range(n) for v in adj[u] if v > u]
 
 
 def transit_stub_graph(
@@ -84,36 +113,29 @@ def transit_stub_graph(
 
     # Transit core: connected, avg degree ~3.
     p_core = min(1.0, 3.0 / max(1, n_transit - 1))
-    core = _connected_gnp(n_transit, p_core, rng)
-    g = nx.Graph()
-    for u in core.nodes:
-        g.add_node(u, level="transit", region=u)
-    g.add_edges_from(core.edges)
+    nodes = [(u, {"level": "transit", "region": u}) for u in range(n_transit)]
+    edges = _connected_gnp_edges(n_transit, p_core, rng)
 
-    # Stub domains.
+    # Stub domains, each drawn as its edges, then its home transit node and
+    # its gateway. Nodes and edges go into the graph in one pass each, in
+    # the order that adding them domain by domain would take.
     next_id = n_transit
-    stub_nodes: List[int] = []
     while next_id < n_nodes:
         size = min(stub_domain_size, n_nodes - next_id)
-        members = list(range(next_id, next_id + size))
+        members = range(next_id, next_id + size)
         next_id += size
-        for u in members:
-            g.add_node(u, level="stub")
-            stub_nodes.append(u)
-        if size == 1:
-            pass  # singleton stub: only the uplink below
-        else:
-            dom = _connected_gnp(size, 0.6, rng)
-            for a, b in dom.edges:
-                g.add_edge(members[a], members[b])
+        if size > 1:  # a singleton stub has only the uplink below
+            edges.extend(
+                (members[a], members[b])
+                for a, b in _connected_gnp_edges(size, 0.6, rng)
+            )
         home = int(rng.integers(0, n_transit))
         gateway = members[int(rng.integers(0, size))]
-        g.add_edge(home, gateway)
-        # Region attributes are assigned after the home/gateway draws so
-        # the RNG consumption order is exactly the pre-region sequence —
-        # every seeded topology stays bit-identical.
-        for u in members:
-            g.nodes[u]["region"] = home
+        edges.append((home, gateway))
+        nodes.extend((u, {"level": "stub", "region": home}) for u in members)
+    g = nx.Graph()
+    g.add_nodes_from(nodes)
+    g.add_edges_from(edges)
 
     # Extra cross edges for redundancy (each node keeps >= 2 disjoint routes
     # on average, matching the testbed's "at least two other switches" rule).
@@ -242,6 +264,10 @@ def mec_network_from_graph(
         raise TopologyError("input graph must be connected")
     rng = as_rng(rng)
 
+    low, high = link_delay_ms
+    if high < low:
+        raise ValueError(f"empty interval [{low}, {high}]")
+
     net = MECNetwork(name=name)
     for u in sorted(g.nodes):
         net.add_switch(u)
@@ -251,12 +277,12 @@ def mec_network_from_graph(
         for key in ("level", "region"):
             if key in g.nodes[u]:
                 net.graph.nodes[u][key] = g.nodes[u][key]
-    for u, v in g.edges:
-        net.add_link(
-            u, v,
-            bandwidth=link_bandwidth_mbps,
-            delay_ms=uniform(rng, *link_delay_ms),
-        )
+    # One draw of all link delays is bit-equal to one draw per link and
+    # leaves the generator in the same state.
+    edges = list(g.edges)
+    delays = rng.uniform(low, high, size=len(edges)).tolist()
+    for (u, v), delay in zip(edges, delays):
+        net.add_link(u, v, bandwidth=link_bandwidth_mbps, delay_ms=delay)
 
     n_cloudlets = max(1, int(round(cloudlet_fraction * g.number_of_nodes())))
     cl_nodes = _pick_cloudlet_nodes(g, n_cloudlets, rng)

@@ -25,9 +25,11 @@ endpoint's hops to the cloudlets off it, so new users cost no hop solve, and
 remote pricing's hop lookups resolve from the home data centers' rows. Hop
 counts are integers, so the cloudlet-side read is exact. Delay rows stay
 source-side, one per user endpoint: a float sum taken from the other end
-can differ in the last bit. Each row is solved inside the ``delay_row`` /
-``hop_row`` call that first asks for it, with no multi-source solve, so the
-time spent routing stays with the calls that cause it.
+can differ in the last bit. A compile or a delta knows every row it will
+read up front, so it solves the missing ones per metric in one multi-source
+call (:meth:`RoutingTable.solve_rows`) and then reads them through
+``hop_row`` / ``delay_row`` as memo hits; a row of a multi-source solve is
+bit-equal to its single-source solve.
 """
 
 from __future__ import annotations
@@ -86,19 +88,31 @@ class RoutingTable:
     # ------------------------------------------------------------------ #
     # Row computation
     # ------------------------------------------------------------------ #
+    def solve_rows(self, nodes: Iterable[int], unweighted: bool) -> None:
+        """Memoise the delay rows of ``nodes``, or with ``unweighted`` their
+        hop rows: the missing ones come from one multi-source solve.
+
+        Each row is the same read-only array a single-source solve would
+        memoise, bit for bit; already memoised rows are not solved again.
+        """
+        rows = self._hop_rows if unweighted else self._delay_rows
+        missing = [u for u in dict.fromkeys(nodes) if u not in rows]
+        if not missing:
+            return
+        block = dijkstra(
+            self._csr, directed=True, indices=self.index_of(missing),
+            unweighted=unweighted,
+        )
+        block.setflags(write=False)
+        rows.update(zip(missing, block))
+
     def _row(self, u: int, unweighted: bool) -> np.ndarray:
         """The memoised delay row of ``u``, or with ``unweighted`` its hop
         row; solved on first touch."""
         rows = self._hop_rows if unweighted else self._delay_rows
-        row = rows.get(u)
-        if row is None:
-            i = self._pos.get(u)
-            if i is None:
-                raise TopologyError(f"unknown node {u}")
-            row = dijkstra(self._csr, directed=True, indices=i, unweighted=unweighted)
-            row.setflags(write=False)
-            rows[u] = row
-        return row
+        if u not in rows:
+            self.solve_rows([u], unweighted)
+        return rows[u]
 
     def _entry(self, row: np.ndarray, v: int) -> Optional[float]:
         """``row``'s value at node ``v``; None if ``v`` is unknown or

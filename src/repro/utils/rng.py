@@ -8,7 +8,9 @@ which the test suite and the benchmark harness rely on.
 
 from __future__ import annotations
 
-from typing import Final, Union
+import itertools
+import random
+from typing import Final, List, Tuple, Union
 
 import numpy as np
 
@@ -58,4 +60,25 @@ def uniform_int(rng: np.random.Generator, low: int, high: int) -> int:
     return int(rng.integers(low, high + 1))
 
 
-__all__ = ["RandomSource", "as_rng", "spawn", "uniform", "uniform_int", "_DEFAULT_SEED"]
+def gnp_edges(n: int, p: float, seed: int) -> List[Tuple[int, int]]:
+    """The edges ``networkx.gnp_random_graph(n, p, seed=seed)`` draws, in
+    the order it adds them, without building the graph.
+
+    The same ``random.Random(seed)`` stream is consumed the same way: one
+    draw per node pair in ``itertools.combinations`` order, the pair kept
+    when the draw is below ``p``. ``p >= 1`` keeps every pair and ``p <= 0``
+    none, without a draw.
+    """
+    pairs = itertools.combinations(range(n), 2)
+    if p >= 1:
+        return list(pairs)
+    if p <= 0:
+        return []
+    draw = random.Random(seed).random
+    return [pair for pair in pairs if draw() < p]
+
+
+__all__ = [
+    "RandomSource", "as_rng", "gnp_edges", "spawn", "uniform", "uniform_int",
+    "_DEFAULT_SEED",
+]

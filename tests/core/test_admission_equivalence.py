@@ -26,10 +26,11 @@ import numpy as np
 import pytest
 
 from repro.core.appro import _enter_newcomers, _repair_capacities, appro
-from repro.core.baselines import jo_offload_cache, offload_cache
+from repro.core.assignment import sequential_admission
+from repro.core.baselines import _admit_in_id_order, jo_offload_cache, offload_cache
 from repro.core.lcf import _posted_entry, lcf, posted_price_entry
 from repro.dynamics.population import PopulationProcess
-from repro.exceptions import InfeasibleError
+from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.game.engine import market_game
 from repro.market.delta import MarketDelta
 from repro.market.market import ServiceMarket
@@ -321,6 +322,109 @@ class TestTiePins:
             cm.remote[row] = cm.shared[col, 1] + cm.fixed[row, col]
         tied = lcf(market, xi=0.0, allow_remote=True).assignment
         assert first in tied.rejected
+
+
+class TestFirstMinimumWins:
+    """Two cloudlets tie exactly as an entrant's cheapest: the lower column
+    wins, under a baseline preference table, the gap prices and the posted
+    prices. (The remote-vs-cloudlet ties above cannot tell the first
+    minimum from the last.)"""
+
+    LOW, HIGH = 1, 4
+
+    def tied(self):
+        """A compiled market whose first provider's gap and posted prices
+        are 0 at columns LOW and HIGH and positive elsewhere."""
+        market = _tie_market()
+        cm = market.compile()
+        pid = cm.provider_ids[0]
+        row = cm.provider_row(pid)
+        cols = [self.LOW, self.HIGH]
+        with cm._writable_tables():
+            cm.fixed[row, cols] = 0.0
+            cm.coeff[cols] = 0.0
+            cm.shared[cols, :] = 0.0
+        assert cm.fits_mask(row, np.zeros((cm.n_cloudlets, 2)))[cols].all()
+        for prices in (cm.gap_costs()[row], cm.shared[:, 1] + cm.fixed[row]):
+            assert list(np.flatnonzero(prices == prices.min())) == cols
+        return market, cm, pid
+
+    def test_baseline_preference_tie(self):
+        _, cm, pid = self.tied()
+        preference = np.ones_like(cm.fixed)
+        preference[:, [self.LOW, self.HIGH]] = 0.0
+        placement, _ = _admit_in_id_order(cm, preference)
+        assert placement[pid] == cm.cloudlet_nodes[self.LOW]
+
+    @pytest.mark.parametrize("allow_remote", [False, True])
+    def test_gap_price_tie(self, allow_remote):
+        market, cm, pid = self.tied()
+        placement = {}
+        _enter_newcomers(market, cm, placement, [pid], set(), allow_remote)
+        assert placement == {pid: cm.cloudlet_nodes[self.LOW]}
+
+    def test_posted_price_tie(self):
+        _, cm, pid = self.tied()
+        placement = {}
+        posted_price_entry(cm, placement, set(), [pid])
+        assert placement == {pid: cm.cloudlet_nodes[self.LOW]}
+
+
+def argmin_admission(cm, loads, placement, rejected, entrants, price, threshold=None):
+    """The per-entrant kernel the sorted walk replaced: one capacity mask
+    and one first argmin per entrant."""
+    admitted = 0
+    for pid in entrants:
+        row = cm.provider_row(pid)
+        mask = cm.fits_mask(row, loads) & np.isfinite(cm.fixed[row])
+        costs = np.where(mask, price(row), np.inf)
+        j = int(np.argmin(costs))
+        if not costs[j] < (np.inf if threshold is None else threshold[row]):
+            rejected.add(pid)
+            continue
+        placement[pid] = cm.cloudlet_nodes[j]
+        loads[j] += cm.demand[row]
+        admitted += 1
+    return admitted
+
+
+@pytest.mark.parametrize("name", ["over-full", "budget-4ms"])
+def test_sorted_walk_equals_per_entrant_argmin(name):
+    """Random price tables full of ties, with NaN and ±inf prices, on a
+    market that fills its cloudlets and one with forbidden pairs."""
+    cm = MARKETS[name]().compile()
+    rng = as_rng(3)
+    specials = np.array([np.nan, np.inf, -np.inf])
+    for _ in range(60):
+        table = rng.integers(0, 4, size=cm.fixed.shape).astype(float)
+        odd = rng.random(cm.fixed.shape) < 0.05
+        table[odd] = rng.choice(specials, size=int(odd.sum()))
+        threshold = None if rng.random() < 0.3 else rng.choice(
+            [0.5, 1.5, 2.5, np.inf], size=len(cm.fixed)
+        )
+        entrants = list(rng.permutation(cm.provider_ids))
+        start = rng.random((cm.n_cloudlets, 2)) * cm.capacity * 0.5
+        got = ({}, set(), start.copy())
+        want = ({}, set(), start.copy())
+        n_got = sequential_admission(
+            cm, got[2], got[0], got[1], entrants, table.__getitem__, threshold
+        )
+        n_want = argmin_admission(
+            cm, want[2], want[0], want[1], entrants, table.__getitem__, threshold
+        )
+        assert_same_entry((got[0], got[1], n_got), (want[0], want[1], n_want))
+        assert got[2].tobytes() == want[2].tobytes()
+
+
+def test_an_unknown_entrant_raises_before_anyone_is_admitted():
+    cm = _tie_market().compile()
+    placement, rejected, loads = {}, set(), np.zeros((cm.n_cloudlets, 2))
+    with pytest.raises(ConfigurationError, match="unknown provider id"):
+        sequential_admission(
+            cm, loads, placement, rejected, [cm.provider_ids[0], -1],
+            cm.gap_costs().__getitem__,
+        )
+    assert placement == {} and rejected == set() and not loads.any()
 
 
 class TestRepairLoadPin:

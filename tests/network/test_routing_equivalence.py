@@ -12,6 +12,7 @@ error semantics, the memo, and the compiled market tables built on top.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from unittest import mock
 
 import networkx as nx
@@ -256,25 +257,27 @@ class TestMemoAndVacuity:
         assert market.network.routing._delay_rows
 
     def test_one_solve_per_distinct_endpoint(self):
+        """Every row the compiler reads is solved exactly once, a compile
+        or a delta makes at most one solve call per metric, and the rows
+        are still read through ``hop_row`` / ``delay_row`` (the seam the
+        benchmark's routing layer times)."""
         market, population = budget_market(300, seed=4, n_providers=60)
-        solved = []
-        inside = []  # the public row calls under way (the timed seam)
+        calls = []  # (phase, unweighted, sources) of every solve call
+        reads = Counter()  # phase -> public row reads
+        phase = ["compile"]
         real = repro.network.routing.dijkstra
 
         def counting(csgraph, *, indices, unweighted=False, **kwargs):
-            assert inside, "a row was solved outside hop_row/delay_row"
-            solved.append((int(indices), unweighted))
+            sources = [int(i) for i in np.atleast_1d(indices)]
+            calls.append((phase[0], unweighted, sources))
             return real(csgraph, indices=indices, unweighted=unweighted, **kwargs)
 
         def public(name):
             method = getattr(RoutingTable, name)
 
             def call(table, u):
-                inside.append(name)
-                try:
-                    return method(table, u)
-                finally:
-                    inside.pop()
+                reads[phase[0]] += 1
+                return method(table, u)
 
             return call
 
@@ -285,17 +288,41 @@ class TestMemoAndVacuity:
             RoutingTable, "hop_row", public("hop_row")
         ), mock.patch.object(RoutingTable, "delay_row", public("delay_row")):
             market.compile()
-            for _ in range(3):
+            for step in range(3):
                 delta = step_delta(population)
+                assert delta.arrivals
                 seen.extend(delta.arrivals)
+                phase[0] = f"delta {step}"
                 market.apply(delta)
                 market.compile()  # the cached, patched blob: no new rows
-        hop, delay = routed_endpoints(market.network, seen)
+        per_call = Counter((ph, unw) for ph, unw, _ in calls)
+        assert max(per_call.values()) == 1, per_call
+        assert {("compile", True), ("compile", False)} <= set(per_call)
+        assert set(reads) == {"compile", "delta 0", "delta 1", "delta 2"}
+        solved = [(i, unw) for _, unw, sources in calls for i in sources]
         assert len(solved) == len(set(solved)), "a row was solved twice"
+        hop, delay = routed_endpoints(market.network, seen)
         assert len(solved) == len(hop) + len(delay)
         pos = market.network.routing.index_of
         assert sorted(i for i, unw in solved if unw) == sorted(pos(hop))
         assert sorted(i for i, unw in solved if not unw) == sorted(pos(delay))
+
+    def test_multi_source_rows_equal_single_source_rows(self):
+        graph = random_mec_network(200, rng=2).graph
+        batched, single = RoutingTable(graph), RoutingTable(graph)
+        nodes = list(graph.nodes)[::3]
+        for unweighted, row_of in ((False, "delay_row"), (True, "hop_row")):
+            batched.solve_rows(nodes + nodes[:5], unweighted)
+            for u in nodes:
+                row = getattr(batched, row_of)(u)
+                assert not row.flags.writeable
+                assert row.tobytes() == getattr(single, row_of)(u).tobytes()
+        with mock.patch.object(repro.network.routing, "dijkstra") as solve:
+            batched.solve_rows(nodes, unweighted=False)
+            batched.solve_rows(nodes, unweighted=True)
+        solve.assert_not_called()
+        with pytest.raises(TopologyError, match="unknown node"):
+            batched.solve_rows([-1], unweighted=True)
 
     def test_rows_are_memoised_and_read_only(self):
         table = RoutingTable(random_mec_network(100, rng=1).graph)

@@ -171,6 +171,12 @@ class ArrayRowReference(ReferenceRoutingTable):
     def _as_array(self, row: Dict[int, _V]) -> np.ndarray:
         return np.array([row.get(n, math.inf) for n in self._nodes], dtype=np.float64)
 
+    def solve_rows(self, nodes: Iterable[int], unweighted: bool) -> None:
+        """Memoise the rows of ``nodes``, one networkx solve per row."""
+        solve = self._hop_row if unweighted else self._delay_row
+        for u in nodes:
+            solve(u)
+
     def delay_row(self, u: int) -> np.ndarray:
         return self._as_array(super().delay_row(u))
 

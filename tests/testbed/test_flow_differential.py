@@ -31,6 +31,7 @@ from repro.experiments import figures
 from repro.experiments.harness import AssignmentRecord, default_algorithms
 from repro.experiments.settings import PAPER
 from repro.market.workload import generate_market
+from repro.network.zoo import as1755_mec_network
 from repro.testbed import flows
 from repro.testbed.emulator import Testbed
 from repro.testbed.flows import FlowSimulator
@@ -268,6 +269,7 @@ class TestTestbedRunAll:
             x_index=0, rep=0, x=40, seed=PAPER.point_seed(0, 0), config=PAPER,
             market_params=partial(figures._provider_count_params, PAPER),
             one_minus_xi_of=None,
+            networks=figures._SeededNetworks(as1755_mec_network),
         )
         calls = {"run": 0, "rates": 0}
         run, rates = FlowSimulator.run, flows.max_min_fair_rates
