@@ -399,11 +399,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "poa":
-        out = poa_study(
-            n_providers=args.providers,
-            repetitions=args.repetitions,
-            seed=args.seed,
-        )
+        try:
+            out = poa_study(
+                n_providers=args.providers,
+                repetitions=args.repetitions,
+                seed=args.seed,
+            )
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         width = max(len(k) for k in out)
         for key, value in out.items():
             print(f"{key:<{width}}  {value:.4g}")

@@ -55,6 +55,8 @@ def convergence_study(
     """
     if not populations or not variants:
         raise ConfigurationError("need at least one population and one variant")
+    if repetitions < 1:
+        raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
     unknown = [v for v in variants if v != "best" and v not in VARIANTS]
     if unknown:
         raise ConfigurationError(

@@ -29,6 +29,7 @@ from repro.core.bounds import appro_ratio_bound, optimal_v, stackelberg_poa_boun
 from repro.core.lcf import lcf
 from repro.core.optimal import optimal_caching
 from repro.core.virtual_cloudlets import VirtualCloudletSplit
+from repro.exceptions import ConfigurationError
 from repro.experiments.harness import (
     AlgorithmMetrics,
     AlgorithmTable,
@@ -518,6 +519,8 @@ def poa_study(
     """
     from repro.core.lower_bound import social_cost_lower_bound
 
+    if repetitions < 1:
+        raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
     ratio_worst = 0.0
     poa_worst = 0.0
     bound_ratio = 0.0

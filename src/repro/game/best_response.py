@@ -30,6 +30,7 @@ import numpy as np
 from repro.exceptions import InfeasibleError
 from repro.game.batch import _fits, batch_best_response
 from repro.game.congestion import Profile, SingletonCongestionGame
+from repro.game.engine import CompiledGame
 from repro.utils.validation import CAPACITY_EPS
 
 
@@ -54,6 +55,23 @@ class BestResponseResult:
         return self.potential_trace[-1] if self.potential_trace else float("nan")
 
 
+def _join_row(
+    c: CompiledGame,
+    i: int,
+    occ: np.ndarray,
+    loads: Optional[np.ndarray],
+    cap_eps: Optional[np.ndarray],
+) -> np.ndarray:
+    """Player row ``i``'s cost of joining each resource at the occupancy
+    it would create, ``shared[r, occ_r + 1] + fixed[i, r]``, with ``inf``
+    where its demand does not fit on top of ``loads`` (``None`` for an
+    uncapacitated game). A fresh array the caller may mask further."""
+    costs = c.shared[np.arange(c.n_resources), np.minimum(occ + 1, c.n_players)] + c.fixed[i]
+    if loads is not None:
+        costs[~_fits(loads, c.demand[i], cap_eps)] = np.inf
+    return costs
+
+
 def sequential_entry(
     game: SingletonCongestionGame,
     profile: Profile,
@@ -74,13 +92,10 @@ def sequential_entry(
     occ = c.occupancy_vector(profile)
     loads = c.load_matrix(profile)
     cap_eps = None if loads is None else c.capacity + CAPACITY_EPS
-    cols = np.arange(c.n_resources)
     rejected: List[Hashable] = []
     for p in entrants:
         i = c.player_index[p]
-        costs = c.shared[cols, np.minimum(occ + 1, c.n_players)] + c.fixed[i]
-        if loads is not None:
-            costs[~_fits(loads, c.demand[i], cap_eps)] = np.inf
+        costs = _join_row(c, i, occ, loads, cap_eps)
         j = int(np.argmin(costs))
         if not costs[j] < (np.inf if threshold is None else threshold(p)):
             rejected.append(p)

@@ -175,28 +175,6 @@ class SingletonCongestionGame:
             raise ConfigurationError("game has no capacity constraints")
         return np.asarray(self._capacity(resource), dtype=float)
 
-    def move_is_feasible(
-        self,
-        player: Hashable,
-        resource: Hashable,
-        profile: Mapping[Hashable, Hashable],
-        loads: Optional[Dict[Hashable, np.ndarray]] = None,
-    ) -> bool:
-        """Whether ``player`` may deviate to ``resource`` given the others'
-        current usage (the player's own demand is removed first)."""
-        if np.isinf(self.fixed_cost(player, resource)):
-            return False
-        if self._demand is None:
-            return True
-        if loads is None:
-            loads = self.loads(profile)
-        current = profile.get(player)
-        load = loads.get(resource, np.zeros_like(self.capacity_of(resource))).copy()
-        if current == resource:
-            load = load - self.demand_of(player, resource)
-        new_load = load + self.demand_of(player, resource)
-        return bool(np.all(new_load <= self.capacity_of(resource) + CAPACITY_EPS))
-
     def validate_profile(self, profile: Mapping[Hashable, Hashable]) -> None:
         """Check completeness and capacity feasibility of a profile."""
         missing = set(self.players) - set(profile)

@@ -12,68 +12,30 @@ convergence speed in potential games:
 All variants share the Rosenthal-potential convergence argument, so they
 terminate at (the same set of) pure Nash equilibria; the fixed points only
 differ in *which* equilibrium is selected.
+
+Each turn prices the mover's moves on the game's compiled tables, from the
+join row ``shared[r, occ_r + 1] + fixed[p, r]`` under the kernel's capacity
+mask that :func:`repro.game.best_response.sequential_entry` reads too. The
+per-resource scalar scans it replaced are the differential oracle
+``scalar_improvement_dynamics`` in ``tests/oracles/best_response_reference.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Mapping, Optional
+from typing import Hashable, Iterable, Mapping, Optional
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.game.batch import movable_order
-from repro.game.best_response import BestResponseResult
+from repro.game.best_response import BestResponseResult, _join_row
 from repro.game.congestion import Profile, SingletonCongestionGame
 from repro.game.engine import IMPROVEMENT_EPS
 from repro.utils.rng import RandomSource, as_rng
+from repro.utils.validation import CAPACITY_EPS
 
 #: The improvement dynamics this module runs, by ``variant`` name.
 VARIANTS = ("better", "best_random_order")
-
-
-def _first_improving_response(
-    game: SingletonCongestionGame,
-    player: Hashable,
-    profile: Profile,
-    loads: Dict[Hashable, np.ndarray],
-    occ: Dict[Hashable, int],
-) -> Optional[Hashable]:
-    """The first feasible resource strictly cheaper than the current one
-    (deterministic resource order)."""
-    current = profile[player]
-    current_cost = game.cost(player, current, occ[current])
-    for resource in game.resources:
-        if resource == current:
-            continue
-        if not game.move_is_feasible(player, resource, profile, loads):
-            continue
-        if game.cost(player, resource, occ.get(resource, 0) + 1) < (
-            current_cost - IMPROVEMENT_EPS
-        ):
-            return resource
-    return None
-
-
-def _best_response(
-    game: SingletonCongestionGame,
-    player: Hashable,
-    profile: Profile,
-    loads: Dict[Hashable, np.ndarray],
-    occ: Dict[Hashable, int],
-) -> Optional[Hashable]:
-    current = profile[player]
-    best_cost = game.cost(player, current, occ[current]) - IMPROVEMENT_EPS
-    best_resource = None
-    for resource in game.resources:
-        if resource == current:
-            continue
-        if not game.move_is_feasible(player, resource, profile, loads):
-            continue
-        cost = game.cost(player, resource, occ.get(resource, 0) + 1)
-        if cost < best_cost:
-            best_cost = cost
-            best_resource = resource
-    return best_resource
 
 
 def improvement_dynamics(
@@ -99,12 +61,11 @@ def improvement_dynamics(
     profile: Profile = dict(initial_profile)
     base_order = movable_order(game, movable)
     rng = as_rng(rng)
-    responder = (
-        _first_improving_response if variant == "better" else _best_response
-    )
 
-    loads = game.loads(profile)
-    occ = game.occupancy(profile)
+    c = game.compile()
+    occ = c.occupancy_vector(profile)
+    loads = c.load_matrix(profile)
+    cap_eps = None if loads is None else c.capacity + CAPACITY_EPS
     trace = [game.potential(profile)]
     moves = 0
     rounds = 0
@@ -116,19 +77,24 @@ def improvement_dynamics(
             rng.shuffle(order)
         improved = False
         for player in order:
-            target = responder(game, player, profile, loads, occ)
-            if target is None:
+            i = c.player_index[player]
+            cur = c.resource_index[profile[player]]
+            costs = _join_row(c, i, occ, loads, cap_eps)
+            costs[cur] = np.inf
+            bar = c.shared[cur, occ[cur]] + c.fixed[i, cur] - IMPROVEMENT_EPS
+            if variant == "better":
+                # The first improving column; 0 when none, which fails the bar.
+                j = int(np.argmax(costs < bar))
+            else:
+                j = int(np.argmin(costs))
+            if not costs[j] < bar:
                 continue
-            old = profile[player]
-            profile[player] = target
-            occ[old] -= 1
-            if occ[old] == 0:
-                del occ[old]
-            occ[target] = occ.get(target, 0) + 1
-            if game.capacitated:
-                loads[old] = loads[old] - game.demand_of(player, old)
-                d = game.demand_of(player, target)
-                loads[target] = loads.get(target, np.zeros_like(d)) + d
+            profile[player] = c.resources[j]
+            occ[cur] -= 1
+            occ[j] += 1
+            if loads is not None:
+                loads[cur] = loads[cur] - c.demand[i, cur]
+                loads[j] = loads[j] + c.demand[i, j]
             moves += 1
             improved = True
         trace.append(game.potential(profile))

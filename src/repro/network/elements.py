@@ -10,10 +10,10 @@ is not a constraint. Plain *switch nodes* only forward traffic.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.exceptions import CapacityError, ConfigurationError
+from repro.exceptions import ConfigurationError
 from repro.utils.validation import check_non_negative, check_positive
 
 
@@ -68,10 +68,6 @@ class Cloudlet:
     bdw_unit_cost: float = 0.08
     name: str = ""
 
-    # Mutable usage accounting (reset via ``release_all``).
-    compute_used: float = field(default=0.0, compare=False)
-    bandwidth_used: float = field(default=0.0, compare=False)
-
     def __post_init__(self) -> None:
         check_positive(self.compute_capacity, "compute_capacity")
         check_positive(self.bandwidth_capacity, "bandwidth_capacity")
@@ -84,44 +80,6 @@ class Cloudlet:
     @property
     def kind(self) -> NodeKind:
         return NodeKind.CLOUDLET
-
-    @property
-    def compute_free(self) -> float:
-        return self.compute_capacity - self.compute_used
-
-    @property
-    def bandwidth_free(self) -> float:
-        return self.bandwidth_capacity - self.bandwidth_used
-
-    def can_host(self, compute_demand: float, bandwidth_demand: float) -> bool:
-        """Whether the residual capacities admit the given demands."""
-        eps = 1e-9
-        return (
-            compute_demand <= self.compute_free + eps
-            and bandwidth_demand <= self.bandwidth_free + eps
-        )
-
-    def allocate(self, compute_demand: float, bandwidth_demand: float) -> None:
-        """Reserve capacity; raises :class:`CapacityError` when infeasible."""
-        check_non_negative(compute_demand, "compute_demand")
-        check_non_negative(bandwidth_demand, "bandwidth_demand")
-        if not self.can_host(compute_demand, bandwidth_demand):
-            raise CapacityError(
-                f"{self.name}: demand (cpu={compute_demand}, bw={bandwidth_demand}) "
-                f"exceeds free (cpu={self.compute_free:.3f}, bw={self.bandwidth_free:.3f})"
-            )
-        self.compute_used += compute_demand
-        self.bandwidth_used += bandwidth_demand
-
-    def release(self, compute_demand: float, bandwidth_demand: float) -> None:
-        """Return previously allocated capacity."""
-        self.compute_used = max(0.0, self.compute_used - compute_demand)
-        self.bandwidth_used = max(0.0, self.bandwidth_used - bandwidth_demand)
-
-    def release_all(self) -> None:
-        """Drop all usage accounting (start of a fresh assignment)."""
-        self.compute_used = 0.0
-        self.bandwidth_used = 0.0
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 :class:`MECNetwork` wraps a :class:`networkx.Graph` whose nodes carry element
 objects (:class:`Cloudlet`, :class:`DataCenter`, :class:`SwitchNode`) and
-whose edges carry :class:`Link` attributes. It owns capacity accounting and
-exposes the distance/routing queries the cost model needs.
+whose edges carry :class:`Link` attributes. It exposes the distance/routing
+queries the cost model needs; capacity loads live in the compiled market's
+arrays, never on the network objects.
 """
 
 from __future__ import annotations
@@ -146,26 +147,6 @@ class MECNetwork:
 
     def shortest_path(self, u: int, v: int) -> List[int]:
         return self.routing.shortest_path(u, v)
-
-    def nearest_data_center(self, node_id: int) -> DataCenter:
-        """The data center with the smallest path delay from ``node_id``."""
-        if not self._data_centers:
-            raise TopologyError("network has no data centers")
-        return min(self.data_centers, key=lambda dc: self.path_delay(node_id, dc.node_id))
-
-    def nearest_cloudlet(self, node_id: int) -> Cloudlet:
-        """The cloudlet with the smallest path delay from ``node_id``."""
-        if not self._cloudlets:
-            raise TopologyError("network has no cloudlets")
-        return min(self.cloudlets, key=lambda cl: self.path_delay(node_id, cl.node_id))
-
-    # ------------------------------------------------------------------ #
-    # Capacity bookkeeping
-    # ------------------------------------------------------------------ #
-    def release_all_capacity(self) -> None:
-        """Reset capacity usage on all cloudlets (fresh assignment round)."""
-        for cl in self._cloudlets.values():
-            cl.release_all()
 
     def validate(self) -> None:
         """Sanity-check the network: connected, has cloudlets and DCs."""

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.appro import _repair_capacities, appro
 from repro.exceptions import InfeasibleError
-from repro.game.best_response import greedy_feasible_profile
+from repro.game.best_response import _join_row, greedy_feasible_profile
 from repro.game.congestion import SingletonCongestionGame
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
@@ -26,6 +26,22 @@ from tests.oracles.object_graph_reference import (
     _loads,
     object_repair_capacities,
 )
+
+
+def move_fits(game, player, resource, profile):
+    """The library's move-feasibility rule on ``game.compile()``: the join
+    row improvement dynamics and sequential entry read is finite (the
+    games here have finite fixed costs, so only capacity can rule a cell
+    out)."""
+    c = game.compile()
+    costs = _join_row(
+        c,
+        c.player_index[player],
+        c.occupancy_vector(profile),
+        c.load_matrix(profile),
+        c.capacity + CAPACITY_EPS,
+    )
+    return bool(np.isfinite(costs[c.resource_index[resource]]))
 
 
 def exact_fit_game(n_players=3, per_demand=0.1):
@@ -53,7 +69,7 @@ class TestExactCapacityFit:
     def test_move_is_feasible_at_exact_fit(self):
         game = exact_fit_game()
         profile = {0: "only", 1: "only"}
-        assert game.move_is_feasible(2, "only", profile)
+        assert move_fits(game, 2, "only", profile)
 
     def test_eps_is_a_tolerance_not_a_loophole(self):
         game = exact_fit_game(n_players=4, per_demand=0.1)
@@ -68,8 +84,8 @@ class TestExactCapacityFit:
             demand=lambda p, r: np.array([1.0]),
             capacity=lambda r: np.array([1.0]),
         )
-        assert tight.move_is_feasible(0, "only", {})
-        assert not tight.move_is_feasible(1, "only", {0: "only"})
+        assert move_fits(tight, 0, "only", {})
+        assert not move_fits(tight, 1, "only", {0: "only"})
         with pytest.raises(InfeasibleError):
             greedy_feasible_profile(tight)
         del game, profile

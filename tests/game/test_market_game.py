@@ -28,6 +28,7 @@ from repro.market.pricing import Pricing
 from repro.market.workload import generate_market
 from repro.network.generators import random_mec_network
 
+from tests.oracles.best_response_reference import scalar_move_is_feasible
 from tests.oracles.object_graph_reference import object_market_game, use_object_graph
 
 SIZES = (50, 150, 250)
@@ -81,7 +82,7 @@ def _greedy_start(game: SingletonCongestionGame) -> Dict[int, int]:
         best: Optional[int] = None
         best_cost = np.inf
         for r in game.resources:
-            if not game.move_is_feasible(p, r, profile, loads):
+            if not scalar_move_is_feasible(game, p, r, profile, loads):
                 continue
             c = game.cost(p, r, occ.get(r, 0) + 1)
             if c < best_cost:

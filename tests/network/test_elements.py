@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import CapacityError, ConfigurationError
+from repro.exceptions import ConfigurationError
 from repro.network.elements import Cloudlet, DataCenter, Link, NodeKind, SwitchNode
 
 
@@ -36,53 +36,6 @@ class TestCloudlet:
             self.make(alpha=-0.1)
         with pytest.raises(ConfigurationError):
             self.make(beta=-0.1)
-
-    def test_allocate_and_free(self):
-        cl = self.make()
-        cl.allocate(4.0, 30.0)
-        assert cl.compute_free == pytest.approx(6.0)
-        assert cl.bandwidth_free == pytest.approx(70.0)
-
-    def test_allocate_beyond_capacity_raises(self):
-        cl = self.make()
-        with pytest.raises(CapacityError):
-            cl.allocate(11.0, 1.0)
-        with pytest.raises(CapacityError):
-            cl.allocate(1.0, 101.0)
-
-    def test_failed_allocate_leaves_state_untouched(self):
-        cl = self.make()
-        with pytest.raises(CapacityError):
-            cl.allocate(11.0, 1.0)
-        assert cl.compute_used == 0.0
-        assert cl.bandwidth_used == 0.0
-
-    def test_release(self):
-        cl = self.make()
-        cl.allocate(4.0, 30.0)
-        cl.release(4.0, 30.0)
-        assert cl.compute_used == 0.0
-
-    def test_release_never_goes_negative(self):
-        cl = self.make()
-        cl.release(5.0, 5.0)
-        assert cl.compute_used == 0.0
-        assert cl.bandwidth_used == 0.0
-
-    def test_release_all(self):
-        cl = self.make()
-        cl.allocate(4.0, 30.0)
-        cl.release_all()
-        assert cl.can_host(10.0, 100.0)
-
-    def test_can_host_exact_fit(self):
-        cl = self.make()
-        assert cl.can_host(10.0, 100.0)
-
-    def test_negative_demand_rejected(self):
-        cl = self.make()
-        with pytest.raises(ConfigurationError):
-            cl.allocate(-1.0, 0.0)
 
 
 class TestDataCenter:

@@ -87,21 +87,6 @@ class TestRoutingQueries:
         assert net.path_delay(0, 2) == pytest.approx(2.0)
         assert net.shortest_path(0, 2) == [0, 1, 2]
 
-    def test_nearest_data_center(self, line_network):
-        dc = line_network.nearest_data_center(4)
-        assert dc.node_id == 0
-
-    def test_nearest_cloudlet(self, line_network):
-        assert line_network.nearest_cloudlet(1).node_id == 2
-        assert line_network.nearest_cloudlet(4).node_id == 4
-
-    def test_nearest_on_empty_raises(self):
-        net = make_triangle()
-        with pytest.raises(TopologyError):
-            net.nearest_cloudlet(0)
-        with pytest.raises(TopologyError):
-            net.nearest_data_center(0)
-
     def test_routing_invalidated_by_new_link(self):
         net = make_triangle()
         assert net.path_delay(0, 2) == pytest.approx(2.0)
@@ -134,12 +119,6 @@ class TestValidation:
             net.validate()
         net.attach_data_center(DataCenter(node_id=1))
         net.validate()
-
-    def test_release_all_capacity(self, line_network):
-        cl = line_network.cloudlet_at(2)
-        cl.allocate(1.0, 10.0)
-        line_network.release_all_capacity()
-        assert cl.compute_used == 0.0
 
     def test_repr_mentions_counts(self, line_network):
         text = repr(line_network)

@@ -10,6 +10,13 @@ compare it against:
 * :func:`incremental_best_response` — compiled cost tables, one vectorised
   argmin per player turn and a delta-maintained potential.
 
+:func:`scalar_improvement_dynamics` is the per-resource scan the
+library's better-response and random-order dynamics
+(:func:`repro.game.dynamics_variants.improvement_dynamics`) ran before
+they priced moves on the compiled tables; its best responder is the naive
+engine's. :func:`scalar_move_is_feasible` is the scalar move-feasibility
+check all the scalar scans here share.
+
 The library's one sequential entry,
 :func:`repro.game.best_response.sequential_entry`, has two scalar twins
 here: :func:`scalar_greedy_feasible_profile`, the per-resource greedy start
@@ -41,9 +48,11 @@ from unittest import mock
 
 import numpy as np
 
-from repro.exceptions import InfeasibleError
+from repro.exceptions import ConfigurationError, InfeasibleError
+from repro.game.batch import movable_order
 from repro.game.best_response import BestResponseResult, best_response_dynamics
 from repro.game.congestion import Profile, SingletonCongestionGame
+from repro.game.dynamics_variants import VARIANTS
 from repro.game.engine import IMPROVEMENT_EPS, CompiledGame
 from repro.utils.contracts import (
     check_potential_accumulator,
@@ -51,11 +60,35 @@ from repro.utils.contracts import (
     invariant_potential_descends,
     invariants_active,
 )
+from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import CAPACITY_EPS
 from tests.oracles.state_reference import loop_loads, loop_occupancy
 
 #: The naive engine's name for the strict-improvement threshold.
 _IMPROVEMENT_EPS = IMPROVEMENT_EPS
+
+
+def scalar_move_is_feasible(
+    game: SingletonCongestionGame,
+    player: Hashable,
+    resource: Hashable,
+    profile: Mapping[Hashable, Hashable],
+    loads: Optional[Dict[Hashable, np.ndarray]] = None,
+) -> bool:
+    """Whether ``player`` may deviate to ``resource`` given the others'
+    current usage (the player's own demand is removed first)."""
+    if np.isinf(game.fixed_cost(player, resource)):
+        return False
+    if not game.capacitated:
+        return True
+    if loads is None:
+        loads = game.loads(profile)
+    current = profile.get(player)
+    load = loads.get(resource, np.zeros_like(game.capacity_of(resource))).copy()
+    if current == resource:
+        load = load - game.demand_of(player, resource)
+    new_load = load + game.demand_of(player, resource)
+    return bool(np.all(new_load <= game.capacity_of(resource) + CAPACITY_EPS))
 
 
 def _entry_costs(
@@ -93,7 +126,7 @@ def _best_feasible_response(
     for r in game.resources:
         if r == current:
             continue
-        if not game.move_is_feasible(player, r, profile, loads):
+        if not scalar_move_is_feasible(game, player, r, profile, loads):
             continue
         c = game.cost(player, r, occ.get(r, 0) + 1)
         if c < best_cost:
@@ -285,6 +318,95 @@ DYNAMICS: Dict[str, Callable[..., BestResponseResult]] = {
 }
 
 
+def _first_improving_response(
+    game: SingletonCongestionGame,
+    player: Hashable,
+    profile: Profile,
+    loads: Dict[Hashable, np.ndarray],
+    occ: Dict[Hashable, int],
+) -> Optional[Hashable]:
+    """The first feasible resource strictly cheaper than the current one
+    (deterministic resource order)."""
+    current = profile[player]
+    current_cost = game.cost(player, current, occ[current])
+    for resource in game.resources:
+        if resource == current:
+            continue
+        if not scalar_move_is_feasible(game, player, resource, profile, loads):
+            continue
+        if game.cost(player, resource, occ.get(resource, 0) + 1) < (
+            current_cost - IMPROVEMENT_EPS
+        ):
+            return resource
+    return None
+
+
+def scalar_improvement_dynamics(
+    game: SingletonCongestionGame,
+    initial_profile: Mapping[Hashable, Hashable],
+    variant: str = "better",
+    movable: Optional[Iterable[Hashable]] = None,
+    max_rounds: int = 1000,
+    rng: RandomSource = None,
+) -> BestResponseResult:
+    """:func:`repro.game.dynamics_variants.improvement_dynamics` with
+    per-resource scans over the game's cost callables: ``"better"`` takes
+    :func:`_first_improving_response`, ``"best_random_order"`` the naive
+    engine's :func:`_best_feasible_response`."""
+    if variant not in VARIANTS:
+        raise ConfigurationError(
+            f"unknown variant {variant!r}; choose from {VARIANTS}"
+        )
+    game.validate_profile(initial_profile)
+    profile: Profile = dict(initial_profile)
+    base_order = movable_order(game, movable)
+    rng = as_rng(rng)
+    responder = (
+        _first_improving_response if variant == "better" else _best_feasible_response
+    )
+
+    loads = game.loads(profile)
+    occ = game.occupancy(profile)
+    trace = [game.potential(profile)]
+    moves = 0
+    rounds = 0
+    converged = not base_order
+
+    for rounds in range(1, max_rounds + 1):
+        order = list(base_order)
+        if variant == "best_random_order":
+            rng.shuffle(order)
+        improved = False
+        for player in order:
+            target = responder(game, player, profile, loads, occ)
+            if target is None:
+                continue
+            old = profile[player]
+            profile[player] = target
+            occ[old] -= 1
+            if occ[old] == 0:
+                del occ[old]
+            occ[target] = occ.get(target, 0) + 1
+            if game.capacitated:
+                loads[old] = loads[old] - game.demand_of(player, old)
+                d = game.demand_of(player, target)
+                loads[target] = loads.get(target, np.zeros_like(d)) + d
+            moves += 1
+            improved = True
+        trace.append(game.potential(profile))
+        if not improved:
+            converged = True
+            break
+
+    return BestResponseResult(
+        profile=profile,
+        converged=converged,
+        rounds=rounds,
+        moves=moves,
+        potential_trace=trace,
+    )
+
+
 def scalar_greedy_feasible_profile(
     game: SingletonCongestionGame,
     players: Optional[Sequence[Hashable]] = None,
@@ -312,7 +434,7 @@ def scalar_greedy_feasible_profile(
         best_r = None
         best_cost = np.inf
         for r in game.resources:
-            if not game.move_is_feasible(p, r, profile, loads):
+            if not scalar_move_is_feasible(game, p, r, profile, loads):
                 continue
             c = game.cost(p, r, occ.get(r, 0) + 1)
             if c < best_cost:
@@ -345,7 +467,7 @@ def naive_selfish_entry(
         best_node = None
         best_cost = entry_threshold(pid)
         for node in game_all.resources:
-            if not game_all.move_is_feasible(pid, node, profile, loads):
+            if not scalar_move_is_feasible(game_all, pid, node, profile, loads):
                 continue
             c = game_all.cost(pid, node, occ.get(node, 0) + 1)
             if c < best_cost:
@@ -404,5 +526,7 @@ __all__ = [
     "naive_best_response_dynamics",
     "naive_selfish_entry",
     "scalar_greedy_feasible_profile",
+    "scalar_improvement_dynamics",
+    "scalar_move_is_feasible",
     "use_kernel",
 ]

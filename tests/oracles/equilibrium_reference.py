@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.game.congestion import SingletonCongestionGame
+from tests.oracles.best_response_reference import scalar_move_is_feasible
 
 
 def best_deviation(
@@ -43,7 +44,7 @@ def best_deviation(
     for r in game.resources:
         if r == current:
             continue
-        if not game.move_is_feasible(player, r, profile, loads):
+        if not scalar_move_is_feasible(game, player, r, profile, loads):
             continue
         gain = current_cost - game.cost(player, r, occ.get(r, 0) + 1)
         if gain > best_gain:
