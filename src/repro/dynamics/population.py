@@ -94,10 +94,12 @@ class PopulationProcess:
     def step(self) -> PopulationEvent:
         """Advance one epoch: departures first, then arrivals."""
         self._epoch += 1
+        # One uniform per present provider, in insertion order: the same
+        # doubles, in the same order, as one scalar draw each.
+        present = list(self._present)
+        leaves = self.rng.random(len(present)) < self.departure_prob
         departed: Set[int] = {
-            pid
-            for pid in list(self._present)
-            if self.rng.random() < self.departure_prob
+            pid for pid, leaving in zip(present, leaves.tolist()) if leaving
         }
         for pid in departed:
             del self._present[pid]

@@ -16,6 +16,7 @@ process-pool boundary when ``config.workers`` enables parallel execution
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -515,17 +516,18 @@ def poa_study(
     Appro runs without a remote fallback, so a market whose Eq. 7 split
     has fewer virtual slots than providers has no Appro placement: it is
     left out of both Appro ratios and counted in
-    ``appro_infeasible_reps``.
+    ``appro_infeasible_reps``; when every repetition is left out, both
+    Appro ratios are NaN.
     """
     from repro.core.lower_bound import social_cost_lower_bound
 
     if repetitions < 1:
         raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
-    ratio_worst = 0.0
+    appro_ratios: List[float] = []
     poa_worst = 0.0
     bound_ratio = 0.0
     bound_poa = 0.0
-    certified_gap_worst = 0.0
+    certified_gaps: List[float] = []
     appro_infeasible = 0
     xi = 0.5
     for rep in range(repetitions):
@@ -539,10 +541,10 @@ def poa_study(
             appro_infeasible += 1
         else:
             approx = appro(market, slot_pricing="flat")
-            ratio_worst = max(ratio_worst, approx.social_cost / opt_cost)
+            appro_ratios.append(approx.social_cost / opt_cost)
             marginal = appro(market, slot_pricing="marginal")
             lb = social_cost_lower_bound(market)
-            certified_gap_worst = max(certified_gap_worst, marginal.social_cost / lb)
+            certified_gaps.append(marginal.social_cost / lb)
 
         bound_ratio = max(bound_ratio, appro_ratio_bound(split.delta, split.kappa))
         bound_poa = max(
@@ -554,12 +556,12 @@ def poa_study(
         poa_worst = max(poa_worst, worst / opt_cost)
 
     return {
-        "empirical_appro_ratio": ratio_worst,
+        "empirical_appro_ratio": max(appro_ratios, default=math.nan),
         "lemma2_bound": bound_ratio,
         "empirical_poa": poa_worst,
         "theorem1_bound": bound_poa,
         "optimal_v": optimal_v(xi),
-        "appro_marginal_certified_gap": certified_gap_worst,
+        "appro_marginal_certified_gap": max(certified_gaps, default=math.nan),
         "appro_infeasible_reps": appro_infeasible,
     }
 

@@ -1,14 +1,18 @@
 """Statistics for experiment reporting.
 
 The paper plots point estimates; a credible reproduction should say how
-sure it is. This module provides the small-sample machinery the harness
-and benches use:
+sure it is. This module provides the small-sample machinery for reporting
+paired runs (the benches use it; the sweep harness does not):
 
 * :func:`mean_ci` — mean with a Student-t confidence interval;
 * :func:`paired_comparison` — paired-difference analysis of two algorithms
   run on common random numbers (the harness's paired seeds), including a
   sign test p-value;
 * :func:`summarize` — a one-line textual summary for bench output.
+
+``scipy.stats`` is imported on the first call that needs it, not at module
+level: it is the heaviest import of the package and no sweep or simulation
+path uses it, so ``import repro.experiments`` does not pay for it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.exceptions import ConfigurationError
 
@@ -51,6 +54,8 @@ def mean_ci(samples: Sequence[float], confidence: float = 0.95) -> MeanCI:
     mean = float(np.mean(xs))
     if xs.size == 1:
         return MeanCI(mean, mean, mean, confidence, 1)
+    from scipy import stats as scipy_stats
+
     sem = float(np.std(xs, ddof=1) / math.sqrt(xs.size))
     t = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=xs.size - 1))
     return MeanCI(mean, mean - t * sem, mean + t * sem, confidence, int(xs.size))
@@ -98,6 +103,8 @@ def paired_comparison(
     if nonzero.size == 0:
         p = 1.0
     else:
+        from scipy import stats as scipy_stats
+
         wins = int(np.sum(nonzero > 0))
         p = float(
             scipy_stats.binomtest(wins, nonzero.size, p=0.5).pvalue

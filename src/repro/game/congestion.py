@@ -176,13 +176,19 @@ class SingletonCongestionGame:
         return np.asarray(self._capacity(resource), dtype=float)
 
     def validate_profile(self, profile: Mapping[Hashable, Hashable]) -> None:
-        """Check completeness and capacity feasibility of a profile."""
+        """Check that a profile places exactly the game's players on the
+        game's resources, within capacity."""
         missing = set(self.players) - set(profile)
         if missing:
             raise ConfigurationError(f"profile misses players {sorted(missing, key=str)}")
         unknown = set(profile) - set(self.players)
         if unknown:
             raise ConfigurationError(f"profile has unknown players {sorted(unknown, key=str)}")
+        off_game = set(profile.values()) - set(self.resources)
+        if off_game:
+            raise ConfigurationError(
+                f"profile uses unknown resources {sorted(off_game, key=str)}"
+            )
         if self._demand is not None:
             for r, load in self.loads(profile).items():
                 cap = self.capacity_of(r)

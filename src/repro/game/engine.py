@@ -141,10 +141,15 @@ class CompiledGame:
 
     def _columns(self, profile: Mapping[Hashable, Hashable]) -> np.ndarray:
         """Resource column of every placed player, in profile order."""
-        return np.fromiter(
-            (self.resource_index[r] for r in profile.values()),
-            dtype=np.int64, count=len(profile),
-        )
+        try:
+            return np.fromiter(
+                (self.resource_index[r] for r in profile.values()),
+                dtype=np.int64, count=len(profile),
+            )
+        except KeyError as exc:
+            raise ConfigurationError(
+                f"profile uses unknown resource {exc.args[0]!r}"
+            ) from None
 
     def _gather(self, profile: Mapping[Hashable, Hashable]) -> Tuple[np.ndarray, np.ndarray]:
         """``(player rows, resource columns)`` of a profile, in profile order."""

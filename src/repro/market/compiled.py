@@ -611,10 +611,15 @@ class CompiledMarket:
         return rows, self._columns(placement)
 
     def _columns(self, placement: Mapping[int, int]) -> np.ndarray:
-        return np.fromiter(
-            (self.cloudlet_index[node] for node in placement.values()),
-            dtype=np.int64, count=len(placement),
-        )
+        try:
+            return np.fromiter(
+                (self.cloudlet_index[node] for node in placement.values()),
+                dtype=np.int64, count=len(placement),
+            )
+        except KeyError as exc:
+            raise ConfigurationError(
+                f"placement uses node {exc.args[0]!r}, which hosts no cloudlet"
+            ) from None
 
     def occupancy_vector(self, placement: Mapping[int, int]) -> np.ndarray:
         """``|sigma_i|`` per cloudlet column for a placement

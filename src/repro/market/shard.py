@@ -287,10 +287,11 @@ def shard_view(
     safely picklable to a worker without aliasing the parent arrays. The
     congestion prefix ``g`` is cut to ``len(rows) + 1``: a sub-game over
     these rows never reaches a higher occupancy, and its ``coeff * g``
-    products are the global ``shared`` entries bit for bit. The view
-    depends only on ``(shard_id, partition, classification)`` and the
-    current tables — i.e. on the shard id and the delta sequence number
-    — which is what makes worker-side blob caching sound.
+    products are the global ``shared`` entries bit for bit. The view is
+    shipped as a runtime blob named by the SHA-256 of its pickled bytes,
+    so a worker's per-process blob cache can only ever return the bytes
+    it was asked for: a view whose tables changed gets a new name, and an
+    unchanged one is fetched once.
     """
     if shard_id not in partition.cloudlets:
         raise ConfigurationError(f"unknown shard id {shard_id}")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dynamics.population import PopulationProcess
+from repro.dynamics.population import PopulationEvent, PopulationProcess
 from repro.exceptions import ConfigurationError
 from repro.network.generators import random_mec_network
 
@@ -82,3 +82,49 @@ class TestPopulationProcess:
         for p in pop.present:
             assert p.service.home_dc in dc_nodes
             assert p.provider_id == p.service.service_id
+
+
+class ScalarDeparturePopulation(PopulationProcess):
+    """The departure draw as one scalar ``rng.random()`` per present
+    provider: the reference for the vectorised draw of ``step``."""
+
+    def step(self):
+        self._epoch += 1
+        departed = {
+            pid
+            for pid in list(self._present)
+            if self.rng.random() < self.departure_prob
+        }
+        for pid in departed:
+            del self._present[pid]
+
+        n_arrivals = int(self.rng.poisson(self.arrival_rate))
+        arrived = self._draw_providers(n_arrivals) if n_arrivals else []
+        for provider in arrived:
+            self._present[provider.provider_id] = provider
+
+        return PopulationEvent(
+            epoch=self._epoch,
+            arrived=tuple(p.provider_id for p in arrived),
+            departed=tuple(sorted(departed)),
+        )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11, 12345])
+@pytest.mark.parametrize(
+    "arrival_rate, mean_lifetime, initial",
+    [(0.5, 1.0, 0), (4.0, 10.0, 30), (12.0, 2.5, 5), (40.0, 50.0, 200)],
+)
+def test_vectorised_departures_match_the_scalar_loop(
+    network, seed, arrival_rate, mean_lifetime, initial
+):
+    kwargs = dict(
+        arrival_rate=arrival_rate, mean_lifetime=mean_lifetime,
+        rng=seed, initial_population=initial,
+    )
+    fast = PopulationProcess(network, **kwargs)
+    ref = ScalarDeparturePopulation(network, **kwargs)
+    for _ in range(30):
+        assert fast.step() == ref.step()
+        assert list(fast._present) == list(ref._present)
+    assert fast.rng.random() == ref.rng.random()

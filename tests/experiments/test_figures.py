@@ -1,6 +1,8 @@
 """Tests for the figure drivers (tiny configs — code-path coverage; the
 paper-shape assertions live in tests/integration/test_shapes.py)."""
 
+import math
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -127,4 +129,14 @@ class TestPoAStudy:
         assert out["appro_infeasible_reps"] == 1
         assert 1.0 <= out["empirical_appro_ratio"] <= out["lemma2_bound"]
         assert out["appro_marginal_certified_gap"] >= 1.0 - 1e-9
+        assert 1.0 - 1e-9 <= out["empirical_poa"] <= out["theorem1_bound"]
+
+    def test_no_appro_placement_leaves_the_appro_ratios_nan(self):
+        # The only repetition's split has fewer virtual slots than the 60
+        # providers: there is no Appro ratio to report, and 0.0 would read
+        # as a placement cheaper than the optimum.
+        out = poa_study(n_providers=60, n_nodes=50, repetitions=1, seed=12)
+        assert out["appro_infeasible_reps"] == 1
+        assert math.isnan(out["empirical_appro_ratio"])
+        assert math.isnan(out["appro_marginal_certified_gap"])
         assert 1.0 - 1e-9 <= out["empirical_poa"] <= out["theorem1_bound"]
