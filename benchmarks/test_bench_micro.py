@@ -1,8 +1,8 @@
 """Micro-benchmarks of the core substrates (pytest-benchmark timings).
 
-These time the individual building blocks — the GAP relaxation on the
-unit-slot assignment path and on the HiGHS LP + rounding path,
-best-response dynamics, Algorithm 1 end-to-end, the routing table's
+These time the individual building blocks — the Shmoys–Tardos step on a
+slot-form GAP (its relaxation solved as one assignment), best-response
+dynamics, Algorithm 1 end-to-end, the routing table's
 per-source rows (next to the networkx oracle it replaced) and the
 flow-level emulator — so regressions in any layer show up independently
 of the figure-level sweeps.
@@ -36,24 +36,11 @@ def test_bench_gap_shmoys_tardos(benchmark):
     rng = np.random.default_rng(1)
     instance = GAPInstance(
         costs=rng.uniform(1, 10, size=(60, 40)),
-        weights=np.ones((60, 40)),
-        capacities=np.ones(40) * 2.0,
+        slots=np.full(40, 2),
     )
     solution = benchmark(shmoys_tardos, instance)
     assert len(solution.assignment) == 60
-
-
-def test_bench_gap_lp_fractional(benchmark):
-    # Non-uniform weights keep the relaxation off the unit-slot assignment
-    # path: this times the HiGHS LP and the slot-matching rounding.
-    rng = np.random.default_rng(1)
-    instance = GAPInstance(
-        costs=rng.uniform(1, 10, size=(60, 40)),
-        weights=rng.uniform(0.2, 1.0, size=(60, 40)),
-        capacities=np.ones(40) * 2.0,
-    )
-    solution = benchmark(shmoys_tardos, instance)
-    assert len(solution.assignment) == 60
+    assert max(np.bincount(solution.assignment)) <= 2
 
 
 def test_bench_best_response(benchmark, medium_market):

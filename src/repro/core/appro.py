@@ -5,8 +5,9 @@ Steps (Section III.B):
 1. split each cloudlet into ``n_i`` virtual cloudlets (Eq. 7);
 2. build the GAP instance with the congestion-free cost (Eq. 9);
 3. solve GAP with the Shmoys–Tardos approximation [34] (the reduction is a
-   unit-slot instance, whose relaxation :mod:`repro.gap.lp` solves exactly
-   as an assignment problem, so the rounding has nothing to round);
+   slot table — one slot per virtual cloudlet — whose relaxation
+   :mod:`repro.gap.lp` solves exactly as an assignment problem, so the
+   rounding has nothing to round);
 4. move every service assigned to a virtual cloudlet of ``CL_i`` onto the
    real ``CL_i``.
 
@@ -39,6 +40,9 @@ _GAP_SOLVERS: Dict[str, Callable[[GAPInstance], GAPSolution]] = {
     "shmoys_tardos": shmoys_tardos,
     "greedy": greedy_gap,
 }
+
+#: The accepted ``gap_solver`` names.
+GAP_SOLVERS: Tuple[str, ...] = tuple(sorted(_GAP_SOLVERS))
 
 
 @invariant_capacity_feasible()
@@ -187,7 +191,7 @@ def appro(
     Parameters
     ----------
     gap_solver:
-        ``"shmoys_tardos"`` (the paper's choice, exact on the unit-slot
+        ``"shmoys_tardos"`` (the paper's choice, exact on the slot-table
         reduction) or ``"greedy"`` — the comparator of ablation A4.
     allow_remote:
         Give the GAP a remote ("do not cache") bin: services for which
@@ -218,16 +222,14 @@ def appro(
     ``gap_lower_bound``, ``delta``/``kappa``, the Lemma 2 ratio bound, and
     repair stats. ``gap_lower_bound`` is the optimum of Appro's own
     slotted GAP (flat Eq. 9 or marginal slot costs, per ``slot_pricing``;
-    the Shmoys–Tardos relaxation is exact on this unit-slot instance;
+    the Shmoys–Tardos relaxation is exact on this slot-table instance;
     ``"greedy"`` reports ``None``). It bounds that GAP, not the Eq. 6
     social optimum.
     """
-    try:
-        solve = _GAP_SOLVERS[gap_solver]
-    except KeyError:
-        raise ValueError(
-            f"unknown gap_solver {gap_solver!r}; choose from {sorted(_GAP_SOLVERS)}"
-        ) from None
+    if gap_solver not in GAP_SOLVERS:
+        raise ConfigurationError(
+            f"unknown gap_solver {gap_solver!r}; choose from {list(GAP_SOLVERS)}"
+        )
     if slot_pricing not in VirtualCloudletSplit.PRICINGS:
         raise ConfigurationError(
             f"slot_pricing must be one of {VirtualCloudletSplit.PRICINGS}, "
@@ -248,7 +250,7 @@ def appro(
             market, allow_remote=allow_remote, slot_pricing=slot_pricing
         )
         instance = split.build_gap_instance()
-        solution: GAPSolution = solve(instance)
+        solution: GAPSolution = _GAP_SOLVERS[gap_solver](instance)
         placement, gap_rejected = split.merge_assignment(solution.assignment)
         placement, repair_rejected, moves = _repair_capacities(
             market, placement, cm
@@ -266,11 +268,11 @@ def appro(
             "delta": split.delta,
             "kappa": split.kappa,
             "n_prime_max": split.n_prime_max,
-            "virtual_cloudlets": len(split.virtual_cloudlets),
+            "virtual_cloudlets": len(split.slot_cloudlet),
             "repair_moves": moves,
             "ratio_bound": 2.0 * split.delta * split.kappa,
         },
     )
 
 
-__all__ = ["appro"]
+__all__ = ["GAP_SOLVERS", "appro"]

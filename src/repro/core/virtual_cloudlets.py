@@ -6,10 +6,10 @@ Each cloudlet ``CL_i`` is split into
 
 virtual cloudlets, "each virtual cloudlet being restricted to be able to
 only cache a single service instance" (Section III.B). Each virtual cloudlet
-is one GAP knapsack of capacity ``max(a_max, b_max)``; to enforce the
-one-instance restriction, every item's weight equals the slot capacity, so
-the knapsack admits exactly one service. The assignment cost ignores
-congestion (Eq. 9): ``alpha_i + beta_i + c_l^ins + c_i^bdw``.
+is one GAP bin with a single slot, so the split is one slot table: ``n_i``
+per cloudlet and, for every slot, the cloudlet it belongs to. The
+assignment cost ignores congestion (Eq. 9): ``alpha_i + beta_i + c_l^ins +
+c_i^bdw``.
 
 Feasibility (Lemma 1) is then structural: a cloudlet receives at most
 ``n_i`` services, each demanding at most ``a_max`` compute and ``b_max``
@@ -19,9 +19,9 @@ Eq. (7).
 When the market holds more providers than there are virtual cloudlets — the
 regime of the Fig. 7 sweeps, where growing ``a_max`` shrinks every ``n_i``
 — a plain reduction is infeasible. We optionally extend the instance with a
-*remote bin* of unbounded multiplicity whose cost is the provider's
-remote-serving cost: services assigned there are "not cached" (the title's
-other option) and count as rejected.
+*remote bin* of ``n`` slots whose cost is the provider's remote-serving
+cost: services assigned there are "not cached" (the title's other option)
+and count as rejected.
 
 ``delta = C(CL_i)/a_max`` and ``kappa = B(CL_i)/b_max`` (cloudlet-maximal,
 per Lemma 2) and ``n'_max`` (Eq. 8) are exposed for the bound computations.
@@ -29,8 +29,6 @@ per Lemma 2) and ``n'_max`` (Eq. 8) are exposed for the bound computations.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 import numpy as np
@@ -40,26 +38,19 @@ from repro.gap.instance import GAPInstance
 from repro.market.market import ServiceMarket
 
 
-@dataclass(frozen=True)
-class VirtualCloudlet:
-    """One knapsack of the reduction: slot ``k`` of real cloudlet ``CL_i``."""
-
-    index: int  # global index (GAP bin id)
-    cloudlet_node: int  # real cloudlet it belongs to
-    slot: int  # 0 <= slot < n_i
-    capacity: float
-
-
 class VirtualCloudletSplit:
     """The Eq. (7)–(9) reduction of a market to a GAP instance.
 
-    ``allow_remote`` appends a remote bin (one pseudo-slot per provider, so
-    capacity never binds) priced at each provider's remote-serving cost;
+    The split is kept as arrays in the network's cloudlet order, which is
+    the compiled market's ``cloudlet_nodes``: ``n_i[c]`` slots for the
+    cloudlet in column ``c`` (node ``cloudlet_nodes[c]``), and
+    ``slot_cloudlet[s]``, the column of virtual cloudlet (GAP bin) ``s``;
+    a cloudlet's slots are consecutive bins.
+
+    ``allow_remote`` appends a remote bin (one slot per provider, so it
+    never fills) priced at each provider's remote-serving cost;
     :meth:`merge_assignment` reports services landing there as rejected.
     """
-
-    #: Bin index sentinel returned for remote assignments.
-    REMOTE = -1
 
     #: Supported slot pricing modes (see ``slot_pricing``).
     PRICINGS = ("marginal", "flat")
@@ -85,48 +76,25 @@ class VirtualCloudletSplit:
             raise ConfigurationError("demands must be positive")
 
         self.slot_capacity = max(self.a_max, self.b_max)
-        self.virtual_cloudlets: List[VirtualCloudlet] = []
-        self.n_i: Dict[int, int] = {}
-        index = 0
-        for cl in market.network.cloudlets:
-            n_i = min(
-                math.floor(cl.compute_capacity / self.a_max),
-                math.floor(cl.bandwidth_capacity / self.b_max),
-            )
-            self.n_i[cl.node_id] = n_i
-            for slot in range(n_i):
-                self.virtual_cloudlets.append(
-                    VirtualCloudlet(
-                        index=index,
-                        cloudlet_node=cl.node_id,
-                        slot=slot,
-                        capacity=self.slot_capacity,
-                    )
-                )
-                index += 1
-        if not self.virtual_cloudlets and not allow_remote:
+        cloudlets = market.network.cloudlets
+        self.cloudlet_nodes = np.array([cl.node_id for cl in cloudlets], dtype=np.int64)
+        # Per cloudlet: C(CL_i) / a_max and B(CL_i) / b_max.
+        ratios = np.array(
+            [
+                (cl.compute_capacity / self.a_max, cl.bandwidth_capacity / self.b_max)
+                for cl in cloudlets
+            ]
+        ).reshape(-1, 2)
+        #: ``delta`` and ``kappa`` of Lemma 2: the cloudlet-maximal ratios.
+        self.delta, self.kappa = ratios.max(axis=0, initial=0.0).tolist()
+        self.n_i = np.floor(ratios).min(axis=1).astype(np.int64)
+        self.slot_cloudlet = np.repeat(np.arange(len(self.n_i)), self.n_i)
+        if not len(self.slot_cloudlet) and not allow_remote:
             raise InfeasibleError(
                 "every cloudlet splits into zero virtual cloudlets: the largest "
                 "service demand exceeds (a capacity fraction of) every cloudlet; "
                 "Lemma 1 assumes capacities far exceed maximum demands"
             )
-
-    # ------------------------------------------------------------------ #
-    # Bound ingredients
-    # ------------------------------------------------------------------ #
-    @property
-    def delta(self) -> float:
-        """``delta = max_i C(CL_i) / a_max`` (Lemma 2)."""
-        return max(
-            cl.compute_capacity / self.a_max for cl in self.market.network.cloudlets
-        )
-
-    @property
-    def kappa(self) -> float:
-        """``kappa = max_i B(CL_i) / b_max`` (Lemma 2)."""
-        return max(
-            cl.bandwidth_capacity / self.b_max for cl in self.market.network.cloudlets
-        )
 
     @property
     def n_prime_max(self) -> float:
@@ -138,69 +106,52 @@ class VirtualCloudletSplit:
     # ------------------------------------------------------------------ #
     # GAP construction / solution mapping
     # ------------------------------------------------------------------ #
-    def item_weight(self, provider_id: int) -> float:
-        """Uniform weight = slot capacity: one service per virtual cloudlet
-        (the Section III.B restriction)."""
-        return self.slot_capacity
-
     @property
     def remote_bin(self) -> int:
         """GAP bin index of the remote ("do not cache") bin, if enabled."""
         if not self.allow_remote:
             raise ConfigurationError("split was built without a remote bin")
-        return len(self.virtual_cloudlets)
+        return len(self.slot_cloudlet)
 
     def build_gap_instance(self) -> GAPInstance:
         """Items = providers (in id order), bins = virtual cloudlets, plus
         the remote bin when ``allow_remote`` is set.
 
-        The cost matrix is assembled from the market's cached compiled
-        tables (one broadcast add per pricing mode).
+        The cost table is assembled from the market's cached compiled
+        tables (one broadcast add per pricing mode); every virtual cloudlet
+        has one slot and the remote bin ``n``.
         """
         cm = self.market.compile()
         n = cm.n_providers
-        n_virtual = len(self.virtual_cloudlets)
+        n_virtual = len(self.slot_cloudlet)
         m = n_virtual + (1 if self.allow_remote else 0)
         costs = np.zeros((n, m))
-        weights = np.full((n, m), self.slot_capacity)
         # GAP item j is the j-th provider in id order; after delta patches
         # the compiled rows are not id-ordered, so gather through the
         # active-row map (a no-op reindex on a dense compile).
         rows = cm.active_rows
-        if n_virtual:
-            cols = np.array(
-                [cm.cloudlet_index[vc.cloudlet_node] for vc in self.virtual_cloudlets],
-                dtype=np.int64,
-            )
-            if self.slot_pricing == "flat":
-                # Eq. (9): (alpha_i + beta_i) + fixed, per slot column.
-                costs[:, :n_virtual] = cm.coeff[cols][None, :] + cm.fixed[
-                    np.ix_(rows, cols)
-                ]
-            else:
-                # Marginal pricing: slot k of CL_i carries the marginal
-                # social congestion charge
-                #   (alpha_i + beta_i) * (k*g(k) - (k-1)*g(k-1)),
-                # i.e. (2k - 1)(alpha_i + beta_i) under the paper's linear
-                # model, so filling k slots sums to the true social
-                # congestion cost (alpha_i+beta_i) * k * g(k). The GAP
-                # objective then equals the social cost (Eq. 6) exactly,
-                # which is what makes the coordinated placement worth
-                # following.
-                marg = np.empty(n_virtual)
-                for t, vc in enumerate(self.virtual_cloudlets):
-                    k = vc.slot + 1
-                    marg[t] = cm.coeff[cols[t]] * (
-                        k * cm.g_at(k) - (k - 1) * cm.g_at(k - 1)
-                    )
-                costs[:, :n_virtual] = marg[None, :] + cm.fixed[np.ix_(rows, cols)]
+        cols = self.slot_cloudlet
+        if self.slot_pricing == "flat":
+            # Eq. (9): (alpha_i + beta_i) + fixed, per slot column.
+            price = cm.coeff[cols]
+        else:
+            # Marginal pricing: slot k of CL_i carries the marginal social
+            # congestion charge
+            #   (alpha_i + beta_i) * (k*g(k) - (k-1)*g(k-1)),
+            # i.e. (2k - 1)(alpha_i + beta_i) under the paper's linear
+            # model, so filling k slots sums to the true social congestion
+            # cost (alpha_i+beta_i) * k * g(k). The GAP objective then
+            # equals the social cost (Eq. 6) exactly, which is what makes
+            # the coordinated placement worth following.
+            k = np.arange(n_virtual) - (np.cumsum(self.n_i) - self.n_i)[cols] + 1
+            g = np.array([cm.g_at(t) for t in range(int(self.n_i.max()) + 1)])
+            price = cm.coeff[cols] * (k * g[k] - (k - 1) * g[k - 1])
+        costs[:, :n_virtual] = price[None, :] + cm.fixed[np.ix_(rows, cols)]
+        slots = np.ones(m, dtype=np.int64)
         if self.allow_remote:
-            costs[:, self.remote_bin] = cm.remote[rows]
-        capacities = np.array(
-            [vc.capacity for vc in self.virtual_cloudlets]
-            + ([n * self.slot_capacity] if self.allow_remote else [])
-        )
-        return GAPInstance(costs=costs, weights=weights, capacities=capacities)
+            costs[:, n_virtual] = cm.remote[rows]
+            slots[n_virtual] = n
+        return GAPInstance(costs=costs, slots=slots)
 
     def merge_assignment(self, gap_assignment: List[int]) -> Tuple[Dict[int, int], Set[int]]:
         """Step 4 of Algorithm 1: map items -> real cloudlets by collapsing
@@ -215,16 +166,17 @@ class VirtualCloudletSplit:
                 f"GAP assignment covers {len(gap_assignment)} items, "
                 f"market has {len(providers)} providers"
             )
-        placement: Dict[int, int] = {}
-        rejected: Set[int] = set()
-        n_virtual = len(self.virtual_cloudlets)
-        for j, bin_index in enumerate(gap_assignment):
-            pid = providers[j].provider_id
-            if self.allow_remote and bin_index >= n_virtual:
-                rejected.add(pid)
-            else:
-                placement[pid] = self.virtual_cloudlets[bin_index].cloudlet_node
-        return placement, rejected
+        bins = np.asarray(gap_assignment, dtype=np.int64)
+        pids = np.array([p.provider_id for p in providers], dtype=np.int64)
+        remote = (bins >= len(self.slot_cloudlet)) & self.allow_remote
+        cached = ~remote
+        placement = dict(
+            zip(
+                pids[cached].tolist(),
+                self.cloudlet_nodes[self.slot_cloudlet[bins[cached]]].tolist(),
+            )
+        )
+        return placement, set(pids[remote].tolist())
 
 
-__all__ = ["VirtualCloudlet", "VirtualCloudletSplit"]
+__all__ = ["VirtualCloudletSplit"]

@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.appro import _GAP_SOLVERS
+from repro.core.appro import GAP_SOLVERS
 from repro.core.lcf import LCFResult, lcf, posted_price_entry
 from repro.dynamics.outages import OutageEvent, OutageTrace
 from repro.game.partitioned import partitioned_best_response
@@ -296,9 +296,9 @@ class DynamicMarketSimulation:
             raise ConfigurationError(
                 f"recovery must be one of {_RECOVERY_POLICIES}, got {recovery!r}"
             )
-        if gap_solver not in _GAP_SOLVERS:
+        if gap_solver not in GAP_SOLVERS:
             raise ConfigurationError(
-                f"gap_solver must be one of {sorted(_GAP_SOLVERS)}, "
+                f"gap_solver must be one of {list(GAP_SOLVERS)}, "
                 f"got {gap_solver!r}"
             )
         if hysteresis_threshold < 0:

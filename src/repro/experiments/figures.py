@@ -42,7 +42,7 @@ from repro.experiments.harness import (
 from repro.experiments.parallel import map_tasks
 from repro.experiments.settings import ExperimentConfig, PAPER
 from repro.game.engine import market_game
-from repro.game.poa import worst_equilibrium_cost
+from repro.game.poa import _ENUM_LIMIT, worst_equilibrium_cost
 from repro.market.costs import LinearCongestion, MM1Congestion, QuadraticCongestion
 from repro.market.market import ServiceMarket
 from repro.market.workload import WorkloadParams, generate_market
@@ -513,6 +513,10 @@ def poa_study(
     Returns the measured worst ratios against the exact optimum (the
     Eq. 6 MILP) plus the Lemma 2 / Theorem 1 bounds, and the worst
     certified gap of marginal-priced Appro against the LP lower bound.
+    The worst equilibrium of a market is found by enumerating every
+    profile when there are at most ``poa._ENUM_LIMIT`` of them, and
+    estimated from sampled best-response runs otherwise; ``poa_exact``
+    is true only when every repetition was enumerated.
     Appro runs without a remote fallback, so a market whose Eq. 7 split
     has fewer virtual slots than providers has no Appro placement: it is
     left out of both Appro ratios and counted in
@@ -529,6 +533,7 @@ def poa_study(
     bound_poa = 0.0
     certified_gaps: List[float] = []
     appro_infeasible = 0
+    poa_exact = True
     xi = 0.5
     for rep in range(repetitions):
         network = random_mec_network(n_nodes, rng=seed + rep)
@@ -537,7 +542,7 @@ def poa_study(
         opt_cost = optimum.social_cost
 
         split = VirtualCloudletSplit(market)
-        if len(split.virtual_cloudlets) < n_providers:
+        if len(split.slot_cloudlet) < n_providers:
             appro_infeasible += 1
         else:
             approx = appro(market, slot_pricing="flat")
@@ -552,13 +557,18 @@ def poa_study(
         )
 
         game = market_game(market)
-        worst, _ = worst_equilibrium_cost(game, trials=10, rng=seed + rep)
+        exact = len(game.resources) ** len(game.players) <= _ENUM_LIMIT
+        poa_exact = poa_exact and exact
+        worst, _ = worst_equilibrium_cost(
+            game, exact=exact, trials=10, rng=seed + rep
+        )
         poa_worst = max(poa_worst, worst / opt_cost)
 
     return {
         "empirical_appro_ratio": max(appro_ratios, default=math.nan),
         "lemma2_bound": bound_ratio,
         "empirical_poa": poa_worst,
+        "poa_exact": poa_exact,
         "theorem1_bound": bound_poa,
         "optimal_v": optimal_v(xi),
         "appro_marginal_certified_gap": max(certified_gaps, default=math.nan),

@@ -5,10 +5,10 @@ ablation A4. Items are assigned in order of largest *regret* (difference
 between their two cheapest feasible bins): items that are most penalised by
 losing their best bin commit first.
 
-Each round evaluates the feasibility mask, the cheapest and
-second-cheapest bins and the regrets of every unassigned item as
-whole-array numpy operations. Regret ties resolve towards the lowest item
-and cost ties towards the lowest bin.
+Each round evaluates the feasibility mask (finite cost, a free slot), the
+cheapest and second-cheapest bins and the regrets of every unassigned item
+as whole-array numpy operations. Regret ties resolve towards the lowest
+item and cost ties towards the lowest bin.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.exceptions import InfeasibleError
 from repro.gap.instance import GAPInstance, GAPSolution
-from repro.utils.validation import CAPACITY_EPS
 
 
 def _greedy_assignment(instance: GAPInstance) -> List[int]:
@@ -29,16 +28,15 @@ def _greedy_assignment(instance: GAPInstance) -> List[int]:
     return the first extremum, so equal costs resolve to the lowest bin and
     equal regrets to the lowest item."""
     costs = instance.costs
-    weights = instance.weights
     n = instance.n_items
-    remaining = instance.capacities.astype(float).copy()
+    remaining = instance.slots.copy()
     finite = np.isfinite(costs)
     assignment = np.full(n, -1, dtype=np.int64)
     active = np.ones(n, dtype=bool)
     rows = np.arange(n)
 
     for _ in range(n):
-        feasible = finite & (weights <= remaining[None, :] + CAPACITY_EPS)
+        feasible = finite & (remaining > 0)[None, :]
         feasible &= active[:, None]
         n_feasible = feasible.sum(axis=1)
         stuck = active & (n_feasible == 0)
@@ -59,7 +57,7 @@ def _greedy_assignment(instance: GAPInstance) -> List[int]:
         item = int(np.argmax(regret))
         chosen = int(cheapest[item])
         assignment[item] = chosen
-        remaining[chosen] -= weights[item, chosen]
+        remaining[chosen] -= 1
         active[item] = False
 
     return [int(a) for a in assignment]

@@ -1,9 +1,13 @@
-"""GAP instance and solution types.
+"""GAP instance and solution types, in slot form.
 
-A min-cost GAP instance (Section III.A of the paper, after [34]): ``n`` items
-and ``m`` knapsacks; assigning item ``j`` to knapsack ``i`` costs ``c[j, i]``
-and consumes weight ``w[j, i]`` of the knapsack's capacity ``cap[i]``; every
-item must be assigned; total cost is minimised.
+A min-cost GAP instance (Section III.A of the paper, after [34]): ``n``
+items and ``m`` bins; assigning item ``j`` to bin ``i`` costs ``c[j, i]``;
+every item must be assigned; total cost is minimised. The Eq. (7)
+reduction limits each virtual cloudlet to a single service instance
+(Section III.B), so every instance the library builds is *unit-slot*: bin
+``i`` holds at most ``k_i`` items, whatever they are. The instance stores
+that slot count per bin instead of a weight matrix and capacities; the
+weighted general GAP is a test oracle (``tests/oracles/gap_reference.py``).
 """
 
 from __future__ import annotations
@@ -14,56 +18,41 @@ from typing import List, Optional
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.utils.validation import CAPACITY_EPS
 
 
 class GAPInstance:
-    """A minimisation GAP instance backed by numpy arrays.
+    """A minimisation GAP instance with a slot count per bin.
 
     Parameters
     ----------
     costs:
         ``(n_items, n_bins)`` array; ``costs[j, i]`` is the assignment cost.
         ``numpy.inf`` marks a forbidden (item, bin) pair.
-    weights:
-        ``(n_items, n_bins)`` array of non-negative weights.
-    capacities:
-        ``(n_bins,)`` array of positive knapsack capacities.
+    slots:
+        ``(n_bins,)`` array of non-negative integers: bin ``i`` holds at
+        most ``slots[i]`` items.
     """
 
-    def __init__(
-        self,
-        costs: np.ndarray,
-        weights: np.ndarray,
-        capacities: np.ndarray,
-    ) -> None:
+    def __init__(self, costs: np.ndarray, slots: np.ndarray) -> None:
         costs = np.asarray(costs, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        capacities = np.asarray(capacities, dtype=float)
+        slots = np.asarray(slots)
 
         if costs.ndim != 2:
             raise ConfigurationError(f"costs must be 2-D, got shape {costs.shape}")
-        if weights.shape != costs.shape:
+        if slots.ndim != 1 or slots.shape[0] != costs.shape[1]:
             raise ConfigurationError(
-                f"weights shape {weights.shape} != costs shape {costs.shape}"
-            )
-        if capacities.ndim != 1 or capacities.shape[0] != costs.shape[1]:
-            raise ConfigurationError(
-                f"capacities must have one entry per bin ({costs.shape[1]}), "
-                f"got shape {capacities.shape}"
+                f"slots must have one entry per bin ({costs.shape[1]}), "
+                f"got shape {slots.shape}"
             )
         if costs.shape[0] == 0 or costs.shape[1] == 0:  # reprolint: ok[R2] array shapes are exact ints
             raise ConfigurationError("instance needs at least one item and one bin")
-        if np.any(weights < 0) or np.any(np.isnan(weights)):
-            raise ConfigurationError("weights must be non-negative numbers")
-        if np.any(capacities <= 0):  # reprolint: ok[R2] sign guard, not a feasibility test
-            raise ConfigurationError("capacities must be positive")
+        if slots.dtype.kind not in "iu" or np.any(slots < 0):
+            raise ConfigurationError("slots must be non-negative integers")
         if np.any(np.isnan(costs)):
             raise ConfigurationError("costs must not contain NaN")
 
         self.costs = costs
-        self.weights = weights
-        self.capacities = capacities
+        self.slots = slots.astype(np.int64)
 
     @property
     def n_items(self) -> int:
@@ -74,12 +63,10 @@ class GAPInstance:
         return self.costs.shape[1]
 
     def allowed_mask(self) -> np.ndarray:
-        """Which (item, bin) pairs are assignable — finite cost and the
-        weight fits the bin's capacity — as one ``(n_items, n_bins)``
-        boolean table."""
-        return np.isfinite(self.costs) & (
-            self.weights <= self.capacities[None, :] + CAPACITY_EPS
-        )
+        """Which (item, bin) pairs are assignable — finite cost and a bin
+        with at least one slot — as one ``(n_items, n_bins)`` boolean
+        table."""
+        return np.isfinite(self.costs) & (self.slots > 0)
 
     def __repr__(self) -> str:
         return f"GAPInstance(items={self.n_items}, bins={self.n_bins})"

@@ -88,12 +88,15 @@ class TestQuality:
             result.check_capacities()
 
     def test_unknown_solver_rejected(self, small_market):
-        # "exact" is gone too: on the unit-slot reduction the default
-        # already returns the GAP optimum.
+        # "exact" is gone too: on the slot-table reduction the default
+        # already returns the GAP optimum. An unknown name is a library
+        # error (ConfigurationError), from Appro and from LCF alike.
         choices = re.escape("choose from ['greedy', 'shmoys_tardos']")
         for solver in ("nope", "exact"):
-            with pytest.raises(ValueError, match=choices):
+            with pytest.raises(ConfigurationError, match=choices):
                 appro(small_market, gap_solver=solver)
+            with pytest.raises(ConfigurationError, match=choices):
+                lcf(small_market, xi=0.5, gap_solver=solver)
 
     def test_runtime_recorded(self, small_market):
         assert appro(small_market).runtime_s > 0.0

@@ -2,8 +2,9 @@
 
 Every GAP instance is built twice: by the library (from the compiled
 tables) and by the object-graph oracle of
-``tests/oracles/object_graph_reference.py`` (per-pair cost-model queries).
-The two must agree bit for bit before any property is checked.
+``tests/oracles/object_graph_reference.py`` (the split recomputed per
+cloudlet, per-pair cost-model queries). The two must agree bit for bit
+before any property is checked.
 """
 
 import math
@@ -17,7 +18,10 @@ from repro.market.market import ServiceMarket
 from repro.market.pricing import Pricing
 
 from tests.conftest import build_line_network, build_provider
-from tests.oracles.object_graph_reference import object_build_gap_instance
+from tests.oracles.object_graph_reference import (
+    object_build_gap_instance,
+    object_virtual_cloudlets,
+)
 
 
 def make_market(n_providers=4, compute=10.0, bandwidth=500.0):
@@ -32,9 +36,20 @@ def build_instance(split):
     inst = split.build_gap_instance()
     oracle = object_build_gap_instance(split)
     np.testing.assert_array_equal(inst.costs, oracle.costs)
-    np.testing.assert_array_equal(inst.weights, oracle.weights)
-    np.testing.assert_array_equal(inst.capacities, oracle.capacities)
+    np.testing.assert_array_equal(inst.slots, oracle.slots)
     return inst
+
+
+def slots_of(split):
+    """``(cloudlet node, slot)`` of every virtual cloudlet, in bin order,
+    read off the split's arrays and pinned to the oracle's per-cloudlet
+    split."""
+    nodes = split.cloudlet_nodes[split.slot_cloudlet]
+    first = np.cumsum(split.n_i) - split.n_i
+    ranks = np.arange(len(split.slot_cloudlet)) - first[split.slot_cloudlet]
+    slots = list(zip(nodes.tolist(), ranks.tolist()))
+    assert slots == object_virtual_cloudlets(split)
+    return slots
 
 
 class TestSplitCounts:
@@ -43,9 +58,10 @@ class TestSplitCounts:
         market = make_market(compute=10.0, bandwidth=55.0)
         split = VirtualCloudletSplit(market)
         # a_max = 1.0 -> floor(10/1)=10; b_max = 10 -> floor(55/10)=5
-        for cl in market.network.cloudlets:
-            assert split.n_i[cl.node_id] == 5
-        assert len(split.virtual_cloudlets) == 10
+        assert split.cloudlet_nodes.tolist() == market.compile().cloudlet_nodes
+        assert split.n_i.tolist() == [5] * len(market.network.cloudlets)
+        assert split.slot_cloudlet.tolist() == [0] * 5 + [1] * 5
+        assert len(slots_of(split)) == 10
 
     def test_slot_capacity_is_max_demand(self):
         market = make_market()
@@ -81,6 +97,8 @@ class TestSplitCounts:
         split = VirtualCloudletSplit(market, allow_remote=True)
         inst = build_instance(split)
         assert inst.n_bins == 1  # just the remote bin
+        assert split.n_i.tolist() == [0] * len(market.network.cloudlets)
+        assert inst.slots.tolist() == [1]  # one slot per provider
 
     def test_bad_pricing_mode_rejected(self):
         market = make_market()
@@ -93,9 +111,10 @@ class TestGAPInstance:
         market = make_market()
         split = VirtualCloudletSplit(market)
         inst = build_instance(split)
-        # uniform weights equal to capacities: exactly one item fits a bin.
-        assert np.allclose(inst.weights, split.slot_capacity)
-        assert np.allclose(inst.capacities, split.slot_capacity)
+        # One slot per virtual cloudlet: exactly one item fits a bin.
+        assert inst.slots.tolist() == [1] * len(split.slot_cloudlet)
+        remote = build_instance(VirtualCloudletSplit(market, allow_remote=True))
+        assert remote.slots.tolist() == [1] * len(split.slot_cloudlet) + [4]
 
     def test_flat_pricing_is_eq9(self):
         market = make_market()
@@ -103,17 +122,17 @@ class TestGAPInstance:
         inst = build_instance(split)
         model = market.cost_model
         for j, provider in enumerate(market.providers):
-            for vc in split.virtual_cloudlets:
-                cl = market.network.cloudlet_at(vc.cloudlet_node)
-                assert inst.costs[j, vc.index] == pytest.approx(model.gap_cost(provider, cl))
+            for index, (node, _) in enumerate(slots_of(split)):
+                cl = market.network.cloudlet_at(node)
+                assert inst.costs[j, index] == pytest.approx(model.gap_cost(provider, cl))
 
     def test_flat_pricing_equal_across_slots(self):
         market = make_market()
         split = VirtualCloudletSplit(market, slot_pricing="flat")
         inst = build_instance(split)
         by_cloudlet = {}
-        for vc in split.virtual_cloudlets:
-            by_cloudlet.setdefault(vc.cloudlet_node, []).append(inst.costs[0, vc.index])
+        for index, (node, _) in enumerate(slots_of(split)):
+            by_cloudlet.setdefault(node, []).append(inst.costs[0, index])
         for costs in by_cloudlet.values():
             assert len(set(np.round(costs, 12))) == 1
 
@@ -121,12 +140,13 @@ class TestGAPInstance:
         market = make_market()
         split = VirtualCloudletSplit(market, slot_pricing="marginal")
         inst = build_instance(split)
-        for node in sorted({vc.cloudlet_node for vc in split.virtual_cloudlets}):
-            slots = sorted(
-                (vc for vc in split.virtual_cloudlets if vc.cloudlet_node == node),
-                key=lambda vc: vc.slot,
-            )
-            costs = [inst.costs[0, vc.index] for vc in slots]
+        slots = slots_of(split)
+        for node in sorted({node for node, _ in slots}):
+            costs = [
+                inst.costs[0, index]
+                for index, (at, _) in enumerate(slots)
+                if at == node
+            ]
             assert all(b > a for a, b in zip(costs, costs[1:]))
 
     def test_marginal_prices_telescope_to_social_congestion(self):
@@ -137,15 +157,12 @@ class TestGAPInstance:
         inst = build_instance(split)
         model = market.cost_model
         provider = market.providers[0]
-        node = split.virtual_cloudlets[0].cloudlet_node
+        node, _ = slots_of(split)[0]
         cl = market.network.cloudlet_at(node)
-        slots = sorted(
-            (vc for vc in split.virtual_cloudlets if vc.cloudlet_node == node),
-            key=lambda vc: vc.slot,
-        )
+        bins = [index for index, (at, _) in enumerate(slots_of(split)) if at == node]
         fixed = model.fixed_cost(provider, cl)
-        for k in range(1, len(slots) + 1):
-            charged = sum(inst.costs[0, slots[j].index] - fixed for j in range(k))
+        for k in range(1, len(bins) + 1):
+            charged = sum(inst.costs[0, bins[j]] - fixed for j in range(k))
             assert charged == pytest.approx((cl.alpha + cl.beta) * k * k)
 
     def test_remote_bin_costs(self):
@@ -169,12 +186,13 @@ class TestMergeAssignment:
     def test_merge_maps_to_real_cloudlets(self):
         market = make_market()
         split = VirtualCloudletSplit(market)
-        first_node = split.virtual_cloudlets[0].cloudlet_node
-        n_first = split.n_i[first_node]  # bins [0, n_first) belong to CL2
+        n_first = int(split.n_i[0])  # bins [0, n_first) belong to CL2
         assignment = [0, 1, n_first, n_first + 1]
         placement, rejected = split.merge_assignment(assignment)
         assert not rejected
-        cl_nodes = sorted({vc.cloudlet_node for vc in split.virtual_cloudlets})
+        assert list(placement) == [0, 1, 2, 3]
+        assert all(type(node) is int for node in placement.values())
+        cl_nodes = sorted({node for node, _ in slots_of(split)})
         assert placement[0] in cl_nodes and placement[2] in cl_nodes
         assert placement[0] == placement[1]
         assert placement[2] == placement[3]
@@ -187,6 +205,7 @@ class TestMergeAssignment:
         placement, rejected = split.merge_assignment(assignment)
         assert rejected == {0}
         assert 0 not in placement
+        assert list(placement) == [1, 2, 3]
 
     def test_wrong_length_rejected(self):
         market = make_market()

@@ -18,6 +18,11 @@ from repro.experiments.figures import (
     poa_study,
 )
 from repro.experiments.settings import ExperimentConfig
+from repro.core.optimal import optimal_caching
+from repro.game.engine import market_game
+from repro.game.poa import worst_equilibrium_cost
+from repro.market.workload import generate_market
+from repro.network.generators import random_mec_network
 
 TINY = ExperimentConfig(
     network_sizes=(40, 60),
@@ -130,6 +135,21 @@ class TestPoAStudy:
         assert 1.0 <= out["empirical_appro_ratio"] <= out["lemma2_bound"]
         assert out["appro_marginal_certified_gap"] >= 1.0 - 1e-9
         assert 1.0 - 1e-9 <= out["empirical_poa"] <= out["theorem1_bound"]
+
+    def test_small_markets_report_the_enumerated_worst_equilibrium(self):
+        # 8 providers on a 30-node network: few enough profiles to
+        # enumerate, so the PoA row is the exact worst equilibrium, not the
+        # worst of 10 sampled runs.
+        out = poa_study(repetitions=1)
+        assert out["poa_exact"] is True
+        market = generate_market(random_mec_network(30, rng=11), 8, rng=111)
+        game = market_game(market)
+        assert len(game.resources) ** len(game.players) <= 2_000_000
+        worst, _ = worst_equilibrium_cost(game, exact=True)
+        assert out["empirical_poa"] == worst / optimal_caching(market).social_cost
+        # 60 providers are far past the enumeration limit: sampled.
+        sampled = poa_study(n_providers=60, n_nodes=50, repetitions=1, seed=12)
+        assert sampled["poa_exact"] is False
 
     def test_no_appro_placement_leaves_the_appro_ratios_nan(self):
         # The only repetition's split has fewer virtual slots than the 60

@@ -1,14 +1,16 @@
-"""The unit-slot GAP relaxation solved as an assignment problem.
+"""The slot-form GAP relaxation solved as an assignment problem.
 
-``repro.gap.lp`` solves a unit-slot instance (every item weighs the same in
-a bin, integral capacity ratio) with ``linear_sum_assignment`` and refuses
-every other instance. The general-GAP reference
-(``tests/oracles/gap_reference.py``) sends those to HiGHS. These tests hold
-the assignment path to the HiGHS LP and slot-matching rounding it
-replaces, and check that each path fires where it should.
+``repro.gap.lp`` solves a slot-form instance (a cost table and a slot
+count per bin) with ``linear_sum_assignment``. The general-GAP reference
+(``tests/oracles/gap_reference.py``) states it as a weighted instance:
+one it reads as unit-slot goes through its own assignment, every other to
+HiGHS. These tests hold the library path to the HiGHS LP and the
+slot-matching rounding it replaces, and check that each path fires where
+it should.
 """
 
 import functools
+import sys
 from unittest import mock
 
 import numpy as np
@@ -22,7 +24,7 @@ from repro.dynamics.population import PopulationProcess
 from repro.exceptions import InfeasibleError, SolverError
 from repro.gap import lp
 from repro.gap.instance import GAPInstance
-from repro.gap.lp import _slot_multiplicities, solve_lp_relaxation
+from repro.gap.lp import solve_lp_relaxation
 from repro.gap.shmoys_tardos import shmoys_tardos
 from repro.market.delta import MarketDelta
 from repro.market.market import ServiceMarket
@@ -33,17 +35,21 @@ from repro.utils.rng import as_rng
 
 from tests.oracles import gap_reference
 from tests.oracles.gap_reference import (
+    WeightedGAPInstance,
     _build_slots,
     _highs_relaxation,
     _match_slots,
+    _slot_multiplicities,
     exact_gap,
 )
+from tests.oracles.object_graph_reference import object_weighted_gap_instance
 
 _EPS = 1e-9
 
 
-def unit_slot_instance(seed, n_items=12, n_slots=8, remote=True, p_forbid=0.2):
-    """Eq. 7-shaped instance: unit slots, ``inf`` entries, a remote bin."""
+def weighted_unit_slot_instance(seed, n_items=12, n_slots=8, remote=True, p_forbid=0.2):
+    """Eq. 7-shaped weighted instance: every item weighs one slot's
+    capacity, ``inf`` entries, a remote bin holding every item."""
     rng = as_rng(seed)
     n_bins = n_slots + (1 if remote else 0)
     costs = rng.uniform(1.0, 10.0, size=(n_items, n_bins))
@@ -53,7 +59,13 @@ def unit_slot_instance(seed, n_items=12, n_slots=8, remote=True, p_forbid=0.2):
         costs[:, -1] = rng.uniform(5.0, 15.0, size=n_items)
         capacities[-1] = n_items * 2.5
     weights = np.full((n_items, n_bins), 2.5)
-    return GAPInstance(costs=costs, weights=weights, capacities=capacities)
+    return WeightedGAPInstance(costs=costs, weights=weights, capacities=capacities)
+
+
+def unit_slot_instance(seed, n_items=12, n_slots=8, remote=True, p_forbid=0.2):
+    """The slot form of :func:`weighted_unit_slot_instance`."""
+    weighted = weighted_unit_slot_instance(seed, n_items, n_slots, remote, p_forbid)
+    return GAPInstance(costs=weighted.costs, slots=_slot_multiplicities(weighted))
 
 
 def count_calls(module, target):
@@ -69,27 +81,31 @@ def count_calls(module, target):
     return mock.patch.object(module, target, counted), calls
 
 
-def assert_exact_relaxation(instance):
-    """The assignment path fires, is 0/1, and matches the HiGHS value."""
+def assert_exact_relaxation(instance, weighted):
+    """The assignment path fires, keeps every bin within its slots, and
+    matches the HiGHS value of the weighted statement."""
     lsa_patch, lsa_calls = count_calls(lp, "linear_sum_assignment")
     with lsa_patch:
         fast = solve_lp_relaxation(instance)
     assert lsa_calls
-    reference = _highs_relaxation(instance)
-    assert np.all((fast.fractions == 0.0) | (fast.fractions == 1.0))
-    assert np.all(fast.fractions.sum(axis=1) == 1.0)
+    reference = _highs_relaxation(weighted)
+    assert fast.assignment.shape == (instance.n_items,)
+    assert np.all(np.bincount(fast.assignment, minlength=instance.n_bins) <= instance.slots)
     assert fast.value == pytest.approx(reference.value, rel=1e-9)
-    loads = (fast.fractions * instance.weights).sum(axis=0)
-    assert np.all(loads <= instance.capacities + _EPS)
+    loads = np.zeros(weighted.n_bins)
+    np.add.at(loads, fast.assignment, weighted.weights[np.arange(weighted.n_items), fast.assignment])
+    assert np.all(loads <= weighted.capacities + _EPS)
 
 
 class TestSlotMultiplicities:
+    """The reference's reading of slot counts off a weighted instance."""
+
     def test_unit_slots_and_remote_bin(self):
-        inst = unit_slot_instance(1, n_items=5, n_slots=3)
+        inst = weighted_unit_slot_instance(1, n_items=5, n_slots=3)
         assert _slot_multiplicities(inst).tolist() == [1, 1, 1, 5]
 
     def test_zero_weight_bin_holds_every_item(self):
-        inst = GAPInstance(
+        inst = WeightedGAPInstance(
             costs=np.ones((4, 2)),
             weights=np.array([[0.0, 1.0]] * 4),
             capacities=np.array([1.0, 2.0]),
@@ -97,7 +113,7 @@ class TestSlotMultiplicities:
         assert _slot_multiplicities(inst).tolist() == [4, 2]
 
     def test_near_integral_ratio_rounds(self):
-        inst = GAPInstance(
+        inst = WeightedGAPInstance(
             costs=np.ones((4, 1)),
             weights=np.full((4, 1), 1.0 / 3.0),
             capacities=np.array([1.0]),
@@ -105,11 +121,11 @@ class TestSlotMultiplicities:
         assert _slot_multiplicities(inst).tolist() == [3]
 
     def test_fractional_ratio_or_varying_column_declines(self):
-        half = GAPInstance(
+        half = WeightedGAPInstance(
             costs=np.ones((3, 1)), weights=np.ones((3, 1)), capacities=np.array([1.5])
         )
         assert _slot_multiplicities(half) is None
-        varying = GAPInstance(
+        varying = WeightedGAPInstance(
             costs=np.ones((2, 1)),
             weights=np.array([[1.0], [0.5]]),
             capacities=np.array([2.0]),
@@ -120,12 +136,16 @@ class TestSlotMultiplicities:
 class TestAgainstHighs:
     @pytest.mark.parametrize("seed", range(12))
     def test_unit_slot_instances(self, seed):
-        assert_exact_relaxation(unit_slot_instance(seed, n_items=6 + seed))
+        weighted = weighted_unit_slot_instance(seed, n_items=6 + seed)
+        assert_exact_relaxation(unit_slot_instance(seed, n_items=6 + seed), weighted)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_unit_slot_without_remote_bin(self, seed):
-        inst = unit_slot_instance(seed, n_items=6, n_slots=9, remote=False, p_forbid=0.1)
-        assert_exact_relaxation(inst)
+        options = dict(n_items=6, n_slots=9, remote=False, p_forbid=0.1)
+        assert_exact_relaxation(
+            unit_slot_instance(seed, **options),
+            weighted_unit_slot_instance(seed, **options),
+        )
 
     @pytest.mark.parametrize("ratio", [2, 3])
     @pytest.mark.parametrize("seed", range(4))
@@ -133,29 +153,32 @@ class TestAgainstHighs:
         rng = as_rng(50 + seed)
         n_items, n_bins = 10, 6
         weights = np.tile(rng.uniform(0.5, 2.0, size=n_bins), (n_items, 1))
-        inst = GAPInstance(
+        weighted = WeightedGAPInstance(
             costs=rng.uniform(1.0, 10.0, size=(n_items, n_bins)),
             weights=weights,
             capacities=ratio * weights[0],
         )
-        assert _slot_multiplicities(inst).tolist() == [ratio] * n_bins
-        assert_exact_relaxation(inst)
+        assert _slot_multiplicities(weighted).tolist() == [ratio] * n_bins
+        inst = GAPInstance(weighted.costs, np.full(n_bins, ratio))
+        assert_exact_relaxation(inst, weighted)
 
     def test_too_few_slots_raise_like_highs(self):
-        inst = unit_slot_instance(3, n_items=9, n_slots=8, remote=False, p_forbid=0.0)
+        options = dict(n_items=9, n_slots=8, remote=False, p_forbid=0.0)
         with pytest.raises(InfeasibleError):
-            _highs_relaxation(inst)
-        with pytest.raises(InfeasibleError):
-            solve_lp_relaxation(inst)
+            _highs_relaxation(weighted_unit_slot_instance(3, **options))
+        with pytest.raises(InfeasibleError, match="9 items but only 8 slots"):
+            solve_lp_relaxation(unit_slot_instance(3, **options))
 
     def test_forbidden_pairs_that_block_a_matching_raise(self):
         # Two items that only admit bin 0, which has one slot.
         costs = np.array([[1.0, np.inf], [2.0, np.inf], [3.0, 1.0]])
-        inst = GAPInstance(costs=costs, weights=np.ones((3, 2)), capacities=np.ones(2))
+        weighted = WeightedGAPInstance(
+            costs=costs, weights=np.ones((3, 2)), capacities=np.array([1.0, 2.0])
+        )
         with pytest.raises(InfeasibleError):
-            _highs_relaxation(inst)
-        with pytest.raises(InfeasibleError):
-            solve_lp_relaxation(inst)
+            _highs_relaxation(weighted)
+        with pytest.raises(InfeasibleError, match="GAP assignment is infeasible"):
+            solve_lp_relaxation(GAPInstance(costs=costs, slots=np.array([1, 2])))
 
 
 # --------------------------------------------------------------------- #
@@ -188,7 +211,7 @@ def test_paper_markets_place_as_highs_rounding(size):
                 )
                 instance = split.build_gap_instance()
                 try:
-                    expected = highs_rounding(instance)
+                    expected = highs_rounding(object_weighted_gap_instance(split))
                 except InfeasibleError:
                     with pytest.raises(InfeasibleError):
                         shmoys_tardos(instance)
@@ -207,7 +230,7 @@ def test_paper_markets_place_as_highs_rounding(size):
 class TestPathGuards:
     def fractional_reaches_highs(self, inst):
         lp_patch, lp_calls = count_calls(gap_reference, "linprog")
-        lsa_patch, lsa_calls = count_calls(lp, "linear_sum_assignment")
+        lsa_patch, lsa_calls = count_calls(gap_reference, "linear_sum_assignment")
         with lp_patch, lsa_patch:
             result = gap_reference.solve_lp_relaxation(inst)
         assert lp_calls and not lsa_calls
@@ -215,7 +238,7 @@ class TestPathGuards:
 
     def test_non_uniform_columns_reach_highs(self):
         rng = as_rng(7)
-        inst = GAPInstance(
+        inst = WeightedGAPInstance(
             costs=rng.uniform(1.0, 10.0, size=(6, 3)),
             weights=rng.uniform(0.2, 1.0, size=(6, 3)),
             capacities=np.full(3, 2.0),
@@ -227,7 +250,7 @@ class TestPathGuards:
         # Three unit items, bins of capacity 1.5: the LP pours 1.5 units
         # into the cheap bin, which no integral assignment can.
         costs = np.array([[1.0, 10.0, 10.0]] * 3)
-        inst = GAPInstance(
+        inst = WeightedGAPInstance(
             costs=costs, weights=np.ones((3, 3)), capacities=np.full(3, 1.5)
         )
         result = self.fractional_reaches_highs(inst)
@@ -236,7 +259,7 @@ class TestPathGuards:
     def test_highs_iteration_limit_raises_solver_error(self):
         # HiGHS stopping short (status 1) is a solver failure, not a result.
         costs = np.array([[1.0, 10.0, 10.0]] * 3)
-        inst = GAPInstance(
+        inst = WeightedGAPInstance(
             costs=costs, weights=np.ones((3, 3)), capacities=np.full(3, 1.5)
         )
         stopped = OptimizeResult(
@@ -255,7 +278,9 @@ class TestPathGuards:
         solved = 0
         for pricing in ("flat", "marginal"):
             for allow_remote in (False, True):
-                relax_patch, relax_calls = count_calls(lp, "_assignment_relaxation")
+                relax_patch, relax_calls = count_calls(
+                    sys.modules["repro.gap.shmoys_tardos"], "solve_lp_relaxation"
+                )
                 lsa_patch, lsa_calls = count_calls(lp, "linear_sum_assignment")
                 with relax_patch, lsa_patch:
                     try:
@@ -321,12 +346,12 @@ class TestPathGuards:
     def test_integral_relaxation_skips_an_equal_matching(self, seed):
         # The reference reads an integral relaxation off without matching;
         # the library always reads it off. Both equal the full matching.
-        inst = unit_slot_instance(seed)
-        relaxation = solve_lp_relaxation(inst)
+        weighted = weighted_unit_slot_instance(seed)
+        relaxation = gap_reference.solve_lp_relaxation(weighted)
         with mock.patch.object(gap_reference, "_match_slots") as matching:
-            reference = gap_reference.shmoys_tardos(inst)
+            reference = gap_reference.shmoys_tardos(weighted)
         matching.assert_not_called()
-        solution = shmoys_tardos(inst)
+        solution = shmoys_tardos(unit_slot_instance(seed))
         assert solution.assignment == reference.assignment
         assert solution.assignment == _match_slots(relaxation)
         assert solution.lower_bound == relaxation.value
@@ -370,7 +395,7 @@ def test_build_slots_matches_the_item_loop(seed):
     n_items, n_bins = 15, 5
     # Few distinct weights, so the (-weight, item) tie-break is exercised.
     weights = rng.choice([0.3, 0.6, 0.9], size=(n_items, n_bins))
-    inst = GAPInstance(
+    inst = WeightedGAPInstance(
         costs=rng.uniform(1.0, 10.0, size=(n_items, n_bins)),
         weights=weights,
         capacities=np.full(n_bins, 2.0),

@@ -9,12 +9,17 @@ from repro.utils.rng import as_rng
 import pytest
 
 from repro.exceptions import ConfigurationError, InfeasibleError
-from repro.gap.instance import GAPInstance, GAPSolution
+from repro.gap.instance import GAPSolution
 
-from tests.oracles.gap_reference import allowed, exact_gap, is_feasible
+from tests.oracles.gap_reference import (
+    WeightedGAPInstance,
+    allowed,
+    exact_gap,
+    is_feasible,
+)
 
 
-def brute_force(inst: GAPInstance) -> float:
+def brute_force(inst: WeightedGAPInstance) -> float:
     best = np.inf
     for combo in itertools.product(range(inst.n_bins), repeat=inst.n_items):
         sol = GAPSolution(inst, list(combo))
@@ -28,7 +33,7 @@ class TestExactGAP:
     def test_matches_brute_force(self):
         for seed in range(6):
             rng = as_rng(seed)
-            inst = GAPInstance(
+            inst = WeightedGAPInstance(
                 costs=rng.uniform(1, 10, size=(5, 3)),
                 weights=rng.uniform(0.3, 1.0, size=(5, 3)),
                 capacities=np.full(3, 1.6),
@@ -42,7 +47,7 @@ class TestExactGAP:
             assert is_feasible(sol)
 
     def test_respects_forbidden_pairs(self):
-        inst = GAPInstance(
+        inst = WeightedGAPInstance(
             costs=np.array([[np.inf, 2.0], [1.0, 5.0]]),
             weights=np.ones((2, 2)),
             capacities=np.array([1.0, 1.0]),
@@ -51,7 +56,7 @@ class TestExactGAP:
         assert sol.assignment == [1, 0]
 
     def test_infeasible_raises(self):
-        inst = GAPInstance(
+        inst = WeightedGAPInstance(
             costs=np.ones((3, 1)),
             weights=np.ones((3, 1)),
             capacities=np.array([2.0]),
@@ -60,7 +65,7 @@ class TestExactGAP:
             exact_gap(inst)
 
     def test_size_limit(self):
-        inst = GAPInstance(
+        inst = WeightedGAPInstance(
             costs=np.ones((25, 2)),
             weights=np.ones((25, 2)) * 0.01,
             capacities=np.ones(2),
@@ -69,7 +74,7 @@ class TestExactGAP:
             exact_gap(inst, max_items=20)
 
     def test_item_without_bin_raises(self):
-        inst = GAPInstance(
+        inst = WeightedGAPInstance(
             costs=np.array([[np.inf]]),
             weights=np.ones((1, 1)),
             capacities=np.ones(1),

@@ -17,14 +17,16 @@ from repro.network.generators import random_mec_network
 
 class TestApproSurfacesDegradation:
     def test_budget_cannot_fire_on_a_unit_slot_market(self):
-        # Appro's GAP is a unit-slot instance, solved by the exact
-        # assignment; the library's LP module has no HiGHS path to reach,
+        # Appro's GAP is a slot table (one slot per virtual cloudlet, n
+        # for the remote bin), solved by the exact assignment; the library's LP module has no HiGHS path to reach,
         # so there is no LP for a budget to stop, and the keyword that
         # carried one is refused.
         market = generate_market(random_mec_network(150, rng=1), 60, rng=2)
         untimed = appro(market, allow_remote=True)
         instance = VirtualCloudletSplit(market, allow_remote=True).build_gap_instance()
-        assert lp._slot_multiplicities(instance) is not None
+        assert instance.slots.tolist() == [1] * (instance.n_bins - 1) + [
+            instance.n_items
+        ]
         assert not hasattr(lp, "linprog")
         again = appro(market, allow_remote=True)
         assert "degradation" not in again.info

@@ -1,5 +1,6 @@
 """Tests for the Shmoys–Tardos GAP rounding of the general-GAP reference
-(``tests/oracles/gap_reference.py``)."""
+(``tests/oracles/gap_reference.py``), and of the library's slot-form
+solver where an instance is unit-slot."""
 
 import numpy as np
 
@@ -7,9 +8,12 @@ from repro.utils.rng import as_rng
 import pytest
 
 from repro.exceptions import InfeasibleError
+from repro.gap.shmoys_tardos import shmoys_tardos as library_shmoys_tardos
 from repro.gap.instance import GAPInstance
 
+
 from tests.oracles.gap_reference import (
+    WeightedGAPInstance,
     bin_loads,
     exact_gap,
     is_feasible,
@@ -21,7 +25,7 @@ from tests.oracles.gap_reference import (
 
 
 def random_instance(rng, n_items, n_bins, cap=2.0):
-    return GAPInstance(
+    return WeightedGAPInstance(
         costs=rng.uniform(1.0, 10.0, size=(n_items, n_bins)),
         weights=rng.uniform(0.2, min(1.0, cap), size=(n_items, n_bins)),
         capacities=np.full(n_bins, cap),
@@ -72,7 +76,7 @@ class TestShmoysTardos:
     def test_unit_weight_instance_is_exactly_feasible(self):
         # weight == capacity => one item per bin slot, no 2x violation.
         rng = as_rng(3)
-        inst = GAPInstance(
+        inst = WeightedGAPInstance(
             costs=rng.uniform(1, 5, size=(4, 6)),
             weights=np.ones((4, 6)),
             capacities=np.ones(6),
@@ -80,12 +84,14 @@ class TestShmoysTardos:
         sol = shmoys_tardos(inst)
         assert is_feasible(sol)
         assert max(np.bincount(sol.assignment, minlength=6)) == 1
+        slotted = library_shmoys_tardos(GAPInstance(inst.costs, np.ones(6, dtype=int)))
+        assert slotted.assignment == sol.assignment
 
     def test_unit_weight_matches_exact_optimum(self):
         # With one item per slot the reduction is an assignment problem,
         # which ST solves exactly.
         rng = as_rng(4)
-        inst = GAPInstance(
+        inst = WeightedGAPInstance(
             costs=rng.uniform(1, 9, size=(5, 7)),
             weights=np.ones((5, 7)),
             capacities=np.ones(7),
@@ -93,18 +99,23 @@ class TestShmoysTardos:
         sol = shmoys_tardos(inst)
         opt = exact_gap(inst)
         assert sol.cost == pytest.approx(opt.cost)
+        slotted = library_shmoys_tardos(GAPInstance(inst.costs, np.ones(7, dtype=int)))
+        assert slotted.cost == sol.cost
+        assert slotted.lower_bound == pytest.approx(opt.cost)
 
     def test_infeasible_raises(self):
-        inst = GAPInstance(
+        inst = WeightedGAPInstance(
             costs=np.ones((3, 1)),
             weights=np.ones((3, 1)),
             capacities=np.array([1.5]),
         )
         with pytest.raises(InfeasibleError):
             shmoys_tardos(inst)
+        with pytest.raises(InfeasibleError, match="3 items but only 1 slots"):
+            library_shmoys_tardos(GAPInstance(inst.costs, np.array([1])))
 
     def test_single_item(self):
-        inst = GAPInstance(
+        inst = WeightedGAPInstance(
             costs=np.array([[3.0, 1.0]]),
             weights=np.array([[1.0, 1.0]]),
             capacities=np.array([1.0, 1.0]),
@@ -112,6 +123,9 @@ class TestShmoysTardos:
         sol = shmoys_tardos(inst)
         assert sol.assignment == [1]
         assert sol.cost == pytest.approx(1.0)
+        slotted = library_shmoys_tardos(GAPInstance(inst.costs, np.array([1, 1])))
+        assert slotted.assignment == [1]
+        assert slotted.lower_bound == 1.0
 
     def test_deterministic(self):
         rng = as_rng(5)

@@ -38,6 +38,7 @@ from tests.oracles.object_graph_reference import (
     object_jo_offload_cache,
     object_market_game,
     object_offload_cache,
+    object_weighted_gap_instance,
     use_object_graph,
 )
 
@@ -50,10 +51,14 @@ CONGESTIONS = {
 }
 
 
-def make_market(seed, congestion=None, n_providers=16, n_nodes=35):
+def make_market(seed, congestion=None, n_providers=16, n_nodes=35, latency_budget_ms=None):
     network = random_mec_network(n_nodes, rng=seed)
     return generate_market(
-        network, n_providers=n_providers, rng=seed + 1, congestion=congestion
+        network,
+        n_providers=n_providers,
+        rng=seed + 1,
+        congestion=congestion,
+        latency_budget_ms=latency_budget_ms,
     )
 
 
@@ -116,8 +121,7 @@ class TestApproEquivalence:
                 obj = object_build_gap_instance(split)
                 cmp_ = split.build_gap_instance()
                 assert np.array_equal(obj.costs, cmp_.costs)
-                assert np.array_equal(obj.weights, cmp_.weights)
-                assert np.array_equal(obj.capacities, cmp_.capacities)
+                assert np.array_equal(obj.slots, cmp_.slots)
 
 
 class TestLCFEquivalence:
@@ -217,18 +221,18 @@ class TestLPAssemblyEquivalence:
     @pytest.mark.parametrize("allow_remote", [False, True])
     def test_relaxations_bit_identical(self, seed, allow_remote):
         from repro.core.virtual_cloudlets import VirtualCloudletSplit
-        from repro.gap.instance import GAPInstance
-        from repro.gap.lp import _slot_multiplicities
         from repro.utils.rng import as_rng
 
         # The Eq. 7 instance is unit-slot and assembles no LP; per-pair
         # weights on its costs and capacities make it a general one.
         market = make_market(180 + seed)
         split = VirtualCloudletSplit(market, allow_remote=allow_remote)
-        unit = split.build_gap_instance()
+        unit = object_weighted_gap_instance(split)
         scale = as_rng(seed).uniform(0.5, 1.0, size=unit.weights.shape)
-        instance = GAPInstance(unit.costs, unit.weights * scale, unit.capacities)
-        assert _slot_multiplicities(instance) is None
+        instance = gap_reference.WeightedGAPInstance(
+            unit.costs, unit.weights * scale, unit.capacities
+        )
+        assert gap_reference._slot_multiplicities(instance) is None
         relaxations = []
         for assemble in (gap_reference._assemble, _assemble_scalar):
             with mock.patch.object(
@@ -243,12 +247,15 @@ class TestLPAssemblyEquivalence:
     def test_allowed_mask_matches_scalar_allowed(self):
         from repro.core.virtual_cloudlets import VirtualCloudletSplit
 
-        market = make_market(190)
-        instance = VirtualCloudletSplit(market).build_gap_instance()
-        mask = instance.allowed_mask()
-        for j in range(instance.n_items):
-            for i in range(instance.n_bins):
-                assert bool(mask[j, i]) == gap_reference.allowed(instance, j, i)
+        market = make_market(190, latency_budget_ms=3.0)
+        split = VirtualCloudletSplit(market, allow_remote=True)
+        mask = split.build_gap_instance().allowed_mask()
+        weighted = object_weighted_gap_instance(split)
+        assert not mask.all()  # the budget forbids some pairs
+        np.testing.assert_array_equal(mask, weighted.allowed_mask())
+        for j in range(weighted.n_items):
+            for i in range(weighted.n_bins):
+                assert bool(mask[j, i]) == gap_reference.allowed(weighted, j, i)
 
     def test_unknown_assembly_rejected(self):
         # One assembly path: the assemble= option left every solver.

@@ -7,9 +7,16 @@ oracles the differential suites compare it against:
 
 * :func:`_assemble_scalar` — the per-pair GAP LP assembly (the oracle of
   the bulk one in :mod:`tests.oracles.gap_reference`);
-* :func:`_greedy_scalar` — the per-item greedy regret loop;
+* :func:`_greedy_scalar` — the per-item greedy regret loop over slot
+  counters;
 * :func:`object_build_gap_instance` — the Eq. (7)–(9) GAP build that
-  queries the cost model per (provider, slot) pair;
+  recomputes the split per cloudlet (:func:`object_virtual_cloudlets`)
+  and queries the cost model per (provider, slot) pair;
+* :func:`object_weighted_gap_instance`, :func:`object_merge_assignment`
+  and :func:`use_weighted_gap` — the same build stated as a weighted GAP
+  (every item weighs one slot's capacity), mapped back slot by slot, and
+  solved by the general-GAP reference: Appro before its GAP became a slot
+  table;
 * :func:`object_repair_capacities` (with :func:`_loads` / :func:`_fits`)
   and :func:`object_enter_newcomers` — Appro's capacity repair and warm
   newcomer scan over per-cloudlet load lists;
@@ -70,14 +77,15 @@ from repro.network.elements import Cloudlet
 from repro.utils.contracts import invariant_capacity_feasible
 from repro.utils.validation import CAPACITY_EPS, check_non_negative
 
-from tests.oracles.gap_reference import allowed, trivially_infeasible
+from tests.oracles import gap_reference
+from tests.oracles.gap_reference import WeightedGAPInstance, allowed, trivially_infeasible
 
 
 # --------------------------------------------------------------------- #
 # GAP solvers (replace gap_reference._assemble / greedy._greedy_assignment)
 # --------------------------------------------------------------------- #
 def _assemble_scalar(
-    instance: GAPInstance,
+    instance: WeightedGAPInstance,
 ) -> Tuple[np.ndarray, np.ndarray, csr_matrix, csr_matrix, np.ndarray, np.ndarray]:
     """Reference per-pair assembly (kept as the differential oracle)."""
     if trivially_infeasible(instance):
@@ -116,9 +124,9 @@ def _assemble_scalar(
 
 
 def _greedy_scalar(instance: GAPInstance) -> List[int]:
-    """Reference implementation: per-item Python loops over the instance
-    (the pre-compiled pipeline). Returns the assignment list."""
-    remaining_cap = instance.capacities.astype(float).copy()
+    """Reference implementation: per-item Python loops over the slot-form
+    instance (the pre-compiled pipeline). Returns the assignment list."""
+    free_slots = [int(k) for k in instance.slots]
     assignment: List[Optional[int]] = [None] * instance.n_items
     unassigned = set(range(instance.n_items))
 
@@ -130,8 +138,7 @@ def _greedy_scalar(instance: GAPInstance) -> List[int]:
             feasible = [
                 i
                 for i in range(instance.n_bins)
-                if np.isfinite(instance.costs[j, i])
-                and instance.weights[j, i] <= remaining_cap[i] + CAPACITY_EPS
+                if np.isfinite(instance.costs[j, i]) and free_slots[i] > 0
             ]
             if not feasible:
                 raise InfeasibleError(f"greedy could not place item {j}")
@@ -147,7 +154,7 @@ def _greedy_scalar(instance: GAPInstance) -> List[int]:
                 best_bin = cheapest
 
         assignment[best_item] = best_bin
-        remaining_cap[best_bin] -= instance.weights[best_item, best_bin]
+        free_slots[best_bin] -= 1
         unassigned.remove(best_item)
 
     return [int(a) for a in assignment]
@@ -157,22 +164,35 @@ def _greedy_scalar(instance: GAPInstance) -> List[int]:
 # Appro (replace VirtualCloudletSplit.build_gap_instance and
 # repro.core.appro._repair_capacities / _enter_newcomers)
 # --------------------------------------------------------------------- #
-def object_build_gap_instance(self: VirtualCloudletSplit) -> GAPInstance:
-    """:meth:`VirtualCloudletSplit.build_gap_instance` from the cost model,
-    one (provider, slot) pair at a time."""
+def object_virtual_cloudlets(self: VirtualCloudletSplit) -> List[Tuple[int, int]]:
+    """The Eq. (7) split, one ``(cloudlet node, slot)`` pair per virtual
+    cloudlet (GAP bin) in bin order: ``n_i`` slots for each cloudlet in
+    node order."""
+    slots: List[Tuple[int, int]] = []
+    for cl in self.market.network.cloudlets:
+        n_i = min(
+            math.floor(cl.compute_capacity / self.a_max),
+            math.floor(cl.bandwidth_capacity / self.b_max),
+        )
+        slots.extend((cl.node_id, slot) for slot in range(n_i))
+    return slots
+
+
+def _object_gap_costs(self: VirtualCloudletSplit) -> np.ndarray:
+    """The Eq. (9) cost table (flat or marginal slot prices, plus the
+    remote column) from the cost model, one (provider, slot) pair at a
+    time."""
     providers = self.market.providers
-    n = len(providers)
-    m = len(self.virtual_cloudlets) + (1 if self.allow_remote else 0)
-    costs = np.zeros((n, m))
-    weights = np.full((n, m), self.slot_capacity)
+    virtual = object_virtual_cloudlets(self)
+    costs = np.zeros((len(providers), len(virtual) + (1 if self.allow_remote else 0)))
     model = self.market.cost_model
     net = self.market.network
     for j, provider in enumerate(providers):
-        for vc in self.virtual_cloudlets:
-            cloudlet = net.cloudlet_at(vc.cloudlet_node)
+        for index, (node, slot) in enumerate(virtual):
+            cloudlet = net.cloudlet_at(node)
             if self.slot_pricing == "flat":
                 # The paper's Eq. (9): alpha_i + beta_i + fixed.
-                costs[j, vc.index] = model.gap_cost(provider, cloudlet)
+                costs[j, index] = model.gap_cost(provider, cloudlet)
             else:
                 # Marginal pricing: slot k of CL_i carries the marginal
                 # social congestion charge
@@ -183,19 +203,87 @@ def object_build_gap_instance(self: VirtualCloudletSplit) -> GAPInstance:
                 # The GAP objective then equals the social cost (Eq. 6)
                 # exactly, which is what makes the coordinated
                 # placement worth following.
-                k = vc.slot + 1
+                k = slot + 1
                 g = model.congestion
                 marginal = (cloudlet.alpha + cloudlet.beta) * (
                     k * g(k) - (k - 1) * g(k - 1)
                 )
-                costs[j, vc.index] = marginal + model.fixed_cost(provider, cloudlet)
+                costs[j, index] = marginal + model.fixed_cost(provider, cloudlet)
         if self.allow_remote:
-            costs[j, self.remote_bin] = model.remote_cost(provider)
-    capacities = np.array(
-        [vc.capacity for vc in self.virtual_cloudlets]
-        + ([n * self.slot_capacity] if self.allow_remote else [])
+            costs[j, len(virtual)] = model.remote_cost(provider)
+    return costs
+
+
+def object_build_gap_instance(self: VirtualCloudletSplit) -> GAPInstance:
+    """:meth:`VirtualCloudletSplit.build_gap_instance` from the cost model,
+    one (provider, slot) pair at a time: one slot per virtual cloudlet,
+    ``n`` for the remote bin."""
+    costs = _object_gap_costs(self)
+    n_virtual = len(object_virtual_cloudlets(self))
+    slots = [1] * n_virtual + ([costs.shape[0]] if self.allow_remote else [])
+    return GAPInstance(costs=costs, slots=np.array(slots, dtype=np.int64))
+
+
+def object_weighted_gap_instance(self: VirtualCloudletSplit) -> WeightedGAPInstance:
+    """The same GAP stated with weights: every item weighs the slot
+    capacity ``max(a_max, b_max)``, each virtual cloudlet holds one slot's
+    capacity and the remote bin ``n`` of them."""
+    costs = _object_gap_costs(self)
+    n = costs.shape[0]
+    capacities = [self.slot_capacity] * len(object_virtual_cloudlets(self))
+    if self.allow_remote:
+        capacities.append(n * self.slot_capacity)
+    return WeightedGAPInstance(
+        costs=costs,
+        weights=np.full(costs.shape, self.slot_capacity),
+        capacities=np.array(capacities),
     )
-    return GAPInstance(costs=costs, weights=weights, capacities=capacities)
+
+
+def object_merge_assignment(
+    self: VirtualCloudletSplit, gap_assignment: List[int]
+) -> Tuple[Dict[int, int], Set[int]]:
+    """:meth:`VirtualCloudletSplit.merge_assignment`, one item at a time
+    through the per-slot list."""
+    providers = self.market.providers
+    if len(gap_assignment) != len(providers):
+        raise ConfigurationError(
+            f"GAP assignment covers {len(gap_assignment)} items, "
+            f"market has {len(providers)} providers"
+        )
+    virtual = object_virtual_cloudlets(self)
+    placement: Dict[int, int] = {}
+    rejected: Set[int] = set()
+    for j, bin_index in enumerate(gap_assignment):
+        pid = providers[j].provider_id
+        if self.allow_remote and bin_index >= len(virtual):
+            rejected.add(pid)
+        else:
+            placement[pid] = virtual[bin_index][0]
+    return placement, rejected
+
+
+@contextmanager
+def use_weighted_gap() -> Iterator[None]:
+    """Run cold Appro on the weighted GAP while the context is open: the
+    split builds :func:`object_weighted_gap_instance`, the general-GAP
+    reference solves it (:func:`gap_reference.shmoys_tardos` /
+    :func:`gap_reference.greedy_gap`), and :func:`object_merge_assignment`
+    maps the bins back."""
+    split = "repro.core.virtual_cloudlets.VirtualCloudletSplit"
+    solvers = {
+        "shmoys_tardos": gap_reference.shmoys_tardos,
+        "greedy": gap_reference.greedy_gap,
+    }
+    with ExitStack() as stack:
+        stack.enter_context(
+            mock.patch(f"{split}.build_gap_instance", object_weighted_gap_instance)
+        )
+        stack.enter_context(
+            mock.patch(f"{split}.merge_assignment", object_merge_assignment)
+        )
+        stack.enter_context(mock.patch.dict("repro.core.appro._GAP_SOLVERS", solvers))
+        yield
 
 
 def _loads(market: ServiceMarket, placement: Dict[int, int]) -> Dict[int, List[float]]:
@@ -763,8 +851,12 @@ __all__ = [
     "object_enter_newcomers",
     "object_jo_offload_cache",
     "object_market_game",
+    "object_merge_assignment",
     "object_offload_cache",
     "object_posted_entry",
     "object_repair_capacities",
+    "object_virtual_cloudlets",
+    "object_weighted_gap_instance",
     "use_object_graph",
+    "use_weighted_gap",
 ]
